@@ -14,6 +14,7 @@ Design rules shared by every carrier:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
@@ -178,54 +179,84 @@ class GroupCarrier(Carrier):
 
 
 class FiniteLattice(Carrier):
-    """Finite lattice backed by meet/join tables."""
+    """Finite lattice stored as n elements plus integer index tables.
 
-    def __init__(self, name: str, elements: Sequence, meet_table: dict, join_table: dict,
-                 distributive: bool, bottom, top):
-        super().__init__(name, FINITE, distributive, True, bottom, top)
-        self._elements = list(elements)
+    Element ``i`` is ``elements()[i]``.  The meet table holds, at position
+    ``i * n + j``, the index of the meet of elements ``i`` and ``j``: its
+    rows laid end to end in one compact ``index_table``, so a table costs
+    n^2 bytes for up to 256 elements.  The join table likewise.
+    Element-level operations are a fixed number of look-ups, and
+    distributivity is decided over the tables once, when the lattice is
+    built, and kept with its witness in ``distributivity``.
+    """
+
+    def __init__(self, name: str, elements: Sequence, meet_table: Sequence, join_table: Sequence):
+        self._elements = tuple(elements)
+        self._n = n = len(self._elements)
         self._index = {e: i for i, e in enumerate(self._elements)}
         self._meet_table = meet_table
         self._join_table = join_table
+        bottom = top = 0
+        for i in range(n):
+            bottom = meet_table[bottom * n + i]
+            top = join_table[top * n + i]
+        self.distributivity = _distributivity(self._elements, meet_table, join_table)
+        super().__init__(name, FINITE, self.distributivity.holds, True,
+                         self._elements[bottom], self._elements[top])
 
     # -- construction
 
     @staticmethod
     def from_leq(name: str, elements: Sequence, leq: Callable[[object, object], bool]) -> "FiniteLattice":
+        """Build the tables from an order relation, evaluating leq once per pair.
+
+        Each element gets a bitmask down-set and up-set.  The meet of i and j
+        is the element of down[i] & down[j] whose down-set holds that whole
+        set (unique when the order is antisymmetric); the join is found the
+        same way with up-sets.  The relation need not be transitive: the
+        bounds are then the ones that definition picks out, or the pair is
+        reported as having none.
+        """
         elems = list(elements)
         if len(set(elems)) != len(elems):
             raise NotALattice("duplicate elements")
         for x in elems:
             if not leq(x, x):
                 raise NotALattice(f"order not reflexive at {x!r}")
-        for x in elems:
-            for y in elems:
-                if x != y and leq(x, y) and leq(y, x):
-                    raise NotALattice(f"order not antisymmetric on {(x, y)!r}", pair=(x, y))
-        meet_table: dict = {}
-        join_table: dict = {}
-        for x in elems:
-            for y in elems:
-                lows = [z for z in elems if leq(z, x) and leq(z, y)]
-                glb = [m for m in lows if all(leq(z, m) for z in lows)]
-                if len(glb) != 1:
-                    raise NotALattice(
-                        f"pair {(x, y)!r} has no greatest lower bound", pair=(x, y), missing="meet")
-                highs = [z for z in elems if leq(x, z) and leq(y, z)]
-                lub = [m for m in highs if all(leq(m, z) for z in highs)]
-                if len(lub) != 1:
-                    raise NotALattice(
-                        f"pair {(x, y)!r} has no least upper bound", pair=(x, y), missing="join")
-                meet_table[(x, y)] = glb[0]
-                join_table[(x, y)] = lub[0]
-        bottom = elems[0]
-        top = elems[0]
-        for x in elems:
-            bottom = meet_table[(bottom, x)]
-            top = join_table[(top, x)]
-        lat = FiniteLattice(name, elems, meet_table, join_table, False, bottom, top)
-        lat.distributive = check_distributive(lat).holds
-        return lat
+        n = len(elems)
+        down = [1 << i for i in range(n)]
+        up = list(down)
+        for i, x in enumerate(elems):
+            for j, y in enumerate(elems):
+                if i != j and leq(x, y):
+                    up[i] |= 1 << j
+                    down[j] |= 1 << i
+        for i in range(n):
+            both = up[i] & down[i] & ~(1 << i)
+            if both:
+                pair = (elems[i], elems[_lowest_bit(both)])
+                raise NotALattice(f"order not antisymmetric on {pair!r}", pair=pair)
+        # antisymmetry leaves no two elements with the same down-set (or up-set)
+        by_down = {mask: i for i, mask in enumerate(down)}
+        by_up = {mask: i for i, mask in enumerate(up)}
+        meet = [0] * (n * n)
+        join = [0] * (n * n)
+        for i in range(n):
+            meet[i * n + i] = join[i * n + i] = i
+            for j in range(i + 1, n):
+                m = _bound_in(down[i] & down[j], down, by_down)
+                if m is None:
+                    pair = (elems[i], elems[j])
+                    raise NotALattice(f"pair {pair!r} has no greatest lower bound",
+                                      pair=pair, missing="meet")
+                u = _bound_in(up[i] & up[j], up, by_up)
+                if u is None:
+                    pair = (elems[i], elems[j])
+                    raise NotALattice(f"pair {pair!r} has no least upper bound",
+                                      pair=pair, missing="join")
+                meet[i * n + j] = meet[j * n + i] = m
+                join[i * n + j] = join[j * n + i] = u
+        return FiniteLattice(name, elems, index_table(meet, n), index_table(join, n))
 
     @staticmethod
     def from_covers(name: str, elements: Sequence[str], covers: Iterable[Sequence]) -> "FiniteLattice":
@@ -237,10 +268,14 @@ class FiniteLattice(Carrier):
             index[e] = True
         succ: dict = {e: set() for e in elems}
         for cover in covers:
-            if len(cover) != 2:
+            if not (isinstance(cover, (list, tuple)) and len(cover) == 2):
                 raise NotALattice(f"cover {cover!r} is not a pair")
             lo, hi = cover
-            if lo not in index or hi not in index:
+            try:
+                known = lo in index and hi in index
+            except TypeError:  # an unhashable entry names no element
+                known = False
+            if not known:
                 raise NotALattice(f"cover {cover!r} mentions an unknown element")
             if lo == hi:
                 raise NotALattice(f"cover {cover!r} is reflexive")
@@ -274,13 +309,83 @@ class FiniteLattice(Carrier):
         return list(self._elements)
 
     def _meet(self, x, y):
-        return self._meet_table[(x, y)]
+        index = self._index
+        return self._elements[self._meet_table[index[x] * self._n + index[y]]]
 
     def _join(self, x, y):
-        return self._join_table[(x, y)]
+        index = self._index
+        return self._elements[self._join_table[index[x] * self._n + index[y]]]
+
+    def _leq(self, x, y) -> bool:
+        i = self._index[x]
+        return self._meet_table[i * self._n + self._index[y]] == i
 
     def index_of(self, x) -> int:
-        return self._index[self.check_element(x)]
+        try:
+            return self._index[x]
+        except (KeyError, TypeError):
+            raise CarrierMismatch(f"{x!r} is not an element of carrier {self.name!r}") from None
+
+
+def _lowest_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _bound_in(mask: int, cones: list, by_cone: dict) -> Optional[int]:
+    """The element of mask whose cone (down-set or up-set) holds all of mask,
+    or None.  An element whose cone equals mask is the answer; mask is
+    scanned only when there is none, which a non-transitive order allows."""
+    m = by_cone.get(mask)
+    if m is not None:
+        return m
+    rest = mask
+    while rest:
+        m = _lowest_bit(rest)
+        if not mask & ~cones[m]:
+            return m
+        rest &= rest - 1
+    return None
+
+
+def index_table(indices: list, size: int):
+    """Pack indices below size as bytes when they fit in one, else as an array."""
+    if size <= 256:
+        return bytes(indices)
+    return array("H" if size <= 1 << 16 else "L", indices)
+
+
+def _distributivity(elements: Sequence, meet_table: Sequence, join_table: Sequence) -> CheckResult:
+    """Decide x /\\ (y \\/ z) = (x /\\ y) \\/ (x /\\ z) over the index tables.
+
+    For each x and y, the row over all z of either side is one table row
+    composed with another; with bytes rows ``translate`` composes them in a
+    single call.  x and y run in the order of the generic check and the
+    first differing z is reported, so both name the same witness.
+    """
+    n = len(elements)
+    meet_rows = [meet_table[i * n:(i + 1) * n] for i in range(n)]
+    join_rows = [join_table[i * n:(i + 1) * n] for i in range(n)]
+    if isinstance(meet_table, bytes):
+        pad = bytes(256 - n)
+        meet_maps = [row + pad for row in meet_rows]
+        join_maps = [row + pad for row in join_rows]
+        compose = bytes.translate
+    else:
+        meet_maps, join_maps = meet_rows, join_rows
+
+        def compose(inner, outer):
+            return [outer[v] for v in inner]
+
+    for x in range(n):
+        mx = meet_rows[x]
+        for y in range(n):
+            lhs = compose(join_rows[y], meet_maps[x])
+            rhs = compose(mx, join_maps[mx[y]])
+            if lhs != rhs:
+                z = next(z for z in range(n) if lhs[z] != rhs[z])
+                return CheckResult(False, witness=(elements[x], elements[y], elements[z]),
+                                   law="meet-over-join")
+    return _HOLDS
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +470,17 @@ class CheckResult:
         return self.holds
 
 
+_HOLDS = CheckResult(True)
+
+
 def check_distributive(L: Carrier) -> CheckResult:
-    """Exhaustive distributivity check; finite carriers only."""
+    """Exhaustive distributivity check; finite carriers only.
+
+    A FiniteLattice decided this over its index tables when it was built,
+    and that result is returned; other carriers run the generic check.
+    """
+    if isinstance(L, FiniteLattice):
+        return L.distributivity
     elems = L.elements()
     if elems is None:
         raise ValueError("distributivity check needs a finite carrier")

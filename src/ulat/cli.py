@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .carriers import NotALattice, check_distributive, load_finite_lattice
+from .carriers import NotALattice, load_finite_lattice
 from .convergence import DEFAULT_EPS_GRID, DEFAULT_HORIZON
 from .suites import SuiteConfig, render_json, render_markdown, run_suites, suite_names
 
@@ -215,7 +215,7 @@ def _lattice_check_command(path: str) -> int:
             out["missing"] = exc.missing
         sys.stdout.write(json.dumps(out, separators=(",", ":")) + "\n")
         return 1
-    dist = check_distributive(L)
+    dist = L.distributivity
     out = {
         "ok": True,
         "name": L.name,

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .carriers import Carrier, CarrierMismatch, FiniteLattice, load_finite_lattice
+from .carriers import Carrier, CarrierMismatch, FiniteLattice, index_table, load_finite_lattice
 from .exact import EXT_INF, ExtValue, ext, rat
 from .truncation import TruncationPair, truncate_f
 from .verdicts import Verdict
@@ -139,14 +138,28 @@ def pullback_semimetric(name: str, L: Carrier, mapping: Callable, base: LatticeS
 def table_semimetric(name: str, L: FiniteLattice, table: dict) -> LatticeSemimetric:
     """Semimetric given by an explicit symmetric table over a finite carrier.
 
-    table maps unordered index pairs {i <= j} (as tuples (i, j)) to ExtValue.
+    table maps index pairs (i, j) with i < j to distances (ExtValue or
+    rationals); the diagonal is zero.  The table is compiled once into an
+    n x n matrix over element indices: one ExtValue per distinct distance,
+    and a row-major ``index_table`` of codes into them.
     """
+    n = len(L.elements())
+    interned: dict = {ExtValue(0): 0}  # distance -> code
+
+    def code(i, j):
+        if i == j:
+            return 0
+        key = (min(i, j), max(i, j))
+        if key not in table:
+            raise ValueError(f"distance table {name!r} misses the pair {key}")
+        return interned.setdefault(ext(table[key]), len(interned))
+
+    flat = [code(i, j) for i in range(n) for j in range(n)]
+    matrix = index_table(flat, len(interned))
+    values = tuple(interned)
 
     def dist(x, y):
-        i, j = L.index_of(x), L.index_of(y)
-        if i == j:
-            return ExtValue(0)
-        return table[(min(i, j), max(i, j))]
+        return values[matrix[L.index_of(x) * n + L.index_of(y)]]
 
     return LatticeSemimetric(name, L, dist)
 
@@ -264,9 +277,6 @@ class KernelRelation:
     @property
     def is_discrete(self) -> bool:
         return all(len(block) == 1 for block in self.blocks)
-
-    def partition_sets(self) -> list[set]:
-        return [set(block) for block in self.blocks]
 
 
 def kernel_partition(L: Carrier, D: SemimetricFamily) -> KernelRelation:
@@ -510,12 +520,14 @@ def ph_criterion(L: FiniteLattice, S: Sequence, D: SemimetricFamily) -> bool:
 
 def load_distance_table(doc: dict, carriers: Optional[dict] = None,
                         name: str = "table") -> LatticeSemimetric:
-    """Load {"carrier": ..., "distances": [[i, j, "p/q" | "inf"], ...]}.
+    """Load {"carrier": ..., "distances": [[i, j, "p/q" | int | "inf"], ...]}.
 
     The carrier entry is either a name resolved through the carriers mapping
     or an inline lattice document.  Indices refer to the carrier's element
-    order.  Symmetric duplicates must agree, diagonal entries must be zero,
-    and every off-diagonal pair must be covered.
+    order.  Values are exact: an integer, a "p/q" string or "inf"; JSON
+    floats and booleans are refused.  Symmetric duplicates must agree,
+    diagonal entries must be zero, and every off-diagonal pair must be
+    covered.
     """
     if not isinstance(doc, dict):
         raise ValueError("distance table must be a JSON object")
@@ -540,14 +552,20 @@ def load_distance_table(doc: dict, carriers: Optional[dict] = None,
         if not (isinstance(row, list) and len(row) == 3):
             raise ValueError(f"bad distance row {row!r}")
         i, j, raw = row
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < n and 0 <= j < n):
+        if not all(type(k) is int and 0 <= k < n for k in (i, j)):
             raise ValueError(f"distance row {row!r} has out-of-range indices")
         if raw == "inf":
             value = EXT_INF
         else:
-            value = ExtValue(Fraction(raw))
-        if value < 0:
-            raise ValueError(f"distance row {row!r} is negative")
+            try:
+                q = rat(raw)
+            except ZeroDivisionError as exc:
+                raise ValueError(f"distance row {row!r} divides by zero") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"distance row {row!r} is not an exact rational") from exc
+            if q < 0:
+                raise ValueError(f"distance row {row!r} is negative")
+            value = ExtValue(q)
         if i == j:
             if value != 0:
                 raise ValueError(f"nonzero diagonal entry at index {i}")

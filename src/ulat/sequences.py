@@ -330,7 +330,11 @@ def parse_scalar_series(doc) -> RatAltSeq:
             return RatAltSeq.inv_index()
         if doc == "alt":
             return RatAltSeq.alt()
-        return RatAltSeq.const(Fraction(doc))
+        try:
+            value = rat(doc)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"scalar term {doc!r} divides by zero") from exc
+        return RatAltSeq.const(value)
     if isinstance(doc, list) and doc:
         op, *args = doc
         if op == "+" and len(args) == 2:

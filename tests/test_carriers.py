@@ -3,10 +3,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulat.carriers import (
+    Carrier,
+    CarrierMismatch,
     FiniteLattice,
     NotALattice,
     chain_lattice,
@@ -21,6 +23,81 @@ from ulat.carriers import (
     sublattices,
 )
 from ulat.spaces import QVec
+
+
+def brute_force_from_leq(elems, leq):
+    """The glb/lub search by exhaustive scan, kept as the oracle for
+    FiniteLattice.from_leq: (meet, join, bottom, top) as dicts keyed by
+    element pairs, or NotALattice with the same diagnostic."""
+    if len(set(elems)) != len(elems):
+        raise NotALattice("duplicate elements")
+    for x in elems:
+        if not leq(x, x):
+            raise NotALattice(f"order not reflexive at {x!r}")
+    for x in elems:
+        for y in elems:
+            if x != y and leq(x, y) and leq(y, x):
+                raise NotALattice(f"order not antisymmetric on {(x, y)!r}", pair=(x, y))
+    meet, join = {}, {}
+    for x in elems:
+        for y in elems:
+            lows = [z for z in elems if leq(z, x) and leq(z, y)]
+            glb = [m for m in lows if all(leq(z, m) for z in lows)]
+            if len(glb) != 1:
+                raise NotALattice(f"pair {(x, y)!r} has no greatest lower bound",
+                                  pair=(x, y), missing="meet")
+            highs = [z for z in elems if leq(x, z) and leq(y, z)]
+            lub = [m for m in highs if all(leq(m, z) for z in highs)]
+            if len(lub) != 1:
+                raise NotALattice(f"pair {(x, y)!r} has no least upper bound",
+                                  pair=(x, y), missing="join")
+            meet[(x, y)], join[(x, y)] = glb[0], lub[0]
+    bottom = top = elems[0]
+    for x in elems:
+        bottom, top = meet[(bottom, x)], join[(top, x)]
+    return meet, join, bottom, top
+
+
+class GenericView(Carrier):
+    """A finite lattice seen only through elements/_meet/_join, so that
+    check_distributive takes its generic path rather than the tables."""
+
+    def __init__(self, L):
+        super().__init__(L.name, L.kind, L.distributive, True, L.bottom, L.top)
+        self.L = L
+
+    def contains(self, x):
+        return self.L.contains(x)
+
+    def elements(self):
+        return self.L.elements()
+
+    def _meet(self, x, y):
+        return self.L._meet(x, y)
+
+    def _join(self, x, y):
+        return self.L._join(x, y)
+
+
+M3_DOC = (["0", "a", "b", "c", "1"],
+          [["0", "a"], ["0", "b"], ["0", "c"], ["a", "1"], ["b", "1"], ["c", "1"]])
+N5_DOC = (["0", "a", "c", "b", "1"],
+          [["0", "a"], ["a", "c"], ["c", "1"], ["0", "b"], ["b", "1"]])
+SQUARE_DOC = (["0", "x", "y", "1"], [["0", "x"], ["0", "y"], ["x", "1"], ["y", "1"]])
+CHAIN_DOC = (["0", "1", "2"], [["0", "1"], ["1", "2"]])
+
+
+def ordinal_sum(blocks):
+    """Stack (elements, covers) blocks, gluing each bottom to the top below."""
+    elements, covers, below = [], [], None
+    for i, (elems, cov) in enumerate(blocks):
+        rename = {e: f"{i}:{e}" for e in elems}
+        if below is not None:
+            rename[elems[0]] = below
+        elements += [rename[e] for e in elems if rename[e] != below]
+        covers += [[rename[a], rename[b]] for a, b in cov]
+        below = rename[elems[-1]]
+    return elements, covers
 
 
 class TestStandardLattices:
@@ -148,3 +225,108 @@ def test_powerset_distributive_identity(a, b, c):
     L = powerset_lattice(4)
     x, y, z = frozenset(a), frozenset(b), frozenset(c)
     assert L.meet(x, L.join(y, z)) == L.join(L.meet(x, y), L.meet(x, z))
+
+
+@st.composite
+def reflexive_relations(draw):
+    """(elements, leq) for a reflexive relation on at most 7 elements,
+    antisymmetric or not, transitive or not, bounded or not."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda p: p[0] != p[1])))
+    if draw(st.booleans()):  # antisymmetric: keep the upward pairs only
+        pairs = {(i, j) for i, j in pairs if i < j}
+    if draw(st.booleans()):
+        pairs |= {(0, j) for j in range(1, n)} | {(i, n - 1) for i in range(n - 1)}
+    if draw(st.booleans()):  # transitive closure
+        grown = True
+        while grown:
+            more = {(i, k) for i, j in pairs for j2, k in pairs if j == j2 and i != k}
+            grown = not more <= pairs
+            pairs |= more
+    labels = draw(st.permutations([f"e{i}" for i in range(n)]))
+    order = {(labels[i], labels[j]) for i, j in pairs}
+    elems = draw(st.permutations(labels))
+    return elems, lambda x, y: x == y or (x, y) in order
+
+
+@settings(max_examples=400)
+@given(reflexive_relations())
+def test_from_leq_agrees_with_the_brute_force_search(relation):
+    elems, leq = relation
+    try:
+        meet, join, bottom, top = brute_force_from_leq(elems, leq)
+    except NotALattice as want:
+        with pytest.raises(NotALattice) as got:
+            FiniteLattice.from_leq("r", elems, leq)
+        assert (str(got.value), got.value.pair, got.value.missing) == \
+            (str(want), want.pair, want.missing)
+        return
+    L = FiniteLattice.from_leq("r", elems, leq)
+    assert L.elements() == elems
+    assert (L.bottom, L.top) == (bottom, top)
+    for x in elems:
+        for y in elems:
+            assert L.meet(x, y) == meet[(x, y)] and L.join(x, y) == join[(x, y)]
+            assert L.leq(x, y) == (meet[(x, y)] == x)
+
+
+def test_from_leq_diagnoses_a_relation_that_is_not_reflexive():
+    leq = lambda x, y: x <= y and x != 2  # noqa: E731
+    with pytest.raises(NotALattice) as info:
+        FiniteLattice.from_leq("r", [0, 1, 2, 3], leq)
+    assert str(info.value) == "order not reflexive at 2"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_table_distributivity_names_the_generic_witness(seed):
+    rng = random.Random(seed)
+    blocks = [rng.choice((M3_DOC, N5_DOC, SQUARE_DOC, CHAIN_DOC)) for _ in range(4)]
+    blocks.append(rng.choice((M3_DOC, N5_DOC)))
+    elements, covers = ordinal_sum(blocks)
+    rng.shuffle(elements)
+    L = FiniteLattice.from_covers("sum", elements, covers)
+    tables = check_distributive(L)
+    generic = check_distributive(GenericView(L))
+    assert not generic.holds
+    assert tables == generic
+    assert L.distributive is False
+
+
+def test_wide_lattices_keep_the_generic_witness():
+    # more than 256 elements: the tables hold wider indices than one byte
+    elements, covers = ordinal_sum([(list(range(260)), [[i, i + 1] for i in range(259)]),
+                                    M3_DOC])
+    elements = elements[-4:] + elements[:-4]
+    L = FiniteLattice.from_covers("tall", elements, covers)
+    assert len(L.elements()) == 264 and L.bottom == "0:0" and L.top == "1:1"
+    assert check_distributive(L) == check_distributive(GenericView(L))
+    assert L.meet("1:a", "1:b") == "0:259" and L.join("0:3", "1:c") == "1:c"
+
+
+def test_chain64_and_divisor5040_tables():
+    for n in (1, 2, 64):
+        L = chain_lattice(n)
+        assert (L.bottom, L.top) == (0, n - 1) and L.distributive
+    L = divisor_lattice(5040)
+    assert len(L.elements()) == 60 and L.distributive
+    assert L.meet(48, 180) == 12 and L.join(48, 180) == 720
+
+
+def test_index_of_rejects_foreign_elements():
+    L = divisor_lattice(12)
+    assert L.index_of(12) == len(L.elements()) - 1
+    for foreign in (5, "1", [1]):
+        with pytest.raises(CarrierMismatch):
+            L.index_of(foreign)
+
+
+@pytest.mark.parametrize("cover, message", [
+    (["0", "1", "1"], "cover ['0', '1', '1'] is not a pair"),
+    ("01", "cover '01' is not a pair"),
+    (["0", "2"], "cover ['0', '2'] mentions an unknown element"),
+])
+def test_malformed_covers_are_named(cover, message):
+    with pytest.raises(NotALattice) as info:
+        load_finite_lattice({"elements": ["0", "1"], "covers": [cover]})
+    assert str(info.value) == message

@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from ulat.carriers import chain_lattice, diamond_lattice, powerset_lattice
-from ulat.exact import EXT_INF
+from ulat.carriers import (CarrierMismatch, chain_lattice, diamond_lattice, divisor_lattice,
+                           powerset_lattice)
+from ulat.exact import EXT_INF, ext
 from ulat.semimetrics import (
     SemimetricFamily,
     derived_semimetric,
@@ -247,3 +248,51 @@ class TestDistanceTables:
         with pytest.raises(ValueError):
             load_distance_table({"carrier": "missing", "distances": []},
                                 carriers={"c": L})
+
+    @pytest.mark.parametrize("value, message", [
+        (0.1, "is not an exact rational"),
+        (True, "is not an exact rational"),
+        ("1/0", "divides by zero"),
+        ("one", "is not an exact rational"),
+        ("-1/2", "is negative"),
+    ])
+    def test_inexact_or_bad_values_are_refused_naming_the_row(self, value, message):
+        L = chain_lattice(3)
+        doc = {"carrier": "c", "distances": [[0, 1, "1"], [1, 2, value], [0, 2, "2"]]}
+        with pytest.raises(ValueError) as info:
+            load_distance_table(doc, carriers={"c": L})
+        assert str(info.value) == f"distance row {[1, 2, value]!r} {message}"
+
+    def test_boolean_indices_are_refused(self):
+        L = chain_lattice(2)
+        with pytest.raises(ValueError) as info:
+            load_distance_table({"carrier": "c", "distances": [[False, True, "1"]]},
+                                carriers={"c": L})
+        assert "out-of-range indices" in str(info.value)
+
+
+def test_compiled_table_equals_the_dict_lookup_on_every_pair():
+    L = divisor_lattice(60)
+    n = len(L.elements())
+    rng = random.Random(7)
+    table = {(i, j): rng.choice((F(rng.randint(0, 4), rng.randint(1, 3)), EXT_INF))
+             for i in range(n) for j in range(i + 1, n)}
+    d = table_semimetric("random", L, table)
+    seen = {}
+    for x in L.elements():
+        for y in L.elements():
+            i, j = L.index_of(x), L.index_of(y)
+            want = ext(0) if i == j else ext(table[(min(i, j), max(i, j))])
+            got = d(x, y)
+            assert got == want
+            assert seen.setdefault(got, got) is got  # equal distances share one object
+    with pytest.raises(CarrierMismatch):
+        d(7, 1)
+    with pytest.raises(CarrierMismatch):
+        d(1, [1])
+
+
+def test_table_semimetric_refuses_a_table_with_a_missing_pair():
+    with pytest.raises(ValueError) as info:
+        table_semimetric("holey", chain_lattice(3), {(0, 1): F(1), (1, 2): F(1)})
+    assert "misses the pair (0, 2)" in str(info.value)

@@ -227,6 +227,12 @@ def test_scalar_grammar_rejects_junk():
         parse_scalar_series([])
     with pytest.raises(ValueError):
         parse_scalar_series("q")
+    with pytest.raises(ValueError, match="divides by zero"):
+        parse_scalar_series("1/0")
+    with pytest.raises(ValueError, match="divides by zero"):
+        parse_scalar_series(["+", "k", "3/0"])
+    with pytest.raises(ValueError):
+        parse_scalar_series(0.5)
 
 
 def test_sequence_terms_build_carrier_streams():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import ulat.carriers as carriers
 import ulat.suites as suites
 from ulat.cli import main
 from ulat.suites import (
@@ -283,6 +284,36 @@ def test_cli_lattice_check_flags_nondistributive(tmp_path, capsys):
     parsed = json.loads(out)
     assert parsed["ok"] is True and parsed["distributive"] is False
     assert len(parsed["distributivity-witness"]) == 3
+
+
+def test_cli_lattice_check_output_is_pinned(tmp_path, capsys, monkeypatch):
+    # N5 glued between a bottom and a top, elements out of order: the
+    # report, witness included, is fixed byte for byte, and distributivity
+    # is decided once, when the lattice is built
+    doc = {"name": "glued", "elements": ["x", "1", "b", "0", "c", "a", "t"],
+           "covers": [["0", "a"], ["a", "c"], ["c", "1"], ["0", "b"], ["b", "1"],
+                      ["1", "t"], ["x", "0"]]}
+    path = tmp_path / "glued.json"
+    path.write_text(json.dumps(doc))
+    calls = []
+    decide = carriers._distributivity
+    monkeypatch.setattr(carriers, "_distributivity", lambda *a: calls.append(a) or decide(*a))
+    code, out, _ = run_cli(capsys, "lattice", "check", str(path))
+    assert code == 0 and len(calls) == 1
+    assert out == ('{"ok":true,"name":"glued","elements":7,"bottom":"x","top":"t",'
+                   '"distributive":false,"distributivity-witness":["c","b","a"]}\n')
+
+
+@pytest.mark.parametrize("cover, error", [
+    (5, "cover 5 is not a pair"),
+    ([["0"], "1"], "cover [['0'], '1'] mentions an unknown element"),
+])
+def test_cli_lattice_check_names_a_malformed_cover(tmp_path, capsys, cover, error):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"elements": ["0", "1"], "covers": [cover]}))
+    code, out, _ = run_cli(capsys, "lattice", "check", str(path))
+    assert code == 1
+    assert json.loads(out) == {"ok": False, "error": error}
 
 
 def test_cli_lattice_check_usage_errors(tmp_path, capsys):
