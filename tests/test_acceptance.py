@@ -1,13 +1,21 @@
-"""Acceptance gate: eleven headline claims, one pass/fail line each.
+"""Acceptance gate: eleven headline claims, one pass/fail line each, and
+the golden report.
 
 Every criterion runs the corresponding named suite at the default
 configuration and checks suite status, the decisive per-record verdicts,
 the advertised case counts, and the stated runtime budgets.  All numeric
-claims are exact (rational arithmetic); there are no tolerances.
+claims are exact (rational arithmetic); there are no tolerances.  The
+canonical report of all twelve suites must match the reference report in
+``perfbench/reference_report.json`` byte for byte.
 """
 
-from ulat.suites import SuiteConfig, run_suite
+import json
+from pathlib import Path
+
+from ulat.suites import SuiteConfig, render_json, run_suite, suite_names
 from ulat.verdicts import EXACT, FALSIFIED
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference_report.json"
 
 _RESULTS = {}
 
@@ -200,3 +208,12 @@ def test_criterion_11_exhaustivity_contrast():
           "plain distance control failed to fail")
     check(failures, recs["bounded-climb"].met, "bounded climb unmet")
     conclude(11, label, failures)
+
+
+def test_canonical_report_matches_the_reference():
+    # every status, count and witness of every suite; a PR that raises a
+    # grade regenerates the file with `python3 perfbench/run.py --make-reference`
+    report = render_json({"version": 1,
+                          "suites": [suite(name).to_json() for name in suite_names()]})
+    reference = json.loads(REFERENCE.read_text(encoding="utf-8"))["report"]
+    assert report == reference
