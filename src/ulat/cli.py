@@ -4,15 +4,15 @@ Subcommands:
 
 * ``ulat suite run NAME...``   run named check suites, print a report
 * ``ulat lattice check FILE``  validate a finite lattice description
-* ``ulat example NAME``        run one of the worked example suites
 
 Settings resolve in precedence order: command line flags, then the
 ``ULAT_SEED`` / ``ULAT_HORIZON`` environment variables, then a ``key=value``
-config file given with ``--config``, then built-in defaults.
+config file given with ``--config``, then built-in defaults.  A value is
+validated by the same parser wherever it comes from.
 
 Exit status: 0 when every requested check passes, 1 when any suite fails or
 is inconclusive (or a checked lattice is rejected), 2 for usage errors such
-as unknown suite names or unreadable input.
+as unknown suite names, bad settings or unreadable input.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from .carriers import NotALattice, load_finite_lattice
 from .convergence import DEFAULT_EPS_GRID, DEFAULT_HORIZON
 from .suites import SuiteConfig, render_json, render_markdown, run_suites, suite_names
 
-EXAMPLE_SUITES = ("ex-r", "ex", "o1o2")
-
 _DEFAULTS = {
     "seed": 0,
     "horizon": DEFAULT_HORIZON,
@@ -43,39 +41,77 @@ class UsageError(Exception):
     pass
 
 
+def _parse_int(text: str, least: Optional[int] = None) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"needs an integer, got {text!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"must be at least {least}, got {value}")
+    return value
+
+
 def _parse_eps_grid(text: str) -> tuple:
     items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
-        raise UsageError("--eps-grid needs at least one value")
+        raise ValueError("needs at least one value")
     grid = []
     for part in items:
         try:
             q = Fraction(part)
         except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad eps value {part!r}: {exc}") from exc
+            raise ValueError(f"has a bad value {part!r}: {exc}") from None
         if q <= 0:
-            raise UsageError(f"eps values must be positive, got {part!r}")
+            raise ValueError(f"values must be positive, got {part!r}")
         grid.append(q)
     return tuple(grid)
 
 
-def _parse_bool(text: str, key: str) -> bool:
+def _parse_format(text: str) -> str:
+    if text not in ("json", "md"):
+        raise ValueError(f"must be 'json' or 'md', got {text!r}")
+    return text
+
+
+def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise UsageError(f"config key {key!r} needs a boolean, got {text!r}")
+    raise ValueError(f"needs a boolean, got {text!r}")
+
+
+# one parser per setting, for flags, environment and config file alike
+_PARSERS = {
+    "seed": _parse_int,
+    "horizon": lambda text: _parse_int(text, least=1),
+    "eps_grid": _parse_eps_grid,
+    "format": _parse_format,
+    "timings": _parse_bool,
+}
+
+
+def _parse_setting(key: str, text: str, origin: str):
+    try:
+        return _PARSERS[key](text)
+    except ValueError as exc:
+        raise UsageError(f"{origin}: {key} {exc}") from None
+
+
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{what} {path!r} is not UTF-8 text: {exc}") from exc
 
 
 def _read_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
     settings = {}
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_text(path, "config file").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -83,78 +119,27 @@ def _read_config(path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        value = value.strip()
-        if key == "seed":
-            settings["seed"] = _parse_int(value, "seed")
-        elif key == "horizon":
-            settings["horizon"] = _parse_int(value, "horizon")
-        elif key == "eps_grid":
-            settings["eps_grid"] = _parse_eps_grid(value)
-        elif key == "format":
-            settings["format"] = _check_format(value)
-        elif key == "timings":
-            settings["timings"] = _parse_bool(value, key)
-        else:
+        if key not in _PARSERS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        settings[key] = _parse_setting(key, value.strip(), f"{path}:{lineno}")
     return settings
-
-
-def _parse_int(text: str, key: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise UsageError(f"{key} needs an integer, got {text!r}") from exc
-    if value < 0 and key == "seed":
-        return value
-    if value < 1 and key == "horizon":
-        raise UsageError(f"horizon must be at least 1, got {value}")
-    return value
-
-
-def _check_format(text: str) -> str:
-    if text not in ("json", "md"):
-        raise UsageError(f"format must be 'json' or 'md', got {text!r}")
-    return text
 
 
 def _resolve_settings(args) -> dict:
     settings = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    if args.config:
         settings.update(_read_config(args.config))
-    env_seed = os.environ.get("ULAT_SEED")
-    if env_seed is not None:
-        settings["seed"] = _parse_int(env_seed, "ULAT_SEED")
-    env_horizon = os.environ.get("ULAT_HORIZON")
-    if env_horizon is not None:
-        settings["horizon"] = _parse_int(env_horizon, "ULAT_HORIZON")
-    if getattr(args, "seed", None) is not None:
-        settings["seed"] = args.seed
-    if getattr(args, "horizon", None) is not None:
-        if args.horizon < 1:
-            raise UsageError(f"horizon must be at least 1, got {args.horizon}")
-        settings["horizon"] = args.horizon
-    if getattr(args, "eps_grid", None) is not None:
-        settings["eps_grid"] = _parse_eps_grid(args.eps_grid)
-    if getattr(args, "format", None) is not None:
-        settings["format"] = _check_format(args.format)
-    if getattr(args, "timings", False):
+    for key, var in (("seed", "ULAT_SEED"), ("horizon", "ULAT_HORIZON")):
+        text = os.environ.get(var)
+        if text is not None:
+            settings[key] = _parse_setting(key, text, var)
+    for key in ("seed", "horizon", "eps_grid", "format"):
+        text = getattr(args, key)
+        if text is not None:
+            settings[key] = _parse_setting(key, text, "--" + key.replace("_", "-"))
+    if args.timings:
         settings["timings"] = True
     return settings
-
-
-def _add_suite_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None,
-                     help="base seed for the deterministic generators")
-    sub.add_argument("--horizon", type=int, default=None,
-                     help="prefix length for horizon-bounded checks")
-    sub.add_argument("--eps-grid", dest="eps_grid", default=None,
-                     help="comma separated positive rationals, e.g. 1,1/2,1/4")
-    sub.add_argument("--format", choices=("json", "md"), default=None,
-                     help="report format (default json)")
-    sub.add_argument("--config", default=None,
-                     help="key=value settings file")
-    sub.add_argument("--timings", action="store_true",
-                     help="include wall-clock timings in the report")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -168,16 +153,23 @@ def _build_parser() -> argparse.ArgumentParser:
     run = suite_cmds.add_parser("run", help="run suites and print a report")
     run.add_argument("names", nargs="+", metavar="SUITE",
                      help=f"one of: {', '.join(suite_names())}")
-    _add_suite_options(run)
+    run.add_argument("--seed", default=None,
+                     help="base seed for the deterministic generators")
+    run.add_argument("--horizon", default=None,
+                     help="prefix length for horizon-bounded checks")
+    run.add_argument("--eps-grid", dest="eps_grid", default=None,
+                     help="comma separated positive rationals, e.g. 1,1/2,1/4")
+    run.add_argument("--format", default=None,
+                     help="report format, json (default) or md")
+    run.add_argument("--config", default=None,
+                     help="key=value settings file")
+    run.add_argument("--timings", action="store_true",
+                     help="include wall-clock timings in the report")
 
     lattice = commands.add_parser("lattice", help="finite lattice utilities")
     lattice_cmds = lattice.add_subparsers(dest="lattice_command")
     check = lattice_cmds.add_parser("check", help="validate a lattice JSON file")
     check.add_argument("path", help="JSON file with elements and covers")
-
-    example = commands.add_parser("example", help="run a worked example suite")
-    example.add_argument("name", choices=EXAMPLE_SUITES)
-    _add_suite_options(example)
     return parser
 
 
@@ -198,13 +190,13 @@ def _run_suites_command(names, args) -> int:
 
 
 def _lattice_check_command(path: str) -> int:
+    text = _read_text(path, "lattice file")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read {path!r}: {exc}")
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"{path!r} is not valid JSON: {exc}")
+        raise UsageError(f"{path!r} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise UsageError(f"{path!r} nests too deeply to parse") from None
     try:
         L = load_finite_lattice(doc, name=os.path.basename(path))
     except NotALattice as exc:
@@ -242,8 +234,6 @@ def main(argv: Optional[list] = None) -> int:
             if args.lattice_command != "check":
                 parser.error("usage: ulat lattice check FILE")
             return _lattice_check_command(args.path)
-        if args.command == "example":
-            return _run_suites_command([args.name], args)
         parser.print_help(sys.stderr)
         return 2
     except UsageError as exc:

@@ -243,10 +243,33 @@ def test_cli_timings_flag(capsys):
     assert "elapsed" in json.loads(out)["suites"][0]
 
 
-def test_cli_example_command(capsys):
-    code, out, _ = run_cli(capsys, "example", "o1o2", "--horizon", "100")
-    assert code == 0
-    assert json.loads(out)["suites"][0]["suite"] == "o1o2"
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_cli_rejects_a_nonpositive_horizon_from_the_environment(monkeypatch, capsys, value):
+    monkeypatch.setenv("ULAT_HORIZON", value)
+    code, out, err = run_cli(capsys, "suite", "run", "o1o2")
+    assert code == 2 and out == ""
+    assert err.startswith("ulat: ULAT_HORIZON: horizon must be at least 1")
+
+
+def test_cli_validates_every_source_alike(tmp_path, monkeypatch, capsys):
+    config = tmp_path / "seed.conf"
+    config.write_text("seed = x\n")
+    code, _, err = run_cli(capsys, "suite", "run", "prop-p1", "--config", str(config))
+    assert code == 2 and f"{config}:1: seed needs an integer" in err
+    code, _, err = run_cli(capsys, "suite", "run", "prop-p1", "--seed", "x")
+    assert code == 2 and "--seed: seed needs an integer" in err
+    code, _, err = run_cli(capsys, "suite", "run", "prop-p1", "--format", "xml")
+    assert code == 2 and "--format: format must be 'json' or 'md'" in err
+    monkeypatch.setenv("ULAT_SEED", "x")
+    code, _, err = run_cli(capsys, "suite", "run", "prop-p1")
+    assert code == 2 and "ULAT_SEED: seed needs an integer" in err
+
+
+def test_cli_rejects_a_config_file_that_is_not_utf8(tmp_path, capsys):
+    config = tmp_path / "latin1.conf"
+    config.write_bytes("# r\xe9glage\nhorizon = 100\n".encode("latin-1"))
+    code, _, err = run_cli(capsys, "suite", "run", "prop-p1", "--config", str(config))
+    assert code == 2 and err.startswith("ulat: config file") and "not UTF-8" in err
 
 
 def test_cli_lattice_check_accepts_a_chain(tmp_path, capsys):
@@ -323,6 +346,19 @@ def test_cli_lattice_check_usage_errors(tmp_path, capsys):
     garbled.write_text("{not json")
     code, _, err = run_cli(capsys, "lattice", "check", str(garbled))
     assert code == 2 and "not valid JSON" in err
+
+
+def test_cli_lattice_check_rejects_unreadable_documents(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"elements": ["\xe9"], "covers": []}'.encode("latin-1"))
+    code, out, err = run_cli(capsys, "lattice", "check", str(latin1))
+    assert code == 2 and out == ""
+    assert err.startswith("ulat: lattice file") and "not UTF-8" in err
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "lattice", "check", str(deep))
+    assert code == 2 and out == ""
+    assert err.startswith("ulat: ") and "nests too deeply" in err
 
 
 def test_cli_without_command_prints_help(capsys):
