@@ -42,16 +42,14 @@ class Carrier:
     name: str
     kind: str
     distributive: bool
-    bounded: bool
     bottom: object
     top: object
 
-    def __init__(self, name: str, kind: str, distributive: bool, bounded: bool,
+    def __init__(self, name: str, kind: str, distributive: bool,
                  bottom: object = None, top: object = None):
         self.name = name
         self.kind = kind
         self.distributive = distributive
-        self.bounded = bounded
         self.bottom = bottom
         self.top = top
 
@@ -201,7 +199,7 @@ class FiniteLattice(Carrier):
             bottom = meet_table[bottom * n + i]
             top = join_table[top * n + i]
         self.distributivity = _distributivity(self._elements, meet_table, join_table)
-        super().__init__(name, FINITE, self.distributivity.holds, True,
+        super().__init__(name, FINITE, self.distributivity.holds,
                          self._elements[bottom], self._elements[top])
 
     # -- construction
@@ -550,6 +548,13 @@ def check_group_axioms(G: GroupCarrier, xs: Sequence) -> CheckResult:
     return CheckResult(True)
 
 
+def is_sublattice(L: Carrier, S: Sequence) -> bool:
+    """Is S (as carrier elements) closed under meet and join?"""
+    items = [L.check_element(s) for s in S]
+    return all(L.meet(a, b) in items and L.join(a, b) in items
+               for a in items for b in items)
+
+
 def sublattices(L: FiniteLattice, max_size: Optional[int] = None):
     """Yield every nonempty sublattice (as a tuple) of a finite lattice."""
     elems = L.elements()
@@ -557,14 +562,5 @@ def sublattices(L: FiniteLattice, max_size: Optional[int] = None):
     limit = n if max_size is None else min(n, max_size)
     for r in range(1, limit + 1):
         for combo in combinations(elems, r):
-            s = set(combo)
-            closed = True
-            for x in combo:
-                for y in combo:
-                    if L.meet(x, y) not in s or L.join(x, y) not in s:
-                        closed = False
-                        break
-                if not closed:
-                    break
-            if closed:
+            if is_sublattice(L, combo):
                 yield combo

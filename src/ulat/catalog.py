@@ -1,7 +1,7 @@
 """Named carriers and their stock semimetric families.
 
-Every carrier in the catalog is a single shared instance so that families
-built here compare carriers by identity.  Finite lattices carry the discrete
+The catalog is built once per process and every carrier in it is a single
+shared instance, so families built here compare carriers by identity.  Finite lattices carry the discrete
 and the zero family; the four element chain additionally carries a pullback
 family that glues its two middle elements together, which is the standard
 example of a non-Hausdorff kernel.  Symbolic carriers each carry their
@@ -11,6 +11,7 @@ natural norm-induced family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .carriers import (
     Carrier,
@@ -60,6 +61,7 @@ def _chain4_collapse(L: Carrier) -> SemimetricFamily:
     return SemimetricFamily.of("collapse", member)
 
 
+@cache
 def standard_carriers() -> dict[str, CatalogEntry]:
     entries: dict[str, CatalogEntry] = {}
 

@@ -38,10 +38,6 @@ def frac_floor(q: Fraction) -> int:
     return q.numerator // q.denominator
 
 
-def frac_ceil(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
-
-
 def fmt_frac(q: Fraction) -> str:
     """Render a Fraction as 'p' or 'p/q' (stable, JSON friendly)."""
     if q.denominator == 1:
@@ -227,10 +223,6 @@ class Poly:
             for j, b in enumerate(other.coeffs):
                 cs[i + j] += a * b
         return Poly.of(*cs)
-
-    def scale(self, c: RatLike) -> "Poly":
-        q = rat(c)
-        return Poly.of(*(q * a for a in self.coeffs))
 
     def eval(self, t: RatLike) -> Fraction:
         q = rat(t)
@@ -439,16 +431,6 @@ class RatAltSeq:
 
     def nonincreasing_from(self, k0: int) -> tuple[bool, Optional[int]]:
         return (self - self.shift(1)).nonneg_from(k0)
-
-    def sign_from(self, k0: int) -> Optional[int]:
-        """Constant sign of the sequence on k >= k0: +1, -1, 0, or None."""
-        if self.is_zero_from(k0)[0]:
-            return 0
-        if self.nonneg_from(k0, strict=True)[0]:
-            return 1
-        if (-self).nonneg_from(k0, strict=True)[0]:
-            return -1
-        return None
 
     def constant_value(self) -> Optional[Fraction]:
         v = self.eval(1)

@@ -17,7 +17,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .carriers import Carrier, CarrierMismatch, FiniteLattice, index_table, load_finite_lattice
+from .carriers import (Carrier, CarrierMismatch, FiniteLattice, index_table, is_sublattice,
+                       load_finite_lattice)
 from .exact import EXT_INF, ExtValue, ext, rat
 from .truncation import TruncationPair, truncate_f
 from .verdicts import Verdict
@@ -430,16 +431,6 @@ def interval_agreement(Du: SemimetricFamily, Dv: SemimetricFamily, p: Truncation
 
 # ---------------------------------------------------------------------------
 # Hausdorff criterion for clamped uniformities indexed by a sublattice
-
-
-def is_sublattice(L: Carrier, S: Sequence) -> bool:
-    """Is S (as carrier elements) closed under meet and join?"""
-    items = [L.check_element(s) for s in S]
-    for a in items:
-        for b in items:
-            if L.meet(a, b) not in items or L.join(a, b) not in items:
-                return False
-    return True
 
 
 @dataclass(frozen=True)

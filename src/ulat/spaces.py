@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 from .carriers import Carrier, GroupCarrier, SYMBOLIC
 from .exact import EXT_INF, ExtValue, frac_floor, rat
@@ -33,7 +33,7 @@ def _rand_fraction(rng, num_span: int = 20, den_span: int = 10) -> Fraction:
 
 class QLine(GroupCarrier):
     def __init__(self):
-        super().__init__("qline", SYMBOLIC, distributive=True, bounded=False)
+        super().__init__("qline", SYMBOLIC, distributive=True)
         self.zero = Fraction(0)
 
     def normalize(self, x):
@@ -74,7 +74,7 @@ class QVec(GroupCarrier):
     def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("dimension must be positive")
-        super().__init__(f"qvec{dim}", SYMBOLIC, distributive=True, bounded=False)
+        super().__init__(f"qvec{dim}", SYMBOLIC, distributive=True)
         self.dim = dim
         self.zero = tuple(Fraction(0) for _ in range(dim))
 
@@ -172,7 +172,7 @@ class C00Vec:
 
 class C00Space(GroupCarrier):
     def __init__(self):
-        super().__init__("c00", SYMBOLIC, distributive=True, bounded=False)
+        super().__init__("c00", SYMBOLIC, distributive=True)
         self.zero = C00Vec.zero()
 
     def contains(self, x) -> bool:
@@ -264,7 +264,7 @@ class FinCofAlgebra(Carrier):
     """Boolean algebra of finite and cofinite sets; bounded, distributive."""
 
     def __init__(self):
-        super().__init__("fincof", SYMBOLIC, distributive=True, bounded=True,
+        super().__init__("fincof", SYMBOLIC, distributive=True,
                          bottom=FinCofSet.empty(), top=FinCofSet.universe())
 
     def contains(self, x) -> bool:
@@ -320,9 +320,6 @@ class EvLinSeq:
             return self.prefix[i - 1]
         return self.c + self.d * i
 
-    def tail_start(self) -> int:
-        return len(self.prefix) + 1
-
     def map_with(self, other: "EvLinSeq", op, tail_c: Fraction, tail_d: Fraction,
                  split_at: int) -> "EvLinSeq":
         n = max(len(self.prefix), len(other.prefix), split_at)
@@ -338,7 +335,7 @@ class EvLinSpace(GroupCarrier):
     """Eventually affine sequences as an ell-group under pointwise order."""
 
     def __init__(self):
-        super().__init__("evlinseq", SYMBOLIC, distributive=True, bounded=False)
+        super().__init__("evlinseq", SYMBOLIC, distributive=True)
         self.zero = EvLinSeq.affine(0, 0)
 
     def contains(self, x) -> bool:
@@ -430,18 +427,14 @@ class CofiniteFilterChain:
 NO_BOUND = "no-bound-in-algebra"
 
 
-def fincof_bound_oracle(descriptor, kind: str, algebra: Optional[FinCofAlgebra] = None,
-                        enumerated: Sequence[FinCofSet] = (), complete: bool = False,
-                        from_index: int = 1):
+def fincof_bound_oracle(descriptor, kind: str, from_index: int = 1):
     """Exact supremum/infimum, within the finite/cofinite algebra, of the
     tail (from ``from_index`` on) of a described family.
 
     Returns the bound element, the sentinel ``NO_BOUND`` when the family
     provably has no bound in the algebra, or None when the oracle cannot
-    decide.  Decidable cases:
+    decide, as for any descriptor not listed here.  Decidable cases:
 
-    * a complete enumeration (the chain literally stops) folds to its
-      join/meet;
     * the shrinking chain ``CofiniteFilterChain`` has infimum empty (a
       nonempty lower bound containing atom m would sit inside N_m, which
       excludes m) and supremum its first tail term;
@@ -461,7 +454,6 @@ def fincof_bound_oracle(descriptor, kind: str, algebra: Optional[FinCofAlgebra] 
         raise ValueError("kind must be 'sup' or 'inf'")
     if from_index < 1:
         raise ValueError("from_index starts at 1")
-    algebra = algebra or FinCofAlgebra()
     if isinstance(descriptor, CofiniteFilterChain):
         if kind == "inf":
             return FinCofSet.empty()
@@ -474,7 +466,4 @@ def fincof_bound_oracle(descriptor, kind: str, algebra: Optional[FinCofAlgebra] 
         if kind == "inf":
             return FinCofSet.empty()
         return FinCofSet.cofinite_complement(range(1, from_index))
-    if enumerated and complete:
-        fold = algebra.join_all if kind == "sup" else algebra.meet_all
-        return fold(list(enumerated))
     return None

@@ -14,6 +14,7 @@ import random
 import time
 import zlib
 from dataclasses import dataclass, field
+from itertools import combinations
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -30,7 +31,7 @@ from .convergence import (
     verify_O2,
     verify_uO,
 )
-from .entourages import compose_case_analysis, compose_triple_violation, real_entourage_compose_check
+from .entourages import compose_triple_violation, real_entourage_compose_check
 from .exact import ExtValue, RatAltSeq
 from .optrees import evaluate, random_tree
 from .semimetrics import (
@@ -210,11 +211,17 @@ def _suite_lemma_l5(cfg: SuiteConfig) -> list[CheckRecord]:
 def _suite_prop_p1(cfg: SuiteConfig) -> list[CheckRecord]:
     """Exhaustive composition law over all 8^5 tuples on the three-atom
     powerset lattice, canonical or not."""
-    cat = standard_carriers()
-    L = cat["powerset3"].carrier
+    total, bad = _composition_law(standard_carriers()["powerset3"].carrier)
+    v = Verdict.falsified(bad) if bad else Verdict.exact(
+        f"exhaustive over {total} tuples")
+    return [CheckRecord("composition-law", v, expect=EXPECT_EXACT, cases=total)]
+
+
+def _composition_law(L) -> tuple[int, Optional[tuple]]:
+    """(tuples tried, first (a, b, c, d, x) where clamping by the composed
+    pair differs from clamping twice, or None)."""
     elems = L.elements()
     total = 0
-    bad = None
     for a in elems:
         for b in elems:
             outer = TruncationPair.of(L, a, b)
@@ -226,19 +233,8 @@ def _suite_prop_p1(cfg: SuiteConfig) -> list[CheckRecord]:
                         total += 1
                         two_step = truncate_f(L, outer, truncate_f(L, inner, x))
                         if truncate_f(L, comp, x) != two_step:
-                            bad = (a, b, c, d, x)
-                            break
-                    if bad:
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    v = Verdict.falsified(bad) if bad else Verdict.exact(
-        f"exhaustive over {total} tuples")
-    return [CheckRecord("composition-law", v, expect=EXPECT_EXACT, cases=total)]
+                            return total, (a, b, c, d, x)
+    return total, None
 
 
 def _suite_prop_d(cfg: SuiteConfig) -> list[CheckRecord]:
@@ -248,33 +244,29 @@ def _suite_prop_d(cfg: SuiteConfig) -> list[CheckRecord]:
     cat = standard_carriers()
     records = []
     for name in ("powerset3", "divisor60", "chain2", "chain3", "chain4", "chain5"):
-        L = cat[name].carrier
-        bad = None
-        n = 0
-        for p in canonical_pairs(L):
-            n += 1
-            res = is_truncation_hom(L, p)
-            if not res.holds:
-                bad = (p.low, p.high) + tuple(res.witness)
-                break
+        n, bad = _first_non_hom(cat[name].carrier)
         v = Verdict.falsified(bad) if bad else Verdict.exact(
             f"all {n} canonical clamps are homomorphisms")
         records.append(CheckRecord(f"hom-{name}", v, expect=EXPECT_EXACT, cases=n))
     for name in ("n5", "m3"):
-        L = cat[name].carrier
-        found = None
-        n = 0
-        for p in canonical_pairs(L):
-            n += 1
-            res = is_truncation_hom(L, p)
-            if not res.holds:
-                found = (p.low, p.high) + tuple(res.witness)
-                break
+        n, found = _first_non_hom(cat[name].carrier)
         v = (Verdict.falsified(found, "clamp fails to commute with the lattice operations")
              if found else Verdict.exact(f"all {n} clamps are homomorphisms"))
         records.append(CheckRecord(f"hom-gap-{name}", v,
                                    expect=EXPECT_FALSIFIED, cases=n))
     return records
+
+
+def _first_non_hom(L) -> tuple[int, Optional[tuple]]:
+    """(canonical clamps tried, the first one that is no lattice
+    homomorphism as (low, high) plus its witness, or None)."""
+    n = 0
+    for p in canonical_pairs(L):
+        n += 1
+        res = is_truncation_hom(L, p)
+        if not res.holds:
+            return n, (p.low, p.high) + tuple(res.witness)
+    return n, None
 
 
 def _suite_lemma_l2(cfg: SuiteConfig) -> list[CheckRecord]:
@@ -392,17 +384,7 @@ def _suite_ex_r(cfg: SuiteConfig) -> list[CheckRecord]:
          if control else Verdict.exact("no violation at the canonical triple"))
     records.append(CheckRecord("unhalved-control", v, expect=EXPECT_FALSIFIED))
 
-    Q = QLine()
-    walk = series_sequence(Q, RatAltSeq.index(), "walk")
-    abs_family = SemimetricFamily.of("abs", line_abs_semimetric(Q))
-    star = ustar_family(abs_family,
-                        [TruncationPair.of(Q, -n, n) for n in range(1, 9)])
-    records.append(CheckRecord("clamp-cauchy", exhaustivity_probe(
-        walk, star, eps_grid=cfg.eps_grid, horizon=cfg.horizon),
-        expect=EXPECT_EXACT, cases=len(star.members)))
-    records.append(CheckRecord("plain-cauchy-control", exhaustivity_probe(
-        walk, abs_family, eps_grid=cfg.eps_grid, horizon=cfg.horizon),
-        expect=EXPECT_FALSIFIED))
+    records += _walk_probes(cfg, "clamp-cauchy", "plain-cauchy-control")
 
     targets = [Fraction(0), Fraction(100), Fraction(-7, 2)]
     targets += [Fraction(rng.randrange(-10_000, 10_001),
@@ -519,19 +501,9 @@ def _suite_exhaustive_t2(cfg: SuiteConfig) -> list[CheckRecord]:
     """Monotone Cauchy probes: the clamp family exhausts the line while the
     plain distance does not, and a bounded monotone climb verifies at the
     horizon under an explicit modulus."""
+    records = _walk_probes(cfg, "clamp-family", "plain-distance-control")
     Q = QLine()
-    walk = series_sequence(Q, RatAltSeq.index(), "walk")
     abs_family = SemimetricFamily.of("abs", line_abs_semimetric(Q))
-    star = ustar_family(abs_family,
-                        [TruncationPair.of(Q, -n, n) for n in range(1, 9)])
-    records = [
-        CheckRecord("clamp-family", exhaustivity_probe(
-            walk, star, eps_grid=cfg.eps_grid, horizon=cfg.horizon),
-            expect=EXPECT_EXACT, cases=len(star.members)),
-        CheckRecord("plain-distance-control", exhaustivity_probe(
-            walk, abs_family, eps_grid=cfg.eps_grid, horizon=cfg.horizon),
-            expect=EXPECT_FALSIFIED),
-    ]
     climb = series_sequence(Q, RatAltSeq.const(1) - RatAltSeq.inv_index(), "climb")
     cert = MetricCertificate.uniform(lambda eps: int(1 / eps) + 1)
     records.append(CheckRecord("bounded-climb", exhaustivity_probe(
@@ -540,41 +512,47 @@ def _suite_exhaustive_t2(cfg: SuiteConfig) -> list[CheckRecord]:
     return records
 
 
+def _walk_probes(cfg: SuiteConfig, clamp_name: str, plain_name: str) -> list[CheckRecord]:
+    """The walk x_k = k on the line is Cauchy for the clamp family over the
+    windows [-n, n], n <= 8, and not for the plain distance."""
+    Q = QLine()
+    walk = series_sequence(Q, RatAltSeq.index(), "walk")
+    abs_family = SemimetricFamily.of("abs", line_abs_semimetric(Q))
+    star = ustar_family(abs_family,
+                        [TruncationPair.of(Q, -n, n) for n in range(1, 9)])
+    return [
+        CheckRecord(clamp_name, exhaustivity_probe(
+            walk, star, eps_grid=cfg.eps_grid, horizon=cfg.horizon),
+            expect=EXPECT_EXACT, cases=len(star.members)),
+        CheckRecord(plain_name, exhaustivity_probe(
+            walk, abs_family, eps_grid=cfg.eps_grid, horizon=cfg.horizon),
+            expect=EXPECT_FALSIFIED),
+    ]
+
+
 def _suite_closure_t4(cfg: SuiteConfig) -> list[CheckRecord]:
     """On bounded finite carriers the clamp family reproduces the original
     uniformity: exact mutual domination on the full interval and identical
     closure sets for every probed subset."""
-    records = []
+    disagreements = []
     interval_checks = 0
-    for entry in finite_entries(standard_carriers()):
-        L = entry.carrier
-        full = TruncationPair.of(L, L.bottom, L.top)
-        J = list(canonical_pairs(L))
-        for fam_name, D in sorted(entry.families.items()):
-            star = ustar_family(D, J)
-            v = interval_agreement(D, star, full)
-            interval_checks += 1
-            if not v.status == EXACT:
-                records.append(CheckRecord(f"interval-{entry.name}-{fam_name}", v,
-                                           expect=EXPECT_EXACT))
-    records.insert(0, CheckRecord(
-        "interval-collapse",
-        Verdict.exact(f"{interval_checks} family pairs agree on the full interval"),
-        expect=EXPECT_EXACT, cases=interval_checks))
-
     closure_checks = 0
     bad = None
     for entry in finite_entries(standard_carriers()):
         L = entry.carrier
         elems = L.elements()
-        if len(elems) > 8:
-            continue
+        full = TruncationPair.of(L, L.bottom, L.top)
         J = list(canonical_pairs(L))
+        subsets = [(e,) for e in elems] + list(combinations(elems, 2))
         for fam_name, D in sorted(entry.families.items()):
             star = ustar_family(D, J)
-            subsets = [(e,) for e in elems]
-            subsets += [(elems[i], elems[j])
-                        for i in range(len(elems)) for j in range(i + 1, len(elems))]
+            v = interval_agreement(D, star, full)
+            interval_checks += 1
+            if not v.status == EXACT:
+                disagreements.append(CheckRecord(f"interval-{entry.name}-{fam_name}", v,
+                                                 expect=EXPECT_EXACT))
+            if bad is not None or len(elems) > 8:
+                continue
             for A in subsets:
                 closure_checks += 1
                 cl_d = {x for x in elems if any(D.vanishes_at(x, a) for a in A)}
@@ -582,15 +560,14 @@ def _suite_closure_t4(cfg: SuiteConfig) -> list[CheckRecord]:
                 if cl_d != cl_s:
                     bad = (entry.name, fam_name, A)
                     break
-            if bad:
-                break
-        if bad:
-            break
+    collapse = CheckRecord(
+        "interval-collapse",
+        Verdict.exact(f"{interval_checks} family pairs agree on the full interval"),
+        expect=EXPECT_EXACT, cases=interval_checks)
     v = Verdict.falsified(bad) if bad else Verdict.exact(
         f"{closure_checks} subset closures agree")
-    records.append(CheckRecord("closure-sets", v, expect=EXPECT_EXACT,
-                               cases=closure_checks))
-    return records
+    closure = CheckRecord("closure-sets", v, expect=EXPECT_EXACT, cases=closure_checks)
+    return [collapse] + disagreements + [closure]
 
 
 # ---------------------------------------------------------------------------

@@ -159,16 +159,6 @@ class TestFinCofBoundOracle:
         assert chain.term(2) == FinCofSet.cofinite_complement({1, 2})
         assert fincof_bound_oracle(chain, "inf") == FinCofSet.empty()
 
-    def test_stopped_and_constant_chains_fold(self):
-        stopped = [FinCofSet.finite({1}), FinCofSet.finite({1, 2})]
-        assert fincof_bound_oracle(None, "sup", enumerated=stopped,
-                                   complete=True) == FinCofSet.finite({1, 2})
-        assert fincof_bound_oracle(None, "sup",
-                                   enumerated=[FinCofSet.empty()],
-                                   complete=True) == FinCofSet.empty()
-        assert fincof_bound_oracle(None, "sup", enumerated=stopped,
-                                   complete=False) is None
-
     def test_atom_streams(self):
         # every atom occurs, so the universe is the only upper bound
         assert fincof_bound_oracle(SingletonAtoms(), "sup") == FinCofSet.universe()
@@ -178,6 +168,8 @@ class TestFinCofBoundOracle:
         assert fincof_bound_oracle(AtomPrefixSets(), "sup") == FinCofSet.universe()
         assert fincof_bound_oracle(AtomPrefixSets(), "inf", from_index=3) == \
             FinCofSet.finite({1, 2, 3})
+        # a descriptor the oracle does not know stays undecided
+        assert fincof_bound_oracle(None, "sup") is None
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
