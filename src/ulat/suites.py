@@ -14,8 +14,8 @@ import random
 import time
 import zlib
 from dataclasses import dataclass, field
-from itertools import combinations
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Optional
 
 from .carriers import sublattices
