@@ -1,11 +1,12 @@
 """Named carriers and their stock semimetric families.
 
-The catalog is built once per process and every carrier in it is a single
-shared instance, so families built here compare carriers by identity.  Finite lattices carry the discrete
-and the zero family; the four element chain additionally carries a pullback
-family that glues its two middle elements together, which is the standard
-example of a non-Hausdorff kernel.  Symbolic carriers each carry their
-natural norm-induced family.
+The catalog is built once per process, and every caller gets the same
+dict, which must not be mutated.  Every carrier in it is a single shared
+instance so that families built here compare carriers by identity.  Finite
+lattices carry the discrete and the zero family; the four element chain
+additionally carries a pullback family that glues its two middle elements
+together, which is the standard example of a non-Hausdorff kernel.
+Symbolic carriers each carry their natural norm-induced family.
 """
 
 from __future__ import annotations
