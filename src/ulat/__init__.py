@@ -107,7 +107,6 @@ from .spaces import (
     FinCofSet,
     QLine,
     QVec,
-    fincof_bound_oracle,
 )
 from .subnet import SubnetContainmentError, SubnetEnumeration, SubnetStep, build_subnet
 from .suites import (

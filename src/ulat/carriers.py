@@ -19,9 +19,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
-FINITE = "finite"
-SYMBOLIC = "symbolic"
-
 
 class CarrierMismatch(TypeError):
     """An element was passed to a carrier it does not belong to."""
@@ -40,15 +37,13 @@ class Carrier:
     """Abstract lattice carrier."""
 
     name: str
-    kind: str
     distributive: bool
     bottom: object
     top: object
 
-    def __init__(self, name: str, kind: str, distributive: bool,
+    def __init__(self, name: str, distributive: bool,
                  bottom: object = None, top: object = None):
         self.name = name
-        self.kind = kind
         self.distributive = distributive
         self.bottom = bottom
         self.top = top
@@ -73,7 +68,7 @@ class Carrier:
 
     @property
     def is_finite(self) -> bool:
-        return self.kind == FINITE
+        return self.elements() is not None
 
     def sample(self, rng):
         """Draw a pseudo-random element (symbolic carriers override)."""
@@ -199,7 +194,7 @@ class FiniteLattice(Carrier):
             bottom = meet_table[bottom * n + i]
             top = join_table[top * n + i]
         self.distributivity = _distributivity(self._elements, meet_table, join_table)
-        super().__init__(name, FINITE, self.distributivity.holds,
+        super().__init__(name, self.distributivity.holds,
                          self._elements[bottom], self._elements[top])
 
     # -- construction

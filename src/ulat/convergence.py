@@ -5,6 +5,8 @@ decides the claim, verified-at-horizon when only a finite prefix was
 checked, falsified with a concrete witness, inconclusive otherwise.  The
 descriptors attached to sequences are what make the exact grade reachable;
 without one, the oracles degrade honestly instead of overclaiming.
+What a descriptor proves about a tail is decided in ``sequences``; only
+the symbolic containment arguments here read descriptors themselves.
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ from .carriers import CarrierMismatch, GroupCarrier
 from .entourages import real_entourage_contains
 from .exact import EXT_INF, ExtValue, frac_floor, rat
 from .semimetrics import LatticeSemimetric, SemimetricFamily
-from .sequences import (BoundClaim, EventuallyConstant, MetricCertificate,
-                        O1Witness, O2Witness, Periodic, SequenceFamily,
-                        TailClosedForm, UnitVectors, chain_bound)
-from .spaces import (C00Vec, CofiniteFilterChain, EvLinSeq, EvLinSpace,
-                     FinCofSet, SingletonAtoms, NO_BOUND)
+from .sequences import (NEVER_CONSTANT, BoundClaim, CofiniteFilterChain, MetricCertificate,
+                        O1Witness, O2Witness, SequenceFamily, SingletonAtoms,
+                        TailClosedForm, chain_bound, clamped_descriptor, settled)
+from .spaces import NO_BOUND, EvLinSeq, EvLinSpace, FinCofAlgebra, FinCofSet
 from .truncation import TruncationPair, truncate_f
 from .verdicts import Verdict
 
@@ -63,6 +64,12 @@ def _grade_bound(seq: SequenceFamily, kind: str, target, k0: int,
     return Verdict.inconclusive(detail=f"{label} undecided ({claim.detail})")
 
 
+def _settle_index(seq: SequenceFamily) -> Optional[int]:
+    """The index from which the descriptor proves seq constant, or None."""
+    tail = settled(seq)
+    return None if tail is None or tail[1] is NEVER_CONSTANT else tail[0]
+
+
 # ---------------------------------------------------------------------------
 # O1: monotone sandwich
 
@@ -74,7 +81,7 @@ def verify_O1(seq: SequenceFamily, x, w: O1Witness,
 
     The sandwich and monotonicity are checked index by index up to the
     horizon (exactly, but only on that prefix) unless all three sequences
-    are eventually constant, in which case the check is complete and exact.
+    provably settle, in which case the check is complete and exact.
     Bound claims go through the carrier's bound oracle.
     """
     L = seq.carrier
@@ -83,10 +90,9 @@ def verify_O1(seq: SequenceFamily, x, w: O1Witness,
     x = L.check_element(x)
     k0 = w.start_index
 
-    descs = (seq.descriptor, w.lower.descriptor, w.upper.descriptor)
-    symbolic = all(isinstance(d, EventuallyConstant) for d in descs)
-    if symbolic:
-        stop = max(max(d.from_index for d in descs), k0) + 1
+    knees = [_settle_index(s) for s in (seq, w.lower, w.upper)]
+    if None not in knees:
+        stop = max(max(knees), k0) + 1
         grade_on_success = Verdict.exact(detail="eventually constant sandwich")
     else:
         stop = horizon
@@ -158,26 +164,22 @@ def _o2_symbolic_fincof(seq, w: O2Witness) -> Optional[Verdict]:
     cofinite chain: {k} avoids {1..j} precisely when k > j, which the
     eventual index K(j) = j + c with c >= 1 guarantees."""
     upper_d = w.upper.descriptor
-    lower_d = w.lower.descriptor
     if not (isinstance(seq.descriptor, SingletonAtoms)
             and isinstance(upper_d, CofiniteFilterChain)
             and upper_d.within == FinCofSet.universe()
-            and isinstance(lower_d, EventuallyConstant)
-            and w.lower.carrier.normalize(lower_d.value) == FinCofSet.empty()
-            and lower_d.from_index == 1
+            and settled(w.lower) == (1, FinCofSet.empty())
             and w.offset is not None and w.offset >= 1):
         return None
     return Verdict.exact(detail="singleton avoids the dropped prefix once k > j")
 
 
 def _o2_symbolic_evconst(seq, w: O2Witness) -> Optional[Verdict]:
-    """Exact containment when sequence and chains are eventually constant."""
-    descs = (seq.descriptor, w.lower.descriptor, w.upper.descriptor)
-    if not all(isinstance(d, EventuallyConstant) for d in descs):
+    """Exact containment when sequence and chains provably settle."""
+    k_stop, lower_knee, upper_knee = (_settle_index(s) for s in (seq, w.lower, w.upper))
+    if None in (k_stop, lower_knee, upper_knee):
         return None
     L = seq.carrier
-    j_stop = max(w.lower.descriptor.from_index, w.upper.descriptor.from_index) + 1
-    k_stop = seq.descriptor.from_index
+    j_stop = max(lower_knee, upper_knee) + 1
     for j in range(1, j_stop + 1):
         start = max(w.k_of(j), 1)
         for k in range(start, max(k_stop, start) + 1):
@@ -195,7 +197,7 @@ def verify_O2(seq: SequenceFamily, x, w: O2Witness,
 
     Containment is decided symbolically where the descriptors support it
     (rational line with affine K, the finite/cofinite singleton stream,
-    eventually constant data); otherwise a budgeted prefix is checked and
+    data that provably settles); otherwise a budgeted prefix is checked and
     the verdict is graded at the horizon.
     """
     L = seq.carrier
@@ -240,32 +242,18 @@ def decide_O1_eventual_constancy(seq: SequenceFamily, x,
     Exact when a descriptor settles constancy symbolically.
     """
     L = seq.carrier
-    from .spaces import FinCofAlgebra
     if not (isinstance(L, FinCofAlgebra) or L.is_finite):
         raise ValueError(f"eventual-constancy reduction does not apply to {L.name!r}")
     x = L.check_element(x)
-    d = seq.descriptor
-
-    if isinstance(d, EventuallyConstant):
-        value = L.normalize(d.value)
+    tail = settled(seq)
+    if tail is not None:
+        i, value = tail
+        if value is NEVER_CONSTANT:
+            return Verdict.falsified(witness=(i, i + 1), detail=f"never constant from index {i}")
         if value == x:
-            return Verdict.exact(detail=f"constant from index {d.from_index}")
-        return Verdict.falsified(witness=(d.from_index, value),
+            return Verdict.exact(detail=f"constant from index {i}")
+        return Verdict.falsified(witness=(i, value),
                                  detail="eventually constant at a different value")
-    if isinstance(d, Periodic):
-        distinct = {L.normalize(v) for v in d.values}
-        if len(distinct) > 1:
-            i = d.from_index
-            return Verdict.falsified(witness=(i, i + 1),
-                                     detail="periodic with more than one value, never constant")
-        value = next(iter(distinct))
-        if value == x:
-            return Verdict.exact(detail="periodic with a single value")
-        return Verdict.falsified(witness=(d.from_index, value),
-                                 detail="eventually constant at a different value")
-    if isinstance(d, SingletonAtoms):
-        return Verdict.falsified(witness=(1, 2),
-                                 detail="distinct singletons forever, never constant")
 
     prev = seq.value(1)
     last_change = None
@@ -288,32 +276,12 @@ def decide_O1_eventual_constancy(seq: SequenceFamily, x,
 
 
 def truncate_sequence(seq: SequenceFamily, p: TruncationPair) -> SequenceFamily:
-    """The image sequence k -> clamp_p(x_k), with its descriptor transformed
+    """The image sequence k -> clamp_p(x_k), with the clamped descriptor
     whenever the clamp's effect on the tail is decidable."""
     L = seq.carrier
-    d = seq.descriptor
-    out = None
-    if isinstance(d, EventuallyConstant):
-        out = EventuallyConstant(truncate_f(L, p, L.normalize(d.value)), d.from_index)
-    elif isinstance(d, Periodic):
-        out = Periodic(tuple(truncate_f(L, p, L.normalize(v)) for v in d.values), d.from_index)
-    elif isinstance(d, TailClosedForm):
-        series, a, b = d.series, rat(p.low), rat(p.high)
-        hit_top = series.eventually_geq(b)
-        hit_bottom = series.eventually_leq(a)
-        if hit_top is not None:
-            out = EventuallyConstant(L.normalize(b), hit_top)
-        elif hit_bottom is not None:
-            out = EventuallyConstant(L.normalize(a), hit_bottom)
-        elif series.eventually_geq(a) == 1 and series.eventually_leq(b) == 1:
-            out = d
-    elif isinstance(d, UnitVectors):
-        supports = [v.max_support() for v in (p.low, p.high) if v.support]
-        zero_image = truncate_f(L, p, C00Vec.zero())
-        out = EventuallyConstant(zero_image, max(supports, default=0) + 1)
-
     return SequenceFamily(f"clamp({seq.name})", L,
-                          lambda k: truncate_f(L, p, seq.value(k)), out)
+                          lambda k: truncate_f(L, p, seq.value(k)),
+                          clamped_descriptor(seq, p))
 
 
 def pairs_from_positives(G: GroupCarrier, x, positives) -> list[TruncationPair]:
@@ -337,8 +305,9 @@ def verify_uO(seq: SequenceFamily, x, truncations: Optional[Seq[TruncationPair]]
 
     On group carriers, positive caps are converted to their two clamp pairs;
     plain lattices supply truncation pairs directly.  A clamped sequence
-    that is eventually constant is decided outright (order limits are
-    unique); otherwise a per-pair witness is consulted in the given mode.
+    that provably settles is decided outright (order limits are unique), and
+    so is a clamped periodic tail with several values, each of which recurs
+    forever; otherwise a per-pair witness is consulted in the given mode.
     The aggregate is the weakest per-pair verdict.
     """
     L = seq.carrier
@@ -356,18 +325,17 @@ def verify_uO(seq: SequenceFamily, x, truncations: Optional[Seq[TruncationPair]]
     for p in pairs:
         t_seq = truncate_sequence(seq, p)
         t_x = truncate_f(L, p, x)
-        td = t_seq.descriptor
-        if isinstance(td, EventuallyConstant):
-            value = L.normalize(td.value)
-            if value == t_x:
+        tail = settled(t_seq)
+        if tail is not None:
+            i, value = tail
+            if value is NEVER_CONSTANT:
+                parts.append(Verdict.falsified(witness=(p.low, p.high, i),
+                                               detail="clamped tail oscillates, order limit impossible"))
+            elif value == t_x:
                 parts.append(Verdict.exact(detail=f"clamp {p.low!r},{p.high!r}: eventually the clamped limit"))
             else:
-                parts.append(Verdict.falsified(witness=(p.low, p.high, td.from_index, value),
+                parts.append(Verdict.falsified(witness=(p.low, p.high, i, value),
                                                detail="clamped tail settles away from the clamped limit"))
-            continue
-        if isinstance(td, Periodic) and len({L.normalize(v) for v in td.values}) > 1:
-            parts.append(Verdict.falsified(witness=(p.low, p.high, td.from_index),
-                                           detail="clamped tail oscillates, order limit impossible"))
             continue
         w = witnesses.get(p)
         if w is None:
@@ -385,14 +353,12 @@ def verify_uO(seq: SequenceFamily, x, truncations: Optional[Seq[TruncationPair]]
 
 def _tail_representatives(seq: SequenceFamily, start: int):
     """(values, complete) where values covers every term from start on when
-    complete is True (eventually constant tails only)."""
-    d = seq.descriptor
-    if isinstance(d, EventuallyConstant):
-        stop = max(d.from_index, start)
-        values = [seq.value(k) for k in range(start, stop)]
-        values.append(seq.carrier.normalize(d.value))
-        return values, True
-    return None, False
+    complete is True (tails that provably settle only)."""
+    tail = settled(seq)
+    if tail is None or tail[1] is NEVER_CONSTANT:
+        return None, False
+    i, value = tail
+    return [seq.value(k) for k in range(start, max(i, start))] + [value], True
 
 
 def metric_converges(seq: SequenceFamily, x, D: SemimetricFamily,
@@ -494,9 +460,9 @@ def exhaustivity_probe(seq: SequenceFamily, D: SemimetricFamily,
     """Cauchy probe of a monotone sequence: the operational form of
     exhaustivity.  Rejects non-monotone input."""
     L = seq.carrier
-    d = seq.descriptor
-    if isinstance(d, TailClosedForm):
-        if not (d.series.nondecreasing_from(1)[0] or d.series.nonincreasing_from(1)[0]):
+    series = _series_of(seq)
+    if series is not None:
+        if not (series.nondecreasing_from(1)[0] or series.nonincreasing_from(1)[0]):
             raise ValueError("exhaustivity probe needs a monotone sequence")
     else:
         up = down = True
@@ -514,9 +480,9 @@ def exhaustivity_probe(seq: SequenceFamily, D: SemimetricFamily,
         knees = {}
         for m in D.members:
             if m.origin and m.origin[0] == "clamp":
-                td = truncate_sequence(seq, m.origin[1]).descriptor
-                if isinstance(td, EventuallyConstant):
-                    knees[m.name] = td.from_index
+                knee = _settle_index(truncate_sequence(seq, m.origin[1]))
+                if knee is not None:
+                    knees[m.name] = knee
         cert = MetricCertificate(lambda _eps, name: knees.get(name, 1))
     return metric_cauchy(seq, D, cert, eps_grid, horizon)
 

@@ -175,8 +175,7 @@ def _axiom_verdict(law: str, witness: tuple, exhaustive: bool, budget: int) -> V
                              horizon=None if exhaustive else budget)
 
 
-def validate_semimetric(d: LatticeSemimetric, carrier: Optional[Carrier] = None,
-                        budget: int = 200, rng=None) -> Verdict:
+def validate_semimetric(d: LatticeSemimetric, budget: int = 200, rng=None) -> Verdict:
     """Check the lattice-semimetric axioms.
 
     Finite carriers are checked exhaustively over all pairs and triples and
@@ -184,10 +183,7 @@ def validate_semimetric(d: LatticeSemimetric, carrier: Optional[Carrier] = None,
     triples and earn a verified-at-horizon verdict with horizon = budget.
     A falsified verdict carries (law, elements...) as its witness.
     """
-    L = carrier if carrier is not None else d.carrier
-    if L is not d.carrier:
-        raise CarrierMismatch(f"semimetric {d.name!r} is not defined on {L.name!r}")
-
+    L = d.carrier
     if L.is_finite:
         elems = list(L.elements())
         triples = itertools.product(elems, repeat=3)

@@ -5,7 +5,9 @@ present, is a machine-checkable closed form that licenses exact tail
 reasoning: eventually constant, periodic, a rational closed form with an
 alternating part, the unit-vector stream, or one of the finite/cofinite
 chain shapes.  Everything downstream grades its verdicts by whether a
-descriptor made a symbolic argument possible.
+descriptor made a symbolic argument possible; what a descriptor proves
+about a tail is decided here: where it settles (``settled``), its clamped
+image (``clamped_descriptor``) and its sup and inf (``chain_bound``).
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from typing import Callable, Optional
 
 from .carriers import Carrier
 from .exact import RatAltSeq, rat
-from .spaces import (AtomPrefixSets, C00Vec, CofiniteFilterChain, FinCofSet,
-                     SingletonAtoms, fincof_bound_oracle, NO_BOUND)
+from .spaces import NO_BOUND, C00Vec, FinCofSet
+from .truncation import TruncationPair, truncate_f
 
 # ---------------------------------------------------------------------------
 # Descriptors
@@ -53,6 +55,27 @@ class TailClosedForm:
 @dataclass(frozen=True)
 class UnitVectors:
     """term(k) = the k-th coordinate unit vector (finitely supported)."""
+
+
+@dataclass(frozen=True)
+class SingletonAtoms:
+    """A_k = {atom k}: pairwise distinct singletons."""
+
+
+@dataclass(frozen=True)
+class AtomPrefixSets:
+    """M_j = {atoms 1..j}: a strictly growing chain of finite sets."""
+
+
+@dataclass(frozen=True)
+class CofiniteFilterChain:
+    """N_j = within minus {atoms 1..j}, a strictly shrinking cofinite chain."""
+
+    within: FinCofSet = FinCofSet.universe()
+
+    def term(self, j: int) -> FinCofSet:
+        return self.within.intersect(
+            FinCofSet.cofinite_complement(range(1, j + 1)))
 
 
 @dataclass(frozen=True)
@@ -120,12 +143,10 @@ def eventually_constant_sequence(L: Carrier, prefix, value, name: str) -> Sequen
     return SequenceFamily(name, L, term, EventuallyConstant(value, len(prefix) + 1))
 
 
-def periodic_sequence(L: Carrier, values, name: str, from_index: int = 1,
-                      prefix=()) -> SequenceFamily:
+def periodic_sequence(L: Carrier, values, name: str, prefix=()) -> SequenceFamily:
     values = tuple(L.check_element(v) for v in values)
     prefix = tuple(L.check_element(v) for v in prefix)
-    if from_index != len(prefix) + 1:
-        raise ValueError("periodic part must start right after the prefix")
+    from_index = len(prefix) + 1
 
     def term(k):
         if k <= len(prefix):
@@ -230,7 +251,55 @@ class MetricCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Bound oracle dispatch
+# What a descriptor proves about a tail
+
+NEVER_CONSTANT = object()  # settled(): the terms provably never settle
+
+
+def settled(seq: SequenceFamily):
+    """Where the descriptor proves the sequence settles.
+
+    Returns (i, value) when every term from index i on equals value,
+    (i, NEVER_CONSTANT) when the terms never settle (a periodic tail with
+    more than one value, from its first index; the singleton stream, from
+    index 1), and None when the descriptor proves neither.  Never settling
+    is not diverging: the singleton stream order-converges to the empty set.
+    """
+    d = seq.descriptor
+    if isinstance(d, EventuallyConstant):
+        return d.from_index, seq.carrier.normalize(d.value)
+    if isinstance(d, Periodic):
+        distinct = {seq.carrier.normalize(v) for v in d.values}
+        return d.from_index, (distinct.pop() if len(distinct) == 1 else NEVER_CONSTANT)
+    if isinstance(d, SingletonAtoms):
+        return 1, NEVER_CONSTANT
+    return None
+
+
+def clamped_descriptor(seq: SequenceFamily, p: TruncationPair):
+    """The descriptor of k -> clamp_p(x_k) when the clamp's effect on the
+    tail is decidable, else None."""
+    L = seq.carrier
+    d = seq.descriptor
+    if isinstance(d, EventuallyConstant):
+        return EventuallyConstant(truncate_f(L, p, L.normalize(d.value)), d.from_index)
+    if isinstance(d, Periodic):
+        return Periodic(tuple(truncate_f(L, p, L.normalize(v)) for v in d.values), d.from_index)
+    if isinstance(d, TailClosedForm):
+        series, a, b = d.series, rat(p.low), rat(p.high)
+        hit_top = series.eventually_geq(b)
+        hit_bottom = series.eventually_leq(a)
+        if hit_top is not None:
+            return EventuallyConstant(L.normalize(b), hit_top)
+        if hit_bottom is not None:
+            return EventuallyConstant(L.normalize(a), hit_bottom)
+        if series.eventually_geq(a) == 1 and series.eventually_leq(b) == 1:
+            return d
+    if isinstance(d, UnitVectors):
+        supports = [v.max_support() for v in (p.low, p.high) if v.support]
+        zero_image = truncate_f(L, p, C00Vec.zero())
+        return EventuallyConstant(zero_image, max(supports, default=0) + 1)
+    return None
 
 
 @dataclass(frozen=True)
@@ -253,21 +322,25 @@ class BoundClaim:
 
 def chain_bound(seq: SequenceFamily, kind: str, k0: int = 1,
                 horizon: int = 64) -> BoundClaim:
-    """Best available sup/inf of the tail of a sequence, graded by method."""
+    """Best available sup/inf of the tail of a sequence, graded by method.
+
+    The set chains of the finite/cofinite algebra run through every atom: a
+    lower bound of the shrinking chain holding atom m would sit inside N_m,
+    which excludes m, and the universe bounds the growing chain alone.
+    """
     if kind not in ("sup", "inf"):
         raise ValueError("kind must be 'sup' or 'inf'")
+    if k0 < 1:
+        raise ValueError("k0 starts at 1")
     L = seq.carrier
     d = seq.descriptor
     fold = L.join_all if kind == "sup" else L.meet_all
 
-    if isinstance(d, EventuallyConstant):
+    if isinstance(d, (EventuallyConstant, Periodic)):
         values = [seq.value(k) for k in range(k0, max(d.from_index, k0))]
-        values.append(L.normalize(d.value))
-        return BoundClaim(fold(values), True, "eventually constant tail")
-    if isinstance(d, Periodic):
-        values = [seq.value(k) for k in range(k0, max(d.from_index, k0))]
-        values.extend(L.normalize(v) for v in d.values)
-        return BoundClaim(fold(values), True, "periodic tail")
+        tail = d.values if isinstance(d, Periodic) else (d.value,)
+        values.extend(L.normalize(v) for v in tail)
+        return BoundClaim(fold(values), True, "eventually periodic tail")
     if isinstance(d, TailClosedForm):
         series = d.series
         limit = series.limit()
@@ -288,11 +361,19 @@ def chain_bound(seq: SequenceFamily, kind: str, k0: int = 1,
         if kind == "inf":
             return BoundClaim(C00Vec.zero(), True, "zero bounds every unit vector")
         return BoundClaim(NO_BOUND, True, "no finitely supported upper bound")
-    if isinstance(d, (SingletonAtoms, AtomPrefixSets, CofiniteFilterChain)):
-        value = fincof_bound_oracle(d, kind, from_index=k0)
-        if value is not None:
-            return BoundClaim(value, True, "set-algebra oracle")
-        return BoundClaim(None, False, "set-algebra oracle undecided")
+    if isinstance(d, SingletonAtoms):
+        if kind == "inf":
+            return BoundClaim(FinCofSet.empty(), True, "distinct singletons meet in the empty set")
+        return BoundClaim(FinCofSet.cofinite_complement(range(1, k0)), True,
+                          "union of the tail's atoms")
+    if isinstance(d, AtomPrefixSets):
+        if kind == "sup":
+            return BoundClaim(FinCofSet.universe(), True, "the tail covers every atom")
+        return BoundClaim(FinCofSet.finite(range(1, k0 + 1)), True, "growing chain")
+    if isinstance(d, CofiniteFilterChain):
+        if kind == "inf":
+            return BoundClaim(FinCofSet.empty(), True, "the tail avoids every atom")
+        return BoundClaim(d.term(k0), True, "shrinking chain")
     if L.is_finite:
         values = [seq.value(k) for k in range(k0, horizon + 1)]
         return BoundClaim(fold(values), False, f"fold of terms {k0}..{horizon}")

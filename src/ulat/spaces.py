@@ -9,6 +9,8 @@
   index, with an extended l1 norm that is +inf exactly when the eventual
   part is nonzero.
 
+``NO_BOUND`` marks a sup or inf that provably does not exist in a carrier.
+
 All elements are frozen values with structural equality, so lattice
 identities can be asserted with ``==``.
 """
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .carriers import Carrier, GroupCarrier, SYMBOLIC
+from .carriers import Carrier, GroupCarrier
 from .exact import EXT_INF, ExtValue, frac_floor, rat
 
 
@@ -33,7 +35,7 @@ def _rand_fraction(rng, num_span: int = 20, den_span: int = 10) -> Fraction:
 
 class QLine(GroupCarrier):
     def __init__(self):
-        super().__init__("qline", SYMBOLIC, distributive=True)
+        super().__init__("qline", distributive=True)
         self.zero = Fraction(0)
 
     def normalize(self, x):
@@ -74,7 +76,7 @@ class QVec(GroupCarrier):
     def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("dimension must be positive")
-        super().__init__(f"qvec{dim}", SYMBOLIC, distributive=True)
+        super().__init__(f"qvec{dim}", distributive=True)
         self.dim = dim
         self.zero = tuple(Fraction(0) for _ in range(dim))
 
@@ -172,7 +174,7 @@ class C00Vec:
 
 class C00Space(GroupCarrier):
     def __init__(self):
-        super().__init__("c00", SYMBOLIC, distributive=True)
+        super().__init__("c00", distributive=True)
         self.zero = C00Vec.zero()
 
     def contains(self, x) -> bool:
@@ -264,7 +266,7 @@ class FinCofAlgebra(Carrier):
     """Boolean algebra of finite and cofinite sets; bounded, distributive."""
 
     def __init__(self):
-        super().__init__("fincof", SYMBOLIC, distributive=True,
+        super().__init__("fincof", distributive=True,
                          bottom=FinCofSet.empty(), top=FinCofSet.universe())
 
     def contains(self, x) -> bool:
@@ -335,7 +337,7 @@ class EvLinSpace(GroupCarrier):
     """Eventually affine sequences as an ell-group under pointwise order."""
 
     def __init__(self):
-        super().__init__("evlinseq", SYMBOLIC, distributive=True)
+        super().__init__("evlinseq", distributive=True)
         self.zero = EvLinSeq.affine(0, 0)
 
     def contains(self, x) -> bool:
@@ -393,77 +395,4 @@ class EvLinSpace(GroupCarrier):
         return EvLinSeq.make(pre, _rand_fraction(rng, 4, 3), _rand_fraction(rng, 3, 3))
 
 
-# ---------------------------------------------------------------------------
-# Chain descriptors and the bound oracle for the finite/cofinite algebra
-
-
-@dataclass(frozen=True)
-class SingletonAtoms:
-    """A_k = {atom k}: pairwise distinct singletons."""
-
-
-@dataclass(frozen=True)
-class AtomPrefixSets:
-    """M_j = {atoms 1..j}: a strictly growing chain of finite sets."""
-
-
-@dataclass(frozen=True)
-class CofiniteFilterChain:
-    """N_j = within minus {atoms 1..j}, a strictly shrinking cofinite chain.
-
-    The atom enumeration covers every atom, so the chain has infimum empty
-    in the algebra: a nonempty lower bound containing atom m would have to
-    sit inside N_m, which excludes m.  This agrees with the filter of all
-    cofinite sets, which the chain is cofinal in.
-    """
-
-    within: FinCofSet = FinCofSet.universe()
-
-    def term(self, j: int) -> FinCofSet:
-        return self.within.intersect(
-            FinCofSet.cofinite_complement(range(1, j + 1)))
-
-
 NO_BOUND = "no-bound-in-algebra"
-
-
-def fincof_bound_oracle(descriptor, kind: str, from_index: int = 1):
-    """Exact supremum/infimum, within the finite/cofinite algebra, of the
-    tail (from ``from_index`` on) of a described family.
-
-    Returns the bound element, the sentinel ``NO_BOUND`` when the family
-    provably has no bound in the algebra, or None when the oracle cannot
-    decide, as for any descriptor not listed here.  Decidable cases:
-
-    * the shrinking chain ``CofiniteFilterChain`` has infimum empty (a
-      nonempty lower bound containing atom m would sit inside N_m, which
-      excludes m) and supremum its first tail term;
-    * the growing chain ``AtomPrefixSets`` has infimum its first tail term
-      and supremum the universe: the tail covers every atom, so the universe
-      is the only upper bound, hence the least one;
-    * the singleton stream ``SingletonAtoms`` has infimum empty (two
-      distinct tail singletons already meet in the empty set) and supremum
-      the cofinite set of all tail atoms.
-
-    None of the stock descriptors is unbounded in the algebra, so they never
-    yield the sentinel; it is shared with the bound claims of the other
-    carriers (the unit vector stream in the finitely supported space, for
-    one, has no upper bound).
-    """
-    if kind not in ("sup", "inf"):
-        raise ValueError("kind must be 'sup' or 'inf'")
-    if from_index < 1:
-        raise ValueError("from_index starts at 1")
-    if isinstance(descriptor, CofiniteFilterChain):
-        if kind == "inf":
-            return FinCofSet.empty()
-        return descriptor.term(from_index)
-    if isinstance(descriptor, AtomPrefixSets):
-        if kind == "sup":
-            return FinCofSet.universe()
-        return FinCofSet.finite(range(1, from_index + 1))
-    if isinstance(descriptor, SingletonAtoms):
-        if kind == "inf":
-            return FinCofSet.empty()
-        return FinCofSet.cofinite_complement(range(1, from_index))
-    return None

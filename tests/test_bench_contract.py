@@ -1,0 +1,67 @@
+"""The benchmark in perfbench/ reaches the library through names: every
+``U.<name>`` chain it reads, with ``U`` the ``ulat`` package, and the entry
+points its tracer wraps.  A renamed or moved name fails here instead of
+breaking a benchmark run.  The benchmark's files are only read."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import ulat
+import ulat.cli  # noqa: F401  (the benchmark imports it too)
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _chain(node):
+    """'a.b.c' for an attribute chain U.a.b.c, else None."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id == "U" and names:
+        return ".".join(reversed(names))
+    return None
+
+
+def _bench_chains():
+    """(file, chain) for every U.<chain> in perfbench/*.py.  The prefixes
+    of a chain (U.a of U.a.b) come along; they resolve whenever it does."""
+    chains = set()
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            chain = _chain(node)
+            if chain is not None:
+                chains.add((path.name, chain))
+    return sorted(chains)
+
+
+def _resolves(chain: str) -> bool:
+    obj = ulat
+    for part in chain.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    chains = _bench_chains()
+    assert ("closed_forms.py", "spaces.NO_BOUND") in chains
+    assert ("tracer.py", "truncate_sequence") in chains
+    missing = [f"{name}: U.{chain}" for name, chain in chains if not _resolves(chain)]
+    assert not missing
+
+
+def test_the_tracer_installs_and_restores():
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    before = ulat.convergence.truncate_sequence
+    tracer = module.Tracer(str(BENCH), str(Path(ulat.__file__).parent))
+    try:
+        tracer.install(ulat)
+        assert ulat.convergence.truncate_sequence is not before
+    finally:
+        tracer.restore()
+    assert ulat.convergence.truncate_sequence is before

@@ -63,7 +63,7 @@ class GenericView(Carrier):
     check_distributive takes its generic path rather than the tables."""
 
     def __init__(self, L):
-        super().__init__(L.name, L.kind, L.distributive, L.bottom, L.top)
+        super().__init__(L.name, L.distributive, L.bottom, L.top)
         self.L = L
 
     def contains(self, x):

@@ -226,6 +226,16 @@ def test_uo_oscillation_is_falsified_outright():
     assert "oscillates" in v.detail
 
 
+def test_uo_decides_a_periodic_tail_that_clamps_to_one_value():
+    # 5, 7, 5, 7, ... clamped into [0, 1] is 1 from index 1 on: settled
+    blink = periodic_sequence(Q, (F(5), F(7)), "high-blink")
+    pair = TruncationPair.of(Q, F(0), F(1))
+    assert verify_uO(blink, F(1), truncations=[pair]).status == "exact"
+    wrong = verify_uO(blink, F(0), truncations=[pair])
+    assert wrong.status == "falsified"
+    assert wrong.witness == (F(0), F(1), 1, F(1))
+
+
 def test_uo_without_witness_degrades_honestly():
     seq = altharm()
     pair = TruncationPair.of(Q, F(0), F(1))
@@ -274,6 +284,14 @@ def test_metric_convergence_of_constant_tails_is_exact():
     assert metric_converges(settle, F(2), ABS, CERT).status == "exact"
     wrong = metric_converges(settle, F(3), ABS, CERT, eps_grid=(F(1, 2),))
     assert wrong.status == "falsified"
+
+
+def test_metric_convergence_of_single_valued_periodic_tails_is_exact():
+    still = periodic_sequence(Q, (F(2), F(2)), "still", prefix=(F(9),))
+    assert metric_converges(still, F(2), ABS, CERT).status == "exact"
+    wrong = metric_converges(still, F(3), ABS, CERT, eps_grid=(F(1, 2),))
+    assert wrong.status == "falsified"
+    assert wrong.witness == ("abs", "1/2", 3)
 
 
 def test_clamped_cauchy_check_is_exact_on_the_walk():

@@ -1,4 +1,5 @@
-"""Sequence descriptors, bound claims, witnesses, and the term grammar."""
+"""Sequence descriptors, what they prove (settling points, clamped images,
+bound claims), witnesses, and the term grammar."""
 
 from fractions import Fraction as F
 
@@ -7,12 +8,15 @@ import pytest
 from ulat.carriers import chain_lattice
 from ulat.exact import RatAltSeq
 from ulat.sequences import (
-    BoundClaim,
+    NEVER_CONSTANT,
+    AtomPrefixSets,
+    CofiniteFilterChain,
     EventuallyConstant,
     MetricCertificate,
     O1Witness,
     O2Witness,
     Periodic,
+    SingletonAtoms,
     TailClosedForm,
     UnitVectors,
     chain_bound,
@@ -25,6 +29,7 @@ from ulat.sequences import (
     periodic_sequence,
     sequence_of,
     series_sequence,
+    settled,
     singleton_atom_sequence,
     unit_vector_sequence,
 )
@@ -57,12 +62,11 @@ def test_eventually_constant_factory():
 
 
 def test_periodic_factory_and_prefix_rule():
-    s = periodic_sequence(Q, (F(1), F(2)), "blink", from_index=2, prefix=(F(9),))
+    # the periodic part starts right after the prefix
+    s = periodic_sequence(Q, (F(1), F(2)), "blink", prefix=(F(9),))
     assert [s.value(k) for k in (1, 2, 3, 4, 5)] == [F(9), F(1), F(2), F(1), F(2)]
     assert s.descriptor == Periodic((F(1), F(2)), 2)
     assert s.descriptor_matches(range(1, 9))
-    with pytest.raises(ValueError):
-        periodic_sequence(Q, (F(1),), "bad", from_index=3, prefix=(F(0),))
     with pytest.raises(ValueError):
         Periodic((), 1)
 
@@ -92,6 +96,46 @@ def test_descriptor_mismatch_is_detected():
     assert lying.descriptor_matches((1,))
     bare = sequence_of(Q, lambda k: F(k), "bare")
     assert bare.descriptor_matches(range(1, 5))
+
+
+# ---------------------------------------------------------------------------
+# settled
+
+
+def test_settled_eventually_constant():
+    s = eventually_constant_sequence(Q, (F(5), F(4)), 1, "settle")
+    assert settled(s) == (3, F(1))
+
+
+def test_settled_periodic():
+    blink = periodic_sequence(Q, (F(1), F(2)), "blink", prefix=(F(9),))
+    assert settled(blink) == (2, NEVER_CONSTANT)
+    # a single value, however often repeated, settles where the cycle starts
+    still = periodic_sequence(Q, (F(3), 3), "still", prefix=(F(9), F(8)))
+    assert settled(still) == (3, F(3))
+
+
+def test_settled_tail_closed_form_is_undecided():
+    # 1/k never settles, but the descriptor alone does not say so
+    assert settled(series_sequence(Q, RatAltSeq.inv_index(), "1/k")) is None
+    assert settled(series_sequence(Q, RatAltSeq.const(2), "two")) is None
+
+
+def test_settled_unit_vectors_is_undecided():
+    assert settled(unit_vector_sequence(V)) is None
+
+
+def test_settled_singleton_atoms_never_constant():
+    assert settled(singleton_atom_sequence(A)) == (1, NEVER_CONSTANT)
+
+
+def test_settled_set_chains_are_undecided():
+    assert settled(parse_sequence_term(["atom-prefix"], A)) is None
+    assert settled(cofinite_chain_sequence(A)) is None
+
+
+def test_settled_without_descriptor_is_undecided():
+    assert settled(sequence_of(Q, lambda k: F(1), "opaque")) is None
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +180,54 @@ def test_fincof_tail_bounds_use_the_set_oracle():
         {1, 2, 3, 4}
     )
     assert chain_bound(atoms, "inf").value == FinCofSet.empty()
+
+
+class TestSetChainBounds:
+    """chain_bound on the set chains of the finite/cofinite algebra."""
+
+    def test_shrinking_chain(self):
+        chain = cofinite_chain_sequence(A)
+        assert chain.descriptor == CofiniteFilterChain()
+        assert chain_bound(chain, "inf").value == FinCofSet.empty()
+        assert chain_bound(chain, "sup").value == chain.value(1)
+        assert chain_bound(chain, "sup", k0=3).value == chain.value(3)
+        assert chain_bound(chain, "inf").exact and chain_bound(chain, "sup").exact
+
+    def test_chain_terms_shrink_within(self):
+        B = FinCofSet.cofinite_complement({1})
+        chain = cofinite_chain_sequence(A, within=B)
+        assert chain.descriptor == CofiniteFilterChain(B)
+        assert chain.value(2) == FinCofSet.cofinite_complement({1, 2})
+        assert chain_bound(chain, "inf").value == FinCofSet.empty()
+
+    def test_atom_streams(self):
+        # every atom occurs, so the universe is the only upper bound
+        atoms = singleton_atom_sequence(A)
+        assert atoms.descriptor == SingletonAtoms()
+        assert chain_bound(atoms, "sup").value == FinCofSet.universe()
+        assert chain_bound(atoms, "sup", k0=4).value == \
+            FinCofSet.cofinite_complement({1, 2, 3})
+        assert chain_bound(atoms, "inf").value == FinCofSet.empty()
+        prefix = parse_sequence_term(["atom-prefix"], A)
+        assert prefix.descriptor == AtomPrefixSets()
+        assert chain_bound(prefix, "sup").value == FinCofSet.universe()
+        assert chain_bound(prefix, "inf", k0=3).value == FinCofSet.finite({1, 2, 3})
+        # a descriptor chain_bound does not know stays undecided
+        opaque = sequence_of(A, FinCofSet.singleton, "opaque")
+        assert chain_bound(opaque, "sup").value is None
+
+    def test_rejects_bad_arguments(self):
+        atoms = singleton_atom_sequence(A)
+        with pytest.raises(ValueError):
+            chain_bound(atoms, "max")
+        with pytest.raises(ValueError):
+            chain_bound(atoms, "sup", k0=0)
+        # k0 >= 1 holds for every descriptor, not only the set chains
+        with pytest.raises(ValueError):
+            chain_bound(constant_sequence(Q, 0), "inf", k0=0)
+
+    def test_no_bound_sentinel_is_exported(self):
+        assert NO_BOUND == "no-bound-in-algebra"
 
 
 def test_unit_vector_bounds():

@@ -7,19 +7,14 @@ from hypothesis import strategies as st
 
 from ulat.carriers import CarrierMismatch
 from ulat.spaces import (
-    NO_BOUND,
-    AtomPrefixSets,
     C00Space,
     C00Vec,
-    CofiniteFilterChain,
     EvLinSeq,
     EvLinSpace,
     FinCofAlgebra,
     FinCofSet,
     QLine,
     QVec,
-    SingletonAtoms,
-    fincof_bound_oracle,
 )
 
 finite_sets = st.sets(st.integers(min_value=1, max_value=9), max_size=5)
@@ -144,41 +139,6 @@ class TestEvLin:
         assert E.add(x, E.negate(x)) == EvLinSeq.affine(0, 0)
         y = E.sub(x, EvLinSeq.affine(0, 2))
         assert y == EvLinSeq.affine(1, 0)
-
-
-class TestFinCofBoundOracle:
-    def test_shrinking_chain(self):
-        chain = CofiniteFilterChain()
-        assert fincof_bound_oracle(chain, "inf") == FinCofSet.empty()
-        assert fincof_bound_oracle(chain, "sup") == chain.term(1)
-        assert fincof_bound_oracle(chain, "sup", from_index=3) == chain.term(3)
-
-    def test_chain_terms_shrink_within(self):
-        B = FinCofSet.cofinite_complement({1})
-        chain = CofiniteFilterChain(within=B)
-        assert chain.term(2) == FinCofSet.cofinite_complement({1, 2})
-        assert fincof_bound_oracle(chain, "inf") == FinCofSet.empty()
-
-    def test_atom_streams(self):
-        # every atom occurs, so the universe is the only upper bound
-        assert fincof_bound_oracle(SingletonAtoms(), "sup") == FinCofSet.universe()
-        assert fincof_bound_oracle(SingletonAtoms(), "sup", from_index=4) == \
-            FinCofSet.cofinite_complement({1, 2, 3})
-        assert fincof_bound_oracle(SingletonAtoms(), "inf") == FinCofSet.empty()
-        assert fincof_bound_oracle(AtomPrefixSets(), "sup") == FinCofSet.universe()
-        assert fincof_bound_oracle(AtomPrefixSets(), "inf", from_index=3) == \
-            FinCofSet.finite({1, 2, 3})
-        # a descriptor the oracle does not know stays undecided
-        assert fincof_bound_oracle(None, "sup") is None
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            fincof_bound_oracle(SingletonAtoms(), "max")
-        with pytest.raises(ValueError):
-            fincof_bound_oracle(SingletonAtoms(), "sup", from_index=0)
-
-    def test_no_bound_sentinel_is_exported(self):
-        assert NO_BOUND == "no-bound-in-algebra"
 
 
 def test_samples_stay_in_carrier():
