@@ -24,7 +24,7 @@ from .sequences import (NEVER_CONSTANT, BoundClaim, CofiniteFilterChain, MetricC
                         O1Witness, O2Witness, SequenceFamily, SingletonAtoms,
                         TailClosedForm, chain_bound, clamped_descriptor, settled)
 from .spaces import NO_BOUND, EvLinSeq, EvLinSpace, FinCofAlgebra, FinCofSet
-from .truncation import TruncationPair, truncate_f
+from .truncation import TruncationPair, _check_cap, truncate_f
 from .verdicts import Verdict
 
 DEFAULT_HORIZON = 10_000
@@ -249,7 +249,11 @@ def decide_O1_eventual_constancy(seq: SequenceFamily, x,
     if tail is not None:
         i, value = tail
         if value is NEVER_CONSTANT:
-            return Verdict.falsified(witness=(i, i + 1), detail=f"never constant from index {i}")
+            # the tail never settles, so some later term differs from term i
+            first, j = seq.value(i), i + 1
+            while seq.value(j) == first:
+                j += 1
+            return Verdict.falsified(witness=(i, j), detail=f"never constant from index {i}")
         if value == x:
             return Verdict.exact(detail=f"constant from index {i}")
         return Verdict.falsified(witness=(i, value),
@@ -290,8 +294,7 @@ def pairs_from_positives(G: GroupCarrier, x, positives) -> list[TruncationPair]:
     pairs = []
     for a in positives:
         a = G.check_element(a)
-        if G.neg_part(a) != G.zero:
-            raise ValueError(f"cap {a!r} is not a positive element")
+        _check_cap(G, a)
         pairs.append(TruncationPair.of(G, G.sub(x, a), x))
         pairs.append(TruncationPair.of(G, x, G.add(x, a)))
     return pairs

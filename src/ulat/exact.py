@@ -6,7 +6,7 @@ Three pieces live here and everything else in the package builds on them:
   every semimetric and extended norm in the package.
 * ``Poly`` -- integer-indexed polynomials with rational coefficients and an
   exact decision procedure for "p(t) >= 0 for every integer t >= t0".
-* ``RatAltSeq`` -- closed forms ``A(k)/B(k) + (-1)^k * C(k)/D(k)`` for
+* ``RatAltSeq`` -- closed forms ``(num(k) + (-1)^k * anum(k)) / den(k)`` for
   sequences indexed by k = 1, 2, ...  This class is the tail-reasoning
   engine: sign decisions, monotonicity, limits and clamp indices are all
   decided exactly, never by sampling.
@@ -154,13 +154,6 @@ def ext(value: "ExtValue | RatLike | None") -> ExtValue:
     return ExtValue(value)
 
 
-def ext_sum(values) -> ExtValue:
-    total = ExtValue(0)
-    for v in values:
-        total = total + ext(v)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Polynomials with exact integer-domain sign decisions
 
@@ -266,56 +259,62 @@ class Poly:
             return (False, hi)
         return (True, None)
 
+    def last_negative(self, t0: int) -> Optional[int]:
+        """The largest integer t >= t0 with p(t) < 0, or None when there is
+        none.  Needs lead >= 0: from the Cauchy root bound on p keeps the
+        sign of its leading coefficient, so the scan runs down from there.
+        """
+        if self.lead < 0:
+            raise ValueError("p(t) < 0 for every large t")
+        for t in range(frac_floor(self.root_bound()), t0 - 1, -1):
+            if self.eval(t) < 0:
+                return t
+        return None
+
 
 # ---------------------------------------------------------------------------
 # Closed-form index sequences
 
 
-def _require_positive_den(p: Poly, what: str) -> None:
-    ok, w = p.nonneg_from(1, strict=True)
-    if not ok:
-        raise ValueError(f"{what} must be positive for k >= 1, fails at k={w}")
-
-
 @dataclass(frozen=True)
 class RatAltSeq:
-    """Exact closed form  k |-> num(k)/den(k) + (-1)^k * anum(k)/aden(k).
+    """Exact closed form  k |-> (num(k) + (-1)^k * anum(k)) / den(k).
 
-    The class is a commutative ring under pointwise +, -, * and is closed
-    under index shifts, which is what makes monotonicity and tail-sign
-    questions decidable: an even/odd split turns each question into finitely
-    many polynomial sign decisions.
+    den is positive for every k >= 1.  The class is a commutative ring under
+    pointwise +, -, * and is closed under index shifts, which is what makes
+    monotonicity and tail-sign questions decidable: an even/odd split turns
+    each question into polynomial sign decisions on the numerator.
     """
 
     num: Poly
-    den: Poly
     anum: Poly
-    aden: Poly
+    den: Poly
 
     def __post_init__(self):
-        _require_positive_den(self.den, "denominator")
-        _require_positive_den(self.aden, "alternating denominator")
+        ok, w = self.den.nonneg_from(1, strict=True)
+        if not ok:
+            raise ValueError(f"denominator must be positive for k >= 1, fails at k={w}")
 
     # -- constructors
 
     @staticmethod
     def const(c: RatLike) -> "RatAltSeq":
-        return RatAltSeq(Poly.const(c), Poly.const(1), Poly(()), Poly.const(1))
+        return RatAltSeq(Poly.const(c), Poly(()), Poly.const(1))
 
     @staticmethod
     def index() -> "RatAltSeq":
         """The sequence x_k = k."""
-        return RatAltSeq(Poly.x(), Poly.const(1), Poly(()), Poly.const(1))
+        return RatAltSeq(Poly.x(), Poly(()), Poly.const(1))
 
     @staticmethod
     def inv_index() -> "RatAltSeq":
         """The sequence x_k = 1/k."""
-        return RatAltSeq(Poly.const(1), Poly.x(), Poly(()), Poly.const(1))
+        return RatAltSeq(Poly.const(1), Poly(()), Poly.x())
 
     @staticmethod
     def alt() -> "RatAltSeq":
         """The sequence x_k = (-1)^k."""
-        return RatAltSeq(Poly(()), Poly.const(1), Poly.const(1), Poly.const(1))
+        return RatAltSeq(Poly(()), Poly.const(1), Poly.const(1))
 
     @staticmethod
     def lift(value: "RatAltSeq | RatLike") -> "RatAltSeq":
@@ -327,16 +326,13 @@ class RatAltSeq:
 
     def __add__(self, other: "RatAltSeq | RatLike") -> "RatAltSeq":
         o = RatAltSeq.lift(other)
-        num = self.num * o.den + o.num * self.den
-        den = self.den * o.den
-        anum = self.anum * o.aden + o.anum * self.aden
-        aden = self.aden * o.aden
-        return RatAltSeq(num, den, anum, aden)
+        return RatAltSeq(self.num * o.den + o.num * self.den,
+                         self.anum * o.den + o.anum * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatAltSeq":
-        return RatAltSeq(-self.num, self.den, -self.anum, self.aden)
+        return RatAltSeq(-self.num, -self.anum, self.den)
 
     def __sub__(self, other: "RatAltSeq | RatLike") -> "RatAltSeq":
         return self + (-RatAltSeq.lift(other))
@@ -346,85 +342,38 @@ class RatAltSeq:
 
     def __mul__(self, other: "RatAltSeq | RatLike") -> "RatAltSeq":
         o = RatAltSeq.lift(other)
-        num = self.num * o.num * self.aden * o.aden + self.anum * o.anum * self.den * o.den
-        den = self.den * o.den * self.aden * o.aden
-        anum = self.num * o.anum * self.aden * o.den + self.anum * o.num * self.den * o.aden
-        return RatAltSeq(num, den, anum, den)
+        # ((-1)^k)^2 = 1 folds the product of the alternating parts into num
+        return RatAltSeq(self.num * o.num + self.anum * o.anum,
+                         self.num * o.anum + self.anum * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
     def shift(self, h: int) -> "RatAltSeq":
         """The sequence k |-> value(k + h)."""
-        num = self.num.compose_affine(1, h)
-        den = self.den.compose_affine(1, h)
         anum = self.anum.compose_affine(1, h)
-        aden = self.aden.compose_affine(1, h)
-        if h % 2 == 1:
-            anum = -anum
-        return RatAltSeq(num, den, anum, aden)
-
-    def subst_affine(self, a: int, b: int) -> "RatAltSeq":
-        """The sequence j |-> value(a*j + b).
-
-        A plain shift (a == 1) keeps any alternating part; other slopes are
-        accepted only when the alternating part vanishes, since (-1)^(a*j+b)
-        is not expressible in this closed form for odd a > 1.
-        """
-        if a < 1:
-            raise ValueError("substitution slope must be a positive integer")
-        if a == 1:
-            return self.shift(b)
-        if not self.anum.is_zero:
-            raise ValueError("affine substitution with alternating part needs a == 1")
-        return RatAltSeq(
-            self.num.compose_affine(a, b),
-            self.den.compose_affine(a, b),
-            Poly(()),
-            Poly.const(1),
-        )
+        return RatAltSeq(self.num.compose_affine(1, h), -anum if h % 2 else anum,
+                         self.den.compose_affine(1, h))
 
     # -- evaluation
 
     def eval(self, k: int) -> Fraction:
         if k < 1:
             raise ValueError("index sequences start at k = 1")
-        v = self.num.eval(k) / self.den.eval(k)
+        v = self.num.eval(k)
         if not self.anum.is_zero:
-            s = -1 if k % 2 else 1
-            v += s * self.anum.eval(k) / self.aden.eval(k)
-        return v
+            v += self.anum.eval(k) if k % 2 == 0 else -self.anum.eval(k)
+        return v / self.den.eval(k)
 
     # -- exact decisions
 
     def nonneg_from(self, k0: int, strict: bool = False) -> tuple[bool, Optional[int]]:
         """Decide value(k) >= 0 (or > 0) for every integer k >= max(k0, 1)."""
-        k0 = max(k0, 1)
-        # common positive denominator den*aden; numerator splits by parity
-        base = self.num * self.aden
-        wobble = self.anum * self.den
-        results: list[tuple[bool, Optional[int]]] = []
-        # even k = 2t, t >= ceil(k0/2) and k >= 2
-        t0_even = max((k0 + 1) // 2, 1)
-        p_even = (base + wobble).compose_affine(2, 0)
-        ok, w = p_even.nonneg_from(t0_even, strict)
-        results.append((ok, None if w is None else 2 * w))
-        # odd k = 2t+1, t >= ceil((k0-1)/2)
-        t0_odd = max((k0 - 1 + 1) // 2, 0)
-        p_odd = (base - wobble).compose_affine(2, 1)
-        ok, w = p_odd.nonneg_from(t0_odd, strict)
-        results.append((ok, None if w is None else 2 * w + 1))
-        bad = [w for ok, w in results if not ok]
-        if bad:
-            return (False, min(w for w in bad if w is not None))
-        return (True, None)
-
-    def is_zero_from(self, k0: int) -> tuple[bool, Optional[int]]:
-        ok1, w1 = self.nonneg_from(k0)
-        ok2, w2 = (-self).nonneg_from(k0)
-        if ok1 and ok2:
-            return (True, None)
-        ws = [w for w in (w1, w2) if w is not None]
-        return (False, min(ws) if ws else max(k0, 1))
+        bad = []
+        for p, t0, r in _parities(self, k0):
+            ok, t = p.nonneg_from(t0, strict)
+            if not ok:
+                bad.append(2 * t + r)
+        return (False, min(bad)) if bad else (True, None)
 
     def nondecreasing_from(self, k0: int) -> tuple[bool, Optional[int]]:
         return (self.shift(1) - self).nonneg_from(k0)
@@ -432,57 +381,44 @@ class RatAltSeq:
     def nonincreasing_from(self, k0: int) -> tuple[bool, Optional[int]]:
         return (self - self.shift(1)).nonneg_from(k0)
 
-    def constant_value(self) -> Optional[Fraction]:
-        v = self.eval(1)
-        if (self - RatAltSeq.const(v)).is_zero_from(1)[0]:
-            return v
-        return None
-
     def limit(self):
         """Exact limit: a Fraction, '+inf', '-inf', or None if oscillating."""
 
-        def ratio_limit(num: Poly, den: Poly):
-            if num.is_zero:
+        def over_den(p: Poly):
+            if p.is_zero or p.degree < self.den.degree:
                 return Fraction(0)
-            dn, dd = num.degree, den.degree
-            if dn < dd:
-                return Fraction(0)
-            if dn == dd:
-                return num.lead / den.lead
-            return "+inf" if num.lead / den.lead > 0 else "-inf"
+            if p.degree == self.den.degree:
+                return p.lead / self.den.lead
+            return "+inf" if p.lead > 0 else "-inf"  # den.lead > 0
 
-        main = ratio_limit(self.num, self.den)
-        if self.anum.is_zero:
-            return main
-        wobble = ratio_limit(self.anum, self.aden)
-        if wobble == 0:
-            return main
-        return None
+        if over_den(self.anum) != 0:
+            return None
+        return over_den(self.num)
 
     def eventually_geq(self, c: RatLike, k0: int = 1) -> Optional[int]:
-        """Smallest checked N >= k0 with value(k) >= c for all k >= N, or None."""
-        g = self - RatAltSeq.const(rat(c))
-        return _eventual_nonneg_index(g, k0)
+        """Smallest N >= max(k0, 1) with value(k) >= c for all k >= N, or None."""
+        return _eventual_nonneg_index(self - RatAltSeq.const(rat(c)), k0)
 
     def eventually_leq(self, c: RatLike, k0: int = 1) -> Optional[int]:
-        g = RatAltSeq.const(rat(c)) - self
-        return _eventual_nonneg_index(g, k0)
+        return _eventual_nonneg_index(RatAltSeq.const(rat(c)) - self, k0)
+
+
+def _parities(g: RatAltSeq, k0: int):
+    """The numerator of g on even and on odd indices k >= max(k0, 1), as
+    (p, t0, r): k = 2t + r has the sign of p(t), for every integer t >= t0."""
+    k0 = max(k0, 1)
+    return (((g.num + g.anum).compose_affine(2, 0), (k0 + 1) // 2, 0),
+            ((g.num - g.anum).compose_affine(2, 1), k0 // 2, 1))
 
 
 def _eventual_nonneg_index(g: RatAltSeq, k0: int) -> Optional[int]:
-    ok, w = g.nonneg_from(k0)
-    if ok:
-        return max(k0, 1)
-    # scan forward; beyond twice the parity root bounds the sign is settled
-    base = g.num * g.aden
-    wobble = g.anum * g.den
-    bound = 0
-    for p in ((base + wobble).compose_affine(2, 0), (base - wobble).compose_affine(2, 1)):
-        if not p.is_zero:
-            bound = max(bound, 2 * (frac_floor(p.root_bound()) + 1) + 1)
-    assert w is not None
-    for n in range(w + 1, max(k0, bound) + 2):
-        ok, _ = g.nonneg_from(n)
-        if ok:
-            return n
-    return None
+    """One past the last index k >= max(k0, 1) with g(k) < 0, or None when
+    the negative terms never stop."""
+    n = max(k0, 1)
+    for p, t0, r in _parities(g, k0):
+        if p.lead < 0:
+            return None
+        t = p.last_negative(t0)
+        if t is not None:
+            n = max(n, 2 * t + r + 1)
+    return n

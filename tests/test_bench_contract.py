@@ -1,7 +1,8 @@
 """The benchmark in perfbench/ reaches the library through names: every
-``U.<name>`` chain it reads, with ``U`` the ``ulat`` package, and the entry
-points its tracer wraps.  A renamed or moved name fails here instead of
-breaking a benchmark run.  The benchmark's files are only read."""
+``U.<name>`` chain it reads, with ``U`` the ``ulat`` package, the entry
+points its tracer wraps, and the attributes of a parsed closed form that
+the ``closed-forms`` workload reads.  A renamed or moved name fails here
+instead of breaking a benchmark run.  The benchmark's files are only read."""
 
 import ast
 import importlib.util
@@ -53,10 +54,15 @@ def test_every_name_the_benchmark_reads_resolves():
     assert not missing
 
 
-def test_the_tracer_installs_and_restores():
-    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+def _load(filename: str, name: str):
+    spec = importlib.util.spec_from_file_location(name, BENCH / filename)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_the_tracer_installs_and_restores():
+    module = _load("tracer.py", "bench_tracer")
     before = ulat.convergence.truncate_sequence
     tracer = module.Tracer(str(BENCH), str(Path(ulat.__file__).parent))
     try:
@@ -65,3 +71,11 @@ def test_the_tracer_installs_and_restores():
     finally:
         tracer.restore()
     assert ulat.convergence.truncate_sequence is before
+
+
+def test_the_parsed_degree_of_closed_forms_reads_the_series(monkeypatch):
+    # instance attributes such as series.den are out of reach of the name check
+    monkeypatch.syspath_prepend(str(BENCH))  # closed_forms imports its siblings
+    workload = _load("closed_forms.py", "bench_closed_forms").ClosedFormsWorkload()
+    degree = workload.parsed_degree(ulat, workload.generate(ulat, ulat.standard_carriers(), 0))
+    assert isinstance(degree, int) and degree > 0

@@ -142,6 +142,13 @@ def test_constancy_decision_on_periodic_streams():
     assert decide_O1_eventual_constancy(one, FinCofSet.empty()).status == "exact"
 
 
+def test_constancy_witness_names_two_different_terms():
+    seq = periodic_sequence(A, (FinCofSet.empty(), FinCofSet.empty(), FinCofSet.singleton(1)), "p")
+    v = decide_O1_eventual_constancy(seq, FinCofSet.empty())
+    assert v.status == "falsified" and v.witness == (1, 3)
+    assert seq.value(1) != seq.value(3)
+
+
 def test_constancy_scan_without_descriptor():
     seq = sequence_of(A, lambda k: FinCofSet.finite({1} if k < 4 else {2}), "late")
     v = decide_O1_eventual_constancy(seq, FinCofSet.finite({2}), horizon=64)

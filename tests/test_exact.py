@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ulat.exact import EXT_INF, ExtValue, Poly, RatAltSeq, ext, ext_sum, rat
+from ulat.exact import EXT_INF, ExtValue, Poly, RatAltSeq, ext, rat
 
 rationals = st.fractions(max_denominator=50)
 small_ints = st.integers(min_value=-30, max_value=30)
@@ -30,8 +30,6 @@ class TestExtValue:
         assert ExtValue(1) + EXT_INF == EXT_INF
         assert ExtValue(F(2, 3)) * 3 == 2
         assert EXT_INF * 0 == 0
-        assert ext_sum([ExtValue(1), ExtValue(2)]) == 3
-        assert ext_sum([ExtValue(1), EXT_INF]) == EXT_INF
 
     @given(rationals.map(abs), rationals.map(abs))
     def test_addition_matches_fractions(self, a, b):
@@ -90,7 +88,9 @@ class TestRatAltSeq:
         y = RatAltSeq.alt() * RatAltSeq.alt()
         assert y.eval(3) == 1 and y.eval(8) == 1
         z = RatAltSeq.index() - RatAltSeq.index()
-        assert z.is_zero_from(1) == (True, None)
+        assert z.nonneg_from(1) == (True, None)
+        assert (-z).nonneg_from(1) == (True, None)
+        assert z.nonneg_from(1, strict=True) == (False, 1)
 
     def test_shift_rejects_negative_offsets(self):
         with pytest.raises(ValueError):
@@ -129,10 +129,6 @@ class TestRatAltSeq:
         assert y.eventually_leq(F(1, 10)) == 10
         assert y.eventually_geq(F(1, 10)) is None
 
-    def test_subst_affine(self):
-        x = RatAltSeq.index().subst_affine(2, 1)  # k -> 2k + 1
-        assert x.eval(3) == 7
-
     @given(small_ints, st.integers(min_value=1, max_value=20),
            st.integers(min_value=0, max_value=5))
     def test_shift_matches_pointwise(self, num, den, h):
@@ -141,9 +137,51 @@ class TestRatAltSeq:
         for k in range(1, 20):
             assert shifted.eval(k) == x.eval(k + h)
 
-    def test_constant_value(self):
-        assert RatAltSeq.const(F(7, 2)).constant_value() == F(7, 2)
-        assert RatAltSeq.inv_index().constant_value() is None
+    def test_the_eventual_index_of_a_long_walk(self):
+        # the index past the last failing term comes from one downward scan
+        assert RatAltSeq.index().eventually_geq(10**5) == 10**5
+        assert RatAltSeq.index().eventually_geq(10**5, k0=2 * 10**5) == 2 * 10**5
+
+
+# closed forms built by the ring operations from the four basic sequences
+closed_forms = st.recursive(
+    st.one_of(st.integers(min_value=-3, max_value=3).map(RatAltSeq.const),
+              st.sampled_from([RatAltSeq.index(), RatAltSeq.inv_index(), RatAltSeq.alt()])),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda xy: xy[0] + xy[1]),
+        st.tuples(inner, inner).map(lambda xy: xy[0] - xy[1]),
+        st.tuples(inner, inner).map(lambda xy: xy[0] * xy[1]),
+        st.tuples(inner, st.integers(min_value=0, max_value=3)).map(
+            lambda xh: xh[0].shift(xh[1]))),
+    max_leaves=5)
+TAIL = 200
+
+
+class TestClosedFormDecisions:
+    @given(closed_forms, st.integers(min_value=0, max_value=6), st.booleans())
+    def test_nonneg_witness_is_the_first_failing_index(self, x, k0, strict):
+        fine = (lambda v: v > 0) if strict else (lambda v: v >= 0)
+        ok, w = x.nonneg_from(k0, strict)
+        start = max(k0, 1)
+        if ok:
+            assert w is None
+            assert all(fine(x.eval(k)) for k in range(start, start + TAIL))
+        else:
+            assert w >= start and not fine(x.eval(w))
+            assert all(fine(x.eval(k)) for k in range(start, w))
+
+    @given(closed_forms, st.integers(min_value=1, max_value=20),
+           st.integers(min_value=1, max_value=6))
+    def test_eventual_index_is_one_past_the_last_failure(self, x, m, k0):
+        c = x.eval(m)  # a level the sequence reaches, so that crossings are common
+        for n, right_side in ((x.eventually_geq(c, k0), lambda v: v >= c),
+                              (x.eventually_leq(c, k0), lambda v: v <= c)):
+            if n is None:
+                continue
+            assert n >= k0
+            if n > k0:
+                assert not right_side(x.eval(n - 1))
+            assert all(right_side(x.eval(k)) for k in range(n, n + TAIL))
 
 
 def test_rat_parses_strings_and_ints():

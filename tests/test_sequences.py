@@ -163,6 +163,17 @@ def test_unbounded_walk_has_no_bound_in_carrier():
     assert down.value is NO_BOUND and down.detail == "decreases without bound"
 
 
+@pytest.mark.parametrize("term, sup, inf", [
+    (["+", ["*", "1/7", "1/k"], ["*", 20, ["*", "1/k", "1/k"]]], F(141, 7), F(0)),
+    (["+", ["+", "1/k", ["*", "1/k", "1/k"]], ["*", ["*", "1/k", "1/k"], "1/k"]], F(3), F(0)),
+])
+def test_bounds_of_composed_harmonic_terms(term, sup, inf):
+    x = parse_sequence_term(term, Q, "x")
+    for kind, want in (("sup", sup), ("inf", inf)):
+        claim = chain_bound(x, kind)
+        assert (claim.value, claim.exact) == (want, True)
+
+
 def test_alternating_tail_is_undecided_without_monotonicity():
     alt = series_sequence(Q, RatAltSeq.alt() * RatAltSeq.inv_index(), "alt-harmonic")
     claim = chain_bound(alt, "sup")
