@@ -287,10 +287,6 @@ class FiniteLattice(Carrier):
                 seen.add(v)
                 stack.extend(succ[v])
             reach[e] = seen
-        for x in elems:
-            for y in elems:
-                if x != y and y in reach[x] and x in reach[y]:
-                    raise NotALattice(f"cover cycle on {(x, y)!r}", pair=(x, y))
         return FiniteLattice.from_leq(name, elems, lambda a, b: b in reach[a])
 
     # -- protocol

@@ -302,7 +302,7 @@ def pairs_from_positives(G: GroupCarrier, x, positives) -> list[TruncationPair]:
 
 def verify_uO(seq: SequenceFamily, x, truncations: Optional[Seq[TruncationPair]] = None,
               positives: Optional[Seq] = None, witnesses: Optional[dict] = None,
-              mode: str = "O2", horizon: int = DEFAULT_HORIZON) -> Verdict:
+              horizon: int = DEFAULT_HORIZON) -> Verdict:
     """Unbounded order convergence: every clamped image sequence must
     order-converge to the clamped limit.
 
@@ -310,7 +310,7 @@ def verify_uO(seq: SequenceFamily, x, truncations: Optional[Seq[TruncationPair]]
     plain lattices supply truncation pairs directly.  A clamped sequence
     that provably settles is decided outright (order limits are unique), and
     so is a clamped periodic tail with several values, each of which recurs
-    forever; otherwise a per-pair witness is consulted in the given mode.
+    forever; otherwise witnesses[p], interval (O2) data, is checked.
     The aggregate is the weakest per-pair verdict.
     """
     L = seq.carrier
@@ -343,8 +343,6 @@ def verify_uO(seq: SequenceFamily, x, truncations: Optional[Seq[TruncationPair]]
         w = witnesses.get(p)
         if w is None:
             parts.append(Verdict.inconclusive(detail=f"no witness for clamp {p.low!r},{p.high!r}"))
-        elif mode == "O1":
-            parts.append(verify_O1(t_seq, t_x, w, horizon))
         else:
             parts.append(verify_O2(t_seq, t_x, w, horizon))
     return Verdict.weakest(parts)

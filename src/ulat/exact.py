@@ -102,9 +102,6 @@ class ExtValue:
 
     # -- total order
 
-    def _key(self, other: "ExtValue | RatLike") -> "ExtValue":
-        return ext(other)
-
     def __eq__(self, other: object) -> bool:
         try:
             o = ext(other)  # type: ignore[arg-type]
@@ -113,7 +110,7 @@ class ExtValue:
         return self._v == o._v
 
     def __lt__(self, other: "ExtValue | RatLike") -> bool:
-        o = self._key(other)
+        o = ext(other)
         if self._v is None:
             return False
         if o._v is None:
@@ -121,14 +118,14 @@ class ExtValue:
         return self._v < o._v
 
     def __le__(self, other: "ExtValue | RatLike") -> bool:
-        o = self._key(other)
+        o = ext(other)
         return self == o or self < o
 
     def __gt__(self, other: "ExtValue | RatLike") -> bool:
-        return not self <= self._key(other)
+        return not self <= ext(other)
 
     def __ge__(self, other: "ExtValue | RatLike") -> bool:
-        return not self < self._key(other)
+        return not self < ext(other)
 
     def __hash__(self) -> int:
         return hash(("ExtValue", self._v))

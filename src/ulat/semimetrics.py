@@ -65,11 +65,12 @@ class SemimetricFamily:
             raise ValueError("a semimetric family must have at least one member")
         return SemimetricFamily(name, members[0].carrier, tuple(members))
 
-    def max_at(self, x, y) -> ExtValue:
-        return max(d(x, y) for d in self.members)
-
     def vanishes_at(self, x, y) -> bool:
         return all(d(x, y) == 0 for d in self.members)
+
+    def separates(self, xs) -> bool:
+        """Hausdorff on xs: no two distinct points of xs at joint distance 0."""
+        return not any(self.vanishes_at(x, y) for x, y in itertools.combinations(xs, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +361,7 @@ def quotient(L: Carrier, kernel: KernelRelation, D: SemimetricFamily) -> Quotien
         return LatticeSemimetric(d.name, Q, lambda x, y, _d=d: _d(x, y))
 
     induced = SemimetricFamily(D.name, Q, tuple(lift(d) for d in D.members))
-    induced_kernel_discrete = all(
-        not induced.vanishes_at(rx, ry)
-        for rx, ry in itertools.combinations(reps, 2)
-    )
-    return QuotientLattice(Q, kernel, induced, induced_kernel_discrete)
+    return QuotientLattice(Q, kernel, induced, induced.separates(reps))
 
 
 # ---------------------------------------------------------------------------
@@ -382,33 +379,30 @@ def order_interval(L: Carrier, p: TruncationPair) -> list:
 
 
 def _dominates(Du: SemimetricFamily, Dv: SemimetricFamily, square) -> Optional[tuple]:
-    """Exact eps-delta domination of Dv by Du over a finite pair set.
+    """Does the uniformity of Du contain that of Dv over a finite pair set?
 
-    Returns None if for every member of Dv and every positive attained value
-    eps there is delta > 0 with max_Du < delta implying d_v < eps; otherwise
-    returns a witness (d_v name, eps, x, y) where d_v(x, y) >= eps is forced
-    at max_Du(x, y) = 0.
+    On a finite set a finite family generates the filter of its joint kernel
+    {max_Du = 0} (take delta below the least positive value), so Du dominates
+    Dv iff every d_v vanishes wherever Du does; no triangle inequality is
+    used.  Returns None, or (d_v name, eps, x, y) with (x, y) the first pair
+    in Du's kernel where d_v > 0 and eps the least positive value of d_v on
+    the square: d_v >= eps is forced at max_Du = 0.
     """
-    profiles = [(x, y, Du.max_at(x, y)) for x, y in square]
+    kernel = [(x, y) for x, y in square if Du.vanishes_at(x, y)]
     for dv in Dv.members:
-        values = sorted({dv(x, y) for x, y in square if dv(x, y) > 0})
-        for eps in values:
-            # delta must undercut max_Du on every pair where dv >= eps
-            floor = min((m for x, y, m in profiles if dv(x, y) >= eps), default=None)
-            if floor is None:
-                continue
-            if floor == 0:
-                x, y = next((x, y) for x, y, m in profiles if dv(x, y) >= eps and m == 0)
-                return (dv.name, eps, x, y)
+        bad = next(((x, y) for x, y in kernel if dv(x, y) != 0), None)
+        if bad is not None:
+            eps = min(v for v in (dv(x, y) for x, y in square) if v != 0)
+            return (dv.name, eps) + bad
     return None
 
 
 def interval_agreement(Du: SemimetricFamily, Dv: SemimetricFamily, p: TruncationPair) -> Verdict:
     """Do Du and Dv induce the same uniformity on the interval [p.low, p.high]?
 
-    Both directions of eps-delta domination are computed exactly over the
-    finite set of values attained on the interval squared.  Exact on success;
-    falsified with a witness pair on failure.  Finite carriers only.
+    Both directions of domination are decided exactly from the joint kernels
+    on the interval squared.  Exact on success; falsified with a witness
+    pair on failure.  Finite carriers only.
     """
     if Du.carrier is not Dv.carrier:
         raise CarrierMismatch("both families must live on the same carrier")
@@ -464,9 +458,7 @@ def ph_criterion_detail(L: FiniteLattice, S: Sequence, D: SemimetricFamily) -> R
     if not is_sublattice(L, items):
         raise ValueError("S is not a sublattice: not closed under meet and join")
 
-    family_hausdorff = all(
-        not D.vanishes_at(x, y) for x, y in itertools.combinations(elems, 2)
-    )
+    family_hausdorff = D.separates(elems)
     recovery_ok = True
     failing = None
     for x in elems:
@@ -483,10 +475,7 @@ def ph_criterion_detail(L: FiniteLattice, S: Sequence, D: SemimetricFamily) -> R
     # kernel classes need not be congruence classes and kernel_partition
     # would reject them
     pairs = [TruncationPair.of(L, a, b) for a in items for b in items if L.leq(a, b)]
-    clamped = ustar_family(D, pairs)
-    kernel_hausdorff = all(
-        not clamped.vanishes_at(x, y) for x, y in itertools.combinations(elems, 2)
-    )
+    kernel_hausdorff = ustar_family(D, pairs).separates(elems)
 
     if by_criterion != kernel_hausdorff:
         raise RuntimeError(

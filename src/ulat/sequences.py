@@ -12,6 +12,7 @@ image (``clamped_descriptor``) and its sup and inf (``chain_bound``).
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -315,10 +316,6 @@ class BoundClaim:
     exact: bool
     detail: str = ""
 
-    @property
-    def decided(self) -> bool:
-        return self.value is not None
-
 
 def chain_bound(seq: SequenceFamily, kind: str, k0: int = 1,
                 horizon: int = 64) -> BoundClaim:
@@ -396,10 +393,19 @@ def chain_bound(seq: SequenceFamily, kind: str, k0: int = 1,
 #   ["coset", [atoms...]]      a constant cofinite set
 #   ["unit-vectors"]           e_k                 (finitely supported seqs)
 #   ["vec", t1, ..., tn]       a vector of scalar terms (rational vectors)
+# Atoms are integers.  Messages show terms through reprlib, which stays
+# short and never recurses deeply.
+
+MAX_TERM_DEPTH = 100
 
 
-def parse_scalar_series(doc) -> RatAltSeq:
-    """Parse a scalar term document into an exact closed-form sequence."""
+def parse_scalar_series(doc, depth: int = 0) -> RatAltSeq:
+    """Parse a scalar term document into an exact closed-form sequence.
+
+    depth counts the levels above doc; a term nested more than
+    MAX_TERM_DEPTH levels deep is refused."""
+    if depth > MAX_TERM_DEPTH:
+        raise ValueError(f"scalar term {reprlib.repr(doc)} nests deeper than {MAX_TERM_DEPTH} levels")
     if isinstance(doc, bool):
         raise ValueError("booleans are not scalar terms")
     if isinstance(doc, int):
@@ -414,19 +420,26 @@ def parse_scalar_series(doc) -> RatAltSeq:
         try:
             value = rat(doc)
         except ZeroDivisionError as exc:
-            raise ValueError(f"scalar term {doc!r} divides by zero") from exc
+            raise ValueError(f"scalar term {reprlib.repr(doc)} divides by zero") from exc
         return RatAltSeq.const(value)
     if isinstance(doc, list) and doc:
         op, *args = doc
-        if op == "+" and len(args) == 2:
-            return parse_scalar_series(args[0]) + parse_scalar_series(args[1])
-        if op == "-" and len(args) == 2:
-            return parse_scalar_series(args[0]) - parse_scalar_series(args[1])
-        if op == "-" and len(args) == 1:
-            return -parse_scalar_series(args[0])
-        if op == "*" and len(args) == 2:
-            return parse_scalar_series(args[0]) * parse_scalar_series(args[1])
-    raise ValueError(f"unrecognized scalar term {doc!r}")
+        sub = [parse_scalar_series(a, depth + 1) for a in args] if op in ("+", "-", "*") else ()
+        if op == "+" and len(sub) == 2:
+            return sub[0] + sub[1]
+        if op == "-" and len(sub) == 2:
+            return sub[0] - sub[1]
+        if op == "-" and len(sub) == 1:
+            return -sub[0]
+        if op == "*" and len(sub) == 2:
+            return sub[0] * sub[1]
+    raise ValueError(f"unrecognized scalar term {reprlib.repr(doc)}")
+
+
+def _atoms(op: str, atoms) -> list:
+    if not (isinstance(atoms, list) and all(type(a) is int for a in atoms)):
+        raise ValueError(f"{op} term needs a list of integer atoms, got {reprlib.repr(atoms)}")
+    return atoms
 
 
 def parse_sequence_term(doc, carrier: Carrier, name: str = "term") -> SequenceFamily:
@@ -442,11 +455,9 @@ def parse_sequence_term(doc, carrier: Carrier, name: str = "term") -> SequenceFa
         if op == "drop-atom-prefix":
             return cofinite_chain_sequence(carrier, name)
         if op == "set" and len(args) == 1:
-            value = FinCofSet.finite(args[0])
-            return constant_sequence(carrier, value, name)
+            return constant_sequence(carrier, FinCofSet.finite(_atoms(op, args[0])), name)
         if op == "coset" and len(args) == 1:
-            value = FinCofSet.cofinite_complement(args[0])
-            return constant_sequence(carrier, value, name)
+            return constant_sequence(carrier, FinCofSet.cofinite_complement(_atoms(op, args[0])), name)
         if op == "unit-vectors":
             return unit_vector_sequence(carrier, name)
         if op == "vec":

@@ -345,13 +345,7 @@ class EvLinSpace(GroupCarrier):
 
     def _combine(self, x: EvLinSeq, y: EvLinSeq, op) -> EvLinSeq:
         if x.d == y.d:
-            if x.c == y.c:
-                tail_c, tail_d = x.c, x.d
-            else:
-                pick = op(x.c, y.c)
-                tail_c = pick
-                tail_d = x.d
-            return x.map_with(y, op, tail_c, tail_d, 0)
+            return x.map_with(y, op, op(x.c, y.c), x.d, 0)
         # two lines with different slopes cross once; beyond the crossing the
         # comparison is settled by the slopes
         t = (y.c - x.c) / (x.d - y.d)

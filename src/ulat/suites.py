@@ -327,9 +327,7 @@ def _suite_prop_q(cfg: SuiteConfig) -> list[CheckRecord]:
                     if not v.ok:
                         raise ValueError(f"member {member.name} invalid: {v.witness!r}")
                 ker = kernel_partition(L, D)
-                q = quotient(L, ker, D)
-                residual = kernel_partition(q.carrier, q.induced)
-                if not residual.is_discrete:
+                if not quotient(L, ker, D).hausdorff:
                     raise ValueError("quotient kernel is not discrete")
             except ValueError as exc:
                 records.append(CheckRecord(label, Verdict.falsified(str(exc)),

@@ -1,11 +1,13 @@
 """The benchmark in perfbench/ reaches the library through names: every
-``U.<name>`` chain it reads, with ``U`` the ``ulat`` package, the entry
-points its tracer wraps, and the attributes of a parsed closed form that
-the ``closed-forms`` workload reads.  A renamed or moved name fails here
-instead of breaking a benchmark run.  The benchmark's files are only read."""
+``U.<name>`` chain it reads, with ``U`` the ``ulat`` package, the keywords
+it passes to ``U.<callable>(...)``, the entry points its tracer wraps, and
+the attributes of a parsed closed form that the ``closed-forms`` workload
+reads.  A renamed or moved name fails here instead of breaking a benchmark
+run.  The benchmark's files are only read."""
 
 import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 import ulat
@@ -37,12 +39,18 @@ def _bench_chains():
     return sorted(chains)
 
 
-def _resolves(chain: str) -> bool:
+def _resolve(chain: str):
     obj = ulat
     for part in chain.split("."):
-        if not hasattr(obj, part):
-            return False
         obj = getattr(obj, part)
+    return obj
+
+
+def _resolves(chain: str) -> bool:
+    try:
+        _resolve(chain)
+    except AttributeError:
+        return False
     return True
 
 
@@ -52,6 +60,30 @@ def test_every_name_the_benchmark_reads_resolves():
     assert ("tracer.py", "truncate_sequence") in chains
     missing = [f"{name}: U.{chain}" for name, chain in chains if not _resolves(chain)]
     assert not missing
+
+
+def _bench_keywords():
+    """(file, chain, keyword) for every keyword passed to a U.<chain>(...) call."""
+    found = set()
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and (chain := _chain(node.func)) is not None:
+                found.update((path.name, chain, kw.arg) for kw in node.keywords if kw.arg)
+    return sorted(found)
+
+
+def _accepts(chain: str, keyword: str) -> bool:
+    params = inspect.signature(_resolve(chain)).parameters
+    return keyword in params or any(p.kind is p.VAR_KEYWORD for p in params.values())
+
+
+def test_every_keyword_the_benchmark_passes_is_a_parameter():
+    keywords = _bench_keywords()
+    assert ("closed_forms.py", "verify_uO", "horizon") in keywords
+    assert ("suites_wl.py", "unbounded_separation_example", "k_values") in keywords
+    unknown = [f"{name}: U.{chain}({kw}=...)" for name, chain, kw in keywords
+               if not _accepts(chain, kw)]
+    assert not unknown
 
 
 def _load(filename: str, name: str):

@@ -168,6 +168,15 @@ class TestConstruction:
         with pytest.raises(NotALattice):
             load_finite_lattice(["not", "an", "object"])
 
+    @pytest.mark.parametrize("covers", [
+        [["a", "b"], ["b", "a"]],
+        [["a", "b"], ["b", "c"], ["c", "a"]],
+    ])
+    def test_load_finite_lattice_refuses_cover_cycles(self, covers):
+        with pytest.raises(NotALattice, match="cover cycle through 'a'") as info:
+            load_finite_lattice({"elements": ["a", "b", "c"], "covers": covers})
+        assert info.value.pair == ("a", "a")
+
 
 class TestSublattices:
     def test_every_nonempty_chain_subset_is_a_sublattice(self):

