@@ -277,15 +277,15 @@ class FiniteLattice(Carrier):
         reach: dict = {}
         for e in elems:
             seen = {e}
-            stack = list(succ[e])
+            stack = [(e, v) for v in succ[e]]
             while stack:
-                v = stack.pop()
-                if v == e:
-                    raise NotALattice(f"cover cycle through {e!r}", pair=(e, e))
+                u, v = stack.pop()
+                if v == e:  # the cover (u, e) closes the cycle
+                    raise NotALattice(f"cover cycle through {e!r}", pair=(u, e))
                 if v in seen:
                     continue
                 seen.add(v)
-                stack.extend(succ[v])
+                stack.extend((v, w) for w in succ[v])
             reach[e] = seen
         return FiniteLattice.from_leq(name, elems, lambda a, b: b in reach[a])
 

@@ -399,11 +399,14 @@ def chain_bound(seq: SequenceFamily, kind: str, k0: int = 1,
 MAX_TERM_DEPTH = 100
 
 
-def parse_scalar_series(doc, depth: int = 0) -> RatAltSeq:
+def parse_scalar_series(doc) -> RatAltSeq:
     """Parse a scalar term document into an exact closed-form sequence.
 
-    depth counts the levels above doc; a term nested more than
-    MAX_TERM_DEPTH levels deep is refused."""
+    A term nested more than MAX_TERM_DEPTH levels deep is refused."""
+    return _parse_scalar(doc, 0)
+
+
+def _parse_scalar(doc, depth: int) -> RatAltSeq:
     if depth > MAX_TERM_DEPTH:
         raise ValueError(f"scalar term {reprlib.repr(doc)} nests deeper than {MAX_TERM_DEPTH} levels")
     if isinstance(doc, bool):
@@ -424,15 +427,14 @@ def parse_scalar_series(doc, depth: int = 0) -> RatAltSeq:
         return RatAltSeq.const(value)
     if isinstance(doc, list) and doc:
         op, *args = doc
-        sub = [parse_scalar_series(a, depth + 1) for a in args] if op in ("+", "-", "*") else ()
-        if op == "+" and len(sub) == 2:
-            return sub[0] + sub[1]
-        if op == "-" and len(sub) == 2:
-            return sub[0] - sub[1]
-        if op == "-" and len(sub) == 1:
-            return -sub[0]
-        if op == "*" and len(sub) == 2:
-            return sub[0] * sub[1]
+        if op == "+" and len(args) == 2:
+            return _parse_scalar(args[0], depth + 1) + _parse_scalar(args[1], depth + 1)
+        if op == "-" and len(args) == 2:
+            return _parse_scalar(args[0], depth + 1) - _parse_scalar(args[1], depth + 1)
+        if op == "-" and len(args) == 1:
+            return -_parse_scalar(args[0], depth + 1)
+        if op == "*" and len(args) == 2:
+            return _parse_scalar(args[0], depth + 1) * _parse_scalar(args[1], depth + 1)
     raise ValueError(f"unrecognized scalar term {reprlib.repr(doc)}")
 
 

@@ -336,6 +336,8 @@ def test_scalar_grammar_rejects_junk():
         parse_scalar_series(["+", "k", "3/0"])
     with pytest.raises(ValueError):
         parse_scalar_series(0.5)
+    with pytest.raises(ValueError, match=r"unrecognized scalar term \['\+', 'k', 'k', 'zz'\]"):
+        parse_scalar_series(["+", "k", "k", "zz"])
 
 
 def test_a_deeply_nested_scalar_term_is_refused():
