@@ -19,12 +19,12 @@ from typing import Optional, Sequence as Seq
 from .carriers import CarrierMismatch, GroupCarrier
 from .entourages import real_entourage_contains
 from .exact import EXT_INF, ExtValue, frac_floor, rat
-from .semimetrics import LatticeSemimetric, SemimetricFamily
+from .semimetrics import SemimetricFamily
 from .sequences import (NEVER_CONSTANT, BoundClaim, CofiniteFilterChain, MetricCertificate,
                         O1Witness, O2Witness, SequenceFamily, SingletonAtoms,
                         TailClosedForm, chain_bound, clamped_descriptor, settled)
 from .spaces import NO_BOUND, EvLinSeq, EvLinSpace, FinCofAlgebra, FinCofSet
-from .truncation import TruncationPair, _check_cap, truncate_f
+from .truncation import TruncationPair, _check_cap, _clamp, truncate_f
 from .verdicts import Verdict
 
 DEFAULT_HORIZON = 10_000
@@ -64,10 +64,10 @@ def _grade_bound(seq: SequenceFamily, kind: str, target, k0: int,
     return Verdict.inconclusive(detail=f"{label} undecided ({claim.detail})")
 
 
-def _settle_index(seq: SequenceFamily) -> Optional[int]:
-    """The index from which the descriptor proves seq constant, or None."""
+def _constant_tail(seq: SequenceFamily):
+    """settled(seq) when it proves seq constant from some index, else None."""
     tail = settled(seq)
-    return None if tail is None or tail[1] is NEVER_CONSTANT else tail[0]
+    return None if tail is None or tail[1] is NEVER_CONSTANT else tail
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +90,9 @@ def verify_O1(seq: SequenceFamily, x, w: O1Witness,
     x = L.check_element(x)
     k0 = w.start_index
 
-    knees = [_settle_index(s) for s in (seq, w.lower, w.upper)]
-    if None not in knees:
-        stop = max(max(knees), k0) + 1
+    tails = [_constant_tail(s) for s in (seq, w.lower, w.upper)]
+    if None not in tails:
+        stop = max(max(t[0] for t in tails), k0) + 1
         grade_on_success = Verdict.exact(detail="eventually constant sandwich")
     else:
         stop = horizon
@@ -175,9 +175,10 @@ def _o2_symbolic_fincof(seq, w: O2Witness) -> Optional[Verdict]:
 
 def _o2_symbolic_evconst(seq, w: O2Witness) -> Optional[Verdict]:
     """Exact containment when sequence and chains provably settle."""
-    k_stop, lower_knee, upper_knee = (_settle_index(s) for s in (seq, w.lower, w.upper))
-    if None in (k_stop, lower_knee, upper_knee):
+    tails = [_constant_tail(s) for s in (seq, w.lower, w.upper)]
+    if None in tails:
         return None
+    k_stop, lower_knee, upper_knee = (t[0] for t in tails)
     L = seq.carrier
     j_stop = max(lower_knee, upper_knee) + 1
     for j in range(1, j_stop + 1):
@@ -283,8 +284,9 @@ def truncate_sequence(seq: SequenceFamily, p: TruncationPair) -> SequenceFamily:
     """The image sequence k -> clamp_p(x_k), with the clamped descriptor
     whenever the clamp's effect on the tail is decidable."""
     L = seq.carrier
+    low, high = L.check_element(p.low), L.check_element(p.high)
     return SequenceFamily(f"clamp({seq.name})", L,
-                          lambda k: truncate_f(L, p, seq.value(k)),
+                          lambda k: _clamp(L, low, high, L.check_element(seq.value(k))),
                           clamped_descriptor(seq, p))
 
 
@@ -352,14 +354,10 @@ def verify_uO(seq: SequenceFamily, x, truncations: Optional[Seq[TruncationPair]]
 # Metric convergence and Cauchy checks
 
 
-def _tail_representatives(seq: SequenceFamily, start: int):
-    """(values, complete) where values covers every term from start on when
-    complete is True (tails that provably settle only)."""
-    tail = settled(seq)
-    if tail is None or tail[1] is NEVER_CONSTANT:
-        return None, False
+def _tail_representatives(seq: SequenceFamily, tail, start: int) -> list:
+    """Values covering every term from start on, for seq settling as tail."""
     i, value = tail
-    return [seq.value(k) for k in range(start, max(i, start))] + [value], True
+    return [seq.value(k) for k in range(start, max(i, start))] + [value]
 
 
 def metric_converges(seq: SequenceFamily, x, D: SemimetricFamily,
@@ -368,13 +366,14 @@ def metric_converges(seq: SequenceFamily, x, D: SemimetricFamily,
     """d(x_k, x) <= eps for k beyond the certificate, per member and eps."""
     L = seq.carrier
     x = L.check_element(x)
+    tail = _constant_tail(seq)
     parts = []
     for d in D.members:
         for eps in eps_grid:
             eps = rat(eps)
             start = cert.at(eps, d.name)
-            values, complete = _tail_representatives(seq, start)
-            if complete:
+            if tail is not None:
+                values = _tail_representatives(seq, tail, start)
                 bad = next((k for k, v in enumerate(values) if d(v, x) > eps), None)
                 if bad is not None:
                     parts.append(Verdict.falsified(
@@ -409,37 +408,37 @@ def _probe_indices(start: int, horizon: int, window: int) -> list[int]:
 
 
 def metric_cauchy(seq: SequenceFamily, D: SemimetricFamily,
-                  cert: MetricCertificate, eps_grid=DEFAULT_EPS_GRID,
+                  cert: Optional[MetricCertificate] = None, eps_grid=DEFAULT_EPS_GRID,
                   horizon: int = DEFAULT_HORIZON) -> Verdict:
     """Pairwise d(x_j, x_k) <= eps for j, k beyond the certificate.
 
     Clamp-derived members with a decidable clamped tail are settled exactly:
     beyond the constancy index every pair collapses onto finitely many
     representative values.  Other members are probed on a budgeted pair set.
+    Without a certificate a clamp member starts at its clamped tail's
+    constancy index and every other member at 1.
     """
     parts = []
     for d in D.members:
-        clamped = None
-        if d.origin and d.origin[0] == "clamp":
-            clamped = truncate_sequence(seq, d.origin[1])
+        clamped = truncate_sequence(seq, d.clamp) if d.clamp is not None else None
+        tail = _constant_tail(clamped) if clamped is not None else None
+        knee = max(tail[0], 1) if tail is not None else 1
         for eps in eps_grid:
             eps = rat(eps)
-            start = cert.at(eps, d.name)
-            if clamped is not None:
-                base: LatticeSemimetric = d.origin[2]
-                values, complete = _tail_representatives(clamped, start)
-                if complete:
-                    bad = next(((i, j) for (i, u), (j, v)
-                                in itertools.combinations(enumerate(values), 2)
-                                if base(u, v) > eps), None)
-                    if bad is not None:
-                        parts.append(Verdict.falsified(
-                            witness=(d.name, str(eps), start + bad[0], start + bad[1]),
-                            detail="pair distance exceeded eps beyond the certificate"))
-                    else:
-                        parts.append(Verdict.exact(
-                            detail=f"{d.name}, eps={eps}: clamped tail is eventually constant"))
-                    continue
+            start = cert.at(eps, d.name) if cert is not None else knee
+            if tail is not None:
+                values = _tail_representatives(clamped, tail, start)
+                bad = next(((i, j) for (i, u), (j, v)
+                            in itertools.combinations(enumerate(values), 2)
+                            if d.base(u, v) > eps), None)
+                if bad is not None:
+                    parts.append(Verdict.falsified(
+                        witness=(d.name, str(eps), start + bad[0], start + bad[1]),
+                        detail="pair distance exceeded eps beyond the certificate"))
+                else:
+                    parts.append(Verdict.exact(
+                        detail=f"{d.name}, eps={eps}: clamped tail is eventually constant"))
+                continue
             probes = _probe_indices(start, horizon, 16)
             hit = None
             for a, b in itertools.combinations(probes, 2):
@@ -475,16 +474,6 @@ def exhaustivity_probe(seq: SequenceFamily, D: SemimetricFamily,
             prev = cur
         if not (up or down):
             raise ValueError("exhaustivity probe needs a monotone sequence")
-    if cert is None:
-        # For clamp-derived members the modulus is the clamped tail's
-        # constancy index; everything else starts at 1.
-        knees = {}
-        for m in D.members:
-            if m.origin and m.origin[0] == "clamp":
-                knee = _settle_index(truncate_sequence(seq, m.origin[1]))
-                if knee is not None:
-                    knees[m.name] = knee
-        cert = MetricCertificate(lambda _eps, name: knees.get(name, 1))
     return metric_cauchy(seq, D, cert, eps_grid, horizon)
 
 

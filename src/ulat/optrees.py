@@ -55,7 +55,7 @@ def random_tree(rng, n_vars: int, max_depth: int) -> OpTree:
 
 def evaluate(L: Carrier, tree: OpTree, values) -> object:
     if tree.op is None:
-        return values[tree.var]
+        return L.check_element(values[tree.var])
     left = evaluate(L, tree.left, values)
     right = evaluate(L, tree.right, values)
-    return L.meet(left, right) if tree.op == MEET else L.join(left, right)
+    return L._meet(left, right) if tree.op == MEET else L._join(left, right)

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 from .carriers import (Carrier, CarrierMismatch, FiniteLattice, index_table, is_sublattice,
                        load_finite_lattice)
 from .exact import EXT_INF, ExtValue, ext, rat
-from .truncation import TruncationPair, truncate_f
+from .truncation import TruncationPair, _clamp
 from .verdicts import Verdict
 
 
@@ -28,15 +28,16 @@ from .verdicts import Verdict
 class LatticeSemimetric:
     """A named distance function on one carrier, valued in [0, +inf].
 
-    origin records how the semimetric was built when that matters downstream;
-    a clamp-derived member carries ("clamp", pair, base semimetric) so Cauchy
-    checks can reuse the clamp's tail constancy symbolically.
+    A clamp-derived member d_p carries its pair in ``clamp`` and d in
+    ``base``, so Cauchy checks can reuse the clamp's tail constancy
+    symbolically; both are None on every other semimetric.
     """
 
     name: str
     carrier: Carrier
     func: Callable[[object, object], object]
-    origin: Optional[tuple] = None
+    clamp: Optional[TruncationPair] = None
+    base: Optional["LatticeSemimetric"] = None
 
     def __call__(self, x, y) -> ExtValue:
         return ext(self.func(x, y))
@@ -77,12 +78,15 @@ class SemimetricFamily:
 # Builders
 
 
+_ZERO, _ONE = ExtValue(0), ExtValue(1)
+
+
 def zero_semimetric(L: Carrier) -> LatticeSemimetric:
-    return LatticeSemimetric("zero", L, lambda x, y: 0)
+    return LatticeSemimetric("zero", L, lambda x, y: _ZERO)
 
 
 def discrete_semimetric(L: Carrier) -> LatticeSemimetric:
-    return LatticeSemimetric("discrete", L, lambda x, y: 0 if x == y else 1)
+    return LatticeSemimetric("discrete", L, lambda x, y: _ZERO if x == y else _ONE)
 
 
 def line_abs_semimetric(Q) -> LatticeSemimetric:
@@ -222,17 +226,19 @@ def derived_semimetric(d: LatticeSemimetric, p: TruncationPair) -> LatticeSemime
     """d_p(x, y) = d(clamp_p(x), clamp_p(y)) for a canonical pair p.
 
     Contraction applied twice gives d_p <= d pointwise, so every derived
-    member is dominated by its source.
+    member is dominated by its source.  The pair is checked here, and each
+    point once per call.
     """
     if not p.canonical:
         raise ValueError(f"derived semimetric needs a canonical pair, got {p!r}")
     L = d.carrier
+    low, high = L.check_element(p.low), L.check_element(p.high)
 
     def dist(x, y):
-        return d(truncate_f(L, p, x), truncate_f(L, p, y))
+        return d(_clamp(L, low, high, L.check_element(x)),
+                 _clamp(L, low, high, L.check_element(y)))
 
-    return LatticeSemimetric(f"{d.name}[{p.low},{p.high}]", L, dist,
-                             origin=("clamp", p, d))
+    return LatticeSemimetric(f"{d.name}[{p.low},{p.high}]", L, dist, clamp=p, base=d)
 
 
 def ustar_family(D: SemimetricFamily, J: Sequence[TruncationPair]) -> SemimetricFamily:

@@ -58,7 +58,7 @@ from .sequences import (
 )
 from .spaces import C00Space, C00Vec, FinCofAlgebra, FinCofSet, QLine, QVec
 from .subnet import build_subnet
-from .truncation import TruncationPair, canonical_pairs, clamp_difference_bound, compose_truncations, decompose_abs_meet, is_truncation_hom, truncate_f
+from .truncation import TruncationPair, _clamp, canonical_pairs, clamp_difference_bound, compose_truncations, decompose_abs_meet, is_truncation_hom, truncate_f
 from .verdicts import AT_HORIZON, EXACT, FALSIFIED, Verdict
 
 # expectations a record can carry
@@ -231,8 +231,8 @@ def _composition_law(L) -> tuple[int, Optional[tuple]]:
                     comp = compose_truncations(L, outer, inner)
                     for x in elems:
                         total += 1
-                        two_step = truncate_f(L, outer, truncate_f(L, inner, x))
-                        if truncate_f(L, comp, x) != two_step:
+                        two_step = _clamp(L, a, b, _clamp(L, c, d, x))
+                        if _clamp(L, comp.low, comp.high, x) != two_step:
                             return total, (a, b, c, d, x)
     return total, None
 
@@ -603,7 +603,7 @@ def run_suite(name: str, cfg: Optional[SuiteConfig] = None) -> SuiteResult:
         elapsed = time.perf_counter() - start
         res = _aggregate(name, anchor, [], elapsed)
         res.status = "fail"
-        res.witness = f"error: {exc}"
+        res.witness = f"error: {type(exc).__name__}: {exc}"
         return res
     return _aggregate(name, anchor, records, time.perf_counter() - start)
 
@@ -622,16 +622,20 @@ def render_json(report: dict) -> str:
 
 
 def render_markdown(report: dict) -> str:
+    """The report as a Markdown table, with an elapsed column when timed."""
+    timed = any("elapsed" in rec for rec in report["suites"])
     lines = [
-        "| suite | anchor | status | cases | exact | at-horizon | falsified | inconclusive | xfail |",
-        "|---|---|---|---|---|---|---|---|---|",
+        "| suite | anchor | status | cases | exact | at-horizon | falsified | inconclusive | xfail |"
+        + (" elapsed s |" if timed else ""),
+        "|---|---|---|---|---|---|---|---|---|" + ("---|" if timed else ""),
     ]
     for rec in report["suites"]:
         c = rec["counts"]
         lines.append(
             f"| {rec['suite']} | {rec['anchor']} | {rec['status']} | {c['cases']} "
             f"| {c['exact']} | {c['verified-at-horizon']} | {c['falsified']} "
-            f"| {c['inconclusive']} | {c['xfail']} |")
+            f"| {c['inconclusive']} | {c['xfail']} |"
+            + (f" {rec['elapsed']:.3f} |" if timed else ""))
     failing = [r for r in report["suites"] if r["status"] != "pass"]
     for rec in failing:
         lines.append("")

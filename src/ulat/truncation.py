@@ -32,9 +32,8 @@ class TruncationPair:
 
     @staticmethod
     def of(L: Carrier, low, high) -> "TruncationPair":
-        low = L.check_element(low)
-        high = L.check_element(high)
-        return TruncationPair(low, high, L.leq(low, high))
+        low, high = L.check_element(low), L.check_element(high)
+        return TruncationPair(low, high, L._leq(low, high))
 
 
 def canonical_pairs(L: Carrier):
@@ -42,12 +41,17 @@ def canonical_pairs(L: Carrier):
     elems = L.elements()
     if elems is None:
         raise ValueError("canonical pair enumeration needs a finite carrier")
-    return [TruncationPair.of(L, a, b) for a in elems for b in elems if L.leq(a, b)]
+    return [TruncationPair(a, b, True) for a in elems for b in elems if L._leq(a, b)]
+
+
+def _clamp(L: Carrier, low, high, x):
+    """(x /\\ high) \\/ low on trusted elements: the one clamp body."""
+    return L._join(L._meet(x, high), low)
 
 
 def truncate_f(L: Carrier, p: TruncationPair, x):
-    """(x /\\ high) \\/ low."""
-    return L.join(L.meet(x, p.high), p.low)
+    """(x /\\ high) \\/ low, checking x and both ends of p."""
+    return _clamp(L, L.check_element(p.low), L.check_element(p.high), L.check_element(x))
 
 
 def truncate_g(L: Carrier, p: TruncationPair, x):
@@ -72,18 +76,19 @@ def compose_truncations(L: Carrier, outer: TruncationPair, inner: TruncationPair
 def is_truncation_hom(L: Carrier, p: TruncationPair) -> CheckResult:
     """Exhaustively decide whether the clamp of p preserves meets and joins.
 
-    Finite carriers only; the witness is (x, y, op) on failure.
+    Finite carriers only; the witness is (x, y, op) on failure.  The pair
+    is checked once and each element clamped once.
     """
     elems = L.elements()
     if elems is None:
         raise ValueError("homomorphism check needs a finite carrier")
+    low, high = L.check_element(p.low), L.check_element(p.high)
+    f = {x: _clamp(L, low, high, x) for x in elems}
     for x in elems:
         for y in elems:
-            fx = truncate_f(L, p, x)
-            fy = truncate_f(L, p, y)
-            if truncate_f(L, p, L.meet(x, y)) != L.meet(fx, fy):
+            if f[L._meet(x, y)] != L._meet(f[x], f[y]):
                 return CheckResult(False, witness=(x, y, "meet"), law="clamp-meet")
-            if truncate_f(L, p, L.join(x, y)) != L.join(fx, fy):
+            if f[L._join(x, y)] != L._join(f[x], f[y]):
                 return CheckResult(False, witness=(x, y, "join"), law="clamp-join")
     return CheckResult(True)
 
@@ -106,11 +111,6 @@ def _check_cap(G: GroupCarrier, a) -> None:
     """Reject a cap that is not a positive element (``a`` is checked)."""
     if G._join(G._negate(a), G.zero) != G.zero:
         raise ValueError("the cap must be a positive element")
-
-
-def _clamp(G: GroupCarrier, low, high, x):
-    """Trusted ``truncate_f`` over (low, high): all three are elements."""
-    return G._join(G._meet(x, high), low)
 
 
 def decompose_abs_meet(G: GroupCarrier, x, y, a) -> AbsMeetDecomposition:

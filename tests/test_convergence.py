@@ -4,7 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
+import ulat.convergence as convergence
+from ulat.carriers import chain_lattice
 from ulat.convergence import (
+    _grade_bound,
     decide_O1_eventual_constancy,
     exhaustivity_probe,
     metric_cauchy,
@@ -20,6 +23,7 @@ from ulat.convergence import (
 from ulat.exact import RatAltSeq
 from ulat.semimetrics import SemimetricFamily, line_abs_semimetric, ustar_family
 from ulat.sequences import (
+    NEVER_CONSTANT,
     EventuallyConstant,
     MetricCertificate,
     O1Witness,
@@ -33,10 +37,11 @@ from ulat.sequences import (
     periodic_sequence,
     sequence_of,
     series_sequence,
+    settled,
     singleton_atom_sequence,
     unit_vector_sequence,
 )
-from ulat.spaces import C00Space, C00Vec, FinCofAlgebra, FinCofSet, QLine
+from ulat.spaces import NO_BOUND, C00Space, C00Vec, FinCofAlgebra, FinCofSet, QLine
 from ulat.truncation import TruncationPair
 
 Q = QLine()
@@ -354,3 +359,108 @@ def test_two_norm_separation_report():
     late = by_key[(3, 200)]
     assert late.truncated_gap.to_json() == "1/100"
     assert late.bound == F(3, 200)
+
+
+# ---------------------------------------------------------------------------
+# clamp members carry their pair
+
+
+def _walk_star():
+    walk = series_sequence(Q, RatAltSeq.index(), "walk")
+    return walk, ustar_family(ABS, [TruncationPair.of(Q, F(-n), F(n)) for n in range(1, 9)])
+
+
+def _climb_star():
+    # windows the climb 1 - 1/k leaves at k = 2, at k = 4, and never
+    climb = series_sequence(Q, RatAltSeq.const(1) - RatAltSeq.inv_index(), "climb")
+    windows = [(F(0), F(1, 2)), (F(0), F(3, 4)), (F(-1), F(2))]
+    return climb, ustar_family(ABS, [TruncationPair.of(Q, a, b) for a, b in windows])
+
+
+def _name_keyed_certificate(seq, star):
+    """Each clamp member's modulus is its clamped tail's constancy index,
+    looked up by member name; every other member starts at 1."""
+    knees = {}
+    for m in star.members:
+        tail = settled(truncate_sequence(seq, m.clamp))
+        if tail is not None and tail[1] is not NEVER_CONSTANT:
+            knees[m.name] = tail[0]
+    return MetricCertificate(lambda _eps, name: knees.get(name, 1))
+
+
+@pytest.mark.parametrize("family", [_walk_star, _climb_star], ids=["walk", "climb"])
+def test_probe_without_certificate_matches_the_name_keyed_one(family):
+    seq, star = family()
+    v = exhaustivity_probe(seq, star, horizon=300)
+    assert v == metric_cauchy(seq, star, _name_keyed_certificate(seq, star), horizon=300)
+    assert v == metric_cauchy(seq, star, horizon=300)
+
+
+def test_climb_family_mixes_settled_and_probed_windows():
+    seq, star = _climb_star()
+    knees = [settled(truncate_sequence(seq, m.clamp)) for m in star.members]
+    assert [k if k is None else k[0] for k in knees] == [2, 4, None]
+    # the window the climb never leaves has no modulus, so its probe starts
+    # at 1 and the early terms are too far apart
+    v = exhaustivity_probe(seq, star, horizon=300)
+    assert v.status == "falsified"
+    assert v.witness[0] == star.members[2].name
+
+
+def test_probe_clamps_each_member_once(monkeypatch):
+    seq, star = _walk_star()
+    calls = []
+    real = convergence.truncate_sequence
+    monkeypatch.setattr(convergence, "truncate_sequence",
+                        lambda s, p: calls.append(p) or real(s, p))
+    assert exhaustivity_probe(seq, star, horizon=300).status == "exact"
+    assert len(calls) == len(star.members) == 8
+
+
+def test_probe_scans_sequences_without_a_closed_form_for_monotonicity():
+    U = ustar_family(ABS, [TruncationPair.of(Q, F(-1), F(1))])
+    flip = periodic_sequence(Q, (F(0), F(1)), "flip")
+    with pytest.raises(ValueError, match="monotone"):
+        exhaustivity_probe(flip, U)
+    steps = eventually_constant_sequence(Q, (F(0), F(1, 2)), F(1), "steps")
+    assert exhaustivity_probe(steps, U).status == "exact"
+
+
+# ---------------------------------------------------------------------------
+# bound grading and settled containment
+
+
+def test_bound_grading_without_a_bound_falsifies():
+    walk = series_sequence(Q, RatAltSeq.index(), "walk")
+    v = _grade_bound(walk, "sup", F(0), 1, 100)
+    assert v.status == "falsified"
+    assert v.witness == ("sup", NO_BOUND)
+
+
+def test_bound_grading_of_a_fold_is_at_the_horizon():
+    L = chain_lattice(3)
+    seq = sequence_of(L, lambda k: 2 if k >= 3 else 0, "late")
+    v = _grade_bound(seq, "sup", 2, 1, 100)
+    assert v.status == "verified-at-horizon" and v.horizon == 100
+
+
+def test_bound_grading_names_a_term_on_the_wrong_side():
+    seq = sequence_of(Q, lambda k: F(1) if k == 3 else F(0), "blip")
+    v = _grade_bound(seq, "sup", F(0), 1, 100)
+    assert v.status == "falsified"
+    assert v.witness == ("sup", 3, F(1))
+    v = _grade_bound(seq, "inf", F(1, 2), 1, 100)
+    assert v.witness == ("inf", 1, F(0))
+
+
+def test_o2_on_settled_data_is_decided_exactly():
+    seq = eventually_constant_sequence(Q, (F(3),), F(1), "settle")
+    lo = eventually_constant_sequence(Q, (F(0),), F(1), "lo")
+    hi = eventually_constant_sequence(Q, (F(3),), F(1), "hi")
+    v = verify_O2(seq, F(1), O2Witness.affine(lo, hi, 0))
+    assert v.status == "exact"
+    assert "eventually constant containment" in v.detail
+    tight = constant_sequence(Q, F(1), "tight")
+    v = verify_O2(seq, F(1), O2Witness.affine(lo, tight, 0))
+    assert v.status == "falsified"
+    assert v.witness == ("containment", 1, 1)

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from ulat.carriers import (CarrierMismatch, chain_lattice, diamond_lattice, divisor_lattice,
                            powerset_lattice)
 from ulat.exact import EXT_INF, ext
+from ulat.catalog import finite_entries, standard_carriers
 from ulat.semimetrics import (
+    LatticeSemimetric,
     SemimetricFamily,
+    c00_l1_semimetric,
     derived_semimetric,
     discrete_semimetric,
     interval_agreement,
@@ -22,13 +25,14 @@ from ulat.semimetrics import (
     ph_criterion_detail,
     pullback_semimetric,
     quotient,
+    symmetric_difference_semimetric,
     table_semimetric,
     ustar_family,
     validate_semimetric,
     zero_semimetric,
 )
-from ulat.spaces import QLine, QVec
-from ulat.truncation import TruncationPair, canonical_pairs
+from ulat.spaces import C00Space, C00Vec, FinCofAlgebra, FinCofSet, QLine, QVec
+from ulat.truncation import TruncationPair, canonical_pairs, truncate_f
 
 
 def s(*atoms):
@@ -66,6 +70,32 @@ class TestValidation:
         assert v.witness[0] in ("join-contraction", "meet-contraction")
 
 
+    def test_each_axiom_names_its_witness(self):
+        L = chain_lattice(3)
+        cases = [
+            (lambda x, y: 1, ("zero-diagonal", 0)),
+            (lambda x, y: 0 if x == y else (1 if x < y else 2), ("symmetry", 0, 1)),
+            # join-contractive, but meet with 1 moves (0, 2) onto the far pair (0, 1)
+            (lambda x, y: 0 if x == y else (2 if {x, y} == {0, 1} else 1),
+             ("meet-contraction", 0, 2, 1)),
+        ]
+        for func, witness in cases:
+            v = validate_semimetric(LatticeSemimetric("hand", L, func))
+            assert v.status == "falsified"
+            assert v.witness == witness
+
+    def test_sequence_space_families_validate_on_samples(self):
+        C, A = C00Space(), FinCofAlgebra()
+        for d in (c00_l1_semimetric(C), symmetric_difference_semimetric(A)):
+            v = validate_semimetric(d, budget=60, rng=random.Random(3))
+            assert v.status == "verified-at-horizon" and v.horizon == 60
+        symdiff = symmetric_difference_semimetric(A)
+        assert symdiff(FinCofSet.finite([1, 2]), FinCofSet.finite([2, 5])) == 2
+        assert symdiff(FinCofSet.finite([1]), FinCofSet.cofinite_complement([1])) == EXT_INF
+        l1 = c00_l1_semimetric(C)
+        assert l1(C00Vec.unit(1), C00Vec.unit(3)) == 2
+
+
 class TestDerived:
     def test_frozen_powerset_value(self):
         L = powerset_lattice(2)
@@ -74,7 +104,7 @@ class TestDerived:
         dp = derived_semimetric(d, p)
         assert dp(s(), s(2)) == 1
         assert dp(s(), s(1)) == 0
-        assert dp.origin == ("clamp", p, d)
+        assert dp.clamp == p and dp.base is d
 
     def test_derived_never_exceeds_base(self):
         V = QVec(2)
@@ -85,6 +115,41 @@ class TestDerived:
         for _ in range(200):
             x, y = V.sample(rng), V.sample(rng)
             assert dp(x, y) <= d(x, y)
+
+    @pytest.mark.parametrize("entry", finite_entries(standard_carriers()),
+                             ids=lambda e: e.name)
+    def test_clamp_members_match_clamping_first(self, entry):
+        L = entry.carrier
+        elems = L.elements()
+        for D in entry.families.values():
+            for d in D.members:
+                for p in canonical_pairs(L):
+                    dp = derived_semimetric(d, p)
+                    for x in elems:
+                        for y in elems:
+                            assert dp(x, y) == d(truncate_f(L, p, x), truncate_f(L, p, y))
+
+    @pytest.mark.parametrize("d", [line_abs_semimetric(QLine()), l1_semimetric(QVec(3))],
+                             ids=["qline", "qvec3"])
+    def test_clamp_members_match_clamping_first_on_samples(self, d):
+        V = d.carrier
+        rng = random.Random(11)
+        for _ in range(40):
+            a, b = V.sample(rng), V.sample(rng)
+            p = TruncationPair.of(V, V.meet(a, b), V.join(a, b))
+            dp = derived_semimetric(d, p)
+            for _ in range(5):
+                x, y = V.sample(rng), V.sample(rng)
+                assert dp(x, y) == d(truncate_f(V, p, x), truncate_f(V, p, y))
+
+    def test_a_clamp_member_checks_only_its_two_points(self):
+        L = powerset_lattice(2)
+        dp = derived_semimetric(discrete_semimetric(L), TruncationPair.of(L, s(), s(1)))
+        calls = []
+        check = L.check_element
+        L.check_element = lambda x: calls.append(x) or check(x)
+        assert dp(s(1, 2), s(2)) == 1
+        assert calls == [s(1, 2), s(2)]
 
     def test_rejects_non_canonical_pairs(self):
         L = powerset_lattice(2)

@@ -123,7 +123,7 @@ def test_crashing_suite_reports_failure(monkeypatch):
     monkeypatch.setitem(suites.REGISTRY, "stub", ("stub", explode))
     result = run_suite("stub")
     assert result.status == "fail"
-    assert result.witness == "error: boom"
+    assert result.witness == "error: RuntimeError: boom"
 
 
 def test_inconclusive_suite_status(monkeypatch):
@@ -153,8 +153,8 @@ def test_empty_report_literal():
     assert render_json(run_suites([], FAST)) == '{"version":1,"suites":[]}\n'
 
 
-def test_markdown_report_lists_failing_witnesses():
-    report = {
+def _two_suite_report():
+    return {
         "version": 1,
         "suites": [
             {"suite": "good", "anchor": "g", "status": "pass", "witness": None,
@@ -167,12 +167,31 @@ def test_markdown_report_lists_failing_witnesses():
                         "inconclusive": 0, "xfail": 0}},
         ],
     }
-    text = render_markdown(report)
+
+
+def test_markdown_report_lists_failing_witnesses():
+    text = render_markdown(_two_suite_report())
     lines = text.splitlines()
     assert lines[0].startswith("| suite | anchor | status |")
     assert "| good | g | pass | 3 |" in text
     assert "- `bad` fail: witness [1, 2]" in text
     assert "- `good`" not in text
+    assert lines[:3] == [
+        "| suite | anchor | status | cases | exact | at-horizon | falsified | inconclusive | xfail |",
+        "|---|---|---|---|---|---|---|---|---|",
+        "| good | g | pass | 3 | 1 | 0 | 0 | 0 | 0 |",
+    ]
+
+
+def test_markdown_report_shows_timings():
+    report = _two_suite_report()
+    for rec, elapsed in zip(report["suites"], (0.25, 1.5)):
+        rec["elapsed"] = elapsed
+    lines = render_markdown(report).splitlines()
+    assert lines[0].endswith("| xfail | elapsed s |")
+    assert lines[1] == "|---|---|---|---|---|---|---|---|---|---|"
+    assert lines[2] == "| good | g | pass | 3 | 1 | 0 | 0 | 0 | 0 | 0.250 |"
+    assert lines[3].endswith("| 1.500 |")
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +260,31 @@ def test_cli_timings_flag(capsys):
                            "--horizon", "100")
     assert code == 0
     assert "elapsed" in json.loads(out)["suites"][0]
+
+
+def test_cli_markdown_timings(capsys):
+    code, out, _ = run_cli(capsys, "suite", "run", "subnet-t3", "--timings",
+                           "--format", "md", "--horizon", "100")
+    assert code == 0
+    header, rule, row = out.splitlines()
+    assert header.endswith("| elapsed s |") and rule.endswith("---|---|")
+    assert float(row.rsplit("|", 2)[1]) >= 0
+
+
+def test_cli_timings_from_a_config_file(tmp_path, capsys):
+    config = tmp_path / "timed.conf"
+    config.write_text("timings = true\nformat = md\nhorizon = 100\n")
+    code, out, _ = run_cli(capsys, "suite", "run", "subnet-t3", "--config", str(config))
+    assert code == 0 and "| elapsed s |" in out.splitlines()[0]
+
+    config.write_text("timings = off\n")
+    code, out, _ = run_cli(capsys, "suite", "run", "subnet-t3", "--config", str(config),
+                           "--horizon", "100")
+    assert code == 0 and "elapsed" not in json.loads(out)["suites"][0]
+
+    config.write_text("timings = maybe\n")
+    code, _, err = run_cli(capsys, "suite", "run", "subnet-t3", "--config", str(config))
+    assert code == 2 and f"{config}:1: timings needs a boolean" in err
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])

@@ -5,13 +5,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ulat.truncation as truncation
 from ulat.carriers import (
     CarrierMismatch,
+    CheckResult,
     GroupCarrier,
     divisor_lattice,
     pentagon_lattice,
     powerset_lattice,
 )
+from ulat.catalog import finite_entries, standard_carriers
+from ulat.convergence import truncate_sequence
+from ulat.optrees import MEET, OpTree, evaluate
+from ulat.semimetrics import derived_semimetric, discrete_semimetric
+from ulat.sequences import constant_sequence, sequence_of
 from ulat.spaces import QLine, QVec
 from ulat.truncation import (
     TruncationPair,
@@ -231,3 +238,100 @@ def test_coordinatewise_overrides_match_group_derivations(G):
         else:
             assert G.meet(x, y) == tuple(map(min, x, y))
             assert G.join(x, y) == tuple(map(max, x, y))
+
+
+# ---------------------------------------------------------------------------
+# One clamp, checked once
+
+
+def _public_is_truncation_hom(L, p):
+    """The homomorphism check on public operations: four truncate_f calls
+    per pair (x, y), each checking its pair and point again."""
+    for x in L.elements():
+        for y in L.elements():
+            fx = truncate_f(L, p, x)
+            fy = truncate_f(L, p, y)
+            if truncate_f(L, p, L.meet(x, y)) != L.meet(fx, fy):
+                return CheckResult(False, witness=(x, y, "meet"), law="clamp-meet")
+            if truncate_f(L, p, L.join(x, y)) != L.join(fx, fy):
+                return CheckResult(False, witness=(x, y, "join"), law="clamp-join")
+    return CheckResult(True)
+
+
+FINITE = [e.carrier for e in finite_entries(standard_carriers())]
+
+
+@pytest.mark.parametrize("L", FINITE, ids=[L.name for L in FINITE])
+def test_trusted_hom_check_matches_the_public_one(L):
+    pairs = canonical_pairs(L)
+    assert pairs == [TruncationPair.of(L, a, b) for a in L.elements()
+                     for b in L.elements() if L.leq(a, b)]
+    results = [is_truncation_hom(L, p) for p in pairs]
+    assert results == [_public_is_truncation_hom(L, p) for p in pairs]
+    assert all(results) == L.distributive  # n5 and m3 carry witnesses
+
+
+def _recorded_checks(L):
+    """The list of points one fresh carrier instance checks from now on."""
+    calls = []
+    check = L.check_element
+    L.check_element = lambda x: calls.append(x) or check(x)
+    return calls
+
+
+def test_truncate_f_checks_its_pair_and_point_once():
+    L = powerset_lattice(2)
+    p = TruncationPair.of(L, s(), s(1))
+    checks = _recorded_checks(L)
+    assert truncate_f(L, p, s(1, 2)) == s(1)
+    assert len(checks) == 3
+
+
+def test_hom_check_clamps_each_element_once(monkeypatch):
+    L = powerset_lattice(3)
+    p = TruncationPair.of(L, s(1), s(1, 2))
+    clamps = []
+    real = truncation._clamp
+    monkeypatch.setattr(truncation, "_clamp", lambda *args: clamps.append(args) or real(*args))
+    checks = _recorded_checks(L)
+    assert is_truncation_hom(L, p).holds
+    assert checks == [s(1), s(1, 2)]
+    assert len(clamps) == len(L.elements())
+
+
+@pytest.mark.parametrize("L", [powerset_lattice(2), LINE], ids=["powerset2", "qline"])
+def test_foreign_pairs_raise_at_entry(L):
+    good = L.bottom if L.is_finite else F(0)
+    p = TruncationPair(good, "not-an-element", True)
+    d = discrete_semimetric(L)
+    with pytest.raises(CarrierMismatch):
+        truncate_f(L, p, good)
+    with pytest.raises(CarrierMismatch):
+        derived_semimetric(d, p)
+    with pytest.raises(CarrierMismatch):
+        truncate_sequence(constant_sequence(L, good), p)
+    if L.is_finite:
+        with pytest.raises(CarrierMismatch):
+            is_truncation_hom(L, p)
+
+
+def test_foreign_points_still_raise():
+    L = powerset_lattice(2)
+    p = TruncationPair.of(L, s(), s(1))
+    with pytest.raises(CarrierMismatch):
+        truncate_f(L, p, s(3))
+    dp = derived_semimetric(discrete_semimetric(L), p)
+    with pytest.raises(CarrierMismatch):
+        dp(s(), s(3))
+    with pytest.raises(CarrierMismatch):
+        dp(s(3), s())
+    clamped = truncate_sequence(sequence_of(L, lambda k: s(k), "atoms"), p)
+    assert clamped.value(1) == s(1)
+    with pytest.raises(CarrierMismatch):
+        clamped.value(3)
+    tree = OpTree.node(MEET, OpTree.leaf(0), OpTree.leaf(1))
+    assert evaluate(L, tree, [s(1), s(1, 2)]) == s(1)
+    with pytest.raises(CarrierMismatch):
+        evaluate(L, tree, [s(1), s(3)])
+    with pytest.raises(CarrierMismatch):
+        evaluate(L, OpTree.leaf(0), [s(3)])
