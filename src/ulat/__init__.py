@@ -44,7 +44,6 @@ from .convergence import (
     verify_uO,
 )
 from .entourages import (
-    RealEntourage,
     compose_case_analysis,
     compose_triple_violation,
     entourage_clause,
@@ -66,7 +65,6 @@ from .semimetrics import (
     line_abs_semimetric,
     load_distance_table,
     order_interval,
-    ph_criterion,
     ph_criterion_detail,
     pullback_semimetric,
     quotient,
@@ -93,7 +91,6 @@ from .sequences import (
     parse_scalar_series,
     parse_sequence_term,
     periodic_sequence,
-    sequence_of,
     series_sequence,
     singleton_atom_sequence,
     unit_vector_sequence,

@@ -5,8 +5,8 @@ decides the claim, verified-at-horizon when only a finite prefix was
 checked, falsified with a concrete witness, inconclusive otherwise.  The
 descriptors attached to sequences are what make the exact grade reachable;
 without one, the oracles degrade honestly instead of overclaiming.
-What a descriptor proves about a tail is decided in ``sequences``; only
-the symbolic containment arguments here read descriptors themselves.
+What a descriptor proves is decided in ``sequences``; the oracles here ask
+it and never read a descriptor themselves.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from .carriers import CarrierMismatch, GroupCarrier
 from .entourages import real_entourage_contains
 from .exact import EXT_INF, ExtValue, frac_floor, rat
 from .semimetrics import SemimetricFamily
-from .sequences import (NEVER_CONSTANT, BoundClaim, CofiniteFilterChain, MetricCertificate,
-                        O1Witness, O2Witness, SequenceFamily, SingletonAtoms,
-                        TailClosedForm, chain_bound, clamped_descriptor, settled)
-from .spaces import NO_BOUND, EvLinSeq, EvLinSpace, FinCofAlgebra, FinCofSet
+from .sequences import (NEVER_CONSTANT, BoundClaim, MetricCertificate, O1Witness, O2Witness,
+                        SequenceFamily, _constant_tail, chain_bound, clamped_descriptor,
+                        containment, monotone, settled)
+from .spaces import NO_BOUND, EvLinSeq, EvLinSpace, FinCofAlgebra
 from .truncation import TruncationPair, _check_cap, _clamp, truncate_f
 from .verdicts import Verdict
 
@@ -62,12 +62,6 @@ def _grade_bound(seq: SequenceFamily, kind: str, target, k0: int,
             return Verdict.falsified(witness=(kind, k, v),
                                      detail=f"term {k} is not above the claimed infimum")
     return Verdict.inconclusive(detail=f"{label} undecided ({claim.detail})")
-
-
-def _constant_tail(seq: SequenceFamily):
-    """settled(seq) when it proves seq constant from some index, else None."""
-    tail = settled(seq)
-    return None if tail is None or tail[1] is NEVER_CONSTANT else tail
 
 
 # ---------------------------------------------------------------------------
@@ -125,91 +119,22 @@ def verify_O1(seq: SequenceFamily, x, w: O1Witness,
 # O2: eventual containment in witness intervals
 
 
-def _series_of(seq: SequenceFamily):
-    d = seq.descriptor
-    return d.series if isinstance(d, TailClosedForm) else None
-
-
-def _o2_symbolic_line(seq, w: O2Witness) -> Optional[Verdict]:
-    """Exact containment on the rational line via single-variable reduction.
-
-    With K(j) = j + c and a nondecreasing lower chain m, the two-variable
-    claim (for all j, all k >= j + c: m_j <= x_k) reduces to the
-    single-variable tail fact x_{t+c} >= m_t for all t: any j <= k - c has
-    m_j <= m_{k-c}.  Dually for the upper chain.
-    """
-    xs, ms, ns = _series_of(seq), _series_of(w.lower), _series_of(w.upper)
-    if xs is None or ms is None or ns is None or w.offset is None:
-        return None
-    c = w.offset
-    ok_m, bad_m = ms.nondecreasing_from(1)
-    if not ok_m:
-        return Verdict.falsified(witness=("lower-monotone", bad_m), detail="lower chain decreased")
-    ok_n, bad_n = ns.nonincreasing_from(1)
-    if not ok_n:
-        return Verdict.falsified(witness=("upper-monotone", bad_n), detail="upper chain increased")
-    low_ok, low_bad = (xs.shift(c) - ms).nonneg_from(1)
-    if not low_ok:
-        return Verdict.falsified(witness=("containment", low_bad, low_bad + c),
-                                 detail="term fell below the lower chain")
-    high_ok, high_bad = (ns - xs.shift(c)).nonneg_from(1)
-    if not high_ok:
-        return Verdict.falsified(witness=("containment", high_bad, high_bad + c),
-                                 detail="term exceeded the upper chain")
-    return Verdict.exact(detail="containment decided symbolically on the line")
-
-
-def _o2_symbolic_fincof(seq, w: O2Witness) -> Optional[Verdict]:
-    """Exact containment for the singleton stream inside the shrinking
-    cofinite chain: {k} avoids {1..j} precisely when k > j, which the
-    eventual index K(j) = j + c with c >= 1 guarantees."""
-    upper_d = w.upper.descriptor
-    if not (isinstance(seq.descriptor, SingletonAtoms)
-            and isinstance(upper_d, CofiniteFilterChain)
-            and upper_d.within == FinCofSet.universe()
-            and settled(w.lower) == (1, FinCofSet.empty())
-            and w.offset is not None and w.offset >= 1):
-        return None
-    return Verdict.exact(detail="singleton avoids the dropped prefix once k > j")
-
-
-def _o2_symbolic_evconst(seq, w: O2Witness) -> Optional[Verdict]:
-    """Exact containment when sequence and chains provably settle."""
-    tails = [_constant_tail(s) for s in (seq, w.lower, w.upper)]
-    if None in tails:
-        return None
-    k_stop, lower_knee, upper_knee = (t[0] for t in tails)
-    L = seq.carrier
-    j_stop = max(lower_knee, upper_knee) + 1
-    for j in range(1, j_stop + 1):
-        start = max(w.k_of(j), 1)
-        for k in range(start, max(k_stop, start) + 1):
-            if not (L.leq(w.lower.value(j), seq.value(k))
-                    and L.leq(seq.value(k), w.upper.value(j))):
-                return Verdict.falsified(witness=("containment", j, k),
-                                         detail="interval containment violated")
-    return Verdict.exact(detail="eventually constant containment")
-
-
 def verify_O2(seq: SequenceFamily, x, w: O2Witness,
               horizon: int = DEFAULT_HORIZON) -> Verdict:
     """Check sup(lower chain) = x = inf(upper chain) and the eventual
     containment x_k in [m_j, n_j] for k >= K(j).
 
-    Containment is decided symbolically where the descriptors support it
-    (rational line with affine K, the finite/cofinite singleton stream,
-    data that provably settles); otherwise a budgeted prefix is checked and
-    the verdict is graded at the horizon.
+    Containment is decided by ``sequences.containment`` where the
+    descriptors support a symbolic argument; otherwise a budgeted prefix is
+    checked and the verdict is graded at the horizon.
     """
     L = seq.carrier
     if w.lower.carrier is not L or w.upper.carrier is not L:
         raise CarrierMismatch("witness chains must live on the sequence's carrier")
     x = L.check_element(x)
 
-    containment = (_o2_symbolic_line(seq, w)
-                   or _o2_symbolic_fincof(seq, w)
-                   or _o2_symbolic_evconst(seq, w))
-    if containment is None:
+    contained = containment(seq, w)
+    if contained is None:
         j_budget = min(horizon, 96)
         for j in range(1, j_budget + 1):
             start = max(w.k_of(j), 1)
@@ -219,11 +144,11 @@ def verify_O2(seq: SequenceFamily, x, w: O2Witness,
                 if not (L.leq(mj, xv) and L.leq(xv, nj)):
                     return Verdict.falsified(witness=("containment", j, k),
                                              detail="interval containment violated")
-        containment = Verdict.at_horizon(horizon, detail="containment checked on a budgeted prefix")
-    if not containment.ok:
-        return containment
+        contained = Verdict.at_horizon(horizon, detail="containment checked on a budgeted prefix")
+    if not contained.ok:
+        return contained
 
-    parts = [containment,
+    parts = [contained,
              _grade_bound(w.lower, "sup", x, 1, horizon),
              _grade_bound(w.upper, "inf", x, 1, horizon)]
     return Verdict.weakest(parts)
@@ -460,11 +385,8 @@ def exhaustivity_probe(seq: SequenceFamily, D: SemimetricFamily,
     """Cauchy probe of a monotone sequence: the operational form of
     exhaustivity.  Rejects non-monotone input."""
     L = seq.carrier
-    series = _series_of(seq)
-    if series is not None:
-        if not (series.nondecreasing_from(1)[0] or series.nonincreasing_from(1)[0]):
-            raise ValueError("exhaustivity probe needs a monotone sequence")
-    else:
+    ok = monotone(seq)
+    if ok is None:
         up = down = True
         prev = seq.value(1)
         for k in range(2, min(horizon, 256) + 1):
@@ -472,8 +394,9 @@ def exhaustivity_probe(seq: SequenceFamily, D: SemimetricFamily,
             up = up and L.leq(prev, cur)
             down = down and L.leq(cur, prev)
             prev = cur
-        if not (up or down):
-            raise ValueError("exhaustivity probe needs a monotone sequence")
+        ok = up or down
+    if not ok:
+        raise ValueError("exhaustivity probe needs a monotone sequence")
     return metric_cauchy(seq, D, cert, eps_grid, horizon)
 
 

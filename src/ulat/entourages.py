@@ -41,21 +41,6 @@ def real_entourage_contains(n: int, x, y) -> bool:
 
 
 @dataclass(frozen=True)
-class RealEntourage:
-    """U_n as a membership predicate; symmetric and reflexive by clause shape."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("entourage index must be a positive integer")
-
-    def __contains__(self, pair) -> bool:
-        x, y = pair
-        return real_entourage_contains(self.n, x, y)
-
-
-@dataclass(frozen=True)
 class ComposeCase:
     """One clause combination of the composition U_{2n} o U_{2n} <= U_n.
 

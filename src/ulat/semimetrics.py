@@ -272,16 +272,6 @@ class KernelRelation:
                 return i
         raise CarrierMismatch(f"{x!r} is not in any kernel class of {self.carrier.name!r}")
 
-    def class_of(self, x) -> tuple:
-        return self.blocks[self.class_index(x)]
-
-    def representative(self, x):
-        return self.class_of(x)[0]
-
-    @property
-    def is_discrete(self) -> bool:
-        return all(len(block) == 1 for block in self.blocks)
-
 
 def kernel_partition(L: Carrier, D: SemimetricFamily) -> KernelRelation:
     """Partition a finite carrier into zero-distance classes of D.
@@ -328,9 +318,6 @@ class QuotientLattice:
     kernel: KernelRelation
     induced: SemimetricFamily
     hausdorff: bool
-
-    def project(self, x):
-        return self.kernel.representative(x)
 
 
 def quotient(L: Carrier, kernel: KernelRelation, D: SemimetricFamily) -> QuotientLattice:
@@ -490,10 +477,6 @@ def ph_criterion_detail(L: FiniteLattice, S: Sequence, D: SemimetricFamily) -> R
         )
     return RecoveryResult(by_criterion, family_hausdorff, recovery_ok,
                           kernel_hausdorff, failing)
-
-
-def ph_criterion(L: FiniteLattice, S: Sequence, D: SemimetricFamily) -> bool:
-    return ph_criterion_detail(L, S, D).hausdorff
 
 
 # ---------------------------------------------------------------------------

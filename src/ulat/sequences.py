@@ -5,9 +5,11 @@ present, is a machine-checkable closed form that licenses exact tail
 reasoning: eventually constant, periodic, a rational closed form with an
 alternating part, the unit-vector stream, or one of the finite/cofinite
 chain shapes.  Everything downstream grades its verdicts by whether a
-descriptor made a symbolic argument possible; what a descriptor proves
-about a tail is decided here: where it settles (``settled``), its clamped
-image (``clamped_descriptor``) and its sup and inf (``chain_bound``).
+descriptor made a symbolic argument possible.  This is the only module that
+reads descriptors; what one proves is decided here: where the tail settles
+(``settled``), its clamped image (``clamped_descriptor``), its sup and inf
+(``chain_bound``), whether it is monotone (``monotone``) and whether it
+stays in the intervals of an O2 witness (``containment``).
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from typing import Callable, Optional
 
 from .carriers import Carrier
 from .exact import RatAltSeq, rat
-from .spaces import NO_BOUND, C00Vec, FinCofSet
+from .spaces import NO_BOUND, C00Space, C00Vec, FinCofAlgebra, FinCofSet, QLine, QVec
 from .truncation import TruncationPair, truncate_f
+from .verdicts import Verdict
 
 # ---------------------------------------------------------------------------
 # Descriptors
@@ -93,36 +96,6 @@ class SequenceFamily:
             raise ValueError("sequences are 1-indexed")
         return self.carrier.normalize(self.term(k))
 
-    def descriptor_matches(self, indices) -> bool:
-        """Spot-check that the descriptor reproduces term on these indices."""
-        if self.descriptor is None:
-            return True
-        for k in indices:
-            if self.value(k) != _descriptor_value(self, k):
-                return False
-        return True
-
-
-def _descriptor_value(seq: SequenceFamily, k: int):
-    d = seq.descriptor
-    if isinstance(d, EventuallyConstant):
-        return seq.carrier.normalize(d.value) if k >= d.from_index else seq.value(k)
-    if isinstance(d, Periodic):
-        if k < d.from_index:
-            return seq.value(k)
-        return seq.carrier.normalize(d.values[(k - d.from_index) % len(d.values)])
-    if isinstance(d, TailClosedForm):
-        return seq.carrier.normalize(d.series.eval(k))
-    if isinstance(d, UnitVectors):
-        return C00Vec.unit(k)
-    if isinstance(d, SingletonAtoms):
-        return FinCofSet.singleton(k)
-    if isinstance(d, AtomPrefixSets):
-        return FinCofSet.finite(range(1, k + 1))
-    if isinstance(d, CofiniteFilterChain):
-        return d.term(k)
-    return seq.value(k)
-
 
 # ---------------------------------------------------------------------------
 # Factories
@@ -176,11 +149,6 @@ def cofinite_chain_sequence(algebra: Carrier, name: str = "N_j",
     return SequenceFamily(name, algebra, chain.term, chain)
 
 
-def sequence_of(L: Carrier, term: Callable[[int], object], name: str,
-                descriptor=None) -> SequenceFamily:
-    return SequenceFamily(name, L, term, descriptor)
-
-
 # ---------------------------------------------------------------------------
 # Witnesses and certificates
 
@@ -207,10 +175,12 @@ class O2Witness:
     k_of: Callable[[int], int]
     offset: Optional[int] = None
 
+    def __post_init__(self):
+        if self.offset is not None and self.offset < 0:
+            raise ValueError("eventual-index offset must be nonnegative")
+
     @staticmethod
     def affine(lower: SequenceFamily, upper: SequenceFamily, offset: int) -> "O2Witness":
-        if offset < 0:
-            raise ValueError("eventual-index offset must be nonnegative")
         return O2Witness(lower, upper, lambda j: j + offset, offset)
 
 
@@ -275,6 +245,12 @@ def settled(seq: SequenceFamily):
     if isinstance(d, SingletonAtoms):
         return 1, NEVER_CONSTANT
     return None
+
+
+def _constant_tail(seq: SequenceFamily):
+    """settled(seq) when it proves seq constant from some index, else None."""
+    tail = settled(seq)
+    return None if tail is None or tail[1] is NEVER_CONSTANT else tail
 
 
 def clamped_descriptor(seq: SequenceFamily, p: TruncationPair):
@@ -377,24 +353,119 @@ def chain_bound(seq: SequenceFamily, kind: str, k0: int = 1,
     return BoundClaim(None, False, "no descriptor and carrier not finite")
 
 
+def _series_of(seq: SequenceFamily) -> Optional[RatAltSeq]:
+    d = seq.descriptor
+    return d.series if isinstance(d, TailClosedForm) else None
+
+
+def monotone(seq: SequenceFamily) -> Optional[bool]:
+    """Whether the terms are monotone from index 1: True or False when the
+    descriptor is a closed form, None when the descriptor does not decide."""
+    series = _series_of(seq)
+    if series is None:
+        return None
+    return series.nondecreasing_from(1)[0] or series.nonincreasing_from(1)[0]
+
+
+# ---------------------------------------------------------------------------
+# Eventual containment in witness intervals
+
+
+def _line_containment(seq: SequenceFamily, w: O2Witness) -> Optional[Verdict]:
+    """Exact containment on the rational line via single-variable reduction.
+
+    With K(j) = j + c and a nondecreasing lower chain m, the two-variable
+    claim (for all j, all k >= j + c: m_j <= x_k) reduces to the
+    single-variable tail fact x_{t+c} >= m_t for all t: any j <= k - c has
+    m_j <= m_{k-c}.  Dually for the upper chain.
+    """
+    xs, ms, ns = _series_of(seq), _series_of(w.lower), _series_of(w.upper)
+    if xs is None or ms is None or ns is None or w.offset is None:
+        return None
+    c = w.offset
+    ok_m, bad_m = ms.nondecreasing_from(1)
+    if not ok_m:
+        return Verdict.falsified(witness=("lower-monotone", bad_m), detail="lower chain decreased")
+    ok_n, bad_n = ns.nonincreasing_from(1)
+    if not ok_n:
+        return Verdict.falsified(witness=("upper-monotone", bad_n), detail="upper chain increased")
+    low_ok, low_bad = (xs.shift(c) - ms).nonneg_from(1)
+    if not low_ok:
+        return Verdict.falsified(witness=("containment", low_bad, low_bad + c),
+                                 detail="term fell below the lower chain")
+    high_ok, high_bad = (ns - xs.shift(c)).nonneg_from(1)
+    if not high_ok:
+        return Verdict.falsified(witness=("containment", high_bad, high_bad + c),
+                                 detail="term exceeded the upper chain")
+    return Verdict.exact(detail="containment decided symbolically on the line")
+
+
+def _fincof_containment(seq: SequenceFamily, w: O2Witness) -> Optional[Verdict]:
+    """Exact containment for the singleton stream inside the shrinking
+    cofinite chain: {k} avoids {1..j} precisely when k > j, which the
+    eventual index K(j) = j + c with c >= 1 guarantees."""
+    upper_d = w.upper.descriptor
+    if not (isinstance(seq.descriptor, SingletonAtoms)
+            and isinstance(upper_d, CofiniteFilterChain)
+            and upper_d.within == FinCofSet.universe()
+            and settled(w.lower) == (1, FinCofSet.empty())
+            and w.offset is not None and w.offset >= 1):
+        return None
+    return Verdict.exact(detail="singleton avoids the dropped prefix once k > j")
+
+
+def _settled_containment(seq: SequenceFamily, w: O2Witness) -> Optional[Verdict]:
+    """Exact containment when sequence and chains provably settle."""
+    tails = [_constant_tail(s) for s in (seq, w.lower, w.upper)]
+    if None in tails:
+        return None
+    k_stop, lower_knee, upper_knee = (t[0] for t in tails)
+    L = seq.carrier
+    j_stop = max(lower_knee, upper_knee) + 1
+    for j in range(1, j_stop + 1):
+        start = max(w.k_of(j), 1)
+        for k in range(start, max(k_stop, start) + 1):
+            if not (L.leq(w.lower.value(j), seq.value(k))
+                    and L.leq(seq.value(k), w.upper.value(j))):
+                return Verdict.falsified(witness=("containment", j, k),
+                                         detail="interval containment violated")
+    return Verdict.exact(detail="eventually constant containment")
+
+
+def containment(seq: SequenceFamily, w: O2Witness) -> Optional[Verdict]:
+    """Decide x_k in [lower(j), upper(j)] for every j and every k >= K(j)
+    from the descriptors: an exact or falsified verdict, or None when no
+    symbolic argument applies.
+
+    The arguments, in order: closed forms on the line with an affine K,
+    the singleton stream inside the shrinking cofinite chain, and data that
+    provably settles.
+    """
+    return (_line_containment(seq, w)
+            or _fincof_containment(seq, w)
+            or _settled_containment(seq, w))
+
+
 # ---------------------------------------------------------------------------
 # JSON witness term grammar
 #
-# Scalar terms (rational line):
+# Scalar terms, on the rational line:
 #   "k"            the index            "1/k"        its reciprocal
 #   "alt"          (-1)^k               "p/q"        a rational constant
 #   number         an integer constant
 #   ["+", t, u]    ["-", t, u]   ["-", t]   ["*", t, u]   compose terms
-# Carrier-specific builtins:
-#   ["singleton-atoms"]        A_k = {k}           (finite/cofinite algebra)
-#   ["atom-prefix"]            {1..k}              (finite/cofinite algebra)
+# Builtins on the finite/cofinite algebra:
+#   ["singleton-atoms"]        A_k = {k}
+#   ["atom-prefix"]            {1..k}
 #   ["drop-atom-prefix"]       complement of {1..k}
 #   ["set", [atoms...]]        a constant finite set
 #   ["coset", [atoms...]]      a constant cofinite set
-#   ["unit-vectors"]           e_k                 (finitely supported seqs)
-#   ["vec", t1, ..., tn]       a vector of scalar terms (rational vectors)
-# Atoms are integers.  Messages show terms through reprlib, which stays
-# short and never recurses deeply.
+# On finitely supported sequences:
+#   ["unit-vectors"]           e_k
+# On rational n-vectors:
+#   ["vec", t1, ..., tn]       a vector of n scalar terms
+# A term on any other carrier is refused.  Atoms are integers.  Messages
+# show terms through reprlib, which stays short and never recurses deeply.
 
 MAX_TERM_DEPTH = 100
 
@@ -444,10 +515,22 @@ def _atoms(op: str, atoms) -> list:
     return atoms
 
 
+_SET_TERMS = ("singleton-atoms", "atom-prefix", "drop-atom-prefix", "set", "coset")
+
+
+def _require(fits: bool, doc, carrier: Carrier, needs: str) -> None:
+    if not fits:
+        raise ValueError(f"term {reprlib.repr(doc)} needs {needs}, not the carrier {carrier.name!r}")
+
+
 def parse_sequence_term(doc, carrier: Carrier, name: str = "term") -> SequenceFamily:
-    """Parse a term document into a sequence on the given carrier."""
+    """Parse a term document into a sequence on the given carrier.
+
+    A term on a carrier it does not fit is refused with ValueError."""
     if isinstance(doc, list) and doc:
         op, *args = doc
+        if op in _SET_TERMS:
+            _require(isinstance(carrier, FinCofAlgebra), doc, carrier, "the finite/cofinite algebra")
         if op == "singleton-atoms":
             return singleton_atom_sequence(carrier, name)
         if op == "atom-prefix":
@@ -461,13 +544,17 @@ def parse_sequence_term(doc, carrier: Carrier, name: str = "term") -> SequenceFa
         if op == "coset" and len(args) == 1:
             return constant_sequence(carrier, FinCofSet.cofinite_complement(_atoms(op, args[0])), name)
         if op == "unit-vectors":
+            _require(isinstance(carrier, C00Space), doc, carrier, "finitely supported sequences")
             return unit_vector_sequence(carrier, name)
         if op == "vec":
             parts = [parse_scalar_series(a) for a in args]
+            _require(isinstance(carrier, QVec) and carrier.dim == len(parts), doc, carrier,
+                     f"rational vectors of dimension {len(parts)}")
 
             def term(k, _parts=tuple(parts)):
                 return tuple(p.eval(k) for p in _parts)
 
             return SequenceFamily(name, carrier, term, None)
     series = parse_scalar_series(doc)
+    _require(isinstance(carrier, QLine), doc, carrier, "the rational line")
     return series_sequence(carrier, series, name)

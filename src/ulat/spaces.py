@@ -250,13 +250,6 @@ class FinCofSet:
     def union(self, other: "FinCofSet") -> "FinCofSet":
         return self.complement().intersect(other.complement()).complement()
 
-    def contains_atom(self, atom: int) -> bool:
-        inside = atom in self.atoms
-        return not inside if self.cofinite else inside
-
-    def subset_of(self, other: "FinCofSet") -> bool:
-        return self.intersect(other) == self
-
     def __repr__(self) -> str:
         inner = "{" + ",".join(str(a) for a in sorted(self.atoms)) + "}"
         return f"~{inner}" if self.cofinite else inner

@@ -20,7 +20,7 @@ from ulat.convergence import (
     verify_O2,
     verify_uO,
 )
-from ulat.exact import RatAltSeq
+from ulat.exact import Poly, RatAltSeq
 from ulat.semimetrics import SemimetricFamily, line_abs_semimetric, ustar_family
 from ulat.sequences import (
     NEVER_CONSTANT,
@@ -29,13 +29,13 @@ from ulat.sequences import (
     O1Witness,
     O2Witness,
     Periodic,
+    SequenceFamily,
     TailClosedForm,
     constant_sequence,
     cofinite_chain_sequence,
     eventually_constant_sequence,
     o2_from_o1,
     periodic_sequence,
-    sequence_of,
     series_sequence,
     settled,
     singleton_atom_sequence,
@@ -93,6 +93,46 @@ def test_o2_line_containment_is_symbolic():
     v = verify_O2(altharm(), F(0), O2Witness.affine(lo, hi, 0))
     assert v.status == "exact"
     assert "symbolically" in v.detail
+
+
+# k / (k^2 + 4) rises from 1/5 to 1/4 at k = 2 and falls from there on
+HUMP = RatAltSeq(Poly.of(0, 1), Poly.of(0), Poly.of(4, 0, 1))
+
+
+def test_o2_line_lower_chain_must_not_decrease():
+    _, hi = harmonic_pair()
+    v = verify_O2(altharm(), F(0), O2Witness.affine(series_sequence(Q, HUMP, "hump"), hi, 0))
+    assert v.status == "falsified"
+    assert v.witness == ("lower-monotone", 2)
+    assert v.detail == "lower chain decreased"
+
+
+def test_o2_line_upper_chain_must_not_increase():
+    lo, _ = harmonic_pair()
+    v = verify_O2(altharm(), F(0), O2Witness.affine(lo, series_sequence(Q, -HUMP, "dip"), 0))
+    assert v.status == "falsified"
+    assert v.witness == ("upper-monotone", 2)
+    assert v.detail == "upper chain increased"
+
+
+@pytest.mark.parametrize("scale, detail", [(-2, "term fell below the lower chain"),
+                                           (2, "term exceeded the upper chain")])
+def test_o2_line_containment_names_the_shifted_term(scale, detail):
+    # x_k = ±2/k against ∓1/j with K(j) = j + 2: 2/(t + 2) <= 1/t holds
+    # exactly for t <= 2, so the first failure is t = 3 at k = 5
+    lo, hi = harmonic_pair()
+    x = series_sequence(Q, RatAltSeq.inv_index() * scale, "x")
+    v = verify_O2(x, F(0), O2Witness.affine(lo, hi, 2))
+    assert v.status == "falsified"
+    assert v.witness == ("containment", 3, 5)
+    assert v.detail == detail
+
+
+def test_o2_line_without_an_affine_offset_is_scanned():
+    lo, hi = harmonic_pair()
+    v = verify_O2(altharm(), F(0), O2Witness(lo, hi, lambda j: j), horizon=200)
+    assert v.status == "verified-at-horizon"
+    assert v.detail == "containment checked on a budgeted prefix"
 
 
 def test_o2_replay_of_a_late_sandwich_stays_exact():
@@ -155,10 +195,10 @@ def test_constancy_witness_names_two_different_terms():
 
 
 def test_constancy_scan_without_descriptor():
-    seq = sequence_of(A, lambda k: FinCofSet.finite({1} if k < 4 else {2}), "late")
+    seq = SequenceFamily("late", A, lambda k: FinCofSet.finite({1} if k < 4 else {2}))
     v = decide_O1_eventual_constancy(seq, FinCofSet.finite({2}), horizon=64)
     assert v.status == "verified-at-horizon"
-    still = sequence_of(A, lambda k: FinCofSet.singleton(k), "drift")
+    still = SequenceFamily("drift", A, lambda k: FinCofSet.singleton(k))
     assert decide_O1_eventual_constancy(still, FinCofSet.empty(), horizon=64).status == "falsified"
 
 
@@ -439,13 +479,13 @@ def test_bound_grading_without_a_bound_falsifies():
 
 def test_bound_grading_of_a_fold_is_at_the_horizon():
     L = chain_lattice(3)
-    seq = sequence_of(L, lambda k: 2 if k >= 3 else 0, "late")
+    seq = SequenceFamily("late", L, lambda k: 2 if k >= 3 else 0)
     v = _grade_bound(seq, "sup", 2, 1, 100)
     assert v.status == "verified-at-horizon" and v.horizon == 100
 
 
 def test_bound_grading_names_a_term_on_the_wrong_side():
-    seq = sequence_of(Q, lambda k: F(1) if k == 3 else F(0), "blip")
+    seq = SequenceFamily("blip", Q, lambda k: F(1) if k == 3 else F(0))
     v = _grade_bound(seq, "sup", F(0), 1, 100)
     assert v.status == "falsified"
     assert v.witness == ("sup", 3, F(1))

@@ -12,7 +12,6 @@ from ulat.entourages import (
     DIAG,
     HIGH,
     LOW,
-    RealEntourage,
     compose_case_analysis,
     compose_triple_violation,
     entourage_clause,
@@ -38,25 +37,23 @@ def test_clause_rejects_nonpositive_index():
     with pytest.raises(ValueError):
         entourage_clause(0, 0, 0)
     with pytest.raises(ValueError):
-        RealEntourage(-1)
+        real_entourage_contains(-1, 0, 0)
 
 
 def test_membership_matches_clause():
-    u = RealEntourage(4)
-    assert (F(1, 8), F(1, 4)) in u
-    assert (4, 9) in u
-    assert (-4, -100) in u
-    assert (0, 1) not in u
+    assert real_entourage_contains(4, F(1, 8), F(1, 4))
+    assert real_entourage_contains(4, 4, 9)
+    assert real_entourage_contains(4, -4, -100)
+    assert not real_entourage_contains(4, 0, 1)
     assert real_entourage_contains(4, "1/8", "1/4")
 
 
 def test_membership_is_symmetric_and_reflexive():
-    u = RealEntourage(5)
     pts = [F(0), F(1, 5), F(7), F(-9), F(13, 3)]
     for x in pts:
-        assert (x, x) in u
+        assert real_entourage_contains(5, x, x)
         for y in pts:
-            assert ((x, y) in u) == ((y, x) in u)
+            assert real_entourage_contains(5, x, y) == real_entourage_contains(5, y, x)
 
 
 def test_nine_case_analysis_holds_at_small_and_large_n():

@@ -21,7 +21,6 @@ from ulat.semimetrics import (
     line_abs_semimetric,
     load_distance_table,
     order_interval,
-    ph_criterion,
     ph_criterion_detail,
     pullback_semimetric,
     quotient,
@@ -175,9 +174,7 @@ class TestKernelAndQuotient:
             "collapse", L, lambda x: fold[x], discrete_semimetric(target)))
         ker = kernel_partition(L, D)
         assert ker.blocks == ((0,), (1, 2), (3,))
-        assert not ker.is_discrete
-        assert ker.class_of(2) == (1, 2)
-        assert ker.representative(2) == 1
+        assert ker.blocks[ker.class_index(2)] == (1, 2)
 
     def test_collapse_quotient_is_hausdorff_three_chain(self):
         L = chain_lattice(4)
@@ -187,11 +184,12 @@ class TestKernelAndQuotient:
             "collapse", L, lambda x: fold[x], discrete_semimetric(target)))
         ker = kernel_partition(L, D)
         q = quotient(L, ker, D)
-        assert len(q.carrier.elements()) == 3
+        assert q.carrier.elements() == [0, 1, 3]
         assert q.hausdorff
-        assert q.project(2) == q.project(1)
+        # 2 projects to its class's representative 1, an element of the quotient
+        assert q.kernel.blocks[q.kernel.class_index(2)][0] == 1
         res = kernel_partition(q.carrier, q.induced)
-        assert res.is_discrete
+        assert all(len(block) == 1 for block in res.blocks)
 
     def test_non_congruent_kernel_is_rejected_with_witness(self):
         M3 = diamond_lattice()
@@ -211,7 +209,7 @@ class TestKernelAndQuotient:
         L = powerset_lattice(2)
         D = SemimetricFamily.of("discrete", discrete_semimetric(L))
         ker = kernel_partition(L, D)
-        assert ker.is_discrete
+        assert all(len(block) == 1 for block in ker.blocks)
         q = quotient(L, ker, D)
         assert len(q.carrier.elements()) == 4
 
@@ -251,10 +249,10 @@ class TestRecoveryCriterion:
     def test_three_chain_needs_both_ends(self):
         L = chain_lattice(3)
         D = SemimetricFamily.of("discrete", discrete_semimetric(L))
-        assert ph_criterion(L, [0, 2], D)
-        assert ph_criterion(L, [0, 1, 2], D)
-        assert not ph_criterion(L, [0], D)
-        assert not ph_criterion(L, [0, 1], D)
+        assert ph_criterion_detail(L, [0, 2], D).hausdorff
+        assert ph_criterion_detail(L, [0, 1, 2], D).hausdorff
+        assert not ph_criterion_detail(L, [0], D).hausdorff
+        assert not ph_criterion_detail(L, [0, 1], D).hausdorff
 
     def test_detail_reports_the_failing_element(self):
         L = chain_lattice(3)
@@ -276,17 +274,17 @@ class TestRecoveryCriterion:
         L = powerset_lattice(2)
         D = SemimetricFamily.of("discrete", discrete_semimetric(L))
         with pytest.raises(ValueError):
-            ph_criterion(L, [s(1), s(2)], D)  # missing meet and join
+            ph_criterion_detail(L, [s(1), s(2)], D)  # missing meet and join
         with pytest.raises(ValueError):
-            ph_criterion(L, [], D)
+            ph_criterion_detail(L, [], D)
 
     def test_agreement_holds_on_nondistributive_carriers(self):
         # the clamp kernel is not a congruence there, but discreteness is
         # still the right notion and must agree with the criterion
         N5 = diamond_lattice()
         D = SemimetricFamily.of("discrete", discrete_semimetric(N5))
-        assert ph_criterion(N5, N5.elements(), D)
-        assert not ph_criterion(N5, ["0", "a"], D)
+        assert ph_criterion_detail(N5, N5.elements(), D).hausdorff
+        assert not ph_criterion_detail(N5, ["0", "a"], D).hausdorff
 
 
 class TestDistanceTables:

@@ -16,18 +16,20 @@ from ulat.sequences import (
     O1Witness,
     O2Witness,
     Periodic,
+    SequenceFamily,
     SingletonAtoms,
     TailClosedForm,
     UnitVectors,
     chain_bound,
     cofinite_chain_sequence,
     constant_sequence,
+    containment,
     eventually_constant_sequence,
+    monotone,
     o2_from_o1,
     parse_scalar_series,
     parse_sequence_term,
     periodic_sequence,
-    sequence_of,
     series_sequence,
     settled,
     singleton_atom_sequence,
@@ -40,6 +42,7 @@ from ulat.spaces import (
     FinCofAlgebra,
     FinCofSet,
     QLine,
+    QVec,
 )
 
 Q = QLine()
@@ -58,7 +61,6 @@ def test_eventually_constant_factory():
     s = eventually_constant_sequence(Q, (F(5), F(4)), F(1), "settle")
     assert [s.value(k) for k in (1, 2, 3, 9)] == [F(5), F(4), F(1), F(1)]
     assert s.descriptor == EventuallyConstant(F(1), 3)
-    assert s.descriptor_matches(range(1, 12))
 
 
 def test_periodic_factory_and_prefix_rule():
@@ -66,7 +68,6 @@ def test_periodic_factory_and_prefix_rule():
     s = periodic_sequence(Q, (F(1), F(2)), "blink", prefix=(F(9),))
     assert [s.value(k) for k in (1, 2, 3, 4, 5)] == [F(9), F(1), F(2), F(1), F(2)]
     assert s.descriptor == Periodic((F(1), F(2)), 2)
-    assert s.descriptor_matches(range(1, 9))
     with pytest.raises(ValueError):
         Periodic((), 1)
 
@@ -79,23 +80,14 @@ def test_series_and_builtin_streams_match_descriptors():
     units = unit_vector_sequence(V)
     assert units.value(3) == C00Vec.unit(3)
     assert units.descriptor == UnitVectors()
-    assert units.descriptor_matches((1, 2, 7))
 
     atoms = singleton_atom_sequence(A)
     assert atoms.value(5) == FinCofSet.singleton(5)
-    assert atoms.descriptor_matches((1, 4))
+    assert atoms.descriptor == SingletonAtoms()
 
     chain = cofinite_chain_sequence(A)
     assert chain.value(3) == FinCofSet.cofinite_complement({1, 2, 3})
-    assert chain.descriptor_matches((1, 2, 6))
-
-
-def test_descriptor_mismatch_is_detected():
-    lying = sequence_of(Q, lambda k: F(k), "lying", EventuallyConstant(F(1), 1))
-    assert not lying.descriptor_matches((1, 2))
-    assert lying.descriptor_matches((1,))
-    bare = sequence_of(Q, lambda k: F(k), "bare")
-    assert bare.descriptor_matches(range(1, 5))
+    assert chain.descriptor == CofiniteFilterChain()
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +127,7 @@ def test_settled_set_chains_are_undecided():
 
 
 def test_settled_without_descriptor_is_undecided():
-    assert settled(sequence_of(Q, lambda k: F(1), "opaque")) is None
+    assert settled(SequenceFamily("opaque", Q, lambda k: F(1))) is None
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +216,7 @@ class TestSetChainBounds:
         assert chain_bound(prefix, "sup").value == FinCofSet.universe()
         assert chain_bound(prefix, "inf", k0=3).value == FinCofSet.finite({1, 2, 3})
         # a descriptor chain_bound does not know stays undecided
-        opaque = sequence_of(A, FinCofSet.singleton, "opaque")
+        opaque = SequenceFamily("opaque", A, FinCofSet.singleton)
         assert chain_bound(opaque, "sup").value is None
 
     def test_rejects_bad_arguments(self):
@@ -249,14 +241,14 @@ def test_unit_vector_bounds():
 
 def test_descriptorless_fold_on_finite_carrier_is_inexact():
     L = chain_lattice(4)
-    seq = sequence_of(L, lambda k: min(k, 2), "capped")
+    seq = SequenceFamily("capped", L, lambda k: min(k, 2))
     claim = chain_bound(seq, "sup", horizon=8)
     assert claim.value == 2 and not claim.exact
     assert "fold" in claim.detail
 
 
 def test_descriptorless_infinite_carrier_is_undecided():
-    seq = sequence_of(Q, lambda k: F(1, k), "opaque")
+    seq = SequenceFamily("opaque", Q, lambda k: F(1, k))
     claim = chain_bound(seq, "sup")
     assert claim.value is None and not claim.exact
 
@@ -282,6 +274,23 @@ def test_o2_replay_shifts_the_sandwich_start():
     assert replay.upper.descriptor.series.eval(1) == F(1, 3)
 
 
+def test_monotone_is_decided_by_closed_forms_only():
+    assert monotone(series_sequence(Q, RatAltSeq.inv_index(), "1/k")) is True
+    assert monotone(series_sequence(Q, RatAltSeq.alt(), "alt")) is False
+    assert monotone(eventually_constant_sequence(Q, (F(0),), F(1), "step")) is None
+
+
+def test_containment_leaves_undecided_witnesses_to_the_caller():
+    lo = series_sequence(Q, -RatAltSeq.inv_index(), "lo")
+    hi = series_sequence(Q, RatAltSeq.inv_index(), "hi")
+    x = series_sequence(Q, RatAltSeq.const(0), "zero")
+    assert containment(x, O2Witness(lo, hi, lambda j: j)) is None
+    assert containment(x, O2Witness.affine(lo, hi, 0)).status == "exact"
+    atoms = singleton_atom_sequence(A)
+    empty = constant_sequence(A, FinCofSet.empty(), "empty")
+    assert containment(atoms, O2Witness.affine(empty, cofinite_chain_sequence(A), 0)) is None
+
+
 def test_o2_replay_from_the_start_keeps_terms():
     lower = constant_sequence(Q, -1)
     upper = constant_sequence(Q, 1)
@@ -294,6 +303,8 @@ def test_affine_witness_rejects_negative_offset():
     lower = constant_sequence(Q, 0)
     with pytest.raises(ValueError):
         O2Witness.affine(lower, lower, -1)
+    with pytest.raises(ValueError, match="offset must be nonnegative"):
+        O2Witness(lower, lower, lambda j: j - 1, -1)
 
 
 def test_metric_certificate_clamps_to_one():
@@ -372,9 +383,17 @@ def test_sequence_terms_build_carrier_streams():
     assert units.value(2) == C00Vec.unit(2)
 
 
-def test_vector_terms_and_scalar_fallback():
-    from ulat.spaces import QVec
+@pytest.mark.parametrize("term, carrier, needs", [
+    (["singleton-atoms"], Q, "the finite/cofinite algebra"),
+    ("k", A, "the rational line"),
+    (["vec", "k"], QVec(2), "rational vectors of dimension 1"),
+], ids=["set-term-on-line", "scalar-on-fincof", "short-vec"])
+def test_terms_are_refused_on_a_carrier_they_do_not_fit(term, carrier, needs):
+    with pytest.raises(ValueError, match=f"needs {needs}, not the carrier '{carrier.name}'"):
+        parse_sequence_term(term, carrier)
 
+
+def test_vector_terms_and_scalar_fallback():
     plane = QVec(2)
     vec = parse_sequence_term(["vec", "1/k", ["-", "1/k"]], plane)
     assert vec.value(2) == (F(1, 2), F(-1, 2))

@@ -1,0 +1,77 @@
+"""The library's surface: every definition in ``src/ulat`` has a caller in the
+library or the benchmark, and the oracles leave descriptors to ``sequences``."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "ulat"
+
+# Paper objects and validation tools that only the tests call.
+TEST_ONLY = {"truncate_g", "check_lattice_axioms", "check_group_axioms", "check_distributive",
+             "metric_converges", "eventually_constant_sequence", "periodic_sequence"}
+
+DESCRIPTOR_CLASSES = {"EventuallyConstant", "Periodic", "TailClosedForm", "UnitVectors",
+                      "SingletonAtoms", "AtomPrefixSets", "CofiniteFilterChain"}
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _definitions(tree: ast.Module):
+    """Module-level functions and classes, and the non-dunder methods of
+    those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield item
+
+
+def _references(tree: ast.Module):
+    """(name, enclosing definition nodes) for every name, attribute and
+    string constant in the module; a string counts because the benchmark
+    patches methods by name."""
+    def walk(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {id(node)}
+        if isinstance(node, ast.Name):
+            yield node.id, enclosing
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, enclosing
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, enclosing
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, enclosing)
+
+    yield from walk(tree, frozenset())
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    library = {p: _parse(p) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    callers = list(library.values()) + [_parse(p) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    refs: dict[str, list] = {}
+    for tree in callers:
+        for name, enclosing in _references(tree):
+            refs.setdefault(name, []).append(enclosing)
+
+    uncalled = sorted(
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in library.items()
+        for node in _definitions(tree)
+        if node.name not in TEST_ONLY
+        and not any(id(node) not in enclosing for enclosing in refs.get(node.name, ()))
+    )
+    assert not uncalled, f"only tests call: {uncalled}"
+
+
+def test_the_oracles_read_no_descriptor():
+    tree = _parse(SRC / "convergence.py")
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert not imported & DESCRIPTOR_CLASSES
+    names = {name for name, _ in _references(tree)}
+    assert not names & (DESCRIPTOR_CLASSES | {"descriptor"})

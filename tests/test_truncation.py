@@ -18,7 +18,7 @@ from ulat.catalog import finite_entries, standard_carriers
 from ulat.convergence import truncate_sequence
 from ulat.optrees import MEET, OpTree, evaluate
 from ulat.semimetrics import derived_semimetric, discrete_semimetric
-from ulat.sequences import constant_sequence, sequence_of
+from ulat.sequences import SequenceFamily, constant_sequence
 from ulat.spaces import QLine, QVec
 from ulat.truncation import (
     TruncationPair,
@@ -325,7 +325,7 @@ def test_foreign_points_still_raise():
         dp(s(), s(3))
     with pytest.raises(CarrierMismatch):
         dp(s(3), s())
-    clamped = truncate_sequence(sequence_of(L, lambda k: s(k), "atoms"), p)
+    clamped = truncate_sequence(SequenceFamily("atoms", L, lambda k: s(k)), p)
     assert clamped.value(1) == s(1)
     with pytest.raises(CarrierMismatch):
         clamped.value(3)
