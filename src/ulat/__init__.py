@@ -61,9 +61,8 @@ from .semimetrics import (
     discrete_semimetric,
     interval_agreement,
     kernel_partition,
-    l1_semimetric,
-    line_abs_semimetric,
     load_distance_table,
+    norm_semimetric,
     order_interval,
     ph_criterion_detail,
     pullback_semimetric,

@@ -120,9 +120,10 @@ class Carrier:
 
 
 class GroupCarrier(Carrier):
-    """Lattice-ordered abelian group: adds translation structure.
+    """Lattice-ordered abelian group: adds translation structure and a norm.
 
-    Subclasses supply the trusted ``_add`` and ``_negate``.  ``_sub`` and
+    Subclasses supply the trusted ``_add``, ``_negate`` and ``_norm``, the
+    norm that every norm-induced distance is derived from.  ``_sub`` and
     ``_abs`` are derived from them and the lattice operations, and a
     subclass may override them with direct formulas giving the same values.
     ``pos_part`` and ``neg_part`` are derived too, so x = pos_part(x) -
@@ -146,6 +147,9 @@ class GroupCarrier(Carrier):
     def _abs(self, x):
         return self._join(x, self._negate(x))
 
+    def _norm(self, x):
+        raise NotImplementedError
+
     # -- public operations: validate, then run the trusted ones
 
     def add(self, x, y):
@@ -159,6 +163,9 @@ class GroupCarrier(Carrier):
 
     def abs_(self, x):
         return self._abs(self.check_element(x))
+
+    def norm(self, x):
+        return self._norm(self.check_element(x))
 
     def pos_part(self, x):
         return self._join(self.check_element(x), self.zero)
@@ -546,12 +553,10 @@ def is_sublattice(L: Carrier, S: Sequence) -> bool:
                for a in items for b in items)
 
 
-def sublattices(L: FiniteLattice, max_size: Optional[int] = None):
+def sublattices(L: FiniteLattice):
     """Yield every nonempty sublattice (as a tuple) of a finite lattice."""
     elems = L.elements()
-    n = len(elems)
-    limit = n if max_size is None else min(n, max_size)
-    for r in range(1, limit + 1):
+    for r in range(1, len(elems) + 1):
         for combo in combinations(elems, r):
             if is_sublattice(L, combo):
                 yield combo

@@ -24,11 +24,8 @@ from .carriers import (
 )
 from .semimetrics import (
     SemimetricFamily,
-    c00_l1_semimetric,
     discrete_semimetric,
-    evlin_semimetric,
-    l1_semimetric,
-    line_abs_semimetric,
+    norm_semimetric,
     pullback_semimetric,
     symmetric_difference_semimetric,
     zero_semimetric,
@@ -92,15 +89,14 @@ def standard_carriers() -> dict[str, CatalogEntry]:
         "discrete": SemimetricFamily.of("discrete", discrete_semimetric(A)),
     })
 
-    Q = QLine()
-    add("qline", Q, {"abs": SemimetricFamily.of("abs", line_abs_semimetric(Q))})
+    def add_normed(name: str, G, family: str = "l1"):
+        add(name, G, {family: SemimetricFamily.of(family, norm_semimetric(G, family))})
+
+    add_normed("qline", QLine(), "abs")
     for n in (2, 3, 5):
-        V = QVec(n)
-        add(f"qvec{n}", V, {"l1": SemimetricFamily.of("l1", l1_semimetric(V))})
-    C = C00Space()
-    add("c00", C, {"l1": SemimetricFamily.of("l1", c00_l1_semimetric(C))})
-    E = EvLinSpace()
-    add("evlinseq", E, {"l1": SemimetricFamily.of("l1", evlin_semimetric(E))})
+        add_normed(f"qvec{n}", QVec(n))
+    add_normed("c00", C00Space())
+    add_normed("evlinseq", EvLinSpace())
     return entries
 
 

@@ -21,20 +21,15 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from typing import Optional
 
 from .carriers import NotALattice, load_finite_lattice
-from .convergence import DEFAULT_EPS_GRID, DEFAULT_HORIZON
 from .suites import SuiteConfig, render_json, render_markdown, run_suites, suite_names
 
-_DEFAULTS = {
-    "seed": 0,
-    "horizon": DEFAULT_HORIZON,
-    "eps_grid": DEFAULT_EPS_GRID,
-    "format": "json",
-    "timings": False,
-}
+# every suite setting defaults as SuiteConfig does; format is the CLI's own
+_DEFAULTS = {**{f.name: f.default for f in fields(SuiteConfig)}, "format": "json"}
 
 
 class UsageError(Exception):
@@ -179,8 +174,7 @@ def _run_suites_command(names, args) -> int:
     if unknown:
         raise UsageError(
             f"unknown suite(s): {', '.join(unknown)}; known: {', '.join(suite_names())}")
-    cfg = SuiteConfig(seed=settings["seed"], horizon=settings["horizon"],
-                      eps_grid=settings["eps_grid"], timings=settings["timings"])
+    cfg = SuiteConfig(**{f.name: settings[f.name] for f in fields(SuiteConfig)})
     report = run_suites(names, cfg)
     if settings["format"] == "json":
         sys.stdout.write(render_json(report))

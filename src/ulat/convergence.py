@@ -464,7 +464,7 @@ def unbounded_separation_example(k_values=range(1, 51),
         clamped_x = truncate_f(space, cap_pair, x)
         for n in n_values:
             xn = space.add(x, space.scale_rat(Fraction(1, n), e))
-            gap = space.distance(truncate_f(space, cap_pair, xn), clamped_x)
+            gap = space.norm(space.sub(truncate_f(space, cap_pair, xn), clamped_x))
             bound = Fraction(k, n)
             unclamped = space.norm(space.meet(space.abs_(space.sub(xn, x)), a))
             if gap > bound:

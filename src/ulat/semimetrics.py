@@ -17,8 +17,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .carriers import (Carrier, CarrierMismatch, FiniteLattice, index_table, is_sublattice,
-                       load_finite_lattice)
+from .carriers import (Carrier, CarrierMismatch, FiniteLattice, GroupCarrier, index_table,
+                       is_sublattice, load_finite_lattice)
 from .exact import EXT_INF, ExtValue, ext, rat
 from .truncation import TruncationPair, _clamp
 from .verdicts import Verdict
@@ -89,34 +89,10 @@ def discrete_semimetric(L: Carrier) -> LatticeSemimetric:
     return LatticeSemimetric("discrete", L, lambda x, y: _ZERO if x == y else _ONE)
 
 
-def line_abs_semimetric(Q) -> LatticeSemimetric:
-    """d(x, y) = |x - y| on the rational line."""
-    return LatticeSemimetric("abs", Q, lambda x, y: abs(rat(x) - rat(y)))
-
-
-def l1_semimetric(V) -> LatticeSemimetric:
-    """Coordinate-sum distance on rational vectors."""
-
-    def dist(x, y):
-        return sum(abs(a - b) for a, b in zip(x, y))
-
-    return LatticeSemimetric("l1", V, dist)
-
-
-def c00_l1_semimetric(space) -> LatticeSemimetric:
-    """Coordinate-sum distance on finitely supported sequences."""
-
-    def dist(x, y):
-        idxs = set(x.support) | set(y.support)
-        return sum(abs(x.coordinate(i) - y.coordinate(i)) for i in idxs)
-
-    return LatticeSemimetric("l1", space, dist)
-
-
-def evlin_semimetric(space) -> LatticeSemimetric:
-    """Coordinate-sum distance on eventually linear sequences; +inf when the
-    difference has a nonzero eventual part."""
-    return LatticeSemimetric("l1", space, space.distance)
+def norm_semimetric(G: GroupCarrier, name: str = "l1") -> LatticeSemimetric:
+    """d(x, y) = ||x - y|| from the carrier's norm, which checks the
+    difference once per call: a vector of the wrong length is refused."""
+    return LatticeSemimetric(name, G, lambda x, y: G.norm(G._sub(x, y)))
 
 
 def symmetric_difference_semimetric(algebra) -> LatticeSemimetric:

@@ -515,7 +515,11 @@ def _atoms(op: str, atoms) -> list:
     return atoms
 
 
-_SET_TERMS = ("singleton-atoms", "atom-prefix", "drop-atom-prefix", "set", "coset")
+# builtin -> (number of arguments, carrier class it needs, that carrier in words)
+_FINCOF = (FinCofAlgebra, "the finite/cofinite algebra")
+_BUILTINS = {"singleton-atoms": (0, *_FINCOF), "atom-prefix": (0, *_FINCOF),
+             "drop-atom-prefix": (0, *_FINCOF), "set": (1, *_FINCOF), "coset": (1, *_FINCOF),
+             "unit-vectors": (0, C00Space, "finitely supported sequences")}
 
 
 def _require(fits: bool, doc, carrier: Carrier, needs: str) -> None:
@@ -526,11 +530,17 @@ def _require(fits: bool, doc, carrier: Carrier, needs: str) -> None:
 def parse_sequence_term(doc, carrier: Carrier, name: str = "term") -> SequenceFamily:
     """Parse a term document into a sequence on the given carrier.
 
-    A term on a carrier it does not fit is refused with ValueError."""
+    A term on a carrier it does not fit, or a builtin with the wrong number
+    of arguments, is refused with ValueError."""
     if isinstance(doc, list) and doc:
         op, *args = doc
-        if op in _SET_TERMS:
-            _require(isinstance(carrier, FinCofAlgebra), doc, carrier, "the finite/cofinite algebra")
+        if op in _BUILTINS:
+            arity, kind, needs = _BUILTINS[op]
+            _require(isinstance(carrier, kind), doc, carrier, needs)
+            if len(args) != arity:
+                takes = "1 argument" if arity else "no arguments"
+                raise ValueError(f"builtin {op!r} takes {takes}, got {len(args)}: "
+                                 f"{reprlib.repr(doc)}")
         if op == "singleton-atoms":
             return singleton_atom_sequence(carrier, name)
         if op == "atom-prefix":
@@ -539,12 +549,11 @@ def parse_sequence_term(doc, carrier: Carrier, name: str = "term") -> SequenceFa
                                   AtomPrefixSets())
         if op == "drop-atom-prefix":
             return cofinite_chain_sequence(carrier, name)
-        if op == "set" and len(args) == 1:
+        if op == "set":
             return constant_sequence(carrier, FinCofSet.finite(_atoms(op, args[0])), name)
-        if op == "coset" and len(args) == 1:
+        if op == "coset":
             return constant_sequence(carrier, FinCofSet.cofinite_complement(_atoms(op, args[0])), name)
         if op == "unit-vectors":
-            _require(isinstance(carrier, C00Space), doc, carrier, "finitely supported sequences")
             return unit_vector_sequence(carrier, name)
         if op == "vec":
             parts = [parse_scalar_series(a) for a in args]

@@ -64,6 +64,8 @@ class QLine(GroupCarrier):
     def _abs(self, x):
         return abs(x)
 
+    _norm = _abs
+
     def sample(self, rng):
         return _rand_fraction(rng)
 
@@ -110,6 +112,9 @@ class QVec(GroupCarrier):
 
     def _abs(self, x):
         return tuple(abs(c) for c in x)
+
+    def _norm(self, x):
+        return sum(abs(c) for c in x)
 
     def sample(self, rng):
         return tuple(_rand_fraction(rng) for _ in range(self.dim))
@@ -192,6 +197,9 @@ class C00Space(GroupCarrier):
     def _negate(self, x):
         return C00Vec(tuple((i, -v) for i, v in x.entries))
 
+    def _norm(self, x):
+        return sum((abs(v) for _, v in x.entries), Fraction(0))
+
     def sample(self, rng):
         n = rng.randint(0, 4)
         return C00Vec.from_pairs(
@@ -270,9 +278,6 @@ class FinCofAlgebra(Carrier):
 
     def _join(self, x, y):
         return x.union(y)
-
-    def complement(self, x) -> FinCofSet:
-        return self.check_element(x).complement()
 
     def sample(self, rng):
         atoms = frozenset(rng.randint(1, 8) for _ in range(rng.randint(0, 3)))
@@ -366,15 +371,11 @@ class EvLinSpace(GroupCarrier):
         x = self.check_element(x)
         return EvLinSeq.make(tuple(q * v for v in x.prefix), q * x.c, q * x.d)
 
-    def norm(self, x) -> ExtValue:
+    def _norm(self, x) -> ExtValue:
         """Extended l1 norm: +inf exactly when the eventual part is nonzero."""
-        x = self.check_element(x)
         if x.c != 0 or x.d != 0:
             return EXT_INF
         return ExtValue(sum((abs(v) for v in x.prefix), Fraction(0)))
-
-    def distance(self, x, y) -> ExtValue:
-        return self.norm(self.sub(x, y))
 
     def sample(self, rng):
         n = rng.randint(0, 3)

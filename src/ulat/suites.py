@@ -35,11 +35,8 @@ from .entourages import compose_triple_violation, real_entourage_compose_check
 from .exact import ExtValue, RatAltSeq
 from .optrees import evaluate, random_tree
 from .semimetrics import (
-    SemimetricFamily,
     interval_agreement,
     kernel_partition,
-    l1_semimetric,
-    line_abs_semimetric,
     ph_criterion_detail,
     quotient,
     ustar_family,
@@ -273,8 +270,8 @@ def _suite_lemma_l2(cfg: SuiteConfig) -> list[CheckRecord]:
     """Meet/join operator trees contract distances term by term, and moving
     the clamp window perturbs clamped distances by at most twice the window
     displacement."""
-    V = QVec(3)
-    d = l1_semimetric(V)
+    d = standard_carriers()["qvec3"].family("l1").members[0]
+    V = d.carrier
     rng = cfg.rng_for("lemma-l2")
     cases = max(1, cfg.horizon // 10)
     tree_bad = None
@@ -500,8 +497,8 @@ def _suite_exhaustive_t2(cfg: SuiteConfig) -> list[CheckRecord]:
     plain distance does not, and a bounded monotone climb verifies at the
     horizon under an explicit modulus."""
     records = _walk_probes(cfg, "clamp-family", "plain-distance-control")
-    Q = QLine()
-    abs_family = SemimetricFamily.of("abs", line_abs_semimetric(Q))
+    abs_family = standard_carriers()["qline"].family("abs")
+    Q = abs_family.carrier
     climb = series_sequence(Q, RatAltSeq.const(1) - RatAltSeq.inv_index(), "climb")
     cert = MetricCertificate.uniform(lambda eps: int(1 / eps) + 1)
     records.append(CheckRecord("bounded-climb", exhaustivity_probe(
@@ -513,9 +510,9 @@ def _suite_exhaustive_t2(cfg: SuiteConfig) -> list[CheckRecord]:
 def _walk_probes(cfg: SuiteConfig, clamp_name: str, plain_name: str) -> list[CheckRecord]:
     """The walk x_k = k on the line is Cauchy for the clamp family over the
     windows [-n, n], n <= 8, and not for the plain distance."""
-    Q = QLine()
+    abs_family = standard_carriers()["qline"].family("abs")
+    Q = abs_family.carrier
     walk = series_sequence(Q, RatAltSeq.index(), "walk")
-    abs_family = SemimetricFamily.of("abs", line_abs_semimetric(Q))
     star = ustar_family(abs_family,
                         [TruncationPair.of(Q, -n, n) for n in range(1, 9)])
     return [

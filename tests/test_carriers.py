@@ -198,11 +198,6 @@ class TestSublattices:
         yielded = {tuple(sorted(S)) for S in sublattices(L)}
         assert yielded == direct
 
-    def test_max_size_filter(self):
-        L = powerset_lattice(2)
-        for S in sublattices(L, max_size=2):
-            assert len(S) <= 2
-
 
 class TestGroupCarrier:
     def test_qvec_group_axioms(self):

@@ -21,7 +21,7 @@ from ulat.convergence import (
     verify_uO,
 )
 from ulat.exact import Poly, RatAltSeq
-from ulat.semimetrics import SemimetricFamily, line_abs_semimetric, ustar_family
+from ulat.semimetrics import SemimetricFamily, norm_semimetric, ustar_family
 from ulat.sequences import (
     NEVER_CONSTANT,
     EventuallyConstant,
@@ -314,7 +314,7 @@ def test_uo_argument_validation():
 # metric oracles
 
 
-ABS = SemimetricFamily.of("abs", line_abs_semimetric(Q))
+ABS = SemimetricFamily.of("abs", norm_semimetric(Q, "abs"))
 CERT = MetricCertificate.uniform(lambda eps: int(1 / eps) + 1)
 
 

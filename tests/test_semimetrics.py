@@ -12,14 +12,12 @@ from ulat.catalog import finite_entries, standard_carriers
 from ulat.semimetrics import (
     LatticeSemimetric,
     SemimetricFamily,
-    c00_l1_semimetric,
     derived_semimetric,
     discrete_semimetric,
     interval_agreement,
     kernel_partition,
-    l1_semimetric,
-    line_abs_semimetric,
     load_distance_table,
+    norm_semimetric,
     order_interval,
     ph_criterion_detail,
     pullback_semimetric,
@@ -30,7 +28,7 @@ from ulat.semimetrics import (
     validate_semimetric,
     zero_semimetric,
 )
-from ulat.spaces import C00Space, C00Vec, FinCofAlgebra, FinCofSet, QLine, QVec
+from ulat.spaces import C00Space, C00Vec, EvLinSeq, FinCofAlgebra, FinCofSet, QLine, QVec
 from ulat.truncation import TruncationPair, canonical_pairs, truncate_f
 
 
@@ -47,7 +45,7 @@ class TestValidation:
 
     def test_symbolic_validation_needs_rng_and_samples(self):
         Q = QLine()
-        v = validate_semimetric(line_abs_semimetric(Q), budget=50,
+        v = validate_semimetric(norm_semimetric(Q, "abs"), budget=50,
                                 rng=random.Random(0))
         assert v.status == "verified-at-horizon"
 
@@ -85,13 +83,13 @@ class TestValidation:
 
     def test_sequence_space_families_validate_on_samples(self):
         C, A = C00Space(), FinCofAlgebra()
-        for d in (c00_l1_semimetric(C), symmetric_difference_semimetric(A)):
+        for d in (norm_semimetric(C), symmetric_difference_semimetric(A)):
             v = validate_semimetric(d, budget=60, rng=random.Random(3))
             assert v.status == "verified-at-horizon" and v.horizon == 60
         symdiff = symmetric_difference_semimetric(A)
         assert symdiff(FinCofSet.finite([1, 2]), FinCofSet.finite([2, 5])) == 2
         assert symdiff(FinCofSet.finite([1]), FinCofSet.cofinite_complement([1])) == EXT_INF
-        l1 = c00_l1_semimetric(C)
+        l1 = norm_semimetric(C)
         assert l1(C00Vec.unit(1), C00Vec.unit(3)) == 2
 
 
@@ -107,7 +105,7 @@ class TestDerived:
 
     def test_derived_never_exceeds_base(self):
         V = QVec(2)
-        d = l1_semimetric(V)
+        d = norm_semimetric(V)
         p = TruncationPair.of(V, (F(-1), F(-1)), (F(1), F(1)))
         dp = derived_semimetric(d, p)
         rng = random.Random(7)
@@ -128,7 +126,7 @@ class TestDerived:
                         for y in elems:
                             assert dp(x, y) == d(truncate_f(L, p, x), truncate_f(L, p, y))
 
-    @pytest.mark.parametrize("d", [line_abs_semimetric(QLine()), l1_semimetric(QVec(3))],
+    @pytest.mark.parametrize("d", [norm_semimetric(QLine(), "abs"), norm_semimetric(QVec(3))],
                              ids=["qline", "qvec3"])
     def test_clamp_members_match_clamping_first_on_samples(self, d):
         V = d.carrier
@@ -240,7 +238,7 @@ class TestIntervalAgreement:
 
     def test_requires_finite_carrier(self):
         Q = QLine()
-        D = SemimetricFamily.of("abs", line_abs_semimetric(Q))
+        D = SemimetricFamily.of("abs", norm_semimetric(Q, "abs"))
         with pytest.raises(ValueError):
             interval_agreement(D, D, TruncationPair.of(Q, F(-1), F(1)))
 
@@ -416,3 +414,80 @@ def test_kernel_agreement_matches_the_value_scan(families):
     for p in canonical_pairs(Du.carrier):
         v = interval_agreement(Du, Dv, p)
         assert (v.status, v.witness) == _scan_agreement(Du, Dv, p)
+
+
+# ---------------------------------------------------------------------------
+# The catalog's norm families against plain Fraction formulas
+
+
+def _ref_line(x, y):
+    return abs(x - y)
+
+
+def _ref_vec(x, y):
+    return sum((abs(a - b) for a, b in zip(x, y)), F(0))
+
+
+def _ref_c00(x, y):
+    xs, ys = dict(x.entries), dict(y.entries)
+    return sum((abs(xs.get(i, F(0)) - ys.get(i, F(0))) for i in set(xs) | set(ys)), F(0))
+
+
+def _ref_evlin(x, y):
+    if (x.c, x.d) != (y.c, y.d):
+        return EXT_INF
+
+    def at(s, i):
+        return s.prefix[i - 1] if i <= len(s.prefix) else s.c + s.d * i
+
+    n = max(len(x.prefix), len(y.prefix))
+    return sum((abs(at(x, i) - at(y, i)) for i in range(1, n + 1)), F(0))
+
+
+NORM_FAMILIES = [("qline", "abs", _ref_line), ("qvec2", "l1", _ref_vec),
+                 ("qvec3", "l1", _ref_vec), ("qvec5", "l1", _ref_vec),
+                 ("c00", "l1", _ref_c00), ("evlinseq", "l1", _ref_evlin)]
+
+
+def _norm_member(entry: str, family: str):
+    D = standard_carriers()[entry].family(family)
+    assert D.name == family and [d.name for d in D.members] == [family]
+    return D.members[0]
+
+
+class TestNormFamilies:
+    @pytest.mark.parametrize("entry, family, ref", NORM_FAMILIES,
+                             ids=[entry for entry, _, _ in NORM_FAMILIES])
+    def test_catalog_norm_families_match_reference_formulas(self, entry, family, ref):
+        d = _norm_member(entry, family)
+        G = d.carrier
+        rng = random.Random(17)
+        pairs = [(G.sample(rng), G.sample(rng)) for _ in range(60)]
+        if entry == "evlinseq":
+            # pairs sharing their eventual part have a finite distance
+            pairs += [(x, EvLinSeq.make([v + rng.randint(-3, 3) for v in x.prefix] + [F(1, 3)],
+                                        x.c, x.d)) for x, _ in pairs[:30]]
+        finite = 0
+        for x, y in pairs:
+            assert d(x, y) == ref(x, y)
+            assert d(x, y) == d(y, x)
+            finite += d(x, y).is_finite
+        assert finite >= 30
+        if entry == "evlinseq":
+            assert finite < len(pairs)
+
+    def test_derived_member_names(self):
+        d = _norm_member("qline", "abs")
+        assert derived_semimetric(d, TruncationPair.of(d.carrier, F(-1), F(1))).name == "abs[-1,1]"
+
+    def test_vectors_of_the_wrong_dimension_are_refused(self):
+        d = _norm_member("qvec3", "l1")
+        with pytest.raises(CarrierMismatch):
+            d((F(1), F(2)), (F(-1), F(-1)))
+        with pytest.raises(CarrierMismatch):
+            d((F(1), F(2), F(7)), (F(-1), F(-1)))
+
+    def test_line_points_given_as_strings_are_refused(self):
+        d = _norm_member("qline", "abs")
+        with pytest.raises(TypeError):
+            d("1/2", "1/3")

@@ -402,3 +402,18 @@ def test_vector_terms_and_scalar_fallback():
     assert scalar.name == "harmonic"
     with pytest.raises(ValueError):
         parse_sequence_term(["spiral"], Q)
+
+
+@pytest.mark.parametrize("term, carrier, takes", [
+    (["set"], A, "1 argument"),
+    (["coset"], A, "1 argument"),
+    (["set", [1], [2]], A, "1 argument"),
+    (["singleton-atoms", 5], A, "no arguments"),
+    (["atom-prefix", 1], A, "no arguments"),
+    (["drop-atom-prefix", "x"], A, "no arguments"),
+    (["unit-vectors", 3], V, "no arguments"),
+], ids=["set-bare", "coset-bare", "set-two-lists", "singleton-atoms-extra", "atom-prefix-extra",
+        "drop-atom-prefix-extra", "unit-vectors-extra"])
+def test_builtins_refuse_a_wrong_argument_count(term, carrier, takes):
+    with pytest.raises(ValueError, match=f"builtin '{term[0]}' takes {takes}, got {len(term) - 1}"):
+        parse_sequence_term(term, carrier)

@@ -135,7 +135,7 @@ class TestEvLin:
         assert not E.norm(EvLinSeq.affine(0, F(1, 7))).is_finite
         assert E.norm(EvLinSeq.make((1, -2), 0, 0)) == 3
         x = EvLinSeq.make((1, -2), 0, 0)
-        assert E.distance(x, EvLinSeq.affine(0, 0)) == 3
+        assert E.norm(E.sub(x, EvLinSeq.affine(0, 0))) == 3
         assert E.norm(E.scale_rat(F(1, 3), x)) == 1
 
     def test_group_ops(self):
