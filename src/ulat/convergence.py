@@ -55,10 +55,10 @@ def _grade_bound(seq: SequenceFamily, kind: str, target, k0: int,
     # target still falsifies, because the bound would have to dominate it.
     for k in range(k0, min(horizon, 256) + 1):
         v = seq.value(k)
-        if kind == "sup" and not L.leq(v, target):
+        if kind == "sup" and not L._leq(v, target):
             return Verdict.falsified(witness=(kind, k, v),
                                      detail=f"term {k} is not below the claimed supremum")
-        if kind == "inf" and not L.leq(target, v):
+        if kind == "inf" and not L._leq(target, v):
             return Verdict.falsified(witness=(kind, k, v),
                                      detail=f"term {k} is not above the claimed infimum")
     return Verdict.inconclusive(detail=f"{label} undecided ({claim.detail})")
@@ -95,16 +95,16 @@ def verify_O1(seq: SequenceFamily, x, w: O1Witness,
     prev_lo = prev_hi = None
     for k in range(k0, stop + 1):
         lo, hi, xv = w.lower.value(k), w.upper.value(k), seq.value(k)
-        if prev_lo is not None and not L.leq(prev_lo, lo):
+        if prev_lo is not None and not L._leq(prev_lo, lo):
             return Verdict.falsified(witness=("lower-monotone", k), detail="lower witness decreased")
-        if prev_hi is not None and not L.leq(hi, prev_hi):
+        if prev_hi is not None and not L._leq(hi, prev_hi):
             return Verdict.falsified(witness=("upper-monotone", k), detail="upper witness increased")
-        if not (L.leq(lo, xv) and L.leq(xv, hi)):
+        if not (L._leq(lo, xv) and L._leq(xv, hi)):
             return Verdict.falsified(witness=("sandwich", k), detail="sandwich violated")
-        if not L.leq(lo, x):
+        if not L._leq(lo, x):
             return Verdict.falsified(witness=("lower-exceeds-limit", k),
                                      detail="lower witness not below the limit")
-        if not L.leq(x, hi):
+        if not L._leq(x, hi):
             return Verdict.falsified(witness=("upper-undercuts-limit", k),
                                      detail="upper witness not above the limit")
         prev_lo, prev_hi = lo, hi
@@ -141,7 +141,7 @@ def verify_O2(seq: SequenceFamily, x, w: O2Witness,
             mj, nj = w.lower.value(j), w.upper.value(j)
             for k in _probe_indices(start, horizon, 48):
                 xv = seq.value(k)
-                if not (L.leq(mj, xv) and L.leq(xv, nj)):
+                if not (L._leq(mj, xv) and L._leq(xv, nj)):
                     return Verdict.falsified(witness=("containment", j, k),
                                              detail="interval containment violated")
         contained = Verdict.at_horizon(horizon, detail="containment checked on a budgeted prefix")
@@ -211,7 +211,7 @@ def truncate_sequence(seq: SequenceFamily, p: TruncationPair) -> SequenceFamily:
     L = seq.carrier
     low, high = L.check_element(p.low), L.check_element(p.high)
     return SequenceFamily(f"clamp({seq.name})", L,
-                          lambda k: _clamp(L, low, high, L.check_element(seq.value(k))),
+                          lambda k: _clamp(L, low, high, seq.value(k)),
                           clamped_descriptor(seq, p))
 
 
@@ -279,42 +279,34 @@ def verify_uO(seq: SequenceFamily, x, truncations: Optional[Seq[TruncationPair]]
 # Metric convergence and Cauchy checks
 
 
-def _tail_representatives(seq: SequenceFamily, tail, start: int) -> list:
-    """Values covering every term from start on, for seq settling as tail."""
-    i, value = tail
-    return [seq.value(k) for k in range(start, max(i, start))] + [value]
+def _points(seq: SequenceFamily, start: int, indices):
+    """(points, exact): (index, term) points for the terms from start on.
+    A tail proven constant from i gives the terms before max(i, start), then
+    the constant, and exact; otherwise the terms at indices, computed lazily."""
+    tail = _constant_tail(seq)
+    if tail is None:
+        return ((k, seq.value(k)) for k in indices), False
+    knee = max(tail[0], start)
+    return [(k, seq.value(k)) for k in range(start, knee)] + [(knee, tail[1])], True
 
 
 def metric_converges(seq: SequenceFamily, x, D: SemimetricFamily,
                      cert: MetricCertificate, eps_grid=DEFAULT_EPS_GRID,
                      horizon: int = DEFAULT_HORIZON) -> Verdict:
     """d(x_k, x) <= eps for k beyond the certificate, per member and eps."""
-    L = seq.carrier
-    x = L.check_element(x)
-    tail = _constant_tail(seq)
+    x = seq.carrier.check_element(x)
     parts = []
     for d in D.members:
         for eps in eps_grid:
             eps = rat(eps)
             start = cert.at(eps, d.name)
-            if tail is not None:
-                values = _tail_representatives(seq, tail, start)
-                bad = next((k for k, v in enumerate(values) if d(v, x) > eps), None)
-                if bad is not None:
-                    parts.append(Verdict.falsified(
-                        witness=(d.name, str(eps), start + bad),
-                        detail="distance exceeded eps beyond the certificate"))
-                else:
-                    parts.append(Verdict.exact(detail=f"{d.name}, eps={eps}: eventually constant tail"))
-                continue
-            hit = None
-            for k in range(start, horizon + 1):
-                if d(seq.value(k), x) > eps:
-                    hit = k
-                    break
+            points, exact = _points(seq, start, range(start, horizon + 1))
+            hit = next((k for k, v in points if d(v, x) > eps), None)
             if hit is not None:
                 parts.append(Verdict.falsified(witness=(d.name, str(eps), hit),
                                                detail="distance exceeded eps beyond the certificate"))
+            elif exact:
+                parts.append(Verdict.exact(detail=f"{d.name}, eps={eps}: eventually constant tail"))
             else:
                 parts.append(Verdict.at_horizon(horizon, detail=f"{d.name}, eps={eps}"))
     return Verdict.weakest(parts)
@@ -337,42 +329,30 @@ def metric_cauchy(seq: SequenceFamily, D: SemimetricFamily,
                   horizon: int = DEFAULT_HORIZON) -> Verdict:
     """Pairwise d(x_j, x_k) <= eps for j, k beyond the certificate.
 
-    Clamp-derived members with a decidable clamped tail are settled exactly:
-    beyond the constancy index every pair collapses onto finitely many
-    representative values.  Other members are probed on a budgeted pair set.
-    Without a certificate a clamp member starts at its clamped tail's
-    constancy index and every other member at 1.
+    A clamp member d_p walks the clamped terms with its base d, as d_p(x, y)
+    = d(clamp x, clamp y); other members walk the terms.  A walk that settles
+    is decided exactly; others are probed on a budgeted pair set.  Without a
+    certificate a clamp member starts at its clamped tail's constancy index
+    and every other member at 1.
     """
     parts = []
     for d in D.members:
-        clamped = truncate_sequence(seq, d.clamp) if d.clamp is not None else None
-        tail = _constant_tail(clamped) if clamped is not None else None
-        knee = max(tail[0], 1) if tail is not None else 1
+        walk, dist, knee, what = seq, d, 1, "tail"
+        if d.clamp is not None:
+            walk, dist, what = truncate_sequence(seq, d.clamp), d.base, "clamped tail"
+            tail = _constant_tail(walk)
+            knee = 1 if tail is None else max(tail[0], 1)
         for eps in eps_grid:
             eps = rat(eps)
             start = cert.at(eps, d.name) if cert is not None else knee
-            if tail is not None:
-                values = _tail_representatives(clamped, tail, start)
-                bad = next(((i, j) for (i, u), (j, v)
-                            in itertools.combinations(enumerate(values), 2)
-                            if d.base(u, v) > eps), None)
-                if bad is not None:
-                    parts.append(Verdict.falsified(
-                        witness=(d.name, str(eps), start + bad[0], start + bad[1]),
-                        detail="pair distance exceeded eps beyond the certificate"))
-                else:
-                    parts.append(Verdict.exact(
-                        detail=f"{d.name}, eps={eps}: clamped tail is eventually constant"))
-                continue
-            probes = _probe_indices(start, horizon, 16)
-            hit = None
-            for a, b in itertools.combinations(probes, 2):
-                if d(seq.value(a), seq.value(b)) > eps:
-                    hit = (a, b)
-                    break
+            points, exact = _points(walk, start, _probe_indices(start, horizon, 16))
+            hit = next(((a, b) for (a, u), (b, v) in itertools.combinations(points, 2)
+                        if dist(u, v) > eps), None)
             if hit is not None:
                 parts.append(Verdict.falsified(witness=(d.name, str(eps)) + hit,
                                                detail="pair distance exceeded eps beyond the certificate"))
+            elif exact:
+                parts.append(Verdict.exact(detail=f"{d.name}, eps={eps}: {what} is eventually constant"))
             else:
                 parts.append(Verdict.at_horizon(horizon, detail=f"{d.name}, eps={eps}"))
     return Verdict.weakest(parts)
@@ -391,8 +371,8 @@ def exhaustivity_probe(seq: SequenceFamily, D: SemimetricFamily,
         prev = seq.value(1)
         for k in range(2, min(horizon, 256) + 1):
             cur = seq.value(k)
-            up = up and L.leq(prev, cur)
-            down = down and L.leq(cur, prev)
+            up = up and L._leq(prev, cur)
+            down = down and L._leq(cur, prev)
             prev = cur
         ok = up or down
     if not ok:

@@ -68,18 +68,6 @@ class ExtValue:
                 raise ValueError(f"ExtValue must be nonnegative, got {v}")
             self._v = v
 
-    # -- queries
-
-    @property
-    def is_finite(self) -> bool:
-        return self._v is not None
-
-    @property
-    def finite(self) -> Fraction:
-        if self._v is None:
-            raise ValueError("value is infinite")
-        return self._v
-
     # -- arithmetic
 
     def __add__(self, other: "ExtValue | RatLike") -> "ExtValue":

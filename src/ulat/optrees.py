@@ -39,11 +39,6 @@ class OpTree:
             return [self.var]
         return self.left.leaves() + self.right.leaves()
 
-    def depth(self) -> int:
-        if self.op is None:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
-
 
 def random_tree(rng, n_vars: int, max_depth: int) -> OpTree:
     if max_depth <= 0 or rng.random() < 0.25:

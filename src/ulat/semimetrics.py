@@ -90,9 +90,9 @@ def discrete_semimetric(L: Carrier) -> LatticeSemimetric:
 
 
 def norm_semimetric(G: GroupCarrier, name: str = "l1") -> LatticeSemimetric:
-    """d(x, y) = ||x - y|| from the carrier's norm, which checks the
-    difference once per call: a vector of the wrong length is refused."""
-    return LatticeSemimetric(name, G, lambda x, y: G.norm(G._sub(x, y)))
+    """d(x, y) = ||x - y|| from the carrier's norm; both points are checked
+    once per call, so a foreign point is refused with CarrierMismatch."""
+    return LatticeSemimetric(name, G, lambda x, y: G._norm(G.sub(x, y)))
 
 
 def symmetric_difference_semimetric(algebra) -> LatticeSemimetric:

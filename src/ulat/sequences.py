@@ -14,6 +14,7 @@ stays in the intervals of an O2 witness (``containment``).
 
 from __future__ import annotations
 
+import functools
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,9 +93,10 @@ class SequenceFamily:
     descriptor: object = None
 
     def value(self, k: int):
+        """The k-th term, checked: the one place a term enters the carrier."""
         if k < 1:
             raise ValueError("sequences are 1-indexed")
-        return self.carrier.normalize(self.term(k))
+        return self.carrier.check_element(self.term(k))
 
 
 # ---------------------------------------------------------------------------
@@ -421,12 +423,12 @@ def _settled_containment(seq: SequenceFamily, w: O2Witness) -> Optional[Verdict]
         return None
     k_stop, lower_knee, upper_knee = (t[0] for t in tails)
     L = seq.carrier
-    j_stop = max(lower_knee, upper_knee) + 1
-    for j in range(1, j_stop + 1):
+    term = functools.cache(seq.value)
+    for j in range(1, max(lower_knee, upper_knee) + 2):
         start = max(w.k_of(j), 1)
+        mj, nj = w.lower.value(j), w.upper.value(j)
         for k in range(start, max(k_stop, start) + 1):
-            if not (L.leq(w.lower.value(j), seq.value(k))
-                    and L.leq(seq.value(k), w.upper.value(j))):
+            if not (L._leq(mj, term(k)) and L._leq(term(k), nj)):
                 return Verdict.falsified(witness=("containment", j, k),
                                          detail="interval containment violated")
     return Verdict.exact(detail="eventually constant containment")
@@ -439,7 +441,8 @@ def containment(seq: SequenceFamily, w: O2Witness) -> Optional[Verdict]:
 
     The arguments, in order: closed forms on the line with an affine K,
     the singleton stream inside the shrinking cofinite chain, and data that
-    provably settles.
+    provably settles.  The chains must live on seq's carrier, as
+    ``verify_O2`` checks: terms are compared on the trusted order.
     """
     return (_line_containment(seq, w)
             or _fincof_containment(seq, w)

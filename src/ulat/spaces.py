@@ -83,10 +83,10 @@ class QVec(GroupCarrier):
         self.zero = tuple(Fraction(0) for _ in range(dim))
 
     def normalize(self, x):
-        if isinstance(x, (tuple, list)) and len(x) == self.dim:
-            return tuple(Fraction(c) if isinstance(c, int) and not isinstance(c, bool) else c
-                         for c in x)
-        return x
+        if self.contains(x) or not (isinstance(x, (tuple, list)) and len(x) == self.dim):
+            return x
+        return tuple(Fraction(c) if isinstance(c, int) and not isinstance(c, bool) else c
+                     for c in x)
 
     def contains(self, x) -> bool:
         return (isinstance(x, tuple) and len(x) == self.dim

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .carriers import Carrier
-from .sequences import O2Witness, SequenceFamily
-from .truncation import TruncationPair, truncate_f
+from .carriers import Carrier, CarrierMismatch
+from .sequences import SequenceFamily
+from .truncation import TruncationPair, _clamp
 
 
 class SubnetContainmentError(ValueError):
@@ -64,13 +64,13 @@ class SubnetEnumeration:
             for prev, cur in zip(self.steps, self.steps[1:]):
                 lo_p, _, hi_p = prev.bounds[col]
                 lo_c, _, hi_c = cur.bounds[col]
-                if not (L.leq(lo_p, lo_c) and L.leq(hi_c, hi_p)):
+                if not (L._leq(lo_p, lo_c) and L._leq(hi_c, hi_p)):
                     return False
         return True
 
     def sandwich_holds(self) -> bool:
         L = self.seq.carrier
-        return all(L.leq(lo, mid) and L.leq(mid, hi)
+        return all(L._leq(lo, mid) and L._leq(mid, hi)
                    for step in self.steps for lo, mid, hi in step.bounds)
 
 
@@ -88,17 +88,19 @@ def build_subnet(seq: SequenceFamily, F, witnesses: dict, steps: int) -> SubnetE
         raise ValueError("subnet extraction needs at least one truncation")
     if steps < 1:
         raise ValueError("need at least one enumeration step")
+    ends = [(p, witnesses[p], L.check_element(p.low), L.check_element(p.high)) for p in pairs]
+    for _, w, _, _ in ends:
+        if w.lower.carrier is not L or w.upper.carrier is not L:
+            raise CarrierMismatch("witness chains must live on the sequence's carrier")
     chain = []
     gamma = 0
     for i in range(1, steps + 1):
-        gamma = max(gamma + 1, max(witnesses[p].k_of(i) for p in pairs))
+        gamma = max(gamma + 1, max(w.k_of(i) for _, w, _, _ in ends))
+        x = seq.value(gamma)
         bounds = []
-        for p in pairs:
-            w: O2Witness = witnesses[p]
-            lo = w.lower.value(i)
-            hi = w.upper.value(i)
-            mid = truncate_f(L, p, seq.value(gamma))
-            if not (L.leq(lo, mid) and L.leq(mid, hi)):
+        for p, w, low, high in ends:
+            lo, hi, mid = w.lower.value(i), w.upper.value(i), _clamp(L, low, high, x)
+            if not (L._leq(lo, mid) and L._leq(mid, hi)):
                 raise SubnetContainmentError(i, gamma, p)
             bounds.append((lo, mid, hi))
         chain.append(SubnetStep(i, gamma, tuple(bounds)))

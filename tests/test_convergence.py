@@ -367,6 +367,40 @@ def test_exhaustivity_probe_requires_monotonicity():
         exhaustivity_probe(altharm(), U)
 
 
+def test_plain_cauchy_check_of_a_settling_sequence_is_exact():
+    settle = eventually_constant_sequence(Q, (F(9), F(5)), F(2), "settle")
+    assert metric_cauchy(settle, ABS, MetricCertificate.uniform(lambda eps: 3)).status == "exact"
+    assert metric_cauchy(settle, ABS).witness == ("abs", "1", 1, 2)
+
+
+def test_cauchy_probe_computes_each_probed_term_once():
+    calls = []
+    climb = SequenceFamily("climb", Q, lambda k: calls.append(k) or 1 - F(1, k))
+    for eps in (F(1, 2), F(1, 8)):
+        calls.clear()
+        v = metric_cauchy(climb, ABS, CERT, eps_grid=(eps,), horizon=300)
+        assert v.status == "verified-at-horizon"
+        probes = convergence._probe_indices(CERT.at(eps), 300, 16)
+        assert sorted(calls) == probes
+
+
+def test_o1_checks_each_term_once_and_the_limit_once(monkeypatch):
+    checks = []
+    real = Q.check_element
+    monkeypatch.setattr(Q, "check_element", lambda x: checks.append(x) or real(x))
+    terms = []
+
+    def counted(seq):
+        return SequenceFamily(seq.name, Q, lambda k: terms.append(k) or seq.term(k),
+                              seq.descriptor)
+
+    lo, hi = harmonic_pair()
+    v = verify_O1(counted(altharm()), F(0), O1Witness(counted(lo), counted(hi)), horizon=50)
+    assert v.status == "verified-at-horizon"
+    assert len(terms) == 150
+    assert len(checks) == len(terms) + 1
+
+
 def test_bounded_climb_is_cauchy_at_the_horizon():
     climb = series_sequence(Q, RatAltSeq.const(1) - RatAltSeq.inv_index(), "climb")
     v = metric_cauchy(climb, ABS, CERT, horizon=2000)

@@ -471,7 +471,7 @@ class TestNormFamilies:
         for x, y in pairs:
             assert d(x, y) == ref(x, y)
             assert d(x, y) == d(y, x)
-            finite += d(x, y).is_finite
+            finite += d(x, y) != EXT_INF
         assert finite >= 30
         if entry == "evlinseq":
             assert finite < len(pairs)
@@ -479,6 +479,21 @@ class TestNormFamilies:
     def test_derived_member_names(self):
         d = _norm_member("qline", "abs")
         assert derived_semimetric(d, TruncationPair.of(d.carrier, F(-1), F(1))).name == "abs[-1,1]"
+
+    def test_c00_distance_refuses_tuples(self):
+        d = _norm_member("c00", "l1")
+        with pytest.raises(CarrierMismatch):
+            d((F(1),), (F(2),))
+
+    def test_evlinseq_distance_refuses_integers(self):
+        d = _norm_member("evlinseq", "l1")
+        with pytest.raises(CarrierMismatch):
+            d(1, 2)
+
+    def test_line_distance_refuses_booleans(self):
+        d = _norm_member("qline", "abs")
+        with pytest.raises(CarrierMismatch):
+            d(True, False)
 
     def test_vectors_of_the_wrong_dimension_are_refused(self):
         d = _norm_member("qvec3", "l1")

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ulat.carriers import chain_lattice
+from ulat.carriers import CarrierMismatch, chain_lattice
 from ulat.exact import RatAltSeq
 from ulat.sequences import (
     NEVER_CONSTANT,
@@ -55,6 +55,15 @@ def test_sequences_are_one_indexed():
     assert s.value(1) == F(3)
     with pytest.raises(ValueError):
         s.value(0)
+
+
+def test_a_term_enters_the_carrier_checked():
+    ints = SequenceFamily("ints", Q, lambda k: k)
+    assert ints.value(3) == F(3) and isinstance(ints.value(3), F)
+    stray = SequenceFamily("stray", Q, lambda k: "seven" if k == 2 else F(k))
+    assert stray.value(1) == F(1)
+    with pytest.raises(CarrierMismatch):
+        stray.value(2)
 
 
 def test_eventually_constant_factory():

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ulat.carriers import CarrierMismatch
+from ulat.exact import EXT_INF
 from ulat.spaces import (
     C00Space,
     C00Vec,
@@ -47,6 +48,13 @@ class TestQLineAndQVec:
         assert V.sub(x, y) == (F(-1), F(5), F(-1))
         with pytest.raises(CarrierMismatch):
             V.check_element((F(1), F(2)))  # wrong dimension
+
+    def test_vector_normalize_keeps_an_element_as_it_is(self):
+        V = QVec(3)
+        x = (F(1), F(5), F(-2))
+        assert V.normalize(x) is x
+        assert V.normalize([1, F(5), -2]) == x
+        assert V.normalize((1, 5, -2)) == x
 
 
 class TestC00:
@@ -132,7 +140,7 @@ class TestEvLin:
 
     def test_norm_and_distance(self):
         E = EvLinSpace()
-        assert not E.norm(EvLinSeq.affine(0, F(1, 7))).is_finite
+        assert E.norm(EvLinSeq.affine(0, F(1, 7))) == EXT_INF
         assert E.norm(EvLinSeq.make((1, -2), 0, 0)) == 3
         x = EvLinSeq.make((1, -2), 0, 0)
         assert E.norm(E.sub(x, EvLinSeq.affine(0, 0))) == 3

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ulat.carriers import CarrierMismatch
 from ulat.exact import RatAltSeq
 from ulat.sequences import (
     O2Witness,
@@ -26,6 +27,14 @@ def line_fixture():
     lo = series_sequence(Q, -RatAltSeq.inv_index(), "lo")
     hi = series_sequence(Q, RatAltSeq.inv_index(), "hi")
     return seq, pair, O2Witness.affine(lo, hi, 1)
+
+
+def test_witness_chains_must_share_the_carrier():
+    seq, pair, w = line_fixture()
+    foreign = QLine()
+    lo = series_sequence(foreign, -RatAltSeq.inv_index(), "lo")
+    with pytest.raises(CarrierMismatch):
+        build_subnet(seq, [pair], {pair: O2Witness.affine(lo, w.upper, 1)}, 3)
 
 
 def test_line_subnet_enumeration():

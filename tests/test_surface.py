@@ -1,5 +1,6 @@
 """The library's surface: every definition in ``src/ulat`` has a caller in the
-library or the benchmark, and the oracles leave descriptors to ``sequences``."""
+library or the benchmark, the oracles leave descriptors to ``sequences``, and
+the tail layers compare checked terms on the trusted order."""
 
 import ast
 from pathlib import Path
@@ -66,6 +67,16 @@ def test_every_definition_has_a_caller_outside_the_tests():
         and not any(id(node) not in enclosing for enclosing in refs.get(node.name, ()))
     )
     assert not uncalled, f"only tests call: {uncalled}"
+
+
+def test_the_tail_layers_compare_on_the_trusted_order():
+    """Terms are checked once, in ``SequenceFamily.value``; past that the
+    convergence layer calls ``_leq``, never the checking ``leq``."""
+    for name in ("convergence.py", "sequences.py", "subnet.py"):
+        calls = [node.lineno for node in ast.walk(_parse(SRC / name))
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "leq"]
+        assert not calls, f"{name} calls .leq( on lines {calls}"
 
 
 def test_the_oracles_read_no_descriptor():
