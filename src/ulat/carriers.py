@@ -9,7 +9,8 @@ Design rules shared by every carrier:
   their arguments and reject elements that do not belong to the carrier;
   the underscore operations (``_meet``, ``_join``, ``_add``, ...) trust
   theirs, so a caller that has validated its elements once where they
-  enter can run a hot loop on them without re-checking.
+  enter can run a hot loop on them, or fold them with ``functools.reduce``
+  over ``_join`` or ``_meet``, without re-checking.
 """
 
 from __future__ import annotations
@@ -96,24 +97,6 @@ class Carrier:
 
     def leq(self, x, y) -> bool:
         return self._leq(self.check_element(x), self.check_element(y))
-
-    def join_all(self, xs):
-        xs = list(xs)
-        if not xs:
-            raise ValueError("join of an empty family")
-        acc = self.check_element(xs[0])
-        for x in xs[1:]:
-            acc = self._join(acc, self.check_element(x))
-        return acc
-
-    def meet_all(self, xs):
-        xs = list(xs)
-        if not xs:
-            raise ValueError("meet of an empty family")
-        acc = self.check_element(xs[0])
-        for x in xs[1:]:
-            acc = self._meet(acc, self.check_element(x))
-        return acc
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
@@ -299,7 +282,10 @@ class FiniteLattice(Carrier):
     # -- protocol
 
     def contains(self, x) -> bool:
-        return x in self._index
+        try:
+            return x in self._index
+        except TypeError:  # an unhashable value names no element
+            return False
 
     def elements(self) -> Sequence:
         return list(self._elements)
@@ -315,12 +301,6 @@ class FiniteLattice(Carrier):
     def _leq(self, x, y) -> bool:
         i = self._index[x]
         return self._meet_table[i * self._n + self._index[y]] == i
-
-    def index_of(self, x) -> int:
-        try:
-            return self._index[x]
-        except (KeyError, TypeError):
-            raise CarrierMismatch(f"{x!r} is not an element of carrier {self.name!r}") from None
 
 
 def _lowest_bit(mask: int) -> int:
@@ -549,7 +529,7 @@ def check_group_axioms(G: GroupCarrier, xs: Sequence) -> CheckResult:
 def is_sublattice(L: Carrier, S: Sequence) -> bool:
     """Is S (as carrier elements) closed under meet and join?"""
     items = [L.check_element(s) for s in S]
-    return all(L.meet(a, b) in items and L.join(a, b) in items
+    return all(L._meet(a, b) in items and L._join(a, b) in items
                for a in items for b in items)
 
 

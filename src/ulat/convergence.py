@@ -279,11 +279,10 @@ def verify_uO(seq: SequenceFamily, x, truncations: Optional[Seq[TruncationPair]]
 # Metric convergence and Cauchy checks
 
 
-def _points(seq: SequenceFamily, start: int, indices):
-    """(points, exact): (index, term) points for the terms from start on.
-    A tail proven constant from i gives the terms before max(i, start), then
-    the constant, and exact; otherwise the terms at indices, computed lazily."""
-    tail = _constant_tail(seq)
+def _points(seq: SequenceFamily, tail, start: int, indices):
+    """(points, exact): (index, element) points from start on.  A constant
+    tail (i, c) gives the terms before max(i, start), then c, and exact;
+    otherwise the terms at indices, computed lazily."""
     if tail is None:
         return ((k, seq.value(k)) for k in indices), False
     knee = max(tail[0], start)
@@ -294,14 +293,16 @@ def metric_converges(seq: SequenceFamily, x, D: SemimetricFamily,
                      cert: MetricCertificate, eps_grid=DEFAULT_EPS_GRID,
                      horizon: int = DEFAULT_HORIZON) -> Verdict:
     """d(x_k, x) <= eps for k beyond the certificate, per member and eps."""
+    D.check_carrier(seq.carrier)
     x = seq.carrier.check_element(x)
+    tail = _constant_tail(seq)
     parts = []
     for d in D.members:
         for eps in eps_grid:
             eps = rat(eps)
             start = cert.at(eps, d.name)
-            points, exact = _points(seq, start, range(start, horizon + 1))
-            hit = next((k for k, v in points if d(v, x) > eps), None)
+            points, exact = _points(seq, tail, start, range(start, horizon + 1))
+            hit = next((k for k, v in points if d._dist(v, x) > eps), None)
             if hit is not None:
                 parts.append(Verdict.falsified(witness=(d.name, str(eps), hit),
                                                detail="distance exceeded eps beyond the certificate"))
@@ -335,17 +336,18 @@ def metric_cauchy(seq: SequenceFamily, D: SemimetricFamily,
     certificate a clamp member starts at its clamped tail's constancy index
     and every other member at 1.
     """
+    D.check_carrier(seq.carrier)
     parts = []
     for d in D.members:
-        walk, dist, knee, what = seq, d, 1, "tail"
+        walk, dist, what = seq, d._dist, "tail"
         if d.clamp is not None:
-            walk, dist, what = truncate_sequence(seq, d.clamp), d.base, "clamped tail"
-            tail = _constant_tail(walk)
-            knee = 1 if tail is None else max(tail[0], 1)
+            walk, dist, what = truncate_sequence(seq, d.clamp), d.base._dist, "clamped tail"
+        tail = _constant_tail(walk)
+        knee = max(tail[0], 1) if d.clamp is not None and tail is not None else 1
         for eps in eps_grid:
             eps = rat(eps)
             start = cert.at(eps, d.name) if cert is not None else knee
-            points, exact = _points(walk, start, _probe_indices(start, horizon, 16))
+            points, exact = _points(walk, tail, start, _probe_indices(start, horizon, 16))
             hit = next(((a, b) for (a, u), (b, v) in itertools.combinations(points, 2)
                         if dist(u, v) > eps), None)
             if hit is not None:

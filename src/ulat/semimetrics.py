@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 from .carriers import (Carrier, CarrierMismatch, FiniteLattice, GroupCarrier, index_table,
@@ -28,6 +29,10 @@ from .verdicts import Verdict
 class LatticeSemimetric:
     """A named distance function on one carrier, valued in [0, +inf].
 
+    ``func`` is trusted.  A call checks both points, the one place a
+    distance checks them, then runs ``_dist``; loops over elements call
+    ``_dist`` directly.
+
     A clamp-derived member d_p carries its pair in ``clamp`` and d in
     ``base``, so Cauchy checks can reuse the clamp's tail constancy
     symbolically; both are None on every other semimetric.
@@ -40,6 +45,9 @@ class LatticeSemimetric:
     base: Optional["LatticeSemimetric"] = None
 
     def __call__(self, x, y) -> ExtValue:
+        return self._dist(self.carrier.check_element(x), self.carrier.check_element(y))
+
+    def _dist(self, x, y) -> ExtValue:
         return ext(self.func(x, y))
 
 
@@ -62,16 +70,23 @@ class SemimetricFamily:
 
     @staticmethod
     def of(name: str, *members: LatticeSemimetric) -> "SemimetricFamily":
-        if not members:
-            raise ValueError("a semimetric family must have at least one member")
-        return SemimetricFamily(name, members[0].carrier, tuple(members))
+        return SemimetricFamily(name, members[0].carrier if members else None, members)
+
+    def check_carrier(self, L: Carrier) -> None:
+        """Loops that hand L's elements to ``_dist`` need the family on L."""
+        if self.carrier is not L:
+            raise CarrierMismatch(f"family {self.name!r} lives on {self.carrier.name!r}, not {L.name!r}")
 
     def vanishes_at(self, x, y) -> bool:
-        return all(d(x, y) == 0 for d in self.members)
+        return self._vanishes(self.carrier.check_element(x), self.carrier.check_element(y))
+
+    def _vanishes(self, x, y) -> bool:
+        return all(d._dist(x, y) == 0 for d in self.members)
 
     def separates(self, xs) -> bool:
         """Hausdorff on xs: no two distinct points of xs at joint distance 0."""
-        return not any(self.vanishes_at(x, y) for x, y in itertools.combinations(xs, 2))
+        xs = [self.carrier.check_element(x) for x in xs]
+        return not any(self._vanishes(x, y) for x, y in itertools.combinations(xs, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +105,10 @@ def discrete_semimetric(L: Carrier) -> LatticeSemimetric:
 
 
 def norm_semimetric(G: GroupCarrier, name: str = "l1") -> LatticeSemimetric:
-    """d(x, y) = ||x - y|| from the carrier's norm; both points are checked
-    once per call, so a foreign point is refused with CarrierMismatch."""
-    return LatticeSemimetric(name, G, lambda x, y: G._norm(G.sub(x, y)))
+    """d(x, y) = ||x - y|| from the carrier's trusted norm and difference;
+    the call checks both points, so a foreign point is refused with
+    CarrierMismatch."""
+    return LatticeSemimetric(name, G, lambda x, y: G._norm(G._sub(x, y)))
 
 
 def symmetric_difference_semimetric(algebra) -> LatticeSemimetric:
@@ -113,6 +129,7 @@ def pullback_semimetric(name: str, L: Carrier, mapping: Callable, base: LatticeS
     The pullback of a lattice semimetric along a homomorphism is again a
     lattice semimetric; callers are responsible for mapping actually being a
     homomorphism (validate_semimetric will catch the failure otherwise).
+    The images come from the caller's mapping, so base checks them.
     """
     return LatticeSemimetric(name, L, lambda x, y: base(mapping(x), mapping(y)))
 
@@ -138,10 +155,10 @@ def table_semimetric(name: str, L: FiniteLattice, table: dict) -> LatticeSemimet
 
     flat = [code(i, j) for i in range(n) for j in range(n)]
     matrix = index_table(flat, len(interned))
-    values = tuple(interned)
+    values, index = tuple(interned), L._index
 
     def dist(x, y):
-        return values[matrix[L.index_of(x) * n + L.index_of(y)]]
+        return values[matrix[index[x] * n + index[y]]]
 
     return LatticeSemimetric(name, L, dist)
 
@@ -177,17 +194,18 @@ def validate_semimetric(d: LatticeSemimetric, budget: int = 200, rng=None) -> Ve
         exhaustive = False
         count = budget
 
+    dist, join, meet = d._dist, L._join, L._meet
     for x, y, z in triples:
-        dxy = d(x, y)
-        if d(x, x) != 0:
+        dxy = dist(x, y)
+        if dist(x, x) != 0:
             return _axiom_verdict("zero-diagonal", (x,), exhaustive, budget)
-        if dxy != d(y, x):
+        if dxy != dist(y, x):
             return _axiom_verdict("symmetry", (x, y), exhaustive, budget)
-        if d(x, z) > dxy + d(y, z):
+        if dist(x, z) > dxy + dist(y, z):
             return _axiom_verdict("triangle", (x, y, z), exhaustive, budget)
-        if d(L.join(x, z), L.join(y, z)) > dxy:
+        if dist(join(x, z), join(y, z)) > dxy:
             return _axiom_verdict("join-contraction", (x, y, z), exhaustive, budget)
-        if d(L.meet(x, z), L.meet(y, z)) > dxy:
+        if dist(meet(x, z), meet(y, z)) > dxy:
             return _axiom_verdict("meet-contraction", (x, y, z), exhaustive, budget)
     if exhaustive:
         return Verdict.exact(detail=f"exhaustive over {len(elems)}^3 triples")
@@ -202,17 +220,16 @@ def derived_semimetric(d: LatticeSemimetric, p: TruncationPair) -> LatticeSemime
     """d_p(x, y) = d(clamp_p(x), clamp_p(y)) for a canonical pair p.
 
     Contraction applied twice gives d_p <= d pointwise, so every derived
-    member is dominated by its source.  The pair is checked here, and each
-    point once per call.
+    member is dominated by its source.  The pair is checked here, once, and
+    the clamps run on the points the call has checked.
     """
     if not p.canonical:
         raise ValueError(f"derived semimetric needs a canonical pair, got {p!r}")
-    L = d.carrier
-    low, high = L.check_element(p.low), L.check_element(p.high)
+    p = TruncationPair.of(d.carrier, p.low, p.high)
+    L, low, high = d.carrier, p.low, p.high
 
     def dist(x, y):
-        return d(_clamp(L, low, high, L.check_element(x)),
-                 _clamp(L, low, high, L.check_element(y)))
+        return d._dist(_clamp(L, low, high, x), _clamp(L, low, high, y))
 
     return LatticeSemimetric(f"{d.name}[{p.low},{p.high}]", L, dist, clamp=p, base=d)
 
@@ -257,8 +274,7 @@ def kernel_partition(L: Carrier, D: SemimetricFamily) -> KernelRelation:
     classes of the arguments.  A violation means the input was not really a
     family of lattice semimetrics and raises ValueError with a witness.
     """
-    if D.carrier is not L:
-        raise CarrierMismatch(f"family {D.name!r} lives on {D.carrier.name!r}, not {L.name!r}")
+    D.check_carrier(L)
     elems = L.elements()
     if elems is None:
         raise ValueError("kernel partition needs a finite carrier")
@@ -266,7 +282,7 @@ def kernel_partition(L: Carrier, D: SemimetricFamily) -> KernelRelation:
     blocks: list[list] = []
     for x in elems:
         for block in blocks:
-            if D.vanishes_at(x, block[0]):
+            if D._vanishes(x, block[0]):
                 block.append(x)
                 break
         else:
@@ -277,7 +293,7 @@ def kernel_partition(L: Carrier, D: SemimetricFamily) -> KernelRelation:
         x = block[0]
         for y in block[1:]:
             for z in elems:
-                for op, tag in ((L.join, "join"), (L.meet, "meet")):
+                for op, tag in ((L._join, "join"), (L._meet, "meet")):
                     if kernel.class_index(op(x, z)) != kernel.class_index(op(y, z)):
                         raise ValueError(
                             f"kernel classes are not a {tag} congruence: "
@@ -312,24 +328,21 @@ def quotient(L: Carrier, kernel: KernelRelation, D: SemimetricFamily) -> Quotien
     for d in D.members:
         for bi in kernel.blocks:
             for bj in kernel.blocks:
-                base = d(bi[0], bj[0])
+                base = d._dist(bi[0], bj[0])
                 for x in bi:
                     for y in bj:
-                        if d(x, y) != base:
+                        if d._dist(x, y) != base:
                             raise ValueError(
                                 "representative-dependence detected: "
                                 f"{d.name} at x={x!r}, y={y!r} differs from class value"
                             )
 
     def quotient_leq(rx, ry):
-        return kernel.class_index(L.meet(rx, ry)) == kernel.class_index(rx)
+        return kernel.class_index(L._meet(rx, ry)) == kernel.class_index(rx)
 
     Q = FiniteLattice.from_leq(f"{L.name}/ker", reps, quotient_leq)
-
-    def lift(d: LatticeSemimetric) -> LatticeSemimetric:
-        return LatticeSemimetric(d.name, Q, lambda x, y, _d=d: _d(x, y))
-
-    induced = SemimetricFamily(D.name, Q, tuple(lift(d) for d in D.members))
+    induced = SemimetricFamily(D.name, Q, tuple(LatticeSemimetric(d.name, Q, d.func)
+                                                for d in D.members))
     return QuotientLattice(Q, kernel, induced, induced.separates(reps))
 
 
@@ -344,7 +357,8 @@ def order_interval(L: Carrier, p: TruncationPair) -> list:
         raise ValueError("order intervals are only enumerable on finite carriers")
     if not p.canonical:
         raise ValueError("an order interval needs a canonical pair")
-    return [x for x in elems if L.leq(p.low, x) and L.leq(x, p.high)]
+    low, high = L.check_element(p.low), L.check_element(p.high)
+    return [x for x in elems if L._leq(low, x) and L._leq(x, high)]
 
 
 def _dominates(Du: SemimetricFamily, Dv: SemimetricFamily, square) -> Optional[tuple]:
@@ -357,11 +371,11 @@ def _dominates(Du: SemimetricFamily, Dv: SemimetricFamily, square) -> Optional[t
     in Du's kernel where d_v > 0 and eps the least positive value of d_v on
     the square: d_v >= eps is forced at max_Du = 0.
     """
-    kernel = [(x, y) for x, y in square if Du.vanishes_at(x, y)]
+    kernel = [(x, y) for x, y in square if Du._vanishes(x, y)]
     for dv in Dv.members:
-        bad = next(((x, y) for x, y in kernel if dv(x, y) != 0), None)
+        bad = next(((x, y) for x, y in kernel if dv._dist(x, y) != 0), None)
         if bad is not None:
-            eps = min(v for v in (dv(x, y) for x, y in square) if v != 0)
+            eps = min(v for v in (dv._dist(x, y) for x, y in square) if v != 0)
             return (dv.name, eps) + bad
     return None
 
@@ -431,8 +445,8 @@ def ph_criterion_detail(L: FiniteLattice, S: Sequence, D: SemimetricFamily) -> R
     recovery_ok = True
     failing = None
     for x in elems:
-        lower = L.join_all([L.meet(s, x) for s in items])
-        upper = L.meet_all([L.join(s, x) for s in items])
+        lower = reduce(L._join, [L._meet(s, x) for s in items])
+        upper = reduce(L._meet, [L._join(s, x) for s in items])
         if lower != x or upper != x:
             recovery_ok = False
             failing = x
@@ -443,7 +457,7 @@ def ph_criterion_detail(L: FiniteLattice, S: Sequence, D: SemimetricFamily) -> R
     # nondistributive carriers the clamps are not homomorphisms, so the
     # kernel classes need not be congruence classes and kernel_partition
     # would reject them
-    pairs = [TruncationPair.of(L, a, b) for a in items for b in items if L.leq(a, b)]
+    pairs = [TruncationPair(a, b, True) for a in items for b in items if L._leq(a, b)]
     kernel_hausdorff = ustar_family(D, pairs).separates(elems)
 
     if by_criterion != kernel_hausdorff:

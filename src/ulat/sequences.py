@@ -250,9 +250,11 @@ def settled(seq: SequenceFamily):
 
 
 def _constant_tail(seq: SequenceFamily):
-    """settled(seq) when it proves seq constant from some index, else None."""
+    """settled(seq), value checked, when it proves seq constant, else None."""
     tail = settled(seq)
-    return None if tail is None or tail[1] is NEVER_CONSTANT else tail
+    if tail is None or tail[1] is NEVER_CONSTANT:
+        return None
+    return tail[0], seq.carrier.check_element(tail[1])
 
 
 def clamped_descriptor(seq: SequenceFamily, p: TruncationPair):
@@ -309,13 +311,13 @@ def chain_bound(seq: SequenceFamily, kind: str, k0: int = 1,
         raise ValueError("k0 starts at 1")
     L = seq.carrier
     d = seq.descriptor
-    fold = L.join_all if kind == "sup" else L.meet_all
+    fold = L._join if kind == "sup" else L._meet
 
     if isinstance(d, (EventuallyConstant, Periodic)):
         values = [seq.value(k) for k in range(k0, max(d.from_index, k0))]
         tail = d.values if isinstance(d, Periodic) else (d.value,)
-        values.extend(L.normalize(v) for v in tail)
-        return BoundClaim(fold(values), True, "eventually periodic tail")
+        values.extend(L.check_element(v) for v in tail)
+        return BoundClaim(functools.reduce(fold, values), True, "eventually periodic tail")
     if isinstance(d, TailClosedForm):
         series = d.series
         limit = series.limit()
@@ -350,8 +352,9 @@ def chain_bound(seq: SequenceFamily, kind: str, k0: int = 1,
             return BoundClaim(FinCofSet.empty(), True, "the tail avoids every atom")
         return BoundClaim(d.term(k0), True, "shrinking chain")
     if L.is_finite:
-        values = [seq.value(k) for k in range(k0, horizon + 1)]
-        return BoundClaim(fold(values), False, f"fold of terms {k0}..{horizon}")
+        stop = max(k0, horizon)
+        values = [seq.value(k) for k in range(k0, stop + 1)]
+        return BoundClaim(functools.reduce(fold, values), False, f"fold of terms {k0}..{stop}")
     return BoundClaim(None, False, "no descriptor and carrier not finite")
 
 

@@ -23,6 +23,7 @@ from ulat.carriers import (
     sublattices,
 )
 from ulat.spaces import QVec
+from ulat.truncation import TruncationPair
 
 
 def brute_force_from_leq(elems, leq):
@@ -317,12 +318,18 @@ def test_chain64_and_divisor5040_tables():
     assert L.meet(48, 180) == 12 and L.join(48, 180) == 720
 
 
-def test_index_of_rejects_foreign_elements():
-    L = divisor_lattice(12)
-    assert L.index_of(12) == len(L.elements()) - 1
-    for foreign in (5, "1", [1]):
+def test_a_finite_lattice_refuses_foreign_values():
+    """An unhashable value is refused like any other foreign value."""
+    L = divisor_lattice(60)
+    assert L.check_element(12) == 12
+    for foreign in (7, "1", [1], {}):
+        assert not L.contains(foreign)
         with pytest.raises(CarrierMismatch):
-            L.index_of(foreign)
+            L.check_element(foreign)
+        with pytest.raises(CarrierMismatch):
+            L.meet(foreign, 1)
+        with pytest.raises(CarrierMismatch):
+            TruncationPair.of(L, foreign, 60)
 
 
 @pytest.mark.parametrize("cover, message", [

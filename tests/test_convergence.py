@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import ulat.convergence as convergence
-from ulat.carriers import chain_lattice
+from ulat.carriers import CarrierMismatch, chain_lattice
 from ulat.convergence import (
     _grade_bound,
     decide_O1_eventual_constancy,
@@ -41,7 +41,7 @@ from ulat.sequences import (
     singleton_atom_sequence,
     unit_vector_sequence,
 )
-from ulat.spaces import NO_BOUND, C00Space, C00Vec, FinCofAlgebra, FinCofSet, QLine
+from ulat.spaces import NO_BOUND, C00Space, C00Vec, FinCofAlgebra, FinCofSet, QLine, QVec
 from ulat.truncation import TruncationPair
 
 Q = QLine()
@@ -399,6 +399,39 @@ def test_o1_checks_each_term_once_and_the_limit_once(monkeypatch):
     assert v.status == "verified-at-horizon"
     assert len(terms) == 150
     assert len(checks) == len(terms) + 1
+
+
+def test_a_cauchy_check_makes_one_check_per_term_evaluation(monkeypatch):
+    checks = []
+    real = Q.check_element
+    monkeypatch.setattr(Q, "check_element", lambda x: checks.append(x) or real(x))
+    terms = []
+    climb = SequenceFamily("climb", Q, lambda k: terms.append(k) or 1 - F(1, k))
+    assert metric_cauchy(climb, ABS, CERT, horizon=300).status == "verified-at-horizon"
+    assert terms and len(checks) == len(terms)
+
+
+def test_a_foreign_settled_value_is_refused_by_the_metric_oracles():
+    bad = SequenceFamily("bad", Q, lambda k: F(0), EventuallyConstant("junk", 2))
+    with pytest.raises(CarrierMismatch):
+        metric_converges(bad, 0, ABS, CERT)
+    with pytest.raises(CarrierMismatch):
+        metric_cauchy(bad, ABS)
+
+
+def test_the_metric_oracles_refuse_a_family_on_another_carrier():
+    climb = series_sequence(Q, RatAltSeq.const(1) - RatAltSeq.inv_index(), "climb")
+    plane = SemimetricFamily.of("l1", norm_semimetric(QVec(2)))
+    with pytest.raises(CarrierMismatch):
+        metric_converges(climb, 1, plane, CERT)
+    with pytest.raises(CarrierMismatch):
+        metric_cauchy(climb, plane, CERT)
+
+
+def test_a_sandwich_past_the_bound_horizon_folds_its_first_terms():
+    top = SequenceFamily("top", chain_lattice(3), lambda k: 2)
+    v = verify_O1(top, 2, O1Witness(top, top, start_index=600))
+    assert v.status == "verified-at-horizon"
 
 
 def test_bounded_climb_is_cauchy_at_the_horizon():

@@ -163,6 +163,59 @@ class TestDerived:
         assert len(star.members) == 2
 
 
+CATALOG_MEMBERS = [(entry.name, d) for entry in standard_carriers().values()
+                   for D in entry.families.values() for d in D.members]
+
+
+@pytest.mark.parametrize("entry, d", CATALOG_MEMBERS,
+                         ids=[f"{name}/{d.name}" for name, d in CATALOG_MEMBERS])
+def test_every_catalog_member_refuses_foreign_points(entry, d):
+    for x, y in (("nope", "nope"), ("x", [1]), ({}, {})):
+        with pytest.raises(CarrierMismatch):
+            d(x, y)
+
+
+@pytest.mark.parametrize("entry, family, x, y", [
+    ("fincof", "symdiff", 1, 2),
+    ("chain4", "collapse", 9, 9),
+    ("chain4", "collapse", 1, 9),
+])
+def test_members_without_a_check_of_their_own_refuse_foreign_points(entry, family, x, y):
+    d = standard_carriers()[entry].family(family).members[0]
+    with pytest.raises(CarrierMismatch):
+        d(x, y)
+
+
+def _count_checks(monkeypatch, L) -> list:
+    calls = []
+    check = L.check_element
+    monkeypatch.setattr(L, "check_element", lambda x: calls.append(x) or check(x))
+    return calls
+
+
+def test_validating_a_finite_table_makes_no_check(monkeypatch):
+    L = chain_lattice(4)
+    d = table_semimetric("gap", L, {(i, j): F(j - i) for i in range(4) for j in range(i + 1, 4)})
+    calls = _count_checks(monkeypatch, L)
+    assert validate_semimetric(d).status == "exact"
+    assert calls == []
+
+
+def test_kernel_quotient_and_agreement_check_only_their_entry_points(monkeypatch):
+    L = chain_lattice(4)
+    fold = {0: 0, 1: 1, 2: 1, 3: 2}
+    D = SemimetricFamily.of("collapse", pullback_semimetric(
+        "collapse", L, lambda x: fold[x], discrete_semimetric(chain_lattice(3))))
+    calls = _count_checks(monkeypatch, L)
+    q = quotient(L, kernel_partition(L, D), D)
+    assert calls == []
+    assert q.induced.members[0](1, 3) == 1
+    with pytest.raises(CarrierMismatch):
+        q.induced.members[0](2, 3)  # 2 is no representative of the quotient
+    assert interval_agreement(D, D, TruncationPair(0, 3, True)).status == "exact"
+    assert calls == [0, 3]
+
+
 class TestKernelAndQuotient:
     def test_collapse_kernel_blocks_are_frozen(self):
         L = chain_lattice(4)
@@ -193,7 +246,7 @@ class TestKernelAndQuotient:
         M3 = diamond_lattice()
         # glue bottom to one atom only: joining with another atom separates
         elems = M3.elements()
-        glued = {M3.index_of("0"), M3.index_of("a")}
+        glued = {elems.index("0"), elems.index("a")}
         table = {}
         for i in range(len(elems)):
             for j in range(i + 1, len(elems)):
@@ -342,9 +395,8 @@ def test_compiled_table_equals_the_dict_lookup_on_every_pair():
              for i in range(n) for j in range(i + 1, n)}
     d = table_semimetric("random", L, table)
     seen = {}
-    for x in L.elements():
-        for y in L.elements():
-            i, j = L.index_of(x), L.index_of(y)
+    for i, x in enumerate(L.elements()):
+        for j, y in enumerate(L.elements()):
             want = ext(0) if i == j else ext(table[(min(i, j), max(i, j))])
             got = d(x, y)
             assert got == want

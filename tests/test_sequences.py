@@ -175,6 +175,26 @@ def test_bounds_of_composed_harmonic_terms(term, sup, inf):
         assert (claim.value, claim.exact) == (want, True)
 
 
+def test_a_fold_folds_at_least_term_k0_and_checks_each_term_once(monkeypatch):
+    L = chain_lattice(3)
+    ramp = SequenceFamily("ramp", L, lambda k: min(k - 1, 2))
+    claim = chain_bound(ramp, "sup", k0=70)
+    assert (claim.value, claim.exact, claim.detail) == (2, False, "fold of terms 70..70")
+    assert chain_bound(ramp, "inf", k0=2, horizon=1).detail == "fold of terms 2..2"
+    checks = []
+    real = L.check_element
+    monkeypatch.setattr(L, "check_element", lambda x: checks.append(x) or real(x))
+    claim = chain_bound(ramp, "inf", horizon=100)
+    assert (claim.value, claim.detail) == (0, "fold of terms 1..100")
+    assert len(checks) == 100
+
+
+def test_a_foreign_descriptor_value_is_refused_by_the_bound():
+    bad = SequenceFamily("bad", chain_lattice(3), lambda k: 0, EventuallyConstant(7, 2))
+    with pytest.raises(CarrierMismatch):
+        chain_bound(bad, "sup")
+
+
 def test_alternating_tail_is_undecided_without_monotonicity():
     alt = series_sequence(Q, RatAltSeq.alt() * RatAltSeq.inv_index(), "alt-harmonic")
     claim = chain_bound(alt, "sup")

@@ -71,12 +71,15 @@ def test_every_definition_has_a_caller_outside_the_tests():
 
 def test_the_tail_layers_compare_on_the_trusted_order():
     """Terms are checked once, in ``SequenceFamily.value``; past that the
-    convergence layer calls ``_leq``, never the checking ``leq``."""
-    for name in ("convergence.py", "sequences.py", "subnet.py"):
-        calls = [node.lineno for node in ast.walk(_parse(SRC / name))
+    convergence layer calls ``_leq``, never the checking ``leq``.  The
+    semimetric layer checks points where they enter and runs its loops on
+    ``_leq``, ``_meet`` and ``_join``."""
+    for name, ops in (("convergence.py", {"leq"}), ("sequences.py", {"leq"}),
+                      ("subnet.py", {"leq"}), ("semimetrics.py", {"leq", "meet", "join"})):
+        calls = [(node.func.attr, node.lineno) for node in ast.walk(_parse(SRC / name))
                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                 and node.func.attr == "leq"]
-        assert not calls, f"{name} calls .leq( on lines {calls}"
+                 and node.func.attr in ops]
+        assert not calls, f"{name} calls checking operations: {calls}"
 
 
 def test_the_oracles_read_no_descriptor():
