@@ -58,6 +58,10 @@ class Carrier:
         raise NotImplementedError
 
     def check_element(self, x):
+        """x itself after one membership test when it is an element; any
+        other value is normalized first and must be an element then."""
+        if self.contains(x):
+            return x
         y = self.normalize(x)
         if not self.contains(y):
             raise CarrierMismatch(f"{x!r} is not an element of carrier {self.name!r}")
@@ -528,7 +532,11 @@ def check_group_axioms(G: GroupCarrier, xs: Sequence) -> CheckResult:
 
 def is_sublattice(L: Carrier, S: Sequence) -> bool:
     """Is S (as carrier elements) closed under meet and join?"""
-    items = [L.check_element(s) for s in S]
+    return _is_sublattice(L, [L.check_element(s) for s in S])
+
+
+def _is_sublattice(L: Carrier, items: Sequence) -> bool:
+    """``is_sublattice`` on elements already checked."""
     return all(L._meet(a, b) in items and L._join(a, b) in items
                for a in items for b in items)
 
@@ -538,5 +546,5 @@ def sublattices(L: FiniteLattice):
     elems = L.elements()
     for r in range(1, len(elems) + 1):
         for combo in combinations(elems, r):
-            if is_sublattice(L, combo):
+            if _is_sublattice(L, combo):
                 yield combo

@@ -19,7 +19,7 @@ from functools import reduce
 from typing import Callable, Optional, Sequence
 
 from .carriers import (Carrier, CarrierMismatch, FiniteLattice, GroupCarrier, index_table,
-                       is_sublattice, load_finite_lattice)
+                       _is_sublattice, load_finite_lattice)
 from .exact import EXT_INF, ExtValue, ext, rat
 from .truncation import TruncationPair, _clamp
 from .verdicts import Verdict
@@ -76,9 +76,6 @@ class SemimetricFamily:
         """Loops that hand L's elements to ``_dist`` need the family on L."""
         if self.carrier is not L:
             raise CarrierMismatch(f"family {self.name!r} lives on {self.carrier.name!r}, not {L.name!r}")
-
-    def vanishes_at(self, x, y) -> bool:
-        return self._vanishes(self.carrier.check_element(x), self.carrier.check_element(y))
 
     def _vanishes(self, x, y) -> bool:
         return all(d._dist(x, y) == 0 for d in self.members)
@@ -438,7 +435,7 @@ def ph_criterion_detail(L: FiniteLattice, S: Sequence, D: SemimetricFamily) -> R
     items = [L.check_element(s) for s in S]
     if not items:
         raise ValueError("S must be nonempty")
-    if not is_sublattice(L, items):
+    if not _is_sublattice(L, items):
         raise ValueError("S is not a sublattice: not closed under meet and join")
 
     family_hausdorff = D.separates(elems)

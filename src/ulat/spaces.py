@@ -6,8 +6,9 @@
 * ``FinCofAlgebra`` -- the algebra of finite and cofinite subsets of an
   inexhaustible atom universe (atoms are integers);
 * ``EvLinSpace`` -- sequences that are eventually affine in the coordinate
-  index, with an extended l1 norm that is +inf exactly when the eventual
-  part is nonzero.
+  index, stored as canonical affine pieces so that each operation costs
+  O(pieces), with an extended l1 norm that is +inf exactly when the
+  eventual part is nonzero and is summed piece by piece in closed form.
 
 ``NO_BOUND`` marks a sup or inf that provably does not exist in a carrier.
 
@@ -288,47 +289,140 @@ class FinCofAlgebra(Carrier):
 # Eventually affine sequences
 
 
+_ZERO = Fraction(0)
+
+
+def _canonical(pieces: list) -> tuple:
+    """The one piece list of the sequence that ``pieces`` describes.
+
+    ``pieces`` holds ``(start, c, d)`` triples with strictly increasing
+    starts, the first at 1, each law holding from its start up to the next
+    start.  Reading from the right, each canonical piece takes every point
+    to its left that fits its law; the law of the next piece is the line
+    through the two points left of it, or a constant for the lone point at
+    coordinate 1.  That depends on the values alone, so two sequences are
+    equal exactly when their canonical pieces are.  Two distinct lines meet
+    at most once, so an input piece under another law gives up at most one
+    point, and the pass costs O(len(pieces)).
+    """
+    out = []
+    j = len(pieces) - 1
+    pos, c, d = pieces[j]
+    j -= 1
+    while True:
+        # pos is the leftmost coordinate that fits (c, d); input piece j now
+        # ends at pos - 1
+        while j >= 0:
+            s, cj, dj = pieces[j]
+            if cj == c and dj == d:
+                pos = s
+            elif dj != d and cj + dj * (pos - 1) == c + d * (pos - 1):
+                pos -= 1
+                if s < pos:
+                    break
+            else:
+                break
+            j -= 1
+        out.append((pos, c, d))
+        if pos == 1:
+            out.reverse()
+            return tuple(out)
+        e = pos - 1
+        s, cj, dj = pieces[j]
+        if e == 1:
+            c, d = cj + dj, _ZERO
+        elif s < e:
+            c, d = cj, dj
+        else:
+            _, cp, dp = pieces[j - 1]
+            v = cj + dj * e
+            d = v - cp - dp * (e - 1)
+            c = v - d * e
+
+
+def _series(c: Fraction, d: Fraction, a: int, b: int) -> Fraction:
+    """Sum of c + d*i over a <= i <= b (0 when b < a)."""
+    n = b - a + 1
+    return c * n + d * ((a + b) * n // 2) if n > 0 else _ZERO
+
+
+def _abs_series(c: Fraction, d: Fraction, a: int, b: int) -> Fraction:
+    """Sum of |c + d*i| over a <= i <= b: c + d*i keeps one sign up to its
+    zero and the other past it, so each side is one arithmetic series."""
+    if d == 0:
+        return abs(c) * (b - a + 1)
+    z = min(max(frac_floor(-c / d), a - 1), b)
+    return abs(_series(c, d, a, z)) + abs(_series(c, d, z + 1, b))
+
+
 @dataclass(frozen=True)
 class EvLinSeq:
     """Rational sequence over coordinates i = 1, 2, ... that is eventually
-    affine: value(i) = prefix[i-1] for i <= len(prefix), else c + d*i.
+    affine, stored as affine pieces.
 
-    The stored prefix is trimmed so entries that already satisfy the eventual
-    law are absorbed into it; this makes equality structural.
+    ``pieces`` holds ``(start, c, d)`` triples with increasing starts, the
+    first at 1: value(i) = c + d*i for the last piece whose start is at most
+    i, so the last piece is the eventual law.  The pieces are canonical (see
+    ``_canonical``), which makes equality structural, and every operation
+    costs O(pieces) whatever the size of the coefficients.  ``prefix`` lists
+    the values before the eventual law takes over.
     """
 
-    prefix: tuple[Fraction, ...]
-    c: Fraction
-    d: Fraction
+    pieces: tuple[tuple[int, Fraction, Fraction], ...]
 
     @staticmethod
     def make(prefix: Iterable[object], c: object, d: object) -> "EvLinSeq":
-        pre = [rat(v) for v in prefix]
-        cc, dd = rat(c), rat(d)
-        while pre and pre[-1] == cc + dd * len(pre):
-            pre.pop()
-        return EvLinSeq(tuple(pre), cc, dd)
+        pieces = [(i, rat(v), _ZERO) for i, v in enumerate(prefix, 1)]
+        pieces.append((len(pieces) + 1, rat(c), rat(d)))
+        return EvLinSeq(_canonical(pieces))
 
     @staticmethod
     def affine(c: object, d: object) -> "EvLinSeq":
-        return EvLinSeq.make((), c, d)
+        return EvLinSeq(((1, rat(c), rat(d)),))
+
+    @property
+    def c(self) -> Fraction:
+        return self.pieces[-1][1]
+
+    @property
+    def d(self) -> Fraction:
+        return self.pieces[-1][2]
+
+    @property
+    def prefix(self) -> tuple[Fraction, ...]:
+        return tuple(c + d * i for (s, c, d), (end, _, _) in zip(self.pieces, self.pieces[1:])
+                     for i in range(s, end))
 
     def value(self, i: int) -> Fraction:
         if i < 1:
             raise ValueError("coordinates start at 1")
-        if i <= len(self.prefix):
-            return self.prefix[i - 1]
-        return self.c + self.d * i
-
-    def map_with(self, other: "EvLinSeq", op, tail_c: Fraction, tail_d: Fraction,
-                 split_at: int) -> "EvLinSeq":
-        n = max(len(self.prefix), len(other.prefix), split_at)
-        pre = [op(self.value(i), other.value(i)) for i in range(1, n + 1)]
-        return EvLinSeq.make(pre, tail_c, tail_d)
+        for s, c, d in reversed(self.pieces):
+            if s <= i:
+                return c + d * i
 
     def __repr__(self) -> str:
-        pre = ",".join(str(v) for v in self.prefix)
-        return f"EvLinSeq([{pre}]; {self.c}+{self.d}*i)"
+        laws = "; ".join(f"{s}: {c}+{d}*i" for s, c, d in self.pieces)
+        return f"EvLinSeq({laws})"
+
+
+def _runs(x: EvLinSeq, y: EvLinSeq):
+    """(start, next start or None, law of x, law of y) for each run of
+    coordinates on which neither sequence changes its law."""
+    xp, yp = x.pieces, y.pieces
+    i = j = 0
+    s = 1
+    while True:
+        xn = xp[i + 1][0] if i + 1 < len(xp) else None
+        yn = yp[j + 1][0] if j + 1 < len(yp) else None
+        nxt = yn if xn is None else xn if yn is None else min(xn, yn)
+        yield s, nxt, xp[i], yp[j]
+        if nxt is None:
+            return
+        if xn == nxt:
+            i += 1
+        if yn == nxt:
+            j += 1
+        s = nxt
 
 
 class EvLinSpace(GroupCarrier):
@@ -341,41 +435,54 @@ class EvLinSpace(GroupCarrier):
     def contains(self, x) -> bool:
         return isinstance(x, EvLinSeq)
 
-    def _combine(self, x: EvLinSeq, y: EvLinSeq, op) -> EvLinSeq:
-        if x.d == y.d:
-            return x.map_with(y, op, op(x.c, y.c), x.d, 0)
-        # two lines with different slopes cross once; beyond the crossing the
-        # comparison is settled by the slopes
-        t = (y.c - x.c) / (x.d - y.d)
-        split = max(0, frac_floor(t) + 1)
-        if op is min:
-            winner = x if x.d < y.d else y
-        else:
-            winner = x if x.d > y.d else y
-        return x.map_with(y, op, winner.c, winner.d, split)
+    def _combine(self, x: EvLinSeq, y: EvLinSeq, lower: bool) -> EvLinSeq:
+        pieces = []
+        for s, nxt, (_, xc, xd), (_, yc, yd) in _runs(x, y):
+            if xd == yd:
+                keep_x = xc <= yc if lower else xc >= yc
+                pieces.append((s, xc, xd) if keep_x else (s, yc, yd))
+                continue
+            # two lines with different slopes cross once; beyond the crossing
+            # the comparison is settled by the slopes
+            split = max(s, frac_floor((yc - xc) / (xd - yd)) + 1)
+            steep, flat = ((xc, xd), (yc, yd)) if xd > yd else ((yc, yd), (xc, xd))
+            before, after = (steep, flat) if lower else (flat, steep)
+            if split > s:
+                pieces.append((s, *before))
+            if nxt is None or split < nxt:
+                pieces.append((split, *after))
+        return EvLinSeq(_canonical(pieces))
 
     def _meet(self, x, y):
-        return self._combine(x, y, min)
+        return self._combine(x, y, True)
 
     def _join(self, x, y):
-        return self._combine(x, y, max)
+        return self._combine(x, y, False)
 
     def _add(self, x, y):
-        return x.map_with(y, lambda a, b: a + b, x.c + y.c, x.d + y.d, 0)
+        return EvLinSeq(_canonical([(s, a[1] + b[1], a[2] + b[2])
+                                    for s, _, a, b in _runs(x, y)]))
+
+    def _sub(self, x, y):
+        return EvLinSeq(_canonical([(s, a[1] - b[1], a[2] - b[2])
+                                    for s, _, a, b in _runs(x, y)]))
 
     def _negate(self, x):
-        return EvLinSeq.make(tuple(-v for v in x.prefix), -x.c, -x.d)
+        # negation keeps which points fit which law, so the pieces stay canonical
+        return EvLinSeq(tuple((s, -c, -d) for s, c, d in x.pieces))
 
     def scale_rat(self, q: object, x: EvLinSeq) -> EvLinSeq:
         q = rat(q)
         x = self.check_element(x)
-        return EvLinSeq.make(tuple(q * v for v in x.prefix), q * x.c, q * x.d)
+        return EvLinSeq(_canonical([(s, q * c, q * d) for s, c, d in x.pieces]))
 
     def _norm(self, x) -> ExtValue:
         """Extended l1 norm: +inf exactly when the eventual part is nonzero."""
         if x.c != 0 or x.d != 0:
             return EXT_INF
-        return ExtValue(sum((abs(v) for v in x.prefix), Fraction(0)))
+        return ExtValue(sum((_abs_series(c, d, s, end - 1)
+                             for (s, c, d), (end, _, _) in zip(x.pieces, x.pieces[1:])),
+                            _ZERO))
 
     def sample(self, rng):
         n = rng.randint(0, 3)

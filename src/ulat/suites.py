@@ -550,8 +550,8 @@ def _suite_closure_t4(cfg: SuiteConfig) -> list[CheckRecord]:
                 continue
             for A in subsets:
                 closure_checks += 1
-                cl_d = {x for x in elems if any(D.vanishes_at(x, a) for a in A)}
-                cl_s = {x for x in elems if any(star.vanishes_at(x, a) for a in A)}
+                cl_d = {x for x in elems if any(D._vanishes(x, a) for a in A)}
+                cl_s = {x for x in elems if any(star._vanishes(x, a) for a in A)}
                 if cl_d != cl_s:
                     bad = (entry.name, fam_name, A)
                     break

@@ -65,12 +65,13 @@ def compose_truncations(L: Carrier, outer: TruncationPair, inner: TruncationPair
     With outer = (a, b) and inner = (c, d) the composite clamp is the clamp
     of the pair (a \\/ (b /\\ c), b /\\ d); distributivity is what makes the
     pointwise identity hold, so nondistributive carriers are rejected.
+    Each of the four ends is checked once.
     """
     if not L.distributive:
         raise ValueError(f"carrier {L.name!r} is not distributive; composition law unavailable")
-    a, b = outer.low, outer.high
-    c, d = inner.low, inner.high
-    return TruncationPair.of(L, L.join(a, L.meet(b, c)), L.meet(b, d))
+    a, b, c, d = (L.check_element(v) for v in (outer.low, outer.high, inner.low, inner.high))
+    low, high = L._join(a, L._meet(b, c)), L._meet(b, d)
+    return TruncationPair(low, high, L._leq(low, high))
 
 
 def is_truncation_hom(L: Carrier, p: TruncationPair) -> CheckResult:

@@ -19,6 +19,7 @@ from ulat.carriers import (
     divisor_lattice,
     load_finite_lattice,
     pentagon_lattice,
+    is_sublattice,
     powerset_lattice,
     sublattices,
 )
@@ -198,6 +199,18 @@ class TestSublattices:
                     direct.add(tuple(sorted(subset)))
         yielded = {tuple(sorted(S)) for S in sublattices(L)}
         assert yielded == direct
+
+    def test_enumeration_checks_nothing_and_the_public_test_checks_once(self):
+        L = chain_lattice(3)
+        calls = []
+        check = L.check_element
+        L.check_element = lambda x: calls.append(x) or check(x)
+        assert len(list(sublattices(L))) == 7
+        assert calls == []
+        assert is_sublattice(L, [0, 2])
+        assert calls == [0, 2]
+        with pytest.raises(CarrierMismatch):
+            is_sublattice(L, [0, 3])
 
 
 class TestGroupCarrier:

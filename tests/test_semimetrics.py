@@ -305,6 +305,15 @@ class TestRecoveryCriterion:
         assert not ph_criterion_detail(L, [0], D).hausdorff
         assert not ph_criterion_detail(L, [0, 1], D).hausdorff
 
+    def test_the_subset_is_checked_once(self, monkeypatch):
+        L = chain_lattice(3)
+        D = SemimetricFamily.of("discrete", discrete_semimetric(L))
+        calls = _count_checks(monkeypatch, L)
+        assert ph_criterion_detail(L, [0, 2], D).hausdorff
+        # S once where it enters; the rest are the elements in the two
+        # separation tests and the ends of the three clamp pairs
+        assert calls == [0, 2] + [0, 1, 2] + [0, 0, 0, 2, 2, 2] + [0, 1, 2]
+
     def test_detail_reports_the_failing_element(self):
         L = chain_lattice(3)
         D = SemimetricFamily.of("discrete", discrete_semimetric(L))

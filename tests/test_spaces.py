@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -55,6 +56,20 @@ class TestQLineAndQVec:
         assert V.normalize(x) is x
         assert V.normalize([1, F(5), -2]) == x
         assert V.normalize((1, 5, -2)) == x
+
+    def test_vector_check_scans_an_element_once(self):
+        V = QVec(3)
+        scans = []
+        contains = V.contains
+        V.contains = lambda x: scans.append(x) or contains(x)
+        x = (F(1), F(5), F(-2))
+        assert V.check_element(x) is x
+        assert scans == [x]
+        assert V.check_element([1, F(5), -2]) == x
+        for bad in ((F(1), F(2)), (True, F(5), F(-2)), (1.0, F(5), F(-2)),
+                    ("1", F(5), F(-2))):
+            with pytest.raises(CarrierMismatch):
+                V.check_element(bad)
 
 
 class TestC00:
@@ -122,7 +137,74 @@ class TestFinCof:
             assert all(_has_atom(y, i) for i in probe if _has_atom(x, i))
 
 
+fracs = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+prefixes = st.lists(fracs, max_size=5)
+laws = st.tuples(fracs, fracs)
+
+# Past every breakpoint: prefixes end by 5, two laws cross by 8 / (1/6) = 48
+# and a law meets zero by 4 / (1/3) = 12.
+HORIZON = 60
+
+
+def _dense(prefix, law):
+    """A sequence as a plain function of its coordinate."""
+    c, d = law
+    return lambda i: prefix[i - 1] if i <= len(prefix) else c + d * i
+
+
+def _tail_meet(lx, ly, lower):
+    if lx[1] == ly[1]:
+        return min(lx, ly) if lower else max(lx, ly)
+    steeper = lx if lx[1] > ly[1] else ly
+    flatter = ly if steeper is lx else lx
+    return flatter if lower else steeper
+
+
+def _agrees(z, f, law):
+    """z equals the sequence f with eventual law ``law``, pointwise and
+    structurally."""
+    values = [f(i) for i in range(1, HORIZON + 1)]
+    return ([z.value(i) for i in range(1, HORIZON + 1)] == values and (z.c, z.d) == law
+            and z == EvLinSeq.make(values, *law))
+
+
 class TestEvLin:
+    @given(prefixes, laws, prefixes, laws, st.booleans())
+    def test_operations_match_a_dense_reference(self, px, lx, py, ly, same_tail):
+        if same_tail:
+            ly = lx
+        E = EvLinSpace()
+        x, y = EvLinSeq.make(px, *lx), EvLinSeq.make(py, *ly)
+        fx, fy = _dense(px, lx), _dense(py, ly)
+        assert _agrees(x, fx, lx) and _agrees(y, fy, ly)
+        assert _agrees(E.meet(x, y), lambda i: min(fx(i), fy(i)), _tail_meet(lx, ly, True))
+        assert _agrees(E.join(x, y), lambda i: max(fx(i), fy(i)), _tail_meet(lx, ly, False))
+        assert _agrees(E.add(x, y), lambda i: fx(i) + fy(i), (lx[0] + ly[0], lx[1] + ly[1]))
+        diff = (lx[0] - ly[0], lx[1] - ly[1])
+        assert _agrees(E.sub(x, y), lambda i: fx(i) - fy(i), diff)
+        up = lx[1] > 0 or (lx[1] == 0 and lx[0] >= 0)
+        assert _agrees(E.abs_(x), lambda i: abs(fx(i)), lx if up else (-lx[0], -lx[1]))
+        gap = E.norm(E.sub(x, y))
+        if diff == (0, 0):
+            n = max(len(px), len(py))
+            assert gap == sum((abs(fx(i) - fy(i)) for i in range(1, n + 1)), F(0))
+        else:
+            assert gap == EXT_INF
+        pointwise = all(fx(i) == fy(i) for i in range(1, HORIZON + 1)) and lx == ly
+        assert (x == y) == pointwise
+
+    def test_a_large_coefficient_costs_no_more_pieces(self):
+        E = EvLinSpace()
+        start = time.perf_counter()
+        m = E.meet(EvLinSeq.affine(0, 1), EvLinSeq.affine(10**6, 0))
+        below, above = E.sub(m, EvLinSeq.affine(0, 1)), E.sub(EvLinSeq.affine(10**6, 0), m)
+        assert E.norm(below) == EXT_INF
+        assert E.norm(above) == 999_999 * 10**6 // 2
+        assert time.perf_counter() - start < 0.05
+        assert m.pieces == ((1, F(0), F(1)), (10**6, F(10**6), F(0)))
+        assert len(below.pieces) <= 3 and len(above.pieces) <= 3
+        assert m.value(999_999) == 999_999 and m.value(10**9) == 10**6
+
     def test_values_and_trimming(self):
         x = EvLinSeq.make((1, 2, 3), 0, 1)  # equals i everywhere
         assert x == EvLinSeq.affine(0, 1)

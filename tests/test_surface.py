@@ -10,7 +10,8 @@ SRC = ROOT / "src" / "ulat"
 
 # Paper objects and validation tools that only the tests call.
 TEST_ONLY = {"truncate_g", "check_lattice_axioms", "check_group_axioms", "check_distributive",
-             "metric_converges", "eventually_constant_sequence", "periodic_sequence"}
+             "is_sublattice", "metric_converges", "eventually_constant_sequence",
+             "periodic_sequence"}
 
 DESCRIPTOR_CLASSES = {"EventuallyConstant", "Periodic", "TailClosedForm", "UnitVectors",
                       "SingletonAtoms", "AtomPrefixSets", "CofiniteFilterChain"}

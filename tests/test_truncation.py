@@ -287,6 +287,18 @@ def test_truncate_f_checks_its_pair_and_point_once():
     assert len(checks) == 3
 
 
+def test_composition_checks_each_end_once():
+    L = powerset_lattice(3)
+    outer = TruncationPair.of(L, s(1), s(1, 2))
+    inner = TruncationPair.of(L, s(2), s(2, 3))
+    checks = _recorded_checks(L)
+    comp = compose_truncations(L, outer, inner)
+    assert checks == [s(1), s(1, 2), s(2), s(2, 3)]
+    assert (comp.low, comp.high, comp.canonical) == (s(1, 2), s(2), False)
+    with pytest.raises(CarrierMismatch):
+        compose_truncations(L, outer, TruncationPair(s(2), s(4), True))
+
+
 def test_hom_check_clamps_each_element_once(monkeypatch):
     L = powerset_lattice(3)
     p = TruncationPair.of(L, s(1), s(1, 2))
