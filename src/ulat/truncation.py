@@ -110,7 +110,7 @@ class AbsMeetDecomposition:
 
 def _check_cap(G: GroupCarrier, a) -> None:
     """Reject a cap that is not a positive element (``a`` is checked)."""
-    if G._join(G._negate(a), G.zero) != G.zero:
+    if not G._leq(G.zero, a):
         raise ValueError("the cap must be a positive element")
 
 

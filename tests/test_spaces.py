@@ -17,6 +17,7 @@ from ulat.spaces import (
     FinCofSet,
     QLine,
     QVec,
+    _rand_fraction,
 )
 
 finite_sets = st.sets(st.integers(min_value=1, max_value=9), max_size=5)
@@ -49,6 +50,28 @@ class TestQLineAndQVec:
         assert V.sub(x, y) == (F(-1), F(5), F(-1))
         with pytest.raises(CarrierMismatch):
             V.check_element((F(1), F(2)))  # wrong dimension
+
+    @given(st.lists(st.tuples(st.fractions(max_denominator=12),
+                              st.fractions(max_denominator=12)), min_size=3, max_size=3))
+    def test_vector_operations_agree_with_fraction_operators(self, pairs):
+        V = QVec(3)
+        x, y = tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
+        assert V.meet(x, y) == tuple(min(a, b) for a, b in pairs)
+        assert V.join(x, y) == tuple(max(a, b) for a, b in pairs)
+        assert V.add(x, y) == tuple(a + b for a, b in pairs)
+        assert V.sub(x, y) == tuple(a - b for a, b in pairs)
+        assert V.negate(x) == tuple(-a for a in x)
+        assert V.abs_(x) == tuple(abs(a) for a in x)
+        assert V.leq(x, y) == all(a <= b for a, b in pairs)
+        assert all(type(c) is F for c in V.add(x, y) + V.abs_(x) + V.negate(x))
+
+    def test_samples_are_the_draws_of_randint(self):
+        mine, plain = random.Random(3), random.Random(3)
+        for spans in ((20, 10), (8, 4), (1, 1)):
+            for _ in range(200):
+                q = _rand_fraction(mine, *spans)
+                assert q == F(plain.randint(-spans[0], spans[0]), plain.randint(1, spans[1]))
+                assert type(q) is F and q.denominator > 0
 
     def test_vector_normalize_keeps_an_element_as_it_is(self):
         V = QVec(3)
