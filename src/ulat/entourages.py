@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import rat
+from .exact import _fraction, check_index, rat
 from .verdicts import Verdict
 
 DIAG = "diag"
@@ -23,15 +23,17 @@ CLAUSES = (DIAG, HIGH, LOW)
 
 
 def entourage_clause(n: int, x, y) -> str | None:
-    """Which clause (if any) puts (x, y) into U_n; all comparisons exact."""
-    if n < 1:
-        raise ValueError("entourage index must be a positive integer")
+    """Which clause (if any) puts (x, y) into U_n; all comparisons exact,
+    made on the reduced integers a/b = x and c/e = y (b, e > 0):
+    |x - y| <= 1/n is n*|a*e - c*b| <= b*e, and x >= n is a >= n*b."""
+    check_index(n, "an entourage index")
     x, y = rat(x), rat(y)
-    if abs(x - y) <= Fraction(1, n):
+    a, b, c, e = x._numerator, x._denominator, y._numerator, y._denominator
+    if n * abs(a * e - c * b) <= b * e:
         return DIAG
-    if x >= n and y >= n:
+    if a >= n * b and c >= n * e:
         return HIGH
-    if x <= -n and y <= -n:
+    if a <= -n * b and c <= -n * e:
         return LOW
     return None
 
@@ -72,8 +74,7 @@ def compose_case_analysis(n: int) -> list[ComposeCase]:
     high/low    vacuous: y >= 2n and y <= -2n cannot both hold,
     and the two mixed cases with diag on the right are symmetric.
     """
-    if n < 1:
-        raise ValueError("entourage index must be a positive integer")
+    check_index(n, "an entourage index")
     half = Fraction(1, 2 * n)
     gap_fact = ("1/(2n) + 1/(2n) <= 1/n", half + half <= Fraction(1, n))
     pull_high = ("2n - 1/(2n) >= n", 2 * n - half >= n)
@@ -98,12 +99,17 @@ def compose_case_analysis(n: int) -> list[ComposeCase]:
 
 
 def _small_step(rng, n: int) -> Fraction:
-    """An exact rational with |step| <= 1/n."""
-    return Fraction(rng.randrange(-1, 2), 1) * Fraction(1, n) / rng.randrange(1, 5)
+    """An exact rational with |step| <= 1/n: s/(n*m) for s in {-1, 0, 1}
+    and m in 1..4, drawn in that order."""
+    s = rng.randrange(-1, 2)
+    return _fraction(s, n * rng.randrange(1, 5))
 
 
 def _at_least(rng, bound: int) -> Fraction:
-    return bound + Fraction(rng.randrange(0, 40 * bound), rng.randrange(1, 10))
+    """bound + p/q for p in [0, 40*bound) and q in 1..9, drawn in that order."""
+    p = rng.randrange(0, 40 * bound)
+    q = rng.randrange(1, 10)
+    return _fraction(bound * q + p, q)
 
 
 def _conditioned_triple(rng, n: int, left: str, right: str):

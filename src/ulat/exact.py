@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from typing import Optional, Union
 
 RatLike = Union[int, str, Fraction]
@@ -32,6 +34,33 @@ def rat(value: RatLike) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+_new_object = object.__new__
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """The Fraction n/d for d > 0, reduced by one gcd and built directly
+    from its two reduced integers, as ``Fraction._from_coprime_ints`` does
+    from Python 3.12 on.  ``Fraction``'s operators dispatch on the other
+    operand's type (an abstract-class check) and its constructor parses its
+    arguments, before either does the integer work, so inner loops run on
+    integers and build their results here."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    f = _new_object(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
+
+
+def check_index(k, what: str) -> None:
+    """Refuse an index that is not an int >= 1: integer code would carry a
+    bool, a float or a Fraction on silently."""
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {k!r}")
 
 
 def frac_floor(q: Fraction) -> int:
@@ -269,6 +298,9 @@ class RatAltSeq:
     pointwise +, -, * and is closed under index shifts, which is what makes
     monotonicity and tail-sign questions decidable: an even/odd split turns
     each question into polynomial sign decisions on the numerator.
+
+    ``eval`` runs on ``_ints``, so a term costs integer Horner steps and
+    one Fraction.
     """
 
     num: Poly
@@ -279,6 +311,17 @@ class RatAltSeq:
         ok, w = self.den.nonneg_from(1, strict=True)
         if not ok:
             raise ValueError(f"denominator must be positive for k >= 1, fails at k={w}")
+
+    @cached_property
+    def _ints(self) -> tuple[tuple[int, ...], ...]:
+        """The coefficients of num, anum and den as integers over their
+        least common denominator, highest degree first.  Built on the first
+        ``eval``: most closed forms come out of the ring operations on the
+        way to a decision and are never evaluated."""
+        polys = (self.num, self.anum, self.den)
+        m = lcm(*(c.denominator for p in polys for c in p.coeffs))
+        return tuple(tuple(c.numerator * (m // c.denominator) for c in reversed(p.coeffs))
+                     for p in polys)
 
     # -- constructors
 
@@ -342,12 +385,12 @@ class RatAltSeq:
     # -- evaluation
 
     def eval(self, k: int) -> Fraction:
-        if k < 1:
-            raise ValueError("index sequences start at k = 1")
-        v = self.num.eval(k)
-        if not self.anum.is_zero:
-            v += self.anum.eval(k) if k % 2 == 0 else -self.anum.eval(k)
-        return v / self.den.eval(k)
+        check_index(k, "the index of a closed form")
+        num, anum, den = self._ints
+        v = _horner(num, k)
+        if anum:
+            v += _horner(anum, k) if k % 2 == 0 else -_horner(anum, k)
+        return _fraction(v, _horner(den, k))
 
     # -- exact decisions
 
@@ -386,6 +429,15 @@ class RatAltSeq:
 
     def eventually_leq(self, c: RatLike, k0: int = 1) -> Optional[int]:
         return _eventual_nonneg_index(RatAltSeq.const(rat(c)) - self, k0)
+
+
+def _horner(coeffs: tuple[int, ...], k: int) -> int:
+    """The integer polynomial with coefficients ``coeffs``, highest degree
+    first, at k."""
+    acc = 0
+    for c in coeffs:
+        acc = acc * k + c
+    return acc
 
 
 def _parities(g: RatAltSeq, k0: int):

@@ -6,9 +6,15 @@
 * ``FinCofAlgebra`` -- the algebra of finite and cofinite subsets of an
   inexhaustible atom universe (atoms are integers);
 * ``EvLinSpace`` -- sequences that are eventually affine in the coordinate
-  index, stored as canonical affine pieces so that each operation costs
-  O(pieces), with an extended l1 norm that is +inf exactly when the
+  index, stored as canonical affine pieces with integer coefficients over
+  one positive denominator, so that each operation costs O(pieces) integer
+  operations, with an extended l1 norm that is +inf exactly when the
   eventual part is nonzero and is summed piece by piece in closed form.
+
+``QLine`` and ``QVec`` elements are ``Fraction``s; the vector operations
+work on each coordinate's reduced integers.  ``EvLinSeq`` builds a
+``Fraction`` only where one leaves it: ``c``, ``d``, ``prefix``, ``value``,
+``repr`` and one per norm.
 
 ``NO_BOUND`` marks a sup or inf that provably does not exist in a carrier.
 
@@ -20,11 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import reduce
+from math import gcd, lcm
 from typing import Iterable
 
 from .carriers import Carrier, GroupCarrier
-from .exact import EXT_INF, ExtValue, frac_floor, rat
+from .exact import EXT_INF, ExtValue, _fraction, check_index, rat
 
 
 def _rand_fraction(rng, num_span: int = 20, den_span: int = 10) -> Fraction:
@@ -33,26 +40,8 @@ def _rand_fraction(rng, num_span: int = 20, den_span: int = 10) -> Fraction:
     return _fraction(rng.randrange(2 * num_span + 1) - num_span, rng.randrange(den_span) + 1)
 
 
-# Exact arithmetic on the reduced integers of Fractions.  Fraction's
-# operators dispatch on the other operand's type (an abstract-class check)
-# and its constructor parses its arguments, before either does the integer
-# work below; on lemma-l5's 5-vectors that overhead was most of the time.
-
-_new_object = object.__new__
-
-
-def _fraction(n: int, d: int) -> Fraction:
-    """The Fraction n/d for d > 0, reduced by one gcd and built directly
-    from its two reduced integers, as ``Fraction._from_coprime_ints`` does
-    from Python 3.12 on."""
-    g = gcd(n, d)
-    if g != 1:
-        n //= g
-        d //= g
-    f = _new_object(Fraction)
-    f._numerator = n
-    f._denominator = d
-    return f
+# Exact arithmetic on the reduced integers of Fractions (see ``_fraction``);
+# on lemma-l5's 5-vectors Fraction's operator overhead was most of the time.
 
 
 def _frac_add(a: Fraction, b: Fraction) -> Fraction:
@@ -163,7 +152,7 @@ class QVec(GroupCarrier):
                      for c in x)
 
     def _norm(self, x):
-        return sum(abs(c) for c in x)
+        return reduce(_frac_add, self._abs(x))
 
     def sample(self, rng):
         return tuple(_rand_fraction(rng) for _ in range(self.dim))
@@ -337,15 +326,13 @@ class FinCofAlgebra(Carrier):
 # Eventually affine sequences
 
 
-_ZERO = Fraction(0)
-
-
 def _canonical(pieces: list) -> tuple:
     """The one piece list of the sequence that ``pieces`` describes.
 
-    ``pieces`` holds ``(start, c, d)`` triples with strictly increasing
-    starts, the first at 1, each law holding from its start up to the next
-    start.  Reading from the right, each canonical piece takes every point
+    ``pieces`` holds ``(start, c, d)`` triples of integers with strictly
+    increasing starts, the first at 1, each law holding from its start up to
+    the next start; all laws share one denominator, which this pass never
+    reads.  Reading from the right, each canonical piece takes every point
     to its left that fits its law; the law of the next piece is the line
     through the two points left of it, or a constant for the lone point at
     coordinate 1.  That depends on the values alone, so two sequences are
@@ -378,7 +365,7 @@ def _canonical(pieces: list) -> tuple:
         e = pos - 1
         s, cj, dj = pieces[j]
         if e == 1:
-            c, d = cj + dj, _ZERO
+            c, d = cj + dj, 0
         elif s < e:
             c, d = cj, dj
         else:
@@ -388,68 +375,92 @@ def _canonical(pieces: list) -> tuple:
             c = v - d * e
 
 
-def _series(c: Fraction, d: Fraction, a: int, b: int) -> Fraction:
+def _seq(pieces: list, den: int) -> "EvLinSeq":
+    """The sequence of ``pieces`` over ``den`` > 0 in its one stored form:
+    canonical pieces, with the common factor of den and every coefficient
+    divided out."""
+    pieces = _canonical(pieces)
+    g = den
+    for _, c, d in pieces:
+        g = gcd(g, c, d)
+    if g != 1:
+        pieces = tuple((s, c // g, d // g) for s, c, d in pieces)
+        den //= g
+    return EvLinSeq(pieces, den)
+
+
+def _series(c: int, d: int, a: int, b: int) -> int:
     """Sum of c + d*i over a <= i <= b (0 when b < a)."""
     n = b - a + 1
-    return c * n + d * ((a + b) * n // 2) if n > 0 else _ZERO
+    return c * n + d * ((a + b) * n // 2) if n > 0 else 0
 
 
-def _abs_series(c: Fraction, d: Fraction, a: int, b: int) -> Fraction:
+def _abs_series(c: int, d: int, a: int, b: int) -> int:
     """Sum of |c + d*i| over a <= i <= b: c + d*i keeps one sign up to its
     zero and the other past it, so each side is one arithmetic series."""
     if d == 0:
         return abs(c) * (b - a + 1)
-    z = min(max(frac_floor(-c / d), a - 1), b)
+    z = min(max(-c // d, a - 1), b)
     return abs(_series(c, d, a, z)) + abs(_series(c, d, z + 1, b))
 
 
 @dataclass(frozen=True)
 class EvLinSeq:
     """Rational sequence over coordinates i = 1, 2, ... that is eventually
-    affine, stored as affine pieces.
+    affine, stored as affine pieces with integer coefficients over one
+    denominator.
 
-    ``pieces`` holds ``(start, c, d)`` triples with increasing starts, the
-    first at 1: value(i) = c + d*i for the last piece whose start is at most
-    i, so the last piece is the eventual law.  The pieces are canonical (see
-    ``_canonical``), which makes equality structural, and every operation
-    costs O(pieces) whatever the size of the coefficients.  ``prefix`` lists
-    the values before the eventual law takes over.
+    ``pieces`` holds ``(start, c, d)`` triples of integers with increasing
+    starts, the first at 1: value(i) = (c + d*i) / den for the last piece
+    whose start is at most i, so the last piece is the eventual law.  The
+    pieces are canonical (see ``_canonical``), den is positive and has no
+    factor in common with every coefficient, which makes equality
+    structural; every operation costs O(pieces) integer operations whatever
+    the size of the coefficients.  ``c``, ``d``, ``prefix`` and ``value``
+    build their Fractions when called.  ``prefix`` lists the values before
+    the eventual law takes over.
     """
 
-    pieces: tuple[tuple[int, Fraction, Fraction], ...]
+    pieces: tuple[tuple[int, int, int], ...]
+    den: int
 
     @staticmethod
     def make(prefix: Iterable[object], c: object, d: object) -> "EvLinSeq":
-        pieces = [(i, rat(v), _ZERO) for i, v in enumerate(prefix, 1)]
-        pieces.append((len(pieces) + 1, rat(c), rat(d)))
-        return EvLinSeq(_canonical(pieces))
+        values = [rat(v) for v in prefix]
+        c, d = rat(c), rat(d)
+        den = lcm(c.denominator, d.denominator, *(v.denominator for v in values))
+        pieces = [(i, v.numerator * (den // v.denominator), 0) for i, v in enumerate(values, 1)]
+        pieces.append((len(values) + 1, c.numerator * (den // c.denominator),
+                       d.numerator * (den // d.denominator)))
+        return _seq(pieces, den)
 
     @staticmethod
     def affine(c: object, d: object) -> "EvLinSeq":
-        return EvLinSeq(((1, rat(c), rat(d)),))
+        return EvLinSeq.make((), c, d)
 
     @property
     def c(self) -> Fraction:
-        return self.pieces[-1][1]
+        return _fraction(self.pieces[-1][1], self.den)
 
     @property
     def d(self) -> Fraction:
-        return self.pieces[-1][2]
+        return _fraction(self.pieces[-1][2], self.den)
 
     @property
     def prefix(self) -> tuple[Fraction, ...]:
-        return tuple(c + d * i for (s, c, d), (end, _, _) in zip(self.pieces, self.pieces[1:])
+        return tuple(_fraction(c + d * i, self.den)
+                     for (s, c, d), (end, _, _) in zip(self.pieces, self.pieces[1:])
                      for i in range(s, end))
 
     def value(self, i: int) -> Fraction:
-        if i < 1:
-            raise ValueError("coordinates start at 1")
+        check_index(i, "a coordinate")
         for s, c, d in reversed(self.pieces):
             if s <= i:
-                return c + d * i
+                return _fraction(c + d * i, self.den)
 
     def __repr__(self) -> str:
-        laws = "; ".join(f"{s}: {c}+{d}*i" for s, c, d in self.pieces)
+        laws = "; ".join(f"{s}: {_fraction(c, self.den)}+{_fraction(d, self.den)}*i"
+                         for s, c, d in self.pieces)
         return f"EvLinSeq({laws})"
 
 
@@ -473,6 +484,13 @@ def _runs(x: EvLinSeq, y: EvLinSeq):
         s = nxt
 
 
+def _common_den(x: EvLinSeq, y: EvLinSeq) -> tuple[int, int, int]:
+    """(m, mx, my): the least common denominator m of x and y, and the
+    factors that carry the coefficients of x and of y over to it."""
+    m = lcm(x.den, y.den)
+    return m, m // x.den, m // y.den
+
+
 class EvLinSpace(GroupCarrier):
     """Eventually affine sequences as an ell-group under pointwise order."""
 
@@ -484,22 +502,24 @@ class EvLinSpace(GroupCarrier):
         return isinstance(x, EvLinSeq)
 
     def _combine(self, x: EvLinSeq, y: EvLinSeq, lower: bool) -> EvLinSeq:
+        m, mx, my = _common_den(x, y)
         pieces = []
         for s, nxt, (_, xc, xd), (_, yc, yd) in _runs(x, y):
+            xc, xd, yc, yd = xc * mx, xd * mx, yc * my, yd * my
             if xd == yd:
                 keep_x = xc <= yc if lower else xc >= yc
                 pieces.append((s, xc, xd) if keep_x else (s, yc, yd))
                 continue
             # two lines with different slopes cross once; beyond the crossing
             # the comparison is settled by the slopes
-            split = max(s, frac_floor((yc - xc) / (xd - yd)) + 1)
+            split = max(s, (yc - xc) // (xd - yd) + 1)
             steep, flat = ((xc, xd), (yc, yd)) if xd > yd else ((yc, yd), (xc, xd))
             before, after = (steep, flat) if lower else (flat, steep)
             if split > s:
                 pieces.append((s, *before))
             if nxt is None or split < nxt:
                 pieces.append((split, *after))
-        return EvLinSeq(_canonical(pieces))
+        return _seq(pieces, m)
 
     def _meet(self, x, y):
         return self._combine(x, y, True)
@@ -508,29 +528,32 @@ class EvLinSpace(GroupCarrier):
         return self._combine(x, y, False)
 
     def _add(self, x, y):
-        return EvLinSeq(_canonical([(s, a[1] + b[1], a[2] + b[2])
-                                    for s, _, a, b in _runs(x, y)]))
+        m, mx, my = _common_den(x, y)
+        return _seq([(s, a[1] * mx + b[1] * my, a[2] * mx + b[2] * my)
+                     for s, _, a, b in _runs(x, y)], m)
 
     def _sub(self, x, y):
-        return EvLinSeq(_canonical([(s, a[1] - b[1], a[2] - b[2])
-                                    for s, _, a, b in _runs(x, y)]))
+        m, mx, my = _common_den(x, y)
+        return _seq([(s, a[1] * mx - b[1] * my, a[2] * mx - b[2] * my)
+                     for s, _, a, b in _runs(x, y)], m)
 
     def _negate(self, x):
         # negation keeps which points fit which law, so the pieces stay canonical
-        return EvLinSeq(tuple((s, -c, -d) for s, c, d in x.pieces))
+        return EvLinSeq(tuple((s, -c, -d) for s, c, d in x.pieces), x.den)
 
     def scale_rat(self, q: object, x: EvLinSeq) -> EvLinSeq:
         q = rat(q)
         x = self.check_element(x)
-        return EvLinSeq(_canonical([(s, q * c, q * d) for s, c, d in x.pieces]))
+        p = q.numerator
+        return _seq([(s, p * c, p * d) for s, c, d in x.pieces], x.den * q.denominator)
 
     def _norm(self, x) -> ExtValue:
         """Extended l1 norm: +inf exactly when the eventual part is nonzero."""
-        if x.c != 0 or x.d != 0:
+        _, c, d = x.pieces[-1]
+        if c or d:
             return EXT_INF
-        return ExtValue(sum((_abs_series(c, d, s, end - 1)
-                             for (s, c, d), (end, _, _) in zip(x.pieces, x.pieces[1:])),
-                            _ZERO))
+        return ExtValue(_fraction(sum(_abs_series(c, d, s, end - 1) for (s, c, d), (end, _, _)
+                                      in zip(x.pieces, x.pieces[1:])), x.den))
 
     def sample(self, rng):
         n = rng.randint(0, 3)

@@ -12,6 +12,8 @@ from ulat.entourages import (
     DIAG,
     HIGH,
     LOW,
+    _at_least,
+    _small_step,
     compose_case_analysis,
     compose_triple_violation,
     entourage_clause,
@@ -38,6 +40,41 @@ def test_clause_rejects_nonpositive_index():
         entourage_clause(0, 0, 0)
     with pytest.raises(ValueError):
         real_entourage_contains(-1, 0, 0)
+
+
+def test_clause_takes_an_integer_index():
+    for bad in (True, F(3, 2), 2.0):
+        with pytest.raises(ValueError):
+            entourage_clause(bad, 0, "1/3")
+
+
+def _clause_by_fractions(n, x, y):
+    """The three clauses of U_n on Fraction's operators."""
+    if abs(x - y) <= F(1, n):
+        return DIAG
+    if x >= n and y >= n:
+        return HIGH
+    if x <= -n and y <= -n:
+        return LOW
+    return None
+
+
+@given(x=rationals, y=rationals,
+       step=st.fractions(min_value=F(-1), max_value=F(1), max_denominator=60))
+def test_clause_matches_the_fraction_formula(x, y, step):
+    for n in range(1, 51):
+        assert entourage_clause(n, x, y) == _clause_by_fractions(n, x, y)
+        assert entourage_clause(n, x, x + step) == _clause_by_fractions(n, x, x + step)
+
+
+def test_draws_give_the_fraction_formulas_values():
+    mine, ref = random.Random(11), random.Random(11)
+    for n in range(1, 60):
+        step, high = _small_step(mine, n), _at_least(mine, n)
+        assert step == F(ref.randrange(-1, 2), 1) * F(1, n) / ref.randrange(1, 5)
+        assert high == n + F(ref.randrange(0, 40 * n), ref.randrange(1, 10))
+        assert type(step) is F and type(high) is F
+    assert mine.getstate() == ref.getstate()
 
 
 def test_membership_matches_clause():

@@ -82,6 +82,11 @@ class TestRatAltSeq:
         assert RatAltSeq.index().eval(7) == 7
         assert RatAltSeq.const(F(2, 5)).eval(99) == F(2, 5)
 
+    def test_eval_takes_an_integer_index(self):
+        for bad in (True, 2.0, F(3, 2), 0):
+            with pytest.raises(ValueError):
+                RatAltSeq.index().eval(bad)
+
     def test_ring_operations(self):
         x = RatAltSeq.inv_index() + RatAltSeq.const(1)
         assert x.eval(4) == F(5, 4)
@@ -169,6 +174,13 @@ class TestClosedFormDecisions:
         else:
             assert w >= start and not fine(x.eval(w))
             assert all(fine(x.eval(k)) for k in range(start, w))
+
+    @given(closed_forms)
+    def test_eval_agrees_with_the_fraction_formula(self, x):
+        for k in range(1, 41):
+            alt = x.anum.eval(k) if k % 2 == 0 else -x.anum.eval(k)
+            v = x.eval(k)
+            assert type(v) is F and v == (x.num.eval(k) + alt) / x.den.eval(k)
 
     @given(closed_forms, st.integers(min_value=1, max_value=20),
            st.integers(min_value=1, max_value=6))

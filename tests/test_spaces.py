@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -63,7 +64,8 @@ class TestQLineAndQVec:
         assert V.negate(x) == tuple(-a for a in x)
         assert V.abs_(x) == tuple(abs(a) for a in x)
         assert V.leq(x, y) == all(a <= b for a, b in pairs)
-        assert all(type(c) is F for c in V.add(x, y) + V.abs_(x) + V.negate(x))
+        assert V.norm(x) == sum(abs(a) for a in x)
+        assert all(type(c) is F for c in V.add(x, y) + V.abs_(x) + V.negate(x) + (V.norm(x),))
 
     def test_samples_are_the_draws_of_randint(self):
         mine, plain = random.Random(3), random.Random(3)
@@ -169,6 +171,12 @@ laws = st.tuples(fracs, fracs)
 HORIZON = 60
 
 
+# denominators up to 7, so that the operands' denominators rarely agree
+wide_fracs = st.builds(F, st.integers(-9, 9), st.integers(1, 7))
+wide_prefixes = st.lists(wide_fracs, max_size=5)
+wide_laws = st.tuples(wide_fracs, wide_fracs)
+
+
 def _dense(prefix, law):
     """A sequence as a plain function of its coordinate."""
     c, d = law
@@ -216,6 +224,32 @@ class TestEvLin:
         pointwise = all(fx(i) == fy(i) for i in range(1, HORIZON + 1)) and lx == ly
         assert (x == y) == pointwise
 
+    @given(wide_prefixes, wide_laws, wide_prefixes, wide_laws, wide_fracs)
+    def test_integer_operations_agree_with_fraction_arithmetic(self, px, lx, py, ly, q):
+        E = EvLinSpace()
+        x, y = EvLinSeq.make(px, *lx), EvLinSeq.make(py, *ly)
+        fx, fy = _dense(px, lx), _dense(py, ly)
+        cases = [
+            (E.meet(x, y), lambda i: min(fx(i), fy(i)), _tail_meet(lx, ly, True)),
+            (E.join(x, y), lambda i: max(fx(i), fy(i)), _tail_meet(lx, ly, False)),
+            (E.add(x, y), lambda i: fx(i) + fy(i), (lx[0] + ly[0], lx[1] + ly[1])),
+            (E.sub(x, y), lambda i: fx(i) - fy(i), (lx[0] - ly[0], lx[1] - ly[1])),
+            # x less its eventual law: a finite norm, summed across sign changes
+            (E.sub(x, EvLinSeq.affine(*lx)), lambda i: fx(i) - lx[0] - lx[1] * i, (0, 0)),
+            (E.negate(x), lambda i: -fx(i), (-lx[0], -lx[1])),
+            (E.scale_rat(q, x), lambda i: q * fx(i), (q * lx[0], q * lx[1])),
+        ]
+        # two laws with different slopes have crossed by this coordinate
+        crossing = int(abs((lx[0] - ly[0]) / (lx[1] - ly[1]))) + 1 if lx[1] != ly[1] else 1
+        for z, f, law in cases:
+            assert z.den > 0 and all(type(v) is int for piece in z.pieces for v in piece)
+            assert math.gcd(z.den, *(v for _, c, d in z.pieces for v in (c, d))) == 1
+            coords = range(1, max(x.pieces[-1][0], y.pieces[-1][0], z.pieces[-1][0], crossing) + 4)
+            assert [z.value(i) for i in coords] == [f(i) for i in coords]
+            assert (z.c, z.d) == law
+            norm = sum((abs(f(i)) for i in coords), F(0)) if law == (0, 0) else EXT_INF
+            assert E.norm(z) == norm
+
     def test_a_large_coefficient_costs_no_more_pieces(self):
         E = EvLinSpace()
         start = time.perf_counter()
@@ -227,6 +261,12 @@ class TestEvLin:
         assert m.pieces == ((1, F(0), F(1)), (10**6, F(10**6), F(0)))
         assert len(below.pieces) <= 3 and len(above.pieces) <= 3
         assert m.value(999_999) == 999_999 and m.value(10**9) == 10**6
+
+    def test_value_takes_an_integer_coordinate(self):
+        x = EvLinSeq.affine(0, 1)
+        for bad in (2.0, True, F(3, 2), 0):
+            with pytest.raises(ValueError):
+                x.value(bad)
 
     def test_values_and_trimming(self):
         x = EvLinSeq.make((1, 2, 3), 0, 1)  # equals i everywhere
