@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
+from .exact import _below
+
 
 class CarrierMismatch(TypeError):
     """An element was passed to a carrier it does not belong to."""
@@ -80,7 +82,7 @@ class Carrier:
         elems = self.elements()
         if elems is None:
             raise NotImplementedError(f"carrier {self.name!r} has no sampler")
-        return elems[rng.randrange(len(elems))]
+        return elems[_below(rng, len(elems))]
 
     # -- lattice structure
 

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import _fraction, check_index, rat
+from .exact import _below, _fraction, check_index, rat
 from .verdicts import Verdict
 
 DIAG = "diag"
@@ -101,14 +101,14 @@ def compose_case_analysis(n: int) -> list[ComposeCase]:
 def _small_step(rng, n: int) -> Fraction:
     """An exact rational with |step| <= 1/n: s/(n*m) for s in {-1, 0, 1}
     and m in 1..4, drawn in that order."""
-    s = rng.randrange(-1, 2)
-    return _fraction(s, n * rng.randrange(1, 5))
+    s = _below(rng, 3) - 1
+    return _fraction(s, n * (1 + _below(rng, 4)))
 
 
 def _at_least(rng, bound: int) -> Fraction:
     """bound + p/q for p in [0, 40*bound) and q in 1..9, drawn in that order."""
-    p = rng.randrange(0, 40 * bound)
-    q = rng.randrange(1, 10)
+    p = _below(rng, 40 * bound)
+    q = 1 + _below(rng, 9)
     return _fraction(bound * q + p, q)
 
 
@@ -122,7 +122,7 @@ def _conditioned_triple(rng, n: int, left: str, right: str):
     elif LOW in (left, right):
         y = -_at_least(rng, n)
     else:
-        y = Fraction(rng.randrange(-6 * n, 6 * n + 1), rng.randrange(1, 12))
+        y = _fraction(_below(rng, 12 * n + 1) - 6 * n, 1 + _below(rng, 11))
     x = y + _small_step(rng, n) if left == DIAG else (
         _at_least(rng, n) if left == HIGH else -_at_least(rng, n))
     z = y + _small_step(rng, n) if right == DIAG else (
@@ -167,10 +167,10 @@ def real_entourage_compose_check(n: int, samples: int = 200, rng=None) -> Verdic
                     return Verdict.falsified(witness=(x, y, z),
                                              detail="sampled triple escaped U_n")
         for _ in range(samples):
-            left = CLAUSES[rng.randrange(3)]
+            left = CLAUSES[_below(rng, 3)]
             head = _conditioned_triple(rng, 2 * n, left, left)
             x, y, _ = head
-            z = Fraction(rng.randrange(-40 * n, 40 * n + 1), rng.randrange(1, 12))
+            z = _fraction(_below(rng, 80 * n + 1) - 40 * n, 1 + _below(rng, 11))
             if not real_entourage_contains(n, max(x, z), max(y, z)):
                 return Verdict.falsified(witness=("join", x, y, z),
                                          detail="join with common element escaped U_n")

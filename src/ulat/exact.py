@@ -56,6 +56,20 @@ def _fraction(n: int, d: int) -> Fraction:
     return f
 
 
+def _below(rng, n: int) -> int:
+    """A uniform int in [0, n), drawn by the rejection loop that
+    ``Random.randrange`` runs (``_randbelow_with_getrandbits``): the same
+    draws, leaving ``rng`` in the same state, without randrange's argument
+    handling.  ``randrange(a, b)`` is ``a + _below(rng, b - a)``."""
+    if n < 1:
+        raise ValueError(f"empty range for a draw below {n}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def check_index(k, what: str) -> None:
     """Refuse an index that is not an int >= 1: integer code would carry a
     bool, a float or a Fraction on silently."""
@@ -96,6 +110,11 @@ class ExtValue:
             if v < 0:
                 raise ValueError(f"ExtValue must be nonnegative, got {v}")
             self._v = v
+
+    @property
+    def is_zero(self) -> bool:
+        """``self == 0`` read off the stored numerator, without coercing 0."""
+        return self._v is not None and self._v._numerator == 0
 
     # -- arithmetic
 

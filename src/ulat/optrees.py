@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .carriers import Carrier
+from .exact import _below
 
 MEET = "meet"
 JOIN = "join"
@@ -42,7 +43,7 @@ class OpTree:
 
 def random_tree(rng, n_vars: int, max_depth: int) -> OpTree:
     if max_depth <= 0 or rng.random() < 0.25:
-        return OpTree.leaf(rng.randrange(n_vars))
+        return OpTree.leaf(_below(rng, n_vars))
     op = MEET if rng.random() < 0.5 else JOIN
     return OpTree.node(op, random_tree(rng, n_vars, max_depth - 1),
                        random_tree(rng, n_vars, max_depth - 1))

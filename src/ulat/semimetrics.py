@@ -78,7 +78,7 @@ class SemimetricFamily:
             raise CarrierMismatch(f"family {self.name!r} lives on {self.carrier.name!r}, not {L.name!r}")
 
     def _vanishes(self, x, y) -> bool:
-        return all(d._dist(x, y) == 0 for d in self.members)
+        return all(d._dist(x, y).is_zero for d in self.members)
 
     def separates(self, xs) -> bool:
         """Hausdorff on xs: no two distinct points of xs at joint distance 0."""
@@ -370,9 +370,9 @@ def _dominates(Du: SemimetricFamily, Dv: SemimetricFamily, square) -> Optional[t
     """
     kernel = [(x, y) for x, y in square if Du._vanishes(x, y)]
     for dv in Dv.members:
-        bad = next(((x, y) for x, y in kernel if dv._dist(x, y) != 0), None)
+        bad = next(((x, y) for x, y in kernel if not dv._dist(x, y).is_zero), None)
         if bad is not None:
-            eps = min(v for v in (dv._dist(x, y) for x, y in square) if v != 0)
+            eps = min(v for v in (dv._dist(x, y) for x, y in square) if not v.is_zero)
             return (dv.name, eps) + bad
     return None
 

@@ -26,18 +26,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
+from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable
 
 from .carriers import Carrier, GroupCarrier
-from .exact import EXT_INF, ExtValue, _fraction, check_index, rat
+from .exact import EXT_INF, ExtValue, _below, _fraction, check_index, rat
+
+
+@cache
+def _fraction_table(num_span: int, den_span: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The reduced n/d, indexed [n + num_span][d - 1], for n in
+    [-num_span, num_span] and d in [1, den_span]."""
+    return tuple(tuple(_fraction(n, d) for d in range(1, den_span + 1))
+                 for n in range(-num_span, num_span + 1))
 
 
 def _rand_fraction(rng, num_span: int = 20, den_span: int = 10) -> Fraction:
     """n/d for n uniform in [-num_span, num_span] and d in [1, den_span]:
-    the draws of ``randint`` over those ranges, one call level down."""
-    return _fraction(rng.randrange(2 * num_span + 1) - num_span, rng.randrange(den_span) + 1)
+    the draws of ``randint`` over those ranges, n first, read off the
+    table of their values, so a draw builds no Fraction."""
+    table = _fraction_table(num_span, den_span)
+    return table[_below(rng, len(table))][_below(rng, den_span)]
 
 
 # Exact arithmetic on the reduced integers of Fractions (see ``_fraction``);
@@ -74,6 +85,9 @@ class QLine(GroupCarrier):
 
     def contains(self, x) -> bool:
         return isinstance(x, Fraction)
+
+    def _leq(self, x, y) -> bool:
+        return x._numerator * y._denominator <= y._numerator * x._denominator
 
     def _meet(self, x, y):
         return min(x, y)
@@ -119,7 +133,7 @@ class QVec(GroupCarrier):
 
     def contains(self, x) -> bool:
         return (isinstance(x, tuple) and len(x) == self.dim
-                and all(isinstance(c, Fraction) for c in x))
+                and all(map(isinstance, x, repeat(Fraction))))
 
     # The trusted operations work on each coordinate's reduced integers (see
     # ``_fraction``).  With positive denominators, a < b exactly when
@@ -239,9 +253,9 @@ class C00Space(GroupCarrier):
         return sum((abs(v) for _, v in x.entries), Fraction(0))
 
     def sample(self, rng):
-        n = rng.randint(0, 4)
+        n = _below(rng, 5)
         return C00Vec.from_pairs(
-            (rng.randint(1, 8), _rand_fraction(rng)) for _ in range(n))
+            (1 + _below(rng, 8), _rand_fraction(rng)) for _ in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +332,8 @@ class FinCofAlgebra(Carrier):
         return x.union(y)
 
     def sample(self, rng):
-        atoms = frozenset(rng.randint(1, 8) for _ in range(rng.randint(0, 3)))
-        return FinCofSet(atoms, bool(rng.randint(0, 1)))
+        atoms = frozenset(1 + _below(rng, 8) for _ in range(_below(rng, 4)))
+        return FinCofSet(atoms, bool(_below(rng, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +570,7 @@ class EvLinSpace(GroupCarrier):
                                       in zip(x.pieces, x.pieces[1:])), x.den))
 
     def sample(self, rng):
-        n = rng.randint(0, 3)
+        n = _below(rng, 4)
         pre = [_rand_fraction(rng, 8, 4) for _ in range(n)]
         return EvLinSeq.make(pre, _rand_fraction(rng, 4, 3), _rand_fraction(rng, 3, 3))
 

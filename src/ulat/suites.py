@@ -32,7 +32,7 @@ from .convergence import (
     verify_uO,
 )
 from .entourages import compose_triple_violation, real_entourage_compose_check
-from .exact import ExtValue, RatAltSeq
+from .exact import ExtValue, RatAltSeq, _below, _fraction
 from .optrees import evaluate, random_tree
 from .semimetrics import (
     interval_agreement,
@@ -382,8 +382,8 @@ def _suite_ex_r(cfg: SuiteConfig) -> list[CheckRecord]:
     records += _walk_probes(cfg, "clamp-cauchy", "plain-cauchy-control")
 
     targets = [Fraction(0), Fraction(100), Fraction(-7, 2)]
-    targets += [Fraction(rng.randrange(-10_000, 10_001),
-                         rng.randrange(1, 100)) for _ in range(100)]
+    targets += [_fraction(_below(rng, 20_001) - 10_000, 1 + _below(rng, 99))
+                for _ in range(100)]
     escape = Verdict.weakest(ustar_nonconvergence_on_line(r) for r in targets)
     records.append(CheckRecord("escape-every-neighborhood", escape,
                                expect=EXPECT_EXACT, cases=len(targets)))

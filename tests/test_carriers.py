@@ -331,6 +331,16 @@ def test_chain64_and_divisor5040_tables():
     assert L.meet(48, 180) == 12 and L.join(48, 180) == 720
 
 
+def test_a_finite_sample_is_the_draw_of_randrange():
+    for L in (chain_lattice(1), chain_lattice(4), powerset_lattice(3), divisor_lattice(60)):
+        elems = L.elements()
+        for seed in range(200):
+            mine, ref = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                assert L.sample(mine) == elems[ref.randrange(len(elems))]
+            assert mine.getstate() == ref.getstate()
+
+
 def test_a_finite_lattice_refuses_foreign_values():
     """An unhashable value is refused like any other foreign value."""
     L = divisor_lattice(60)

@@ -1,5 +1,6 @@
 """Entourage base on the rational line: clauses, composition, controls."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ulat.entourages as entourages
 from ulat.entourages import (
     CLAUSES,
     DIAG,
@@ -68,13 +70,69 @@ def test_clause_matches_the_fraction_formula(x, y, step):
 
 
 def test_draws_give_the_fraction_formulas_values():
-    mine, ref = random.Random(11), random.Random(11)
-    for n in range(1, 60):
-        step, high = _small_step(mine, n), _at_least(mine, n)
-        assert step == F(ref.randrange(-1, 2), 1) * F(1, n) / ref.randrange(1, 5)
-        assert high == n + F(ref.randrange(0, 40 * n), ref.randrange(1, 10))
-        assert type(step) is F and type(high) is F
-    assert mine.getstate() == ref.getstate()
+    for seed in range(200):
+        mine, ref = random.Random(seed), random.Random(seed)
+        for n in (1, 2, 3, 7, 59):
+            step, high = _small_step(mine, n), _at_least(mine, n)
+            assert step == F(ref.randrange(-1, 2), 1) * F(1, n) / ref.randrange(1, 5)
+            assert high == n + F(ref.randrange(0, 40 * n), ref.randrange(1, 10))
+            assert type(step) is F and type(high) is F
+        assert mine.getstate() == ref.getstate()
+
+
+def _randrange_triple(rng, n, left, right):
+    """The conditioned triple written with the randrange calls it draws as."""
+    if {left, right} == {HIGH, LOW}:
+        return None
+
+    def step():
+        return F(rng.randrange(-1, 2), n * rng.randrange(1, 5))
+
+    def at_least():
+        p = rng.randrange(0, 40 * n)
+        return n + F(p, rng.randrange(1, 10))
+
+    if HIGH in (left, right):
+        y = at_least()
+    elif LOW in (left, right):
+        y = -at_least()
+    else:
+        y = F(rng.randrange(-6 * n, 6 * n + 1), rng.randrange(1, 12))
+    ends = [y + step() if side == DIAG else (at_least() if side == HIGH else -at_least())
+            for side in (left, right)]
+    return ends[0], y, ends[1]
+
+
+def _randrange_compose_memberships(rng, n, samples):
+    """The membership tests of the sampled compose check, in order, drawn
+    with randrange."""
+    tests = []
+    for left, right in itertools.product(CLAUSES, repeat=2):
+        for _ in range(max(1, samples // 9)):
+            triple = _randrange_triple(rng, 2 * n, left, right)
+            if triple is None:
+                break
+            x, y, z = triple
+            tests += [(2 * n, x, y), (2 * n, y, z), (n, x, z)]
+    for _ in range(samples):
+        left = CLAUSES[rng.randrange(3)]
+        x, y, _ = _randrange_triple(rng, 2 * n, left, left)
+        z = F(rng.randrange(-40 * n, 40 * n + 1), rng.randrange(1, 12))
+        tests += [(n, max(x, z), max(y, z)), (n, min(x, z), min(y, z))]
+    return tests
+
+
+def test_compose_check_samples_the_randrange_formulas(monkeypatch):
+    tests = []
+    monkeypatch.setattr(entourages, "real_entourage_contains",
+                        lambda n, x, y: tests.append((n, x, y)) or True)
+    for seed in range(200):
+        for n in (1, 7):
+            mine, ref = random.Random(seed), random.Random(seed)
+            tests.clear()
+            real_entourage_compose_check(n, samples=18, rng=mine)
+            assert tests == _randrange_compose_memberships(ref, n, 18)
+            assert mine.getstate() == ref.getstate()
 
 
 def test_membership_matches_clause():

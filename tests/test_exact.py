@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ulat.exact import EXT_INF, ExtValue, Poly, RatAltSeq, ext, rat
+from ulat.exact import EXT_INF, ExtValue, Poly, RatAltSeq, _below, ext, rat
 
 rationals = st.fractions(max_denominator=50)
 small_ints = st.integers(min_value=-30, max_value=30)
@@ -39,6 +40,39 @@ class TestExtValue:
         assert ext(None) == EXT_INF
         assert ext(F(1, 2)) == ExtValue(F(1, 2))
         assert ext(ExtValue(3)) == 3
+
+    @given(rationals.map(abs))
+    def test_is_zero_is_equality_with_zero(self, a):
+        assert ExtValue(a).is_zero == (ExtValue(a) == 0) == (a == 0)
+
+    def test_infinity_is_not_zero(self):
+        assert not EXT_INF.is_zero and not EXT_INF == 0
+        assert ExtValue(0).is_zero and ExtValue(F(0, 7)).is_zero and ExtValue("0/3").is_zero
+
+
+class TestBelow:
+    # n = 1 and the powers of two and their neighbours sit at the edges of
+    # the rejection loop; the large n span several 32-bit words
+    SIZES = (1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 41, 99, 1024, 1025, 20_001,
+             2**32 - 1, 2**32, 2**32 + 1, 2**64 + 3, 10**30)
+
+    def test_below_draws_what_randrange_draws(self):
+        for seed in range(200):
+            mine, ref = random.Random(seed), random.Random(seed)
+            for n in self.SIZES:
+                assert _below(mine, n) == ref.randrange(n)
+            assert mine.getstate() == ref.getstate()
+
+    def test_a_draw_below_one_consumes_bits(self):
+        rng = random.Random(0)
+        before = rng.getstate()
+        assert _below(rng, 1) == 0
+        assert rng.getstate() != before
+
+    def test_an_empty_range_is_refused(self):
+        for n in (0, -1, -8):
+            with pytest.raises(ValueError):
+                _below(random.Random(0), n)
 
 
 class TestPoly:

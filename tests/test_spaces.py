@@ -68,12 +68,39 @@ class TestQLineAndQVec:
         assert all(type(c) is F for c in V.add(x, y) + V.abs_(x) + V.negate(x) + (V.norm(x),))
 
     def test_samples_are_the_draws_of_randint(self):
-        mine, plain = random.Random(3), random.Random(3)
-        for spans in ((20, 10), (8, 4), (1, 1)):
-            for _ in range(200):
-                q = _rand_fraction(mine, *spans)
-                assert q == F(plain.randint(-spans[0], spans[0]), plain.randint(1, spans[1]))
-                assert type(q) is F and q.denominator > 0
+        # every span the samplers use, and the smallest
+        for seed in range(200):
+            mine, plain = random.Random(seed), random.Random(seed)
+            for spans in ((20, 10), (8, 4), (4, 3), (3, 3), (1, 1)):
+                for _ in range(10):
+                    q = _rand_fraction(mine, *spans)
+                    assert q == _randint_fraction(plain, *spans)
+                    assert type(q) is F and q.denominator > 0
+            assert mine.getstate() == plain.getstate()
+
+    @given(st.fractions(max_denominator=30), st.fractions(max_denominator=30),
+           st.integers(min_value=1, max_value=9))
+    def test_line_order_is_the_fraction_order(self, x, y, k):
+        Q = QLine()
+        for a, b in ((x, y), (y, x), (x, x), (x, F(x.numerator * k, x.denominator * k))):
+            assert Q._leq(a, b) == (a <= b)
+            assert Q.leq(a, b) == (a <= b)
+
+    def test_vector_membership_is_the_generator_test(self):
+        class Sub(F):
+            pass
+
+        V = QVec(3)
+        cases = [((F(1), F(5), F(-2)), True), ((F(1), Sub(5), F(-2)), True),
+                 ([F(1), F(5), F(-2)], False), ((F(1), F(5)), False),
+                 ((F(1), F(5), F(-2), F(0)), False), ((), False),
+                 ((1, F(5), F(-2)), False), ((F(1), True, F(-2)), False),
+                 ((F(1), F(5), -2.0), False), ((F(1), F(5), "1/2"), False),
+                 (F(1), False), (None, False), ("abc", False)]
+        for x, member in cases:
+            assert V.contains(x) is member
+            assert member == (isinstance(x, tuple) and len(x) == V.dim
+                              and all(isinstance(c, F) for c in x))
 
     def test_vector_normalize_keeps_an_element_as_it_is(self):
         V = QVec(3)
@@ -297,6 +324,35 @@ class TestEvLin:
         assert E.add(x, E.negate(x)) == EvLinSeq.affine(0, 0)
         y = E.sub(x, EvLinSeq.affine(0, 2))
         assert y == EvLinSeq.affine(1, 0)
+
+
+def _randint_fraction(rng, num_span=20, den_span=10):
+    return F(rng.randint(-num_span, num_span), rng.randint(1, den_span))
+
+
+# Each sampler written with the randint/randrange calls it draws as.
+RANDINT_SAMPLERS = {
+    "qline": (QLine(), _randint_fraction),
+    "qvec3": (QVec(3), lambda rng: tuple(_randint_fraction(rng) for _ in range(3))),
+    "c00": (C00Space(), lambda rng: C00Vec.from_pairs(
+        [(rng.randint(1, 8), _randint_fraction(rng)) for _ in range(rng.randint(0, 4))])),
+    "fincof": (FinCofAlgebra(), lambda rng: FinCofSet(
+        frozenset(rng.randint(1, 8) for _ in range(rng.randint(0, 3))),
+        bool(rng.randint(0, 1)))),
+    "evlin": (EvLinSpace(), lambda rng: EvLinSeq.make(
+        [_randint_fraction(rng, 8, 4) for _ in range(rng.randint(0, 3))],
+        _randint_fraction(rng, 4, 3), _randint_fraction(rng, 3, 3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANDINT_SAMPLERS))
+def test_samples_are_the_draws_of_the_randint_formulas(name):
+    carrier, formula = RANDINT_SAMPLERS[name]
+    for seed in range(200):
+        mine, ref = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            assert carrier.sample(mine) == formula(ref)
+        assert mine.getstate() == ref.getstate()
 
 
 def test_samples_stay_in_carrier():

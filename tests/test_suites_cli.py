@@ -1,6 +1,8 @@
 """Suite runner and command line behavior."""
 
 import json
+import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -140,6 +142,26 @@ def test_inconclusive_suite_status(monkeypatch):
     body = lambda cfg: [CheckRecord("shrug", Verdict.inconclusive("no idea"))]
     monkeypatch.setitem(suites.REGISTRY, "stub", ("stub", body))
     assert run_suite("stub").status == "inconclusive"
+
+
+def test_escape_targets_are_the_draws_of_randrange(monkeypatch):
+    """ex-r draws its last 100 targets, from the state the compose check
+    leaves, as F(randrange(-10_000, 10_001), randrange(1, 100))."""
+    rngs, states, targets = [], [], []
+    rng_for, probes = SuiteConfig.rng_for, suites._walk_probes
+    escape = suites.ustar_nonconvergence_on_line
+    monkeypatch.setattr(SuiteConfig, "rng_for",
+                        lambda cfg, name: rngs.append(rng_for(cfg, name)) or rngs[-1])
+    monkeypatch.setattr(suites, "_walk_probes",
+                        lambda *args: states.append(rngs[0].getstate()) or probes(*args))
+    monkeypatch.setattr(suites, "ustar_nonconvergence_on_line",
+                        lambda r: targets.append(r) or escape(r))
+    assert run_suite("ex-r", FAST).status == "pass"
+    ref = random.Random()
+    ref.setstate(states[0])
+    assert targets[3:] == [F(ref.randrange(-10_000, 10_001), ref.randrange(1, 100))
+                           for _ in range(100)]
+    assert len(rngs) == 1 and rngs[0].getstate() == ref.getstate()
 
 
 def test_reports_are_byte_deterministic():

@@ -69,6 +69,23 @@ def test_tree_evaluation_matches_hand_computation():
     assert evaluate(L, t, (a, b)) == a
 
 
+def _randrange_tree(rng, n_vars, max_depth):
+    """random_tree written with the randrange call it draws its leaves as."""
+    if max_depth <= 0 or rng.random() < 0.25:
+        return OpTree.leaf(rng.randrange(n_vars))
+    op = MEET if rng.random() < 0.5 else JOIN
+    return OpTree.node(op, _randrange_tree(rng, n_vars, max_depth - 1),
+                       _randrange_tree(rng, n_vars, max_depth - 1))
+
+
+def test_random_trees_are_the_draws_of_randrange():
+    for seed in range(200):
+        mine, ref = random.Random(seed), random.Random(seed)
+        for n_vars in (1, 3, 5):
+            assert random_tree(mine, n_vars, 5) == _randrange_tree(ref, n_vars, 5)
+        assert mine.getstate() == ref.getstate()
+
+
 def test_random_trees_are_seeded_and_bounded():
     first = [random_tree(random.Random(3), n_vars=3, max_depth=4) for _ in range(20)]
     second = [random_tree(random.Random(3), n_vars=3, max_depth=4) for _ in range(20)]
