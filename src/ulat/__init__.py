@@ -8,7 +8,15 @@ semimetrics with their clamp-derived families, entourage calculations on
 the line, order and unbounded-order convergence checkers, and constructive
 subnet extraction.  Every oracle answers with a graded verdict: exact,
 verified-at-horizon, falsified (with a witness), or inconclusive.
+
+Importing the package loads the carriers, the semimetrics and the catalog.
+The convergence half (``sequences``, ``convergence``, ``entourages``,
+``subnet``, ``optrees``) and the ``suites`` runner load on first access to
+one of their names or modules, which is then bound in the package like an
+eagerly imported name.
 """
+
+from importlib import import_module
 
 from .carriers import (
     Carrier,
@@ -28,28 +36,6 @@ from .carriers import (
     sublattices,
 )
 from .catalog import CatalogEntry, finite_entries, standard_carriers
-from .convergence import (
-    DEFAULT_EPS_GRID,
-    DEFAULT_HORIZON,
-    decide_O1_eventual_constancy,
-    exhaustivity_probe,
-    metric_cauchy,
-    metric_converges,
-    pairs_from_positives,
-    truncate_sequence,
-    unbounded_separation_example,
-    ustar_nonconvergence_on_line,
-    verify_O1,
-    verify_O2,
-    verify_uO,
-)
-from .entourages import (
-    compose_case_analysis,
-    compose_triple_violation,
-    entourage_clause,
-    real_entourage_compose_check,
-    real_entourage_contains,
-)
 from .exact import EXT_INF, ExtValue, Poly, RatAltSeq, ext, rat
 from .semimetrics import (
     KernelRelation,
@@ -72,28 +58,6 @@ from .semimetrics import (
     validate_semimetric,
     zero_semimetric,
 )
-from .sequences import (
-    BoundClaim,
-    EventuallyConstant,
-    MetricCertificate,
-    O1Witness,
-    O2Witness,
-    Periodic,
-    SequenceFamily,
-    TailClosedForm,
-    UnitVectors,
-    chain_bound,
-    cofinite_chain_sequence,
-    constant_sequence,
-    eventually_constant_sequence,
-    o2_from_o1,
-    parse_scalar_series,
-    parse_sequence_term,
-    periodic_sequence,
-    series_sequence,
-    singleton_atom_sequence,
-    unit_vector_sequence,
-)
 from .spaces import (
     C00Space,
     C00Vec,
@@ -103,17 +67,6 @@ from .spaces import (
     FinCofSet,
     QLine,
     QVec,
-)
-from .subnet import SubnetContainmentError, SubnetEnumeration, SubnetStep, build_subnet
-from .suites import (
-    CheckRecord,
-    SuiteConfig,
-    SuiteResult,
-    render_json,
-    render_markdown,
-    run_suite,
-    run_suites,
-    suite_names,
 )
 from .truncation import (
     TruncationPair,
@@ -128,3 +81,43 @@ from .truncation import (
 from .verdicts import AT_HORIZON, EXACT, FALSIFIED, INCONCLUSIVE, Verdict
 
 __version__ = "0.1.0"
+
+# name -> the submodule that defines it, for every name that loads on first
+# access; each of those submodules is listed under its own name as well
+_LAZY = {name: module for module, names in {
+    "convergence": (
+        "DEFAULT_EPS_GRID", "DEFAULT_HORIZON", "decide_O1_eventual_constancy",
+        "exhaustivity_probe", "metric_cauchy", "metric_converges", "pairs_from_positives",
+        "truncate_sequence", "unbounded_separation_example", "ustar_nonconvergence_on_line",
+        "verify_O1", "verify_O2", "verify_uO"),
+    "entourages": (
+        "compose_case_analysis", "compose_triple_violation", "entourage_clause",
+        "real_entourage_compose_check", "real_entourage_contains"),
+    "optrees": (),
+    "sequences": (
+        "BoundClaim", "EventuallyConstant", "MetricCertificate", "O1Witness", "O2Witness",
+        "Periodic", "SequenceFamily", "TailClosedForm", "UnitVectors", "chain_bound",
+        "cofinite_chain_sequence", "constant_sequence", "eventually_constant_sequence",
+        "o2_from_o1", "parse_scalar_series", "parse_sequence_term", "periodic_sequence",
+        "series_sequence", "singleton_atom_sequence", "unit_vector_sequence"),
+    "subnet": ("SubnetContainmentError", "SubnetEnumeration", "SubnetStep", "build_subnet"),
+    "suites": (
+        "CheckRecord", "SuiteConfig", "SuiteResult", "render_json", "render_markdown",
+        "run_suite", "run_suites", "suite_names"),
+}.items() for name in (module, *names)}
+
+
+def __getattr__(name: str):
+    """Load the submodule behind a lazy name and bind the name here, so
+    that later reads are plain attribute reads."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = import_module("." + module, __name__)
+    value = loaded if name == module else getattr(loaded, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY.keys())

@@ -23,13 +23,10 @@ import os
 import sys
 from dataclasses import fields
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .carriers import NotALattice, load_finite_lattice
-from .suites import SuiteConfig, render_json, render_markdown, run_suites, suite_names
-
-# every suite setting defaults as SuiteConfig does; format is the CLI's own
-_DEFAULTS = {**{f.name: f.default for f in fields(SuiteConfig)}, "format": "json"}
 
 
 class UsageError(Exception):
@@ -120,8 +117,8 @@ def _read_config(path: str) -> dict:
     return settings
 
 
-def _resolve_settings(args) -> dict:
-    settings = dict(_DEFAULTS)
+def _resolve_settings(args, defaults: dict) -> dict:
+    settings = dict(defaults)
     if args.config:
         settings.update(_read_config(args.config))
     for key, var in (("seed", "ULAT_SEED"), ("horizon", "ULAT_HORIZON")):
@@ -137,7 +134,15 @@ def _resolve_settings(args) -> dict:
     return settings
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _build_parser(suite_help: bool) -> argparse.ArgumentParser:
+    """The parser; the suite names in the help of ``suite run`` are listed
+    only when suite_help asks for them, since listing them loads the suite
+    runner."""
+    names_help = None
+    if suite_help:
+        from .suites import suite_names
+        names_help = f"one of: {', '.join(suite_names())}"
     parser = argparse.ArgumentParser(
         prog="ulat",
         description="exact checks for lattice uniformities and unbounded convergence")
@@ -147,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     suite_cmds = suite.add_subparsers(dest="suite_command")
     run = suite_cmds.add_parser("run", help="run suites and print a report")
     run.add_argument("names", nargs="+", metavar="SUITE",
-                     help=f"one of: {', '.join(suite_names())}")
+                     help=names_help)
     run.add_argument("--seed", default=None,
                      help="base seed for the deterministic generators")
     run.add_argument("--horizon", default=None,
@@ -169,7 +174,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_suites_command(names, args) -> int:
-    settings = _resolve_settings(args)
+    from .suites import SuiteConfig, render_json, render_markdown, run_suites, suite_names
+
+    # every suite setting defaults as SuiteConfig does; format is the CLI's own
+    settings = _resolve_settings(
+        args, {**{f.name: f.default for f in fields(SuiteConfig)}, "format": "json"})
     unknown = sorted(set(names) - set(suite_names()))
     if unknown:
         raise UsageError(
@@ -217,7 +226,9 @@ def _lattice_check_command(path: str) -> int:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser("suite" in argv)
     args = parser.parse_args(argv)
     try:
         if args.command == "suite":

@@ -8,6 +8,11 @@ run.  The benchmark's files are only read."""
 import ast
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import ulat
@@ -111,3 +116,51 @@ def test_the_parsed_degree_of_closed_forms_reads_the_series(monkeypatch):
     workload = _load("closed_forms.py", "bench_closed_forms").ClosedFormsWorkload()
     degree = workload.parsed_degree(ulat, workload.generate(ulat, ulat.standard_carriers(), 0))
     assert isinstance(degree, int) and degree > 0
+
+
+def test_the_harness_swap_keeps_one_package():
+    """A timed set-up imports the library afresh and then puts the first
+    package back.  The tracer reads ``ulat.carriers`` and ``ulat.exact``
+    from ``sys.modules`` and walks the ``Carrier`` subclasses right after
+    the import, before any name that loads on first use; and a module that
+    first loads after the swap binds the first package's modules."""
+    code = textwrap.dedent("""
+        import json, sys
+        sys.path.insert(0, sys.argv[1])
+        import harness
+
+        class Workload:
+            def generate(self, U, catalog, seed):
+                return None
+
+        def subclasses(cls):
+            return {cls.__qualname__}.union(*map(subclasses, cls.__subclasses__()))
+
+        seen = {}
+
+        def on_import(U):
+            seen["modules"] = sorted(m for m in sys.modules if m.startswith("ulat"))
+            seen["carriers"] = sorted(subclasses(sys.modules["ulat.carriers"].Carrier))
+
+        U, _ = harness.setup(Workload(), 0, on_import=on_import)
+        harness.timed_setup(Workload(), 0)
+        U.parse_sequence_term, U.truncate_sequence, U.suite_names
+        print(json.dumps({
+            **seen,
+            "restored": sys.modules["ulat"] is U,
+            "one_pair": U.sequences.TruncationPair is U.truncation.TruncationPair,
+            "one_oracle": U.truncate_sequence is sys.modules["ulat.convergence"].truncate_sequence,
+            "all_carriers": sorted(subclasses(U.Carrier)),
+        }))
+    """)
+    src = str(Path(ulat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code, str(BENCH)], capture_output=True,
+                          text=True, env=env, check=True)
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert {"ulat.carriers", "ulat.exact"} <= set(report["modules"])
+    assert "ulat.sequences" not in report["modules"]
+    assert report["carriers"] == report["all_carriers"]
+    assert "FiniteLattice" in report["carriers"] and "QLine" in report["carriers"]
+    assert report["restored"] and report["one_pair"] and report["one_oracle"]
