@@ -25,9 +25,6 @@ from .carriers import (
     GroupCarrier,
     NotALattice,
     chain_lattice,
-    check_distributive,
-    check_group_axioms,
-    check_lattice_axioms,
     diamond_lattice,
     divisor_lattice,
     load_finite_lattice,
@@ -96,10 +93,10 @@ _LAZY = {name: module for module, names in {
     "optrees": (),
     "sequences": (
         "BoundClaim", "EventuallyConstant", "MetricCertificate", "O1Witness", "O2Witness",
-        "Periodic", "SequenceFamily", "TailClosedForm", "UnitVectors", "chain_bound",
-        "cofinite_chain_sequence", "constant_sequence", "eventually_constant_sequence",
-        "o2_from_o1", "parse_scalar_series", "parse_sequence_term", "periodic_sequence",
-        "series_sequence", "singleton_atom_sequence", "unit_vector_sequence"),
+        "SequenceFamily", "TailClosedForm", "UnitVectors", "chain_bound",
+        "cofinite_chain_sequence", "constant_sequence", "o2_from_o1", "parse_scalar_series",
+        "parse_sequence_term", "series_sequence", "singleton_atom_sequence",
+        "unit_vector_sequence"),
     "subnet": ("SubnetContainmentError", "SubnetEnumeration", "SubnetStep", "build_subnet"),
     "suites": (
         "CheckRecord", "SuiteConfig", "SuiteResult", "render_json", "render_markdown",

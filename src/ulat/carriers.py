@@ -115,9 +115,6 @@ class GroupCarrier(Carrier):
     norm that every norm-induced distance is derived from.  ``_sub`` and
     ``_abs`` are derived from them and the lattice operations, and a
     subclass may override them with direct formulas giving the same values.
-    ``pos_part`` and ``neg_part`` are derived too, so x = pos_part(x) -
-    neg_part(x) and abs_(x) = pos_part(x) + neg_part(x) hold by the usual
-    identities.
     """
 
     zero: object
@@ -155,12 +152,6 @@ class GroupCarrier(Carrier):
 
     def norm(self, x):
         return self._norm(self.check_element(x))
-
-    def pos_part(self, x):
-        return self._join(self.check_element(x), self.zero)
-
-    def neg_part(self, x):
-        return self._join(self._negate(self.check_element(x)), self.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +332,9 @@ def _distributivity(elements: Sequence, meet_table: Sequence, join_table: Sequen
 
     For each x and y, the row over all z of either side is one table row
     composed with another; with bytes rows ``translate`` composes them in a
-    single call.  x and y run in the order of the generic check and the
-    first differing z is reported, so both name the same witness.
+    single call.  x, y and z run in element order and the first triple
+    where the sides differ is the witness, the one a loop over all triples
+    in that order would name.
     """
     n = len(elements)
     meet_rows = [meet_table[i * n:(i + 1) * n] for i in range(n)]
@@ -439,7 +431,7 @@ def diamond_lattice() -> FiniteLattice:
 
 
 # ---------------------------------------------------------------------------
-# Axiom checks
+# Check results and sublattices
 
 
 @dataclass(frozen=True)
@@ -455,90 +447,8 @@ class CheckResult:
 _HOLDS = CheckResult(True)
 
 
-def check_distributive(L: Carrier) -> CheckResult:
-    """Exhaustive distributivity check; finite carriers only.
-
-    A FiniteLattice decided this over its index tables when it was built,
-    and that result is returned; other carriers run the generic check.
-    """
-    if isinstance(L, FiniteLattice):
-        return L.distributivity
-    elems = L.elements()
-    if elems is None:
-        raise ValueError("distributivity check needs a finite carrier")
-    for x in elems:
-        for y in elems:
-            for z in elems:
-                lhs = L.meet(x, L.join(y, z))
-                rhs = L.join(L.meet(x, y), L.meet(x, z))
-                if lhs != rhs:
-                    return CheckResult(False, witness=(x, y, z), law="meet-over-join")
-    return CheckResult(True)
-
-
-def check_lattice_axioms(L: Carrier, xs: Sequence) -> CheckResult:
-    """Commutativity, associativity, idempotence, absorption and the
-    meet/leq coherence, over all pairs/triples drawn from xs."""
-    xs = [L.check_element(x) for x in xs]
-    for x in xs:
-        if L.meet(x, x) != x:
-            return CheckResult(False, (x,), "meet-idempotent")
-        if L.join(x, x) != x:
-            return CheckResult(False, (x,), "join-idempotent")
-    for x in xs:
-        for y in xs:
-            if L.meet(x, y) != L.meet(y, x):
-                return CheckResult(False, (x, y), "meet-commutative")
-            if L.join(x, y) != L.join(y, x):
-                return CheckResult(False, (x, y), "join-commutative")
-            if L.meet(x, L.join(x, y)) != x:
-                return CheckResult(False, (x, y), "absorption-meet-join")
-            if L.join(x, L.meet(x, y)) != x:
-                return CheckResult(False, (x, y), "absorption-join-meet")
-            if L.leq(x, y) != (L.join(x, y) == y):
-                return CheckResult(False, (x, y), "leq-meet-join-coherence")
-    for x in xs:
-        for y in xs:
-            for z in xs:
-                if L.meet(L.meet(x, y), z) != L.meet(x, L.meet(y, z)):
-                    return CheckResult(False, (x, y, z), "meet-associative")
-                if L.join(L.join(x, y), z) != L.join(x, L.join(y, z)):
-                    return CheckResult(False, (x, y, z), "join-associative")
-    return CheckResult(True)
-
-
-def check_group_axioms(G: GroupCarrier, xs: Sequence) -> CheckResult:
-    """Translation invariance of the order plus the standard decompositions
-    x = pos - neg, |x| = pos + neg, pos /\\ neg = 0, over elements of xs."""
-    xs = [G.check_element(x) for x in xs]
-    for x in xs:
-        pos = G.pos_part(x)
-        neg = G.neg_part(x)
-        if G.sub(pos, neg) != x:
-            return CheckResult(False, (x,), "pos-minus-neg")
-        if G.add(pos, neg) != G.abs_(x):
-            return CheckResult(False, (x,), "abs-as-pos-plus-neg")
-        if G.meet(pos, neg) != G.zero:
-            return CheckResult(False, (x,), "pos-meet-neg-zero")
-    for x in xs:
-        for y in xs:
-            for z in xs:
-                if G.leq(x, y) != G.leq(G.add(x, z), G.add(y, z)):
-                    return CheckResult(False, (x, y, z), "translation-invariance")
-                if G.add(G.meet(x, y), z) != G.meet(G.add(x, z), G.add(y, z)):
-                    return CheckResult(False, (x, y, z), "translation-meet")
-                if G.add(G.join(x, y), z) != G.join(G.add(x, z), G.add(y, z)):
-                    return CheckResult(False, (x, y, z), "translation-join")
-    return CheckResult(True)
-
-
-def is_sublattice(L: Carrier, S: Sequence) -> bool:
-    """Is S (as carrier elements) closed under meet and join?"""
-    return _is_sublattice(L, [L.check_element(s) for s in S])
-
-
 def _is_sublattice(L: Carrier, items: Sequence) -> bool:
-    """``is_sublattice`` on elements already checked."""
+    """Is items, a sequence of elements, closed under meet and join?"""
     return all(L._meet(a, b) in items and L._join(a, b) in items
                for a in items for b in items)
 

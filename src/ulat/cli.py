@@ -22,11 +22,11 @@ import json
 import os
 import sys
 from dataclasses import fields
-from fractions import Fraction
 from functools import cache
 from typing import Optional
 
 from .carriers import NotALattice, load_finite_lattice
+from .exact import rat
 
 
 class UsageError(Exception):
@@ -50,7 +50,7 @@ def _parse_eps_grid(text: str) -> tuple:
     grid = []
     for part in items:
         try:
-            q = Fraction(part)
+            q = rat(part)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"has a bad value {part!r}: {exc}") from None
         if q <= 0:
@@ -198,6 +198,8 @@ def _lattice_check_command(path: str) -> int:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path!r} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer with more digits than int() converts
+        raise UsageError(f"{path!r} cannot be parsed: {exc}") from None
     except RecursionError:
         raise UsageError(f"{path!r} nests too deeply to parse") from None
     try:

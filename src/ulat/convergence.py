@@ -235,9 +235,8 @@ def verify_uO(seq: SequenceFamily, x, truncations: Optional[Seq[TruncationPair]]
 
     On group carriers, positive caps are converted to their two clamp pairs;
     plain lattices supply truncation pairs directly.  A clamped sequence
-    that provably settles is decided outright (order limits are unique), and
-    so is a clamped periodic tail with several values, each of which recurs
-    forever; otherwise witnesses[p], interval (O2) data, is checked.
+    that provably settles is decided outright (order limits are unique);
+    otherwise witnesses[p], interval (O2) data, is checked.
     The aggregate is the weakest per-pair verdict.
     """
     L = seq.carrier
@@ -258,10 +257,7 @@ def verify_uO(seq: SequenceFamily, x, truncations: Optional[Seq[TruncationPair]]
         tail = settled(t_seq)
         if tail is not None:
             i, value = tail
-            if value is NEVER_CONSTANT:
-                parts.append(Verdict.falsified(witness=(p.low, p.high, i),
-                                               detail="clamped tail oscillates, order limit impossible"))
-            elif value == t_x:
+            if value == t_x:
                 parts.append(Verdict.exact(detail=f"clamp {p.low!r},{p.high!r}: eventually the clamped limit"))
             else:
                 parts.append(Verdict.falsified(witness=(p.low, p.high, i, value),

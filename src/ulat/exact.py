@@ -16,6 +16,7 @@ Floats never appear in this module.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -24,14 +25,22 @@ from typing import Optional, Union
 
 RatLike = Union[int, str, Fraction]
 
+_EXPONENT = re.compile(r"[eE][-+]?\d")
+
 
 def rat(value: RatLike) -> Fraction:
-    """Coerce an int, a 'p/q' string, or a Fraction to an exact Fraction."""
+    """Coerce an int, a 'p/q' string, or a Fraction to an exact Fraction.
+
+    A string with an exponent is refused: ``Fraction`` would expand "1e9999999"
+    into an integer of millions of digits.  A plain decimal string is bounded
+    by the interpreter's limit on the digits of an integer string."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        if _EXPONENT.search(value):
+            raise ValueError(f"{value[:40]!r} has an exponent; write an integer or 'p/q'")
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 

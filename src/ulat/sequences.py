@@ -2,11 +2,11 @@
 
 Sequences are 1-indexed total functions into a carrier.  A descriptor, when
 present, is a machine-checkable closed form that licenses exact tail
-reasoning: eventually constant, periodic, a rational closed form with an
-alternating part, the unit-vector stream, or one of the finite/cofinite
-chain shapes.  Everything downstream grades its verdicts by whether a
-descriptor made a symbolic argument possible.  This is the only module that
-reads descriptors; what one proves is decided here: where the tail settles
+reasoning: eventually constant, a rational closed form with an alternating
+part, the unit-vector stream, or one of the finite/cofinite chain shapes.
+Everything downstream grades its verdicts by whether a descriptor made a
+symbolic argument possible.  This is the only module that reads
+descriptors; what one proves is decided here: where the tail settles
 (``settled``), its clamped image (``clamped_descriptor``), its sup and inf
 (``chain_bound``), whether it is monotone (``monotone``) and whether it
 stays in the intervals of an O2 witness (``containment``).
@@ -36,18 +36,6 @@ class EventuallyConstant:
 
     value: object
     from_index: int = 1
-
-
-@dataclass(frozen=True)
-class Periodic:
-    """term(k) cycles through values for k >= from_index."""
-
-    values: tuple
-    from_index: int = 1
-
-    def __post_init__(self):
-        if not self.values:
-            raise ValueError("a periodic descriptor needs at least one value")
 
 
 @dataclass(frozen=True)
@@ -107,29 +95,6 @@ def constant_sequence(L: Carrier, value, name: Optional[str] = None) -> Sequence
     value = L.check_element(value)
     return SequenceFamily(name or f"const({value!r})", L, lambda k: value,
                           EventuallyConstant(value, 1))
-
-
-def eventually_constant_sequence(L: Carrier, prefix, value, name: str) -> SequenceFamily:
-    prefix = tuple(L.check_element(v) for v in prefix)
-    value = L.check_element(value)
-
-    def term(k):
-        return prefix[k - 1] if k <= len(prefix) else value
-
-    return SequenceFamily(name, L, term, EventuallyConstant(value, len(prefix) + 1))
-
-
-def periodic_sequence(L: Carrier, values, name: str, prefix=()) -> SequenceFamily:
-    values = tuple(L.check_element(v) for v in values)
-    prefix = tuple(L.check_element(v) for v in prefix)
-    from_index = len(prefix) + 1
-
-    def term(k):
-        if k <= len(prefix):
-            return prefix[k - 1]
-        return values[(k - from_index) % len(values)]
-
-    return SequenceFamily(name, L, term, Periodic(values, from_index))
 
 
 def series_sequence(Q: Carrier, series: RatAltSeq, name: str) -> SequenceFamily:
@@ -233,17 +198,13 @@ def settled(seq: SequenceFamily):
     """Where the descriptor proves the sequence settles.
 
     Returns (i, value) when every term from index i on equals value,
-    (i, NEVER_CONSTANT) when the terms never settle (a periodic tail with
-    more than one value, from its first index; the singleton stream, from
-    index 1), and None when the descriptor proves neither.  Never settling
-    is not diverging: the singleton stream order-converges to the empty set.
+    (1, NEVER_CONSTANT) for the singleton stream, whose terms never settle,
+    and None when the descriptor proves neither.  Never settling is not
+    diverging: the singleton stream order-converges to the empty set.
     """
     d = seq.descriptor
     if isinstance(d, EventuallyConstant):
         return d.from_index, seq.carrier.normalize(d.value)
-    if isinstance(d, Periodic):
-        distinct = {seq.carrier.normalize(v) for v in d.values}
-        return d.from_index, (distinct.pop() if len(distinct) == 1 else NEVER_CONSTANT)
     if isinstance(d, SingletonAtoms):
         return 1, NEVER_CONSTANT
     return None
@@ -264,8 +225,6 @@ def clamped_descriptor(seq: SequenceFamily, p: TruncationPair):
     d = seq.descriptor
     if isinstance(d, EventuallyConstant):
         return EventuallyConstant(truncate_f(L, p, L.normalize(d.value)), d.from_index)
-    if isinstance(d, Periodic):
-        return Periodic(tuple(truncate_f(L, p, L.normalize(v)) for v in d.values), d.from_index)
     if isinstance(d, TailClosedForm):
         series, a, b = d.series, rat(p.low), rat(p.high)
         hit_top = series.eventually_geq(b)
@@ -313,11 +272,10 @@ def chain_bound(seq: SequenceFamily, kind: str, k0: int = 1,
     d = seq.descriptor
     fold = L._join if kind == "sup" else L._meet
 
-    if isinstance(d, (EventuallyConstant, Periodic)):
+    if isinstance(d, EventuallyConstant):
         values = [seq.value(k) for k in range(k0, max(d.from_index, k0))]
-        tail = d.values if isinstance(d, Periodic) else (d.value,)
-        values.extend(L.check_element(v) for v in tail)
-        return BoundClaim(functools.reduce(fold, values), True, "eventually periodic tail")
+        values.append(L.check_element(d.value))
+        return BoundClaim(functools.reduce(fold, values), True, "eventually constant tail")
     if isinstance(d, TailClosedForm):
         series = d.series
         limit = series.limit()

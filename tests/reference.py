@@ -1,0 +1,99 @@
+"""Reference checks and inputs that only the tests use: the lattice and
+lattice-ordered group axioms over given elements, distributivity by a loop
+over all triples, closure under meet and join, and an eventually constant
+sequence with an arbitrary prefix.  The axiom and distributivity checks go
+through the carrier's public, checking operations and nothing faster."""
+
+from ulat.carriers import CheckResult, _is_sublattice
+from ulat.sequences import EventuallyConstant, SequenceFamily
+
+
+def distributivity(L) -> CheckResult:
+    """x /\\ (y \\/ z) = (x /\\ y) \\/ (x /\\ z) over every triple of a finite
+    carrier, the first failing triple in element order as the witness."""
+    elems = L.elements()
+    for x in elems:
+        for y in elems:
+            for z in elems:
+                if L.meet(x, L.join(y, z)) != L.join(L.meet(x, y), L.meet(x, z)):
+                    return CheckResult(False, witness=(x, y, z), law="meet-over-join")
+    return CheckResult(True)
+
+
+def check_lattice_axioms(L, xs) -> CheckResult:
+    """Commutativity, associativity, idempotence, absorption and the
+    meet/leq coherence, over all pairs/triples drawn from xs."""
+    xs = [L.check_element(x) for x in xs]
+    for x in xs:
+        if L.meet(x, x) != x:
+            return CheckResult(False, (x,), "meet-idempotent")
+        if L.join(x, x) != x:
+            return CheckResult(False, (x,), "join-idempotent")
+    for x in xs:
+        for y in xs:
+            if L.meet(x, y) != L.meet(y, x):
+                return CheckResult(False, (x, y), "meet-commutative")
+            if L.join(x, y) != L.join(y, x):
+                return CheckResult(False, (x, y), "join-commutative")
+            if L.meet(x, L.join(x, y)) != x:
+                return CheckResult(False, (x, y), "absorption-meet-join")
+            if L.join(x, L.meet(x, y)) != x:
+                return CheckResult(False, (x, y), "absorption-join-meet")
+            if L.leq(x, y) != (L.join(x, y) == y):
+                return CheckResult(False, (x, y), "leq-meet-join-coherence")
+    for x in xs:
+        for y in xs:
+            for z in xs:
+                if L.meet(L.meet(x, y), z) != L.meet(x, L.meet(y, z)):
+                    return CheckResult(False, (x, y, z), "meet-associative")
+                if L.join(L.join(x, y), z) != L.join(x, L.join(y, z)):
+                    return CheckResult(False, (x, y, z), "join-associative")
+    return CheckResult(True)
+
+
+def pos_part(G, x):
+    return G.join(x, G.zero)
+
+
+def neg_part(G, x):
+    return G.join(G.negate(x), G.zero)
+
+
+def check_group_axioms(G, xs) -> CheckResult:
+    """Translation invariance of the order plus the standard decompositions
+    x = pos - neg, |x| = pos + neg, pos /\\ neg = 0, over elements of xs."""
+    xs = [G.check_element(x) for x in xs]
+    for x in xs:
+        pos, neg = pos_part(G, x), neg_part(G, x)
+        if G.sub(pos, neg) != x:
+            return CheckResult(False, (x,), "pos-minus-neg")
+        if G.add(pos, neg) != G.abs_(x):
+            return CheckResult(False, (x,), "abs-as-pos-plus-neg")
+        if G.meet(pos, neg) != G.zero:
+            return CheckResult(False, (x,), "pos-meet-neg-zero")
+    for x in xs:
+        for y in xs:
+            for z in xs:
+                if G.leq(x, y) != G.leq(G.add(x, z), G.add(y, z)):
+                    return CheckResult(False, (x, y, z), "translation-invariance")
+                if G.add(G.meet(x, y), z) != G.meet(G.add(x, z), G.add(y, z)):
+                    return CheckResult(False, (x, y, z), "translation-meet")
+                if G.add(G.join(x, y), z) != G.join(G.add(x, z), G.add(y, z)):
+                    return CheckResult(False, (x, y, z), "translation-join")
+    return CheckResult(True)
+
+
+def is_sublattice(L, S) -> bool:
+    """Is S, each of its members checked once, closed under meet and join?"""
+    return _is_sublattice(L, [L.check_element(s) for s in S])
+
+
+def eventually_constant_sequence(L, prefix, value, name: str) -> SequenceFamily:
+    """The terms of prefix, then value from index len(prefix) + 1 on."""
+    prefix = tuple(L.check_element(v) for v in prefix)
+    value = L.check_element(value)
+
+    def term(k):
+        return prefix[k - 1] if k <= len(prefix) else value
+
+    return SequenceFamily(name, L, term, EventuallyConstant(value, len(prefix) + 1))

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from reference import eventually_constant_sequence
 import ulat.convergence as convergence
 from ulat.carriers import CarrierMismatch, chain_lattice
 from ulat.convergence import (
@@ -23,19 +24,15 @@ from ulat.convergence import (
 from ulat.exact import Poly, RatAltSeq
 from ulat.semimetrics import SemimetricFamily, norm_semimetric, ustar_family
 from ulat.sequences import (
-    NEVER_CONSTANT,
     EventuallyConstant,
     MetricCertificate,
     O1Witness,
     O2Witness,
-    Periodic,
     SequenceFamily,
     TailClosedForm,
     constant_sequence,
     cofinite_chain_sequence,
-    eventually_constant_sequence,
     o2_from_o1,
-    periodic_sequence,
     series_sequence,
     settled,
     singleton_atom_sequence,
@@ -180,18 +177,11 @@ def test_constancy_decision_is_exact_with_a_descriptor():
     assert wrong.witness == (2, FinCofSet.empty())
 
 
-def test_constancy_decision_on_periodic_streams():
-    two = periodic_sequence(A, (FinCofSet.empty(), FinCofSet.singleton(1)), "blink")
-    assert decide_O1_eventual_constancy(two, FinCofSet.empty()).status == "falsified"
-    one = periodic_sequence(A, (FinCofSet.empty(),), "still")
-    assert decide_O1_eventual_constancy(one, FinCofSet.empty()).status == "exact"
-
-
 def test_constancy_witness_names_two_different_terms():
-    seq = periodic_sequence(A, (FinCofSet.empty(), FinCofSet.empty(), FinCofSet.singleton(1)), "p")
-    v = decide_O1_eventual_constancy(seq, FinCofSet.empty())
-    assert v.status == "falsified" and v.witness == (1, 3)
-    assert seq.value(1) != seq.value(3)
+    seq = singleton_atom_sequence(A)
+    v = decide_O1_eventual_constancy(seq, FinCofSet.singleton(1))
+    assert v.status == "falsified" and v.witness == (1, 2)
+    assert seq.value(1) != seq.value(2)
 
 
 def test_constancy_scan_without_descriptor():
@@ -234,13 +224,10 @@ def test_truncation_drops_undecidable_closed_forms():
     assert [alt.value(k) for k in (1, 2, 3)] == [F(0), F(1, 2), F(0)]
 
 
-def test_truncation_clamps_constant_and_periodic_values():
+def test_truncation_clamps_constant_values():
     seq = eventually_constant_sequence(Q, (F(9),), F(7), "settle")
     t = truncate_sequence(seq, TruncationPair.of(Q, F(0), F(2)))
     assert t.descriptor == EventuallyConstant(F(2), 2)
-    blink = periodic_sequence(Q, (F(-5), F(5)), "blink")
-    tb = truncate_sequence(blink, TruncationPair.of(Q, F(-1), F(1)))
-    assert tb.descriptor == Periodic((F(-1), F(1)), 1)
 
 
 def test_truncation_of_unit_vectors_settles_past_the_cap_support():
@@ -269,23 +256,6 @@ def test_uo_walk_fails_at_the_first_cap():
     v = verify_uO(walk, F(0), positives=[F(1)])
     assert v.status == "falsified"
     assert v.witness == (F(0), F(1), 1, F(1))
-
-
-def test_uo_oscillation_is_falsified_outright():
-    blink = periodic_sequence(Q, (F(-5), F(5)), "blink")
-    v = verify_uO(blink, F(0), positives=[F(1)])
-    assert v.status == "falsified"
-    assert "oscillates" in v.detail
-
-
-def test_uo_decides_a_periodic_tail_that_clamps_to_one_value():
-    # 5, 7, 5, 7, ... clamped into [0, 1] is 1 from index 1 on: settled
-    blink = periodic_sequence(Q, (F(5), F(7)), "high-blink")
-    pair = TruncationPair.of(Q, F(0), F(1))
-    assert verify_uO(blink, F(1), truncations=[pair]).status == "exact"
-    wrong = verify_uO(blink, F(0), truncations=[pair])
-    assert wrong.status == "falsified"
-    assert wrong.witness == (F(0), F(1), 1, F(1))
 
 
 def test_uo_without_witness_degrades_honestly():
@@ -335,13 +305,6 @@ def test_metric_convergence_of_constant_tails_is_exact():
     settle = eventually_constant_sequence(Q, (F(9),), F(2), "settle")
     assert metric_converges(settle, F(2), ABS, CERT).status == "exact"
     wrong = metric_converges(settle, F(3), ABS, CERT, eps_grid=(F(1, 2),))
-    assert wrong.status == "falsified"
-
-
-def test_metric_convergence_of_single_valued_periodic_tails_is_exact():
-    still = periodic_sequence(Q, (F(2), F(2)), "still", prefix=(F(9),))
-    assert metric_converges(still, F(2), ABS, CERT).status == "exact"
-    wrong = metric_converges(still, F(3), ABS, CERT, eps_grid=(F(1, 2),))
     assert wrong.status == "falsified"
     assert wrong.witness == ("abs", "1/2", 3)
 
@@ -490,7 +453,7 @@ def _name_keyed_certificate(seq, star):
     knees = {}
     for m in star.members:
         tail = settled(truncate_sequence(seq, m.clamp))
-        if tail is not None and tail[1] is not NEVER_CONSTANT:
+        if tail is not None:
             knees[m.name] = tail[0]
     return MetricCertificate(lambda _eps, name: knees.get(name, 1))
 
@@ -526,7 +489,7 @@ def test_probe_clamps_each_member_once(monkeypatch):
 
 def test_probe_scans_sequences_without_a_closed_form_for_monotonicity():
     U = ustar_family(ABS, [TruncationPair.of(Q, F(-1), F(1))])
-    flip = periodic_sequence(Q, (F(0), F(1)), "flip")
+    flip = SequenceFamily("flip", Q, lambda k: F(k % 2))
     with pytest.raises(ValueError, match="monotone"):
         exhaustivity_probe(flip, U)
     steps = eventually_constant_sequence(Q, (F(0), F(1, 2)), F(1), "steps")

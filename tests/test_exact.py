@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -234,3 +235,18 @@ def test_rat_parses_strings_and_ints():
     assert rat("3/4") == F(3, 4)
     assert rat(5) == 5
     assert rat(F(1, 3)) == F(1, 3)
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "1E-10000000", "2.5e+3"])
+def test_rat_refuses_an_exponent_at_once(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="has an exponent"):
+        rat(text)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_rat_keeps_decimals_and_the_fraction_diagnostics():
+    assert rat("0.25") == F(1, 4)
+    assert rat(" -7 ") == -7
+    with pytest.raises(ValueError, match="Invalid literal for Fraction: 'one'"):
+        rat("one")

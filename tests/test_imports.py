@@ -25,9 +25,8 @@ LOADED = "sorted(m for m in sys.modules if m == 'ulat' or m.startswith('ulat.'))
 # module that defines it
 EXPORTS = {
     "carriers": ("Carrier", "CheckResult", "FiniteLattice", "GroupCarrier", "NotALattice",
-                 "chain_lattice", "check_distributive", "check_group_axioms",
-                 "check_lattice_axioms", "diamond_lattice", "divisor_lattice",
-                 "load_finite_lattice", "pentagon_lattice", "powerset_lattice", "sublattices"),
+                 "chain_lattice", "diamond_lattice", "divisor_lattice", "load_finite_lattice",
+                 "pentagon_lattice", "powerset_lattice", "sublattices"),
     "catalog": ("CatalogEntry", "finite_entries", "standard_carriers"),
     "convergence": ("DEFAULT_EPS_GRID", "DEFAULT_HORIZON", "decide_O1_eventual_constancy",
                     "exhaustivity_probe", "metric_cauchy", "metric_converges",
@@ -43,11 +42,10 @@ EXPORTS = {
                     "pullback_semimetric", "quotient", "table_semimetric", "ustar_family",
                     "validate_semimetric", "zero_semimetric"),
     "sequences": ("BoundClaim", "EventuallyConstant", "MetricCertificate", "O1Witness",
-                  "O2Witness", "Periodic", "SequenceFamily", "TailClosedForm", "UnitVectors",
+                  "O2Witness", "SequenceFamily", "TailClosedForm", "UnitVectors",
                   "chain_bound", "cofinite_chain_sequence", "constant_sequence",
-                  "eventually_constant_sequence", "o2_from_o1", "parse_scalar_series",
-                  "parse_sequence_term", "periodic_sequence", "series_sequence",
-                  "singleton_atom_sequence", "unit_vector_sequence"),
+                  "o2_from_o1", "parse_scalar_series", "parse_sequence_term",
+                  "series_sequence", "singleton_atom_sequence", "unit_vector_sequence"),
     "spaces": ("C00Space", "C00Vec", "EvLinSeq", "EvLinSpace", "FinCofAlgebra", "FinCofSet",
                "QLine", "QVec"),
     "subnet": ("SubnetContainmentError", "SubnetEnumeration", "SubnetStep", "build_subnet"),
@@ -59,6 +57,11 @@ EXPORTS = {
     "verdicts": ("AT_HORIZON", "EXACT", "FALSIFIED", "INCONCLUSIVE", "Verdict"),
     "optrees": (),
 }
+
+# names the package no longer exports: the periodic descriptor is gone and
+# the axiom checks live in the tests' reference module
+REMOVED = ("Periodic", "periodic_sequence", "eventually_constant_sequence",
+           "check_distributive", "check_group_axioms", "check_lattice_axioms")
 
 
 def _env(**extra) -> dict:
@@ -139,3 +142,10 @@ def test_an_unknown_name_is_an_attribute_error():
         ulat.no_such_name  # noqa: B018
     assert not hasattr(ulat, "no_such_name")
     assert "no_such_name" not in dir(ulat)
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_a_removed_name_is_an_attribute_error(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(ulat, name)
+    assert name not in dir(ulat)

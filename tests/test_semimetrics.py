@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -387,6 +388,14 @@ class TestDistanceTables:
         with pytest.raises(ValueError) as info:
             load_distance_table(doc, carriers={"c": L})
         assert str(info.value) == f"distance row {[1, 2, value]!r} {message}"
+
+    def test_a_distance_with_an_exponent_is_refused_at_once(self):
+        doc = {"carrier": "c", "distances": [[0, 1, "1e10000000"]]}
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            load_distance_table(doc, carriers={"c": chain_lattice(2)})
+        assert time.perf_counter() - start < 0.1
+        assert str(info.value) == "distance row [0, 1, '1e10000000'] is not an exact rational"
 
     def test_boolean_indices_are_refused(self):
         L = chain_lattice(2)

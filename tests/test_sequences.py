@@ -1,10 +1,12 @@
 """Sequence descriptors, what they prove (settling points, clamped images,
 bound claims), witnesses, and the term grammar."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
 
+from reference import eventually_constant_sequence
 from ulat.carriers import CarrierMismatch, chain_lattice
 from ulat.exact import RatAltSeq
 from ulat.sequences import (
@@ -15,7 +17,6 @@ from ulat.sequences import (
     MetricCertificate,
     O1Witness,
     O2Witness,
-    Periodic,
     SequenceFamily,
     SingletonAtoms,
     TailClosedForm,
@@ -24,12 +25,10 @@ from ulat.sequences import (
     cofinite_chain_sequence,
     constant_sequence,
     containment,
-    eventually_constant_sequence,
     monotone,
     o2_from_o1,
     parse_scalar_series,
     parse_sequence_term,
-    periodic_sequence,
     series_sequence,
     settled,
     singleton_atom_sequence,
@@ -72,15 +71,6 @@ def test_eventually_constant_factory():
     assert s.descriptor == EventuallyConstant(F(1), 3)
 
 
-def test_periodic_factory_and_prefix_rule():
-    # the periodic part starts right after the prefix
-    s = periodic_sequence(Q, (F(1), F(2)), "blink", prefix=(F(9),))
-    assert [s.value(k) for k in (1, 2, 3, 4, 5)] == [F(9), F(1), F(2), F(1), F(2)]
-    assert s.descriptor == Periodic((F(1), F(2)), 2)
-    with pytest.raises(ValueError):
-        Periodic((), 1)
-
-
 def test_series_and_builtin_streams_match_descriptors():
     harmonic = series_sequence(Q, RatAltSeq.inv_index(), "1/k")
     assert harmonic.value(4) == F(1, 4)
@@ -106,14 +96,6 @@ def test_series_and_builtin_streams_match_descriptors():
 def test_settled_eventually_constant():
     s = eventually_constant_sequence(Q, (F(5), F(4)), 1, "settle")
     assert settled(s) == (3, F(1))
-
-
-def test_settled_periodic():
-    blink = periodic_sequence(Q, (F(1), F(2)), "blink", prefix=(F(9),))
-    assert settled(blink) == (2, NEVER_CONSTANT)
-    # a single value, however often repeated, settles where the cycle starts
-    still = periodic_sequence(Q, (F(3), 3), "still", prefix=(F(9), F(8)))
-    assert settled(still) == (3, F(3))
 
 
 def test_settled_tail_closed_form_is_undecided():
@@ -378,6 +360,13 @@ def test_scalar_grammar_rejects_junk():
         parse_scalar_series(0.5)
     with pytest.raises(ValueError, match=r"unrecognized scalar term \['\+', 'k', 'k', 'zz'\]"):
         parse_scalar_series(["+", "k", "k", "zz"])
+
+
+def test_a_scalar_term_with_an_exponent_is_refused_at_once():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="has an exponent"):
+        parse_sequence_term("1e10000000", Q)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_a_deeply_nested_scalar_term_is_refused():

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -287,6 +288,19 @@ def test_cli_config_validation(tmp_path, capsys):
     assert code == 2 and "positive" in err
 
 
+def test_cli_refuses_an_eps_grid_exponent_at_once(tmp_path, capsys):
+    config = tmp_path / "eps.conf"
+    config.write_text("eps_grid = 1,1e10000000\n")
+    for argv, origin in ((["--eps-grid", "1e10000000"], "--eps-grid"),
+                         (["--config", str(config)], f"{config}:1")):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "suite", "run", "prop-d", *argv)
+        assert time.perf_counter() - start < 0.1
+        assert code == 2 and out == ""
+        assert err.startswith(f"ulat: {origin}: eps_grid has a bad value '1e10000000'")
+        assert "has an exponent" in err
+
+
 def test_cli_timings_flag(capsys):
     code, out, _ = run_cli(capsys, "suite", "run", "subnet-t3", "--timings",
                            "--horizon", "100")
@@ -448,6 +462,14 @@ def test_cli_lattice_check_rejects_unreadable_documents(tmp_path, capsys):
     code, out, err = run_cli(capsys, "lattice", "check", str(deep))
     assert code == 2 and out == ""
     assert err.startswith("ulat: ") and "nests too deeply" in err
+
+
+def test_cli_lattice_check_refuses_an_integer_too_long_to_convert(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"elements": ["a"], "covers": [], "x": ' + "1" * 5000 + "}")
+    code, out, err = run_cli(capsys, "lattice", "check", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"ulat: {str(path)!r} cannot be parsed") and "4300" in err
 
 
 def test_cli_without_command_prints_help(capsys):

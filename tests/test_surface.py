@@ -8,12 +8,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ulat"
 
-# Paper objects and validation tools that only the tests call.
-TEST_ONLY = {"truncate_g", "check_lattice_axioms", "check_group_axioms", "check_distributive",
-             "is_sublattice", "metric_converges", "eventually_constant_sequence",
-             "periodic_sequence"}
+# Paper objects that only the tests call until their records land: the tau
+# side of the headline theorem (ROADMAP item 7) and the modular-law record
+# (ROADMAP item 8).  The list must shrink when they do.
+TEST_ONLY = {"metric_converges", "truncate_g"}
 
-DESCRIPTOR_CLASSES = {"EventuallyConstant", "Periodic", "TailClosedForm", "UnitVectors",
+DESCRIPTOR_CLASSES = {"EventuallyConstant", "TailClosedForm", "UnitVectors",
                       "SingletonAtoms", "AtomPrefixSets", "CofiniteFilterChain"}
 
 
@@ -52,22 +52,31 @@ def _references(tree: ast.Module):
     yield from walk(tree, frozenset())
 
 
-def test_every_definition_has_a_caller_outside_the_tests():
+def _uncalled():
+    """(file, line, name) of every definition in ``src/ulat`` that nothing
+    in the library or the benchmark calls from outside its own body."""
     library = {p: _parse(p) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
     callers = list(library.values()) + [_parse(p) for p in sorted((ROOT / "perfbench").glob("*.py"))]
     refs: dict[str, list] = {}
     for tree in callers:
         for name, enclosing in _references(tree):
             refs.setdefault(name, []).append(enclosing)
-
-    uncalled = sorted(
-        f"{path.name}:{node.lineno} {node.name}"
+    return sorted(
+        (path.name, node.lineno, node.name)
         for path, tree in library.items()
         for node in _definitions(tree)
-        if node.name not in TEST_ONLY
-        and not any(id(node) not in enclosing for enclosing in refs.get(node.name, ()))
+        if not any(id(node) not in enclosing for enclosing in refs.get(node.name, ()))
     )
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    uncalled = [f"{path}:{line} {name}" for path, line, name in _uncalled()
+                if name not in TEST_ONLY]
     assert not uncalled, f"only tests call: {uncalled}"
+
+
+def test_every_test_only_name_is_defined_and_still_uncalled():
+    assert {name for _, _, name in _uncalled()} >= TEST_ONLY
 
 
 def test_the_tail_layers_compare_on_the_trusted_order():

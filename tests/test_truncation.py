@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import neg_part, pos_part
 import ulat.truncation as truncation
 from ulat.carriers import (
     CarrierMismatch,
@@ -231,8 +232,8 @@ def test_coordinatewise_overrides_match_group_derivations(G):
         assert G._abs(x) == GroupCarrier._abs(G, x)
         assert G.sub(x, y) == G.add(x, G.negate(y))
         assert G.abs_(x) == G.join(x, G.negate(x))
-        assert x == G.sub(G.pos_part(x), G.neg_part(x))
-        assert G.abs_(x) == G.add(G.pos_part(x), G.neg_part(x))
+        assert x == G.sub(pos_part(G, x), neg_part(G, x))
+        assert G.abs_(x) == G.add(pos_part(G, x), neg_part(G, x))
         if G is LINE:
             assert (G.meet(x, y), G.join(x, y)) == (min(x, y), max(x, y))
         else:
