@@ -93,10 +93,9 @@ _LAZY = {name: module for module, names in {
     "optrees": (),
     "sequences": (
         "BoundClaim", "EventuallyConstant", "MetricCertificate", "O1Witness", "O2Witness",
-        "SequenceFamily", "TailClosedForm", "UnitVectors", "chain_bound",
-        "cofinite_chain_sequence", "constant_sequence", "o2_from_o1", "parse_scalar_series",
-        "parse_sequence_term", "series_sequence", "singleton_atom_sequence",
-        "unit_vector_sequence"),
+        "SequenceFamily", "TailClosedForm", "Window", "chain_bound", "constant_sequence",
+        "o2_from_o1", "parse_scalar_series", "parse_sequence_term", "series_sequence",
+        "window_sequence"),
     "subnet": ("SubnetContainmentError", "SubnetEnumeration", "SubnetStep", "build_subnet"),
     "suites": (
         "CheckRecord", "SuiteConfig", "SuiteResult", "render_json", "render_markdown",

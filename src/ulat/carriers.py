@@ -357,8 +357,7 @@ def _distributivity(elements: Sequence, meet_table: Sequence, join_table: Sequen
             rhs = compose(mx, join_maps[mx[y]])
             if lhs != rhs:
                 z = next(z for z in range(n) if lhs[z] != rhs[z])
-                return CheckResult(False, witness=(elements[x], elements[y], elements[z]),
-                                   law="meet-over-join")
+                return CheckResult(False, witness=(elements[x], elements[y], elements[z]))
     return _HOLDS
 
 
@@ -438,7 +437,6 @@ def diamond_lattice() -> FiniteLattice:
 class CheckResult:
     holds: bool
     witness: object = None
-    law: str = ""
 
     def __bool__(self) -> bool:
         return self.holds

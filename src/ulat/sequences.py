@@ -3,7 +3,8 @@
 Sequences are 1-indexed total functions into a carrier.  A descriptor, when
 present, is a machine-checkable closed form that licenses exact tail
 reasoning: eventually constant, a rational closed form with an alternating
-part, the unit-vector stream, or one of the finite/cofinite chain shapes.
+part, or a moving window of atoms (the sliding singletons and unit vectors,
+the growing prefixes, and their complements within a cofinite set).
 Everything downstream grades its verdicts by whether a descriptor made a
 symbolic argument possible.  This is the only module that reads
 descriptors; what one proves is decided here: where the tail settles
@@ -21,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .carriers import Carrier
-from .exact import RatAltSeq, rat
+from .exact import RatAltSeq, check_index, rat
 from .spaces import NO_BOUND, C00Space, C00Vec, FinCofAlgebra, FinCofSet, QLine, QVec
 from .truncation import TruncationPair, truncate_f
 from .verdicts import Verdict
@@ -46,29 +47,23 @@ class TailClosedForm:
 
 
 @dataclass(frozen=True)
-class UnitVectors:
-    """term(k) = the k-th coordinate unit vector (finitely supported)."""
+class Window:
+    """Terms built from the window W(k) = {i >= 1 : lo(k) <= i <= k}, where
+    lo(k) = k when sliding and 1 when growing.
 
+    On the finite/cofinite algebra x_k is W(k), or within minus W(k) when
+    within is set; on c00 it is the indicator vector of W(k).
+    """
 
-@dataclass(frozen=True)
-class SingletonAtoms:
-    """A_k = {atom k}: pairwise distinct singletons."""
+    sliding: bool
+    within: Optional[FinCofSet] = None
 
-
-@dataclass(frozen=True)
-class AtomPrefixSets:
-    """M_j = {atoms 1..j}: a strictly growing chain of finite sets."""
-
-
-@dataclass(frozen=True)
-class CofiniteFilterChain:
-    """N_j = within minus {atoms 1..j}, a strictly shrinking cofinite chain."""
-
-    within: FinCofSet = FinCofSet.universe()
-
-    def term(self, j: int) -> FinCofSet:
-        return self.within.intersect(
-            FinCofSet.cofinite_complement(range(1, j + 1)))
+    def term(self, k: int) -> FinCofSet:
+        """x_k on the finite/cofinite algebra."""
+        window = range(k if self.sliding else 1, k + 1)
+        if self.within is None:
+            return FinCofSet.finite(window)
+        return self.within.intersect(FinCofSet.cofinite_complement(window))
 
 
 @dataclass(frozen=True)
@@ -82,8 +77,7 @@ class SequenceFamily:
 
     def value(self, k: int):
         """The k-th term, checked: the one place a term enters the carrier."""
-        if k < 1:
-            raise ValueError("sequences are 1-indexed")
+        check_index(k, "a sequence index")
         return self.carrier.check_element(self.term(k))
 
 
@@ -101,19 +95,18 @@ def series_sequence(Q: Carrier, series: RatAltSeq, name: str) -> SequenceFamily:
     return SequenceFamily(name, Q, series.eval, TailClosedForm(series))
 
 
-def unit_vector_sequence(space: Carrier, name: str = "e_k") -> SequenceFamily:
-    return SequenceFamily(name, space, lambda k: C00Vec.unit(k), UnitVectors())
+def window_sequence(L: Carrier, window: Window, name: str) -> SequenceFamily:
+    """The window's terms on the finite/cofinite algebra or on c00.
 
-
-def singleton_atom_sequence(algebra: Carrier, name: str = "A_k") -> SequenceFamily:
-    return SequenceFamily(name, algebra, lambda k: FinCofSet.singleton(k),
-                          SingletonAtoms())
-
-
-def cofinite_chain_sequence(algebra: Carrier, name: str = "N_j",
-                            within: Optional[FinCofSet] = None) -> SequenceFamily:
-    chain = CofiniteFilterChain() if within is None else CofiniteFilterChain(within)
-    return SequenceFamily(name, algebra, chain.term, chain)
+    A complement within a finite set (its terms settle) or on c00 (its terms
+    are not finitely supported), or another carrier, is refused: ValueError."""
+    if isinstance(L, FinCofAlgebra):
+        if window.within is not None and not L.check_element(window.within).cofinite:
+            raise ValueError(f"a complement window needs a cofinite within, got {window.within!r}")
+        return SequenceFamily(name, L, window.term, window)
+    if isinstance(L, C00Space) and window.within is None:
+        return SequenceFamily(name, L, lambda k: C00Vec.indicator(window.term(k).atoms), window)
+    raise ValueError(f"{window!r} has no terms in the carrier {L.name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +191,14 @@ def settled(seq: SequenceFamily):
     """Where the descriptor proves the sequence settles.
 
     Returns (i, value) when every term from index i on equals value,
-    (1, NEVER_CONSTANT) for the singleton stream, whose terms never settle,
-    and None when the descriptor proves neither.  Never settling is not
-    diverging: the singleton stream order-converges to the empty set.
+    (1, NEVER_CONSTANT) for a window, whose terms never settle, and None
+    when the descriptor proves neither.  Never settling is not diverging:
+    the singleton stream {k} order-converges to the empty set.
     """
     d = seq.descriptor
     if isinstance(d, EventuallyConstant):
         return d.from_index, seq.carrier.normalize(d.value)
-    if isinstance(d, SingletonAtoms):
+    if isinstance(d, Window):
         return 1, NEVER_CONSTANT
     return None
 
@@ -220,7 +213,9 @@ def _constant_tail(seq: SequenceFamily):
 
 def clamped_descriptor(seq: SequenceFamily, p: TruncationPair):
     """The descriptor of k -> clamp_p(x_k) when the clamp's effect on the
-    tail is decidable, else None."""
+    tail is decidable, else None.  On c00 a clamp zeroes every coordinate
+    past m, the pair's largest support index, so a window's image settles
+    once W(k) & [1, m] stops changing: at m + 1 sliding, max(m, 1) growing."""
     L = seq.carrier
     d = seq.descriptor
     if isinstance(d, EventuallyConstant):
@@ -235,10 +230,10 @@ def clamped_descriptor(seq: SequenceFamily, p: TruncationPair):
             return EventuallyConstant(L.normalize(a), hit_bottom)
         if series.eventually_geq(a) == 1 and series.eventually_leq(b) == 1:
             return d
-    if isinstance(d, UnitVectors):
-        supports = [v.max_support() for v in (p.low, p.high) if v.support]
-        zero_image = truncate_f(L, p, C00Vec.zero())
-        return EventuallyConstant(zero_image, max(supports, default=0) + 1)
+    if isinstance(d, Window) and isinstance(L, C00Space):
+        m = max(p.low.max_support(), p.high.max_support())
+        knee = m + 1 if d.sliding else max(m, 1)
+        return EventuallyConstant(truncate_f(L, p, seq.value(knee)), knee)
     return None
 
 
@@ -260,9 +255,10 @@ def chain_bound(seq: SequenceFamily, kind: str, k0: int = 1,
                 horizon: int = 64) -> BoundClaim:
     """Best available sup/inf of the tail of a sequence, graded by method.
 
-    The set chains of the finite/cofinite algebra run through every atom: a
-    lower bound of the shrinking chain holding atom m would sit inside N_m,
-    which excludes m, and the universe bounds the growing chain alone.
+    A window's bounds are the union and the intersection of the tail's
+    windows, exact because atoms are the integers >= 1; a complement swaps
+    them and meets them with within (De Morgan).  On c00 a cofinite bound
+    has no finitely supported counterpart.
     """
     if kind not in ("sup", "inf"):
         raise ValueError("kind must be 'sup' or 'inf'")
@@ -292,23 +288,16 @@ def chain_bound(seq: SequenceFamily, kind: str, k0: int = 1,
                 return BoundClaim(L.normalize(limit), True, "monotone limit")
             return BoundClaim(NO_BOUND, True, "decreases without bound")
         return BoundClaim(None, False, "tail is not monotone")
-    if isinstance(d, UnitVectors):
-        if kind == "inf":
-            return BoundClaim(C00Vec.zero(), True, "zero bounds every unit vector")
-        return BoundClaim(NO_BOUND, True, "no finitely supported upper bound")
-    if isinstance(d, SingletonAtoms):
-        if kind == "inf":
-            return BoundClaim(FinCofSet.empty(), True, "distinct singletons meet in the empty set")
-        return BoundClaim(FinCofSet.cofinite_complement(range(1, k0)), True,
-                          "union of the tail's atoms")
-    if isinstance(d, AtomPrefixSets):
-        if kind == "sup":
-            return BoundClaim(FinCofSet.universe(), True, "the tail covers every atom")
-        return BoundClaim(FinCofSet.finite(range(1, k0 + 1)), True, "growing chain")
-    if isinstance(d, CofiniteFilterChain):
-        if kind == "inf":
-            return BoundClaim(FinCofSet.empty(), True, "the tail avoids every atom")
-        return BoundClaim(d.term(k0), True, "shrinking chain")
+    if isinstance(d, Window):
+        union = FinCofSet.cofinite_complement(range(1, k0) if d.sliding else ())
+        meet = FinCofSet.finite(() if d.sliding else range(1, k0 + 1))
+        if d.within is not None:
+            union, meet = (d.within.intersect(meet.complement()),
+                           d.within.intersect(union.complement()))
+        bound, how = (union, "union") if kind == "sup" else (meet, "intersection")
+        if isinstance(L, C00Space):
+            bound = NO_BOUND if bound.cofinite else C00Vec.indicator(bound.atoms)
+        return BoundClaim(bound, True, f"{how} of the tail's windows")
     if L.is_finite:
         stop = max(k0, horizon)
         values = [seq.value(k) for k in range(k0, stop + 1)]
@@ -363,18 +352,19 @@ def _line_containment(seq: SequenceFamily, w: O2Witness) -> Optional[Verdict]:
     return Verdict.exact(detail="containment decided symbolically on the line")
 
 
-def _fincof_containment(seq: SequenceFamily, w: O2Witness) -> Optional[Verdict]:
-    """Exact containment for the singleton stream inside the shrinking
-    cofinite chain: {k} avoids {1..j} precisely when k > j, which the
-    eventual index K(j) = j + c with c >= 1 guarantees."""
-    upper_d = w.upper.descriptor
-    if not (isinstance(seq.descriptor, SingletonAtoms)
-            and isinstance(upper_d, CofiniteFilterChain)
-            and upper_d.within == FinCofSet.universe()
+def _window_containment(seq: SequenceFamily, w: O2Witness) -> Optional[Verdict]:
+    """Exact containment of the sliding window {k} between the empty set
+    and the growing complement within minus {1..j}, within = ~S: {k} avoids
+    {1..j} and S once k > j and k > max S, which the eventual index
+    K(j) = j + c guarantees when c >= 1 and c >= max S."""
+    x, upper = seq.descriptor, w.upper.descriptor
+    if not (isinstance(x, Window) and x.sliding and x.within is None
+            and isinstance(upper, Window) and not upper.sliding
+            and upper.within is not None and upper.within.cofinite
             and settled(w.lower) == (1, FinCofSet.empty())
-            and w.offset is not None and w.offset >= 1):
+            and w.offset is not None and w.offset >= max(upper.within.atoms, default=1)):
         return None
-    return Verdict.exact(detail="singleton avoids the dropped prefix once k > j")
+    return Verdict.exact(detail="the window avoids the dropped prefix once k > j")
 
 
 def _settled_containment(seq: SequenceFamily, w: O2Witness) -> Optional[Verdict]:
@@ -401,12 +391,12 @@ def containment(seq: SequenceFamily, w: O2Witness) -> Optional[Verdict]:
     symbolic argument applies.
 
     The arguments, in order: closed forms on the line with an affine K,
-    the singleton stream inside the shrinking cofinite chain, and data that
+    the sliding window inside a growing complement window, and data that
     provably settles.  The chains must live on seq's carrier, as
     ``verify_O2`` checks: terms are compared on the trusted order.
     """
     return (_line_containment(seq, w)
-            or _fincof_containment(seq, w)
+            or _window_containment(seq, w)
             or _settled_containment(seq, w))
 
 
@@ -419,16 +409,16 @@ def containment(seq: SequenceFamily, w: O2Witness) -> Optional[Verdict]:
 #   number         an integer constant
 #   ["+", t, u]    ["-", t, u]   ["-", t]   ["*", t, u]   compose terms
 # Builtins on the finite/cofinite algebra:
-#   ["singleton-atoms"]        A_k = {k}
-#   ["atom-prefix"]            {1..k}
+#   ["singleton-atoms"]        A_k = {k}, the sliding window
+#   ["atom-prefix"]            {1..k}, the growing window
 #   ["drop-atom-prefix"]       complement of {1..k}
 #   ["set", [atoms...]]        a constant finite set
 #   ["coset", [atoms...]]      a constant cofinite set
 # On finitely supported sequences:
-#   ["unit-vectors"]           e_k
+#   ["unit-vectors"]           e_k, the indicator of the sliding window
 # On rational n-vectors:
 #   ["vec", t1, ..., tn]       a vector of n scalar terms
-# A term on any other carrier is refused.  Atoms are integers.  Messages
+# A term on any other carrier is refused; atoms are integers >= 1.  Messages
 # show terms through reprlib, which stays short and never recurses deeply.
 
 MAX_TERM_DEPTH = 100
@@ -474,16 +464,20 @@ def _parse_scalar(doc, depth: int) -> RatAltSeq:
 
 
 def _atoms(op: str, atoms) -> list:
-    if not (isinstance(atoms, list) and all(type(a) is int for a in atoms)):
-        raise ValueError(f"{op} term needs a list of integer atoms, got {reprlib.repr(atoms)}")
+    if not (isinstance(atoms, list) and all(type(a) is int and a >= 1 for a in atoms)):
+        raise ValueError(f"{op} term needs a list of integer atoms >= 1, got {reprlib.repr(atoms)}")
     return atoms
 
 
-# builtin -> (number of arguments, carrier class it needs, that carrier in words)
+# builtin -> (arguments, carrier class it needs, that carrier in words, its
+# window or the set that its one argument lists the atoms of)
 _FINCOF = (FinCofAlgebra, "the finite/cofinite algebra")
-_BUILTINS = {"singleton-atoms": (0, *_FINCOF), "atom-prefix": (0, *_FINCOF),
-             "drop-atom-prefix": (0, *_FINCOF), "set": (1, *_FINCOF), "coset": (1, *_FINCOF),
-             "unit-vectors": (0, C00Space, "finitely supported sequences")}
+_BUILTINS = {"singleton-atoms": (0, *_FINCOF, Window(sliding=True)),
+             "atom-prefix": (0, *_FINCOF, Window(sliding=False)),
+             "drop-atom-prefix": (0, *_FINCOF, Window(sliding=False, within=FinCofSet.universe())),
+             "set": (1, *_FINCOF, FinCofSet.finite),
+             "coset": (1, *_FINCOF, FinCofSet.cofinite_complement),
+             "unit-vectors": (0, C00Space, "finitely supported sequences", Window(sliding=True))}
 
 
 def _require(fits: bool, doc, carrier: Carrier, needs: str) -> None:
@@ -499,26 +493,15 @@ def parse_sequence_term(doc, carrier: Carrier, name: str = "term") -> SequenceFa
     if isinstance(doc, list) and doc:
         op, *args = doc
         if op in _BUILTINS:
-            arity, kind, needs = _BUILTINS[op]
+            arity, kind, needs, built = _BUILTINS[op]
             _require(isinstance(carrier, kind), doc, carrier, needs)
             if len(args) != arity:
                 takes = "1 argument" if arity else "no arguments"
                 raise ValueError(f"builtin {op!r} takes {takes}, got {len(args)}: "
                                  f"{reprlib.repr(doc)}")
-        if op == "singleton-atoms":
-            return singleton_atom_sequence(carrier, name)
-        if op == "atom-prefix":
-            return SequenceFamily(name, carrier,
-                                  lambda k: FinCofSet.finite(range(1, k + 1)),
-                                  AtomPrefixSets())
-        if op == "drop-atom-prefix":
-            return cofinite_chain_sequence(carrier, name)
-        if op == "set":
-            return constant_sequence(carrier, FinCofSet.finite(_atoms(op, args[0])), name)
-        if op == "coset":
-            return constant_sequence(carrier, FinCofSet.cofinite_complement(_atoms(op, args[0])), name)
-        if op == "unit-vectors":
-            return unit_vector_sequence(carrier, name)
+            if isinstance(built, Window):
+                return window_sequence(carrier, built, name)
+            return constant_sequence(carrier, built(_atoms(op, args[0])), name)
         if op == "vec":
             parts = [parse_scalar_series(a) for a in args]
             _require(isinstance(carrier, QVec) and carrier.dim == len(parts), doc, carrier,

@@ -3,8 +3,9 @@
 * ``QLine``   -- the rational line as an ell-group under min/max;
 * ``QVec``    -- rational n-vectors, coordinatewise order;
 * ``C00Space``-- finitely supported rational sequences;
-* ``FinCofAlgebra`` -- the algebra of finite and cofinite subsets of an
-  inexhaustible atom universe (atoms are integers);
+* ``FinCofAlgebra`` -- the algebra of finite and cofinite subsets of the
+  atom universe, the integers >= 1, so a cofinite set holds every atom
+  past its complement's largest;
 * ``EvLinSpace`` -- sequences that are eventually affine in the coordinate
   index, stored as canonical affine pieces with integer coefficients over
   one positive denominator, so that each operation costs O(pieces) integer
@@ -199,8 +200,8 @@ class C00Vec:
         return C00Vec(items)
 
     @staticmethod
-    def unit(k: int, value: object = 1) -> "C00Vec":
-        return C00Vec.from_pairs([(k, value)])
+    def indicator(support: Iterable[int]) -> "C00Vec":
+        return C00Vec.from_pairs((i, 1) for i in support)
 
     @staticmethod
     def zero() -> "C00Vec":
@@ -290,10 +291,6 @@ class FinCofSet:
     def universe() -> "FinCofSet":
         return FinCofSet(frozenset(), True)
 
-    @staticmethod
-    def singleton(atom: int) -> "FinCofSet":
-        return FinCofSet(frozenset({atom}), False)
-
     def complement(self) -> "FinCofSet":
         return FinCofSet(self.atoms, not self.cofinite)
 
@@ -323,7 +320,7 @@ class FinCofAlgebra(Carrier):
                          bottom=FinCofSet.empty(), top=FinCofSet.universe())
 
     def contains(self, x) -> bool:
-        return isinstance(x, FinCofSet)
+        return isinstance(x, FinCofSet) and all(type(a) is int and a >= 1 for a in x.atoms)
 
     def _meet(self, x, y):
         return x.intersect(y)

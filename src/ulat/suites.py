@@ -47,11 +47,10 @@ from .sequences import (
     constant_sequence,
     O1Witness,
     O2Witness,
-    cofinite_chain_sequence,
+    Window,
     o2_from_o1,
     series_sequence,
-    singleton_atom_sequence,
-    unit_vector_sequence,
+    window_sequence,
 )
 from .spaces import C00Space, C00Vec, FinCofAlgebra, FinCofSet, QLine, QVec
 from .subnet import build_subnet
@@ -424,9 +423,9 @@ def _suite_o1o2(cfg: SuiteConfig) -> list[CheckRecord]:
                                expect=EXPECT_EXACT))
 
     A = FinCofAlgebra()
-    atoms = singleton_atom_sequence(A)
+    atoms = window_sequence(A, Window(sliding=True), "A_k")
     lo = constant_sequence(A, FinCofSet.empty(), "empty")
-    hi = cofinite_chain_sequence(A)
+    hi = window_sequence(A, Window(sliding=False, within=FinCofSet.universe()), "N_j")
     wf = O2Witness.affine(lo, hi, 1)
     records.append(CheckRecord("atoms-intervals",
                                verify_O2(atoms, FinCofSet.empty(), wf, horizon=cfg.horizon),
@@ -437,7 +436,7 @@ def _suite_o1o2(cfg: SuiteConfig) -> list[CheckRecord]:
                                expect=EXPECT_FALSIFIED))
 
     C = C00Space()
-    units = unit_vector_sequence(C)
+    units = window_sequence(C, Window(sliding=True), "e_k")
     cap = C00Vec.from_pairs([(1, 1), (2, Fraction(1, 2))])
     records.append(CheckRecord("units-unbounded-order",
                                verify_uO(units, C00Vec.zero(), positives=[cap],
@@ -468,11 +467,11 @@ def _suite_subnet_t3(cfg: SuiteConfig) -> list[CheckRecord]:
 
     A = FinCofAlgebra()
     B = FinCofSet.cofinite_complement({1})
-    atoms = singleton_atom_sequence(A)
+    atoms = window_sequence(A, Window(sliding=True), "A_k")
     pf = TruncationPair.of(A, FinCofSet.empty(), B)
     wf = O2Witness.affine(
         constant_sequence(A, FinCofSet.empty(), "empty"),
-        cofinite_chain_sequence(A, within=B), 1)
+        window_sequence(A, Window(sliding=False, within=B), "N_j"), 1)
     netf = build_subnet(atoms, [pf], {pf: wf}, steps=steps)
     records.append(CheckRecord("atoms-subnet", _subnet_verdict(netf), expect=EXPECT_EXACT,
                                cases=steps))

@@ -88,9 +88,9 @@ def is_truncation_hom(L: Carrier, p: TruncationPair) -> CheckResult:
     for x in elems:
         for y in elems:
             if f[L._meet(x, y)] != L._meet(f[x], f[y]):
-                return CheckResult(False, witness=(x, y, "meet"), law="clamp-meet")
+                return CheckResult(False, witness=(x, y, "meet"))
             if f[L._join(x, y)] != L._join(f[x], f[y]):
-                return CheckResult(False, witness=(x, y, "join"), law="clamp-join")
+                return CheckResult(False, witness=(x, y, "join"))
     return CheckResult(True)
 
 

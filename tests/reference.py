@@ -1,8 +1,10 @@
 """Reference checks and inputs that only the tests use: the lattice and
 lattice-ordered group axioms over given elements, distributivity by a loop
-over all triples, closure under meet and join, and an eventually constant
-sequence with an arbitrary prefix.  The axiom and distributivity checks go
-through the carrier's public, checking operations and nothing faster."""
+over all triples, closure under meet and join, an eventually constant
+sequence with an arbitrary prefix, and the terms of a moving window atom by
+atom.  The axiom and distributivity checks go through the carrier's public,
+checking operations and nothing faster; an axiom check's witness is the
+failing elements followed by the name of the law."""
 
 from ulat.carriers import CheckResult, _is_sublattice
 from ulat.sequences import EventuallyConstant, SequenceFamily
@@ -16,7 +18,7 @@ def distributivity(L) -> CheckResult:
         for y in elems:
             for z in elems:
                 if L.meet(x, L.join(y, z)) != L.join(L.meet(x, y), L.meet(x, z)):
-                    return CheckResult(False, witness=(x, y, z), law="meet-over-join")
+                    return CheckResult(False, witness=(x, y, z))
     return CheckResult(True)
 
 
@@ -26,28 +28,28 @@ def check_lattice_axioms(L, xs) -> CheckResult:
     xs = [L.check_element(x) for x in xs]
     for x in xs:
         if L.meet(x, x) != x:
-            return CheckResult(False, (x,), "meet-idempotent")
+            return CheckResult(False, (x, "meet-idempotent"))
         if L.join(x, x) != x:
-            return CheckResult(False, (x,), "join-idempotent")
+            return CheckResult(False, (x, "join-idempotent"))
     for x in xs:
         for y in xs:
             if L.meet(x, y) != L.meet(y, x):
-                return CheckResult(False, (x, y), "meet-commutative")
+                return CheckResult(False, (x, y, "meet-commutative"))
             if L.join(x, y) != L.join(y, x):
-                return CheckResult(False, (x, y), "join-commutative")
+                return CheckResult(False, (x, y, "join-commutative"))
             if L.meet(x, L.join(x, y)) != x:
-                return CheckResult(False, (x, y), "absorption-meet-join")
+                return CheckResult(False, (x, y, "absorption-meet-join"))
             if L.join(x, L.meet(x, y)) != x:
-                return CheckResult(False, (x, y), "absorption-join-meet")
+                return CheckResult(False, (x, y, "absorption-join-meet"))
             if L.leq(x, y) != (L.join(x, y) == y):
-                return CheckResult(False, (x, y), "leq-meet-join-coherence")
+                return CheckResult(False, (x, y, "leq-meet-join-coherence"))
     for x in xs:
         for y in xs:
             for z in xs:
                 if L.meet(L.meet(x, y), z) != L.meet(x, L.meet(y, z)):
-                    return CheckResult(False, (x, y, z), "meet-associative")
+                    return CheckResult(False, (x, y, z, "meet-associative"))
                 if L.join(L.join(x, y), z) != L.join(x, L.join(y, z)):
-                    return CheckResult(False, (x, y, z), "join-associative")
+                    return CheckResult(False, (x, y, z, "join-associative"))
     return CheckResult(True)
 
 
@@ -66,20 +68,20 @@ def check_group_axioms(G, xs) -> CheckResult:
     for x in xs:
         pos, neg = pos_part(G, x), neg_part(G, x)
         if G.sub(pos, neg) != x:
-            return CheckResult(False, (x,), "pos-minus-neg")
+            return CheckResult(False, (x, "pos-minus-neg"))
         if G.add(pos, neg) != G.abs_(x):
-            return CheckResult(False, (x,), "abs-as-pos-plus-neg")
+            return CheckResult(False, (x, "abs-as-pos-plus-neg"))
         if G.meet(pos, neg) != G.zero:
-            return CheckResult(False, (x,), "pos-meet-neg-zero")
+            return CheckResult(False, (x, "pos-meet-neg-zero"))
     for x in xs:
         for y in xs:
             for z in xs:
                 if G.leq(x, y) != G.leq(G.add(x, z), G.add(y, z)):
-                    return CheckResult(False, (x, y, z), "translation-invariance")
+                    return CheckResult(False, (x, y, z, "translation-invariance"))
                 if G.add(G.meet(x, y), z) != G.meet(G.add(x, z), G.add(y, z)):
-                    return CheckResult(False, (x, y, z), "translation-meet")
+                    return CheckResult(False, (x, y, z, "translation-meet"))
                 if G.add(G.join(x, y), z) != G.join(G.add(x, z), G.add(y, z)):
-                    return CheckResult(False, (x, y, z), "translation-join")
+                    return CheckResult(False, (x, y, z, "translation-join"))
     return CheckResult(True)
 
 
@@ -97,3 +99,17 @@ def eventually_constant_sequence(L, prefix, value, name: str) -> SequenceFamily:
         return prefix[k - 1] if k <= len(prefix) else value
 
     return SequenceFamily(name, L, term, EventuallyConstant(value, len(prefix) + 1))
+
+
+def window_term(sliding: bool, dropped, k: int, atoms: range) -> frozenset:
+    """The k-th term of a window on the given atoms, counted one atom at a
+    time: the atoms i with lo(k) <= i <= k, where lo(k) = k when sliding and
+    1 when growing, or, when dropped is a set of atoms, the atoms in neither
+    that window nor dropped."""
+    inside = {i for i in atoms if (i == k if sliding else i <= k)}
+    return frozenset(inside if dropped is None else set(atoms) - inside - dropped)
+
+
+def restrict(x, atoms: range) -> frozenset:
+    """The members among atoms of a finite/cofinite set."""
+    return frozenset(i for i in atoms if (i in x.atoms) != x.cofinite)

@@ -30,13 +30,13 @@ from ulat.sequences import (
     O2Witness,
     SequenceFamily,
     TailClosedForm,
+    Window,
     constant_sequence,
-    cofinite_chain_sequence,
     o2_from_o1,
+    parse_sequence_term,
     series_sequence,
     settled,
-    singleton_atom_sequence,
-    unit_vector_sequence,
+    window_sequence,
 )
 from ulat.spaces import NO_BOUND, C00Space, C00Vec, FinCofAlgebra, FinCofSet, QLine, QVec
 from ulat.truncation import TruncationPair
@@ -50,6 +50,18 @@ ALT_HARMONIC = RatAltSeq.alt() * RatAltSeq.inv_index()
 
 def altharm():
     return series_sequence(Q, ALT_HARMONIC, "altharm")
+
+
+def atoms_stream():
+    return window_sequence(A, Window(sliding=True), "A_k")
+
+
+def shrinking_chain():
+    return window_sequence(A, Window(sliding=False, within=FinCofSet.universe()), "N_j")
+
+
+def units():
+    return window_sequence(V, Window(sliding=True), "e_k")
 
 
 def harmonic_pair():
@@ -139,9 +151,9 @@ def test_o2_replay_of_a_late_sandwich_stays_exact():
 
 
 def test_o2_singleton_stream_inside_cofinite_chain_is_exact():
-    atoms = singleton_atom_sequence(A)
+    atoms = atoms_stream()
     empty = constant_sequence(A, FinCofSet.empty(), "empty")
-    chain = cofinite_chain_sequence(A)
+    chain = shrinking_chain()
     v = verify_O2(atoms, FinCofSet.empty(), O2Witness.affine(empty, chain, 1))
     assert v.status == "exact"
 
@@ -149,9 +161,9 @@ def test_o2_singleton_stream_inside_cofinite_chain_is_exact():
 def test_o2_rejects_a_lying_eventual_index():
     # with offset 0 the singleton {j} is claimed inside [empty, N_j] at k = j,
     # but {j} is exactly the atom N_j drops
-    atoms = singleton_atom_sequence(A)
+    atoms = atoms_stream()
     empty = constant_sequence(A, FinCofSet.empty(), "empty")
-    chain = cofinite_chain_sequence(A)
+    chain = shrinking_chain()
     v = verify_O2(atoms, FinCofSet.empty(), O2Witness.affine(empty, chain, 0),
                   horizon=300)
     assert v.status == "falsified"
@@ -163,23 +175,29 @@ def test_o2_rejects_a_lying_eventual_index():
 
 
 def test_constancy_decision_on_the_atom_stream():
-    v = decide_O1_eventual_constancy(singleton_atom_sequence(A), FinCofSet.empty())
+    v = decide_O1_eventual_constancy(atoms_stream(), FinCofSet.empty())
     assert v.status == "falsified"
     assert v.witness == (1, 2)
 
 
+@pytest.mark.parametrize("term", [["atom-prefix"], ["drop-atom-prefix"]])
+def test_constancy_decision_on_the_set_chains_needs_no_horizon(term):
+    v = decide_O1_eventual_constancy(parse_sequence_term(term, A), FinCofSet.empty(), horizon=50)
+    assert (v.status, v.witness, v.horizon) == ("falsified", (1, 2), None)
+
+
 def test_constancy_decision_is_exact_with_a_descriptor():
     seq = eventually_constant_sequence(
-        A, (FinCofSet.singleton(1),), FinCofSet.empty(), "settle")
+        A, (FinCofSet.finite({1}),), FinCofSet.empty(), "settle")
     assert decide_O1_eventual_constancy(seq, FinCofSet.empty()).status == "exact"
-    wrong = decide_O1_eventual_constancy(seq, FinCofSet.singleton(2))
+    wrong = decide_O1_eventual_constancy(seq, FinCofSet.finite({2}))
     assert wrong.status == "falsified"
     assert wrong.witness == (2, FinCofSet.empty())
 
 
 def test_constancy_witness_names_two_different_terms():
-    seq = singleton_atom_sequence(A)
-    v = decide_O1_eventual_constancy(seq, FinCofSet.singleton(1))
+    seq = atoms_stream()
+    v = decide_O1_eventual_constancy(seq, FinCofSet.finite({1}))
     assert v.status == "falsified" and v.witness == (1, 2)
     assert seq.value(1) != seq.value(2)
 
@@ -188,7 +206,7 @@ def test_constancy_scan_without_descriptor():
     seq = SequenceFamily("late", A, lambda k: FinCofSet.finite({1} if k < 4 else {2}))
     v = decide_O1_eventual_constancy(seq, FinCofSet.finite({2}), horizon=64)
     assert v.status == "verified-at-horizon"
-    still = SequenceFamily("drift", A, lambda k: FinCofSet.singleton(k))
+    still = SequenceFamily("drift", A, lambda k: FinCofSet.finite({k}))
     assert decide_O1_eventual_constancy(still, FinCofSet.empty(), horizon=64).status == "falsified"
 
 
@@ -231,12 +249,11 @@ def test_truncation_clamps_constant_values():
 
 
 def test_truncation_of_unit_vectors_settles_past_the_cap_support():
-    units = unit_vector_sequence(V)
     high = C00Vec.from_pairs([(1, 1), (2, 1)])
-    t = truncate_sequence(units, TruncationPair.of(V, C00Vec.zero(), high))
+    t = truncate_sequence(units(), TruncationPair.of(V, C00Vec.zero(), high))
     assert t.descriptor == EventuallyConstant(C00Vec.zero(), 3)
-    assert t.value(1) == C00Vec.unit(1)
-    assert t.value(2) == C00Vec.unit(2)
+    assert t.value(1) == C00Vec.indicator([1])
+    assert t.value(2) == C00Vec.indicator([2])
     assert t.value(3) == C00Vec.zero()
 
 
@@ -245,10 +262,17 @@ def test_truncation_of_unit_vectors_settles_past_the_cap_support():
 
 
 def test_uo_unit_vectors_converge_to_zero():
-    units = unit_vector_sequence(V)
     cap = C00Vec.from_pairs([(1, 1), (2, 1)])
-    v = verify_uO(units, C00Vec.zero(), positives=[cap])
+    v = verify_uO(units(), C00Vec.zero(), positives=[cap])
     assert v.status == "exact"
+
+
+def test_uo_of_the_atom_stream_without_witness_is_inconclusive():
+    # clamping a window on the algebra gives no descriptor, so no settled
+    # value is mistaken for a limit
+    pair = TruncationPair.of(A, FinCofSet.empty(), FinCofSet.cofinite_complement({1}))
+    v = verify_uO(atoms_stream(), FinCofSet.empty(), truncations=[pair])
+    assert v.status == "inconclusive"
 
 
 def test_uo_walk_fails_at_the_first_cap():

@@ -42,10 +42,9 @@ EXPORTS = {
                     "pullback_semimetric", "quotient", "table_semimetric", "ustar_family",
                     "validate_semimetric", "zero_semimetric"),
     "sequences": ("BoundClaim", "EventuallyConstant", "MetricCertificate", "O1Witness",
-                  "O2Witness", "SequenceFamily", "TailClosedForm", "UnitVectors",
-                  "chain_bound", "cofinite_chain_sequence", "constant_sequence",
-                  "o2_from_o1", "parse_scalar_series", "parse_sequence_term",
-                  "series_sequence", "singleton_atom_sequence", "unit_vector_sequence"),
+                  "O2Witness", "SequenceFamily", "TailClosedForm", "Window", "chain_bound",
+                  "constant_sequence", "o2_from_o1", "parse_scalar_series",
+                  "parse_sequence_term", "series_sequence", "window_sequence"),
     "spaces": ("C00Space", "C00Vec", "EvLinSeq", "EvLinSpace", "FinCofAlgebra", "FinCofSet",
                "QLine", "QVec"),
     "subnet": ("SubnetContainmentError", "SubnetEnumeration", "SubnetStep", "build_subnet"),
@@ -58,10 +57,13 @@ EXPORTS = {
     "optrees": (),
 }
 
-# names the package no longer exports: the periodic descriptor is gone and
-# the axiom checks live in the tests' reference module
+# names the package no longer exports: the periodic descriptor is gone, the
+# axiom checks live in the tests' reference module, and one window descriptor
+# replaced the typed streams
 REMOVED = ("Periodic", "periodic_sequence", "eventually_constant_sequence",
-           "check_distributive", "check_group_axioms", "check_lattice_axioms")
+           "check_distributive", "check_group_axioms", "check_lattice_axioms",
+           "UnitVectors", "unit_vector_sequence", "singleton_atom_sequence",
+           "cofinite_chain_sequence")
 
 
 def _env(**extra) -> dict:

@@ -91,7 +91,7 @@ class TestValidation:
         assert symdiff(FinCofSet.finite([1, 2]), FinCofSet.finite([2, 5])) == 2
         assert symdiff(FinCofSet.finite([1]), FinCofSet.cofinite_complement([1])) == EXT_INF
         l1 = norm_semimetric(C)
-        assert l1(C00Vec.unit(1), C00Vec.unit(3)) == 2
+        assert l1(C00Vec.indicator([1]), C00Vec.indicator([3])) == 2
 
 
 class TestDerived:

@@ -1,28 +1,28 @@
 """Sequence descriptors, what they prove (settling points, clamped images,
 bound claims), witnesses, and the term grammar."""
 
+import functools
 import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from reference import eventually_constant_sequence
+from reference import eventually_constant_sequence, restrict, window_term
 from ulat.carriers import CarrierMismatch, chain_lattice
 from ulat.exact import RatAltSeq
 from ulat.sequences import (
     NEVER_CONSTANT,
-    AtomPrefixSets,
-    CofiniteFilterChain,
     EventuallyConstant,
     MetricCertificate,
     O1Witness,
     O2Witness,
     SequenceFamily,
-    SingletonAtoms,
     TailClosedForm,
-    UnitVectors,
+    Window,
     chain_bound,
-    cofinite_chain_sequence,
+    clamped_descriptor,
     constant_sequence,
     containment,
     monotone,
@@ -31,8 +31,7 @@ from ulat.sequences import (
     parse_sequence_term,
     series_sequence,
     settled,
-    singleton_atom_sequence,
-    unit_vector_sequence,
+    window_sequence,
 )
 from ulat.spaces import (
     NO_BOUND,
@@ -43,10 +42,27 @@ from ulat.spaces import (
     QLine,
     QVec,
 )
+from ulat.truncation import TruncationPair
 
 Q = QLine()
 A = FinCofAlgebra()
 V = C00Space()
+
+SLIDING = Window(sliding=True)
+GROWING = Window(sliding=False)
+DROPPING = Window(sliding=False, within=FinCofSet.universe())
+
+
+def units():
+    return window_sequence(V, SLIDING, "e_k")
+
+
+def atoms_stream():
+    return window_sequence(A, SLIDING, "A_k")
+
+
+def shrinking_chain(within=FinCofSet.universe()):
+    return window_sequence(A, Window(sliding=False, within=within), "N_j")
 
 
 def test_sequences_are_one_indexed():
@@ -76,17 +92,16 @@ def test_series_and_builtin_streams_match_descriptors():
     assert harmonic.value(4) == F(1, 4)
     assert harmonic.descriptor == TailClosedForm(RatAltSeq.inv_index())
 
-    units = unit_vector_sequence(V)
-    assert units.value(3) == C00Vec.unit(3)
-    assert units.descriptor == UnitVectors()
+    assert units().value(3) == C00Vec.indicator([3])
+    assert units().descriptor == SLIDING
 
-    atoms = singleton_atom_sequence(A)
-    assert atoms.value(5) == FinCofSet.singleton(5)
-    assert atoms.descriptor == SingletonAtoms()
+    atoms = atoms_stream()
+    assert atoms.value(5) == FinCofSet.finite({5})
+    assert atoms.descriptor == SLIDING
 
-    chain = cofinite_chain_sequence(A)
+    chain = shrinking_chain()
     assert chain.value(3) == FinCofSet.cofinite_complement({1, 2, 3})
-    assert chain.descriptor == CofiniteFilterChain()
+    assert chain.descriptor == DROPPING
 
 
 # ---------------------------------------------------------------------------
@@ -104,17 +119,20 @@ def test_settled_tail_closed_form_is_undecided():
     assert settled(series_sequence(Q, RatAltSeq.const(2), "two")) is None
 
 
-def test_settled_unit_vectors_is_undecided():
-    assert settled(unit_vector_sequence(V)) is None
+def test_settled_unit_vectors_never_constant():
+    assert settled(units()) == (1, NEVER_CONSTANT)
+    assert settled(window_sequence(V, GROWING, "1_[1,k]")) == (1, NEVER_CONSTANT)
 
 
 def test_settled_singleton_atoms_never_constant():
-    assert settled(singleton_atom_sequence(A)) == (1, NEVER_CONSTANT)
+    assert settled(atoms_stream()) == (1, NEVER_CONSTANT)
 
 
-def test_settled_set_chains_are_undecided():
-    assert settled(parse_sequence_term(["atom-prefix"], A)) is None
-    assert settled(cofinite_chain_sequence(A)) is None
+def test_settled_set_chains_never_constant():
+    assert settled(parse_sequence_term(["atom-prefix"], A)) == (1, NEVER_CONSTANT)
+    assert settled(shrinking_chain()) == (1, NEVER_CONSTANT)
+    assert settled(shrinking_chain(FinCofSet.cofinite_complement({1, 2}))) == \
+        (1, NEVER_CONSTANT)
 
 
 def test_settled_without_descriptor_is_undecided():
@@ -184,12 +202,12 @@ def test_alternating_tail_is_undecided_without_monotonicity():
 
 
 def test_fincof_tail_bounds_use_the_set_oracle():
-    chain = cofinite_chain_sequence(A)
+    chain = shrinking_chain()
     assert chain_bound(chain, "inf").value == FinCofSet.empty()
     assert chain_bound(chain, "sup", k0=5).value == FinCofSet.cofinite_complement(
         {1, 2, 3, 4, 5}
     )
-    atoms = singleton_atom_sequence(A)
+    atoms = atoms_stream()
     assert chain_bound(atoms, "sup", k0=5).value == FinCofSet.cofinite_complement(
         {1, 2, 3, 4}
     )
@@ -200,8 +218,8 @@ class TestSetChainBounds:
     """chain_bound on the set chains of the finite/cofinite algebra."""
 
     def test_shrinking_chain(self):
-        chain = cofinite_chain_sequence(A)
-        assert chain.descriptor == CofiniteFilterChain()
+        chain = shrinking_chain()
+        assert chain.descriptor == DROPPING
         assert chain_bound(chain, "inf").value == FinCofSet.empty()
         assert chain_bound(chain, "sup").value == chain.value(1)
         assert chain_bound(chain, "sup", k0=3).value == chain.value(3)
@@ -209,29 +227,28 @@ class TestSetChainBounds:
 
     def test_chain_terms_shrink_within(self):
         B = FinCofSet.cofinite_complement({1})
-        chain = cofinite_chain_sequence(A, within=B)
-        assert chain.descriptor == CofiniteFilterChain(B)
+        chain = shrinking_chain(B)
+        assert chain.descriptor == Window(sliding=False, within=B)
         assert chain.value(2) == FinCofSet.cofinite_complement({1, 2})
         assert chain_bound(chain, "inf").value == FinCofSet.empty()
 
     def test_atom_streams(self):
         # every atom occurs, so the universe is the only upper bound
-        atoms = singleton_atom_sequence(A)
-        assert atoms.descriptor == SingletonAtoms()
+        atoms = atoms_stream()
         assert chain_bound(atoms, "sup").value == FinCofSet.universe()
         assert chain_bound(atoms, "sup", k0=4).value == \
             FinCofSet.cofinite_complement({1, 2, 3})
         assert chain_bound(atoms, "inf").value == FinCofSet.empty()
         prefix = parse_sequence_term(["atom-prefix"], A)
-        assert prefix.descriptor == AtomPrefixSets()
+        assert prefix.descriptor == GROWING
         assert chain_bound(prefix, "sup").value == FinCofSet.universe()
         assert chain_bound(prefix, "inf", k0=3).value == FinCofSet.finite({1, 2, 3})
         # a descriptor chain_bound does not know stays undecided
-        opaque = SequenceFamily("opaque", A, FinCofSet.singleton)
+        opaque = SequenceFamily("opaque", A, lambda k: FinCofSet.finite({k}))
         assert chain_bound(opaque, "sup").value is None
 
     def test_rejects_bad_arguments(self):
-        atoms = singleton_atom_sequence(A)
+        atoms = atoms_stream()
         with pytest.raises(ValueError):
             chain_bound(atoms, "max")
         with pytest.raises(ValueError):
@@ -245,9 +262,140 @@ class TestSetChainBounds:
 
 
 def test_unit_vector_bounds():
-    units = unit_vector_sequence(V)
-    assert chain_bound(units, "inf").value == C00Vec.zero()
-    assert chain_bound(units, "sup").value is NO_BOUND
+    assert chain_bound(units(), "inf").value == C00Vec.zero()
+    assert chain_bound(units(), "sup").value is NO_BOUND
+
+
+# ---------------------------------------------------------------------------
+# windows against a dense reference
+#
+# A window is drawn as (sliding, dropped): a complement is taken in the
+# cofinite set ~dropped.  The reference counts atoms 1..n+1 with terms up to
+# n+2, n past every endpoint, atom and support index, so each bound has a
+# witness term in range and every atom past n behaves like atom n+1.
+
+windows = st.tuples(st.booleans(), st.none() | st.frozensets(st.integers(1, 8), max_size=4))
+c00_points = st.lists(st.tuples(st.integers(1, 8), st.fractions(-2, 2, max_denominator=3)),
+                      max_size=4).map(C00Vec.from_pairs)
+
+
+def _window(sliding, dropped) -> Window:
+    return Window(sliding, None if dropped is None else FinCofSet.cofinite_complement(dropped))
+
+
+def _indicator(atoms) -> C00Vec:
+    return C00Vec.from_pairs((i, 1) for i in atoms)
+
+
+@given(windows, st.integers(1, 20))
+def test_window_answers_on_the_algebra_match_a_dense_reference(window, k0):
+    sliding, dropped = window
+    n = max(k0, *(dropped or [1]))
+    atoms = range(1, n + 2)
+    seq = window_sequence(A, _window(*window), "x")
+    for k in range(1, n + 3):
+        assert restrict(seq.value(k), atoms) == window_term(sliding, dropped, k, atoms)
+        assert seq.value(k).cofinite == (dropped is not None)
+    tail = [window_term(sliding, dropped, k, atoms) for k in range(k0, n + 3)]
+    for kind, fold in (("sup", frozenset.union), ("inf", frozenset.intersection)):
+        claim, want = chain_bound(seq, kind, k0), functools.reduce(fold, tail)
+        assert claim.exact and restrict(claim.value, atoms) == want
+        assert claim.value.cofinite == (n + 1 in want)
+    wide = range(1, n + 3)
+    terms = [window_term(sliding, dropped, k, wide) for k in range(1, n + 3)]
+    assert all(any(t != terms[i] for t in terms[i + 1:]) for i in range(n + 1))
+    assert settled(seq) == (1, NEVER_CONSTANT)
+    assert clamped_descriptor(seq, TruncationPair.of(A, FinCofSet.empty(), FinCofSet.universe())) \
+        is None
+
+
+@given(st.booleans(), st.integers(1, 20), c00_points, c00_points)
+def test_window_answers_on_c00_match_a_dense_reference(sliding, k0, low, high):
+    m = max(low.max_support(), high.max_support())
+    n = max(k0, m, 1)
+    atoms = range(1, n + 2)
+    seq = window_sequence(V, Window(sliding), "x")
+    for k in range(1, n + 3):
+        assert seq.value(k) == _indicator(window_term(sliding, None, k, range(1, k + 1)))
+    tail = [window_term(sliding, None, k, atoms) for k in range(k0, n + 3)]
+    union, meet = frozenset.union(*tail), frozenset.intersection(*tail)
+    assert chain_bound(seq, "sup", k0).value == (NO_BOUND if n + 1 in union else _indicator(union))
+    assert chain_bound(seq, "inf", k0).value == _indicator(meet)
+    assert settled(seq) == (1, NEVER_CONSTANT)
+
+    # the clamp keeps coordinates 1..m only; the image settles where W(k) & [1, m] does
+    seen = [window_term(sliding, None, k, range(1, m + 1)) for k in range(1, n + 3)]
+    knee = min(k for k in range(1, n + 3) if all(s == seen[k - 1] for s in seen[k - 1:]))
+
+    def clamp(x):
+        return C00Vec.from_pairs(
+            (i, max(min(x.coordinate(i), high.coordinate(i)), low.coordinate(i)))
+            for i in range(1, n + 3))
+
+    image = clamped_descriptor(seq, TruncationPair.of(V, low, high))
+    assert image == EventuallyConstant(clamp(seq.value(knee)), knee)
+    assert all(clamp(seq.value(k)) == image.value for k in range(knee, n + 3))
+
+
+@settings(max_examples=300)
+@given(windows, windows, st.booleans(), st.integers(0, 10))
+@example((True, None), (False, frozenset({3})), True, 2)
+def test_window_containment_matches_a_dense_reference(window, upper, empty_lower, c):
+    (sliding, dropped), (up_sliding, up_dropped) = window, upper
+    n = max(*(dropped or [1]), *(up_dropped or [1]))
+    atoms = range(1, n + c + 4)
+    lower = frozenset() if empty_lower else frozenset({1})
+    w = O2Witness.affine(constant_sequence(A, FinCofSet.finite(lower), "m"),
+                         window_sequence(A, _window(*upper), "n"), c)
+    verdict = containment(window_sequence(A, _window(*window), "x"), w)
+    holds = all(lower <= window_term(sliding, dropped, k, atoms)
+                <= window_term(up_sliding, up_dropped, j, atoms)
+                for j in range(1, n + 2) for k in range(j + c, n + c + 3))
+    decided = (sliding and dropped is None and not up_sliding and up_dropped is not None
+               and empty_lower and c >= max(up_dropped, default=1))
+    assert (verdict is not None) == decided
+    if decided:
+        assert verdict.status == "exact" and holds
+
+
+def test_a_window_is_refused_where_it_has_no_terms():
+    with pytest.raises(ValueError, match="has no terms in the carrier 'c00'"):
+        window_sequence(V, DROPPING, "x")
+    with pytest.raises(ValueError, match="has no terms in the carrier 'qline'"):
+        window_sequence(Q, SLIDING, "x")
+    with pytest.raises(ValueError, match="needs a cofinite within"):
+        window_sequence(A, Window(sliding=True, within=FinCofSet.finite({3})), "x")
+    with pytest.raises(CarrierMismatch):
+        window_sequence(A, Window(sliding=True, within=FinCofSet.cofinite_complement({0})), "x")
+
+
+def test_atoms_are_positive_integers_so_window_bounds_are_exact():
+    # ~{} is the least upper bound of the singletons only because ~{-1} is
+    # no element; likewise {} is the greatest lower bound of the shrinking
+    # chain only because {-1} is none
+    assert chain_bound(atoms_stream(), "sup").value == FinCofSet.universe()
+    with pytest.raises(CarrierMismatch):
+        A.check_element(FinCofSet.cofinite_complement({-1}))
+    assert chain_bound(shrinking_chain(), "inf").value == FinCofSet.empty()
+    with pytest.raises(CarrierMismatch):
+        A.check_element(FinCofSet.finite({-1}))
+
+
+@pytest.mark.parametrize("x", [FinCofSet.finite([0]), FinCofSet.finite([True]),
+                               FinCofSet(frozenset({"a"})), FinCofSet.finite([F(2)]),
+                               FinCofSet.cofinite_complement([1, 2.0 + 0.5])])
+def test_the_algebra_refuses_atoms_that_are_not_positive_integers(x):
+    assert not A.contains(x)
+    with pytest.raises(CarrierMismatch):
+        A.check_element(x)
+
+
+@pytest.mark.parametrize("index", [1.5, 2.0, True, F(2)])
+def test_a_sequence_index_must_be_an_integer(index):
+    for seq in (atoms_stream(), parse_sequence_term(["drop-atom-prefix"], A),
+                constant_sequence(Q, 0)):
+        with pytest.raises(ValueError, match="a sequence index must be an integer >= 1"):
+            seq.value(index)
 
 
 def test_descriptorless_fold_on_finite_carrier_is_inexact():
@@ -297,9 +445,8 @@ def test_containment_leaves_undecided_witnesses_to_the_caller():
     x = series_sequence(Q, RatAltSeq.const(0), "zero")
     assert containment(x, O2Witness(lo, hi, lambda j: j)) is None
     assert containment(x, O2Witness.affine(lo, hi, 0)).status == "exact"
-    atoms = singleton_atom_sequence(A)
     empty = constant_sequence(A, FinCofSet.empty(), "empty")
-    assert containment(atoms, O2Witness.affine(empty, cofinite_chain_sequence(A), 0)) is None
+    assert containment(atoms_stream(), O2Witness.affine(empty, shrinking_chain(), 0)) is None
 
 
 def test_o2_replay_from_the_start_keeps_terms():
@@ -380,7 +527,7 @@ def test_a_deeply_nested_scalar_term_is_refused():
 
 
 @pytest.mark.parametrize("term", [["set", 5], ["set", ["x", 1.5]], ["coset", [True]],
-                                  ["coset", {"1": 2}]])
+                                  ["coset", {"1": 2}], ["set", [0]], ["coset", [2, -1]]])
 def test_set_terms_need_integer_atoms(term):
     with pytest.raises(ValueError, match=f"{term[0]} term needs a list of integer atoms"):
         parse_sequence_term(term, A)
@@ -388,7 +535,7 @@ def test_set_terms_need_integer_atoms(term):
 
 def test_sequence_terms_build_carrier_streams():
     atoms = parse_sequence_term(["singleton-atoms"], A)
-    assert atoms.value(2) == FinCofSet.singleton(2)
+    assert atoms.value(2) == FinCofSet.finite({2})
     prefix = parse_sequence_term(["atom-prefix"], A)
     assert prefix.value(3) == FinCofSet.finite({1, 2, 3})
     drop = parse_sequence_term(["drop-atom-prefix"], A)
@@ -397,8 +544,7 @@ def test_sequence_terms_build_carrier_streams():
     assert const.value(9) == FinCofSet.finite({2, 4})
     coset = parse_sequence_term(["coset", [1]], A)
     assert coset.value(1) == FinCofSet.cofinite_complement({1})
-    units = parse_sequence_term(["unit-vectors"], V)
-    assert units.value(2) == C00Vec.unit(2)
+    assert parse_sequence_term(["unit-vectors"], V).value(2) == C00Vec.indicator([2])
 
 
 @pytest.mark.parametrize("term, carrier, needs", [

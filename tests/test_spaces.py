@@ -130,11 +130,11 @@ class TestC00:
         assert v.entries == ((3, F(1)),)
         assert v.support == (3,)
         assert C00Vec.zero().entries == ()
-        assert C00Vec.unit(4).max_support() == 4
+        assert C00Vec.indicator([4]).max_support() == 4
 
     def test_lattice_and_group_structure(self):
         C = C00Space()
-        e1, e2 = C00Vec.unit(1), C00Vec.unit(2)
+        e1, e2 = C00Vec.indicator([1]), C00Vec.indicator([2])
         both = C.add(e1, e2)
         assert both.entries == ((1, F(1)), (2, F(1)))
         assert C.meet(e1, e2) == C00Vec.zero()

@@ -8,10 +8,10 @@ from ulat.carriers import CarrierMismatch
 from ulat.exact import RatAltSeq
 from ulat.sequences import (
     O2Witness,
-    cofinite_chain_sequence,
+    Window,
     constant_sequence,
     series_sequence,
-    singleton_atom_sequence,
+    window_sequence,
 )
 from ulat.spaces import FinCofAlgebra, FinCofSet, QLine
 from ulat.subnet import SubnetContainmentError, build_subnet
@@ -52,10 +52,10 @@ def test_line_subnet_enumeration():
 
 
 def test_fincof_subnet_enumeration():
-    atoms = singleton_atom_sequence(A)
+    atoms = window_sequence(A, Window(sliding=True), "A_k")
     pair = TruncationPair.of(A, FinCofSet.empty(), FinCofSet.universe())
     empty = constant_sequence(A, FinCofSet.empty(), "empty")
-    chain = cofinite_chain_sequence(A)
+    chain = window_sequence(A, Window(sliding=False, within=FinCofSet.universe()), "N_j")
     net = build_subnet(atoms, [pair], {pair: O2Witness.affine(empty, chain, 1)}, 40)
     assert net.phi[:3] == (2, 3, 4)
     assert net.strictly_increasing_phi()

@@ -13,8 +13,7 @@ SRC = ROOT / "src" / "ulat"
 # (ROADMAP item 8).  The list must shrink when they do.
 TEST_ONLY = {"metric_converges", "truncate_g"}
 
-DESCRIPTOR_CLASSES = {"EventuallyConstant", "TailClosedForm", "UnitVectors",
-                      "SingletonAtoms", "AtomPrefixSets", "CofiniteFilterChain"}
+DESCRIPTOR_CLASSES = {"EventuallyConstant", "TailClosedForm", "Window"}
 
 
 def _parse(path: Path) -> ast.Module:

@@ -253,9 +253,9 @@ def _public_is_truncation_hom(L, p):
             fx = truncate_f(L, p, x)
             fy = truncate_f(L, p, y)
             if truncate_f(L, p, L.meet(x, y)) != L.meet(fx, fy):
-                return CheckResult(False, witness=(x, y, "meet"), law="clamp-meet")
+                return CheckResult(False, witness=(x, y, "meet"))
             if truncate_f(L, p, L.join(x, y)) != L.join(fx, fy):
-                return CheckResult(False, witness=(x, y, "join"), law="clamp-join")
+                return CheckResult(False, witness=(x, y, "join"))
     return CheckResult(True)
 
 
