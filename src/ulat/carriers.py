@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
-from .exact import _below
-
 
 class CarrierMismatch(TypeError):
     """An element was passed to a carrier it does not belong to."""
@@ -76,13 +74,6 @@ class Carrier:
     @property
     def is_finite(self) -> bool:
         return self.elements() is not None
-
-    def sample(self, rng):
-        """Draw a pseudo-random element (symbolic carriers override)."""
-        elems = self.elements()
-        if elems is None:
-            raise NotImplementedError(f"carrier {self.name!r} has no sampler")
-        return elems[_below(rng, len(elems))]
 
     # -- lattice structure
 

@@ -37,22 +37,20 @@ DEFAULT_EPS_GRID = tuple(Fraction(1, 2 ** i) for i in range(11))
 
 def _grade_bound(seq: SequenceFamily, kind: str, target, k0: int,
                  horizon: int) -> Verdict:
-    """Grade the claim sup/inf {seq(k) : k >= k0} = target."""
+    """Grade the claim sup/inf {seq(k) : k >= k0} = target: exact or
+    falsified where ``chain_bound`` decides the bound, else by a term scan."""
     L = seq.carrier
-    claim: BoundClaim = chain_bound(seq, kind, k0, horizon=min(horizon, 512))
+    claim: BoundClaim = chain_bound(seq, kind, k0)
     label = f"{kind} of {seq.name}"
     if claim.value is NO_BOUND:
         return Verdict.falsified(witness=(kind, NO_BOUND), detail=f"{label} does not exist")
     if claim.value is not None:
         if claim.value == target:
-            if claim.exact:
-                return Verdict.exact(detail=f"{label}: {claim.detail}")
-            return Verdict.at_horizon(horizon, detail=f"{label}: {claim.detail}")
-        if claim.exact:
-            return Verdict.falsified(witness=(kind, claim.value),
-                                     detail=f"{label} is {claim.value!r}, not the limit")
-    # Undecided or a non-exact fold mismatch: a term on the wrong side of the
-    # target still falsifies, because the bound would have to dominate it.
+            return Verdict.exact(detail=f"{label}: {claim.detail}")
+        return Verdict.falsified(witness=(kind, claim.value),
+                                 detail=f"{label} is {claim.value!r}, not the limit")
+    # Undecided: a term on the wrong side of the target still falsifies,
+    # because the bound would have to dominate it.
     for k in range(k0, min(horizon, 256) + 1):
         v = seq.value(k)
         if kind == "sup" and not L._leq(v, target):
@@ -137,7 +135,7 @@ def verify_O2(seq: SequenceFamily, x, w: O2Witness,
     if contained is None:
         j_budget = min(horizon, 96)
         for j in range(1, j_budget + 1):
-            start = max(w.k_of(j), 1)
+            start = w.k_of(j)
             mj, nj = w.lower.value(j), w.upper.value(j)
             for k in _probe_indices(start, horizon, 48):
                 xv = seq.value(k)

@@ -164,49 +164,34 @@ def table_semimetric(name: str, L: FiniteLattice, table: dict) -> LatticeSemimet
 # Validation
 
 
-def _axiom_verdict(law: str, witness: tuple, exhaustive: bool, budget: int) -> Verdict:
-    detail = f"{law} violated"
-    return Verdict.falsified(witness=(law,) + witness, detail=detail,
-                             horizon=None if exhaustive else budget)
+def _axiom_verdict(law: str, witness: tuple) -> Verdict:
+    return Verdict.falsified(witness=(law,) + witness, detail=f"{law} violated")
 
 
-def validate_semimetric(d: LatticeSemimetric, budget: int = 200, rng=None) -> Verdict:
-    """Check the lattice-semimetric axioms.
-
-    Finite carriers are checked exhaustively over all pairs and triples and
-    earn an exact verdict.  Symbolic carriers are checked on seeded random
-    triples and earn a verified-at-horizon verdict with horizon = budget.
-    A falsified verdict carries (law, elements...) as its witness.
+def validate_semimetric(d: LatticeSemimetric) -> Verdict:
+    """Check the lattice-semimetric axioms on a finite carrier, exhaustively
+    over all pairs and triples: exact, or falsified with (law, elements...)
+    as the witness.  A symbolic carrier is refused with ValueError.
     """
     L = d.carrier
-    if L.is_finite:
-        elems = list(L.elements())
-        triples = itertools.product(elems, repeat=3)
-        exhaustive = True
-        count = None
-    else:
-        if rng is None:
-            raise ValueError("symbolic carrier validation needs an rng")
-        triples = ((L.sample(rng), L.sample(rng), L.sample(rng)) for _ in range(budget))
-        exhaustive = False
-        count = budget
+    elems = L.elements()
+    if elems is None:
+        raise ValueError("semimetric validation needs a finite carrier")
 
     dist, join, meet = d._dist, L._join, L._meet
-    for x, y, z in triples:
+    for x, y, z in itertools.product(elems, repeat=3):
         dxy = dist(x, y)
         if dist(x, x) != 0:
-            return _axiom_verdict("zero-diagonal", (x,), exhaustive, budget)
+            return _axiom_verdict("zero-diagonal", (x,))
         if dxy != dist(y, x):
-            return _axiom_verdict("symmetry", (x, y), exhaustive, budget)
+            return _axiom_verdict("symmetry", (x, y))
         if dist(x, z) > dxy + dist(y, z):
-            return _axiom_verdict("triangle", (x, y, z), exhaustive, budget)
+            return _axiom_verdict("triangle", (x, y, z))
         if dist(join(x, z), join(y, z)) > dxy:
-            return _axiom_verdict("join-contraction", (x, y, z), exhaustive, budget)
+            return _axiom_verdict("join-contraction", (x, y, z))
         if dist(meet(x, z), meet(y, z)) > dxy:
-            return _axiom_verdict("meet-contraction", (x, y, z), exhaustive, budget)
-    if exhaustive:
-        return Verdict.exact(detail=f"exhaustive over {len(elems)}^3 triples")
-    return Verdict.at_horizon(count, detail=f"{count} random triples")
+            return _axiom_verdict("meet-contraction", (x, y, z))
+    return Verdict.exact(detail=f"exhaustive over {len(elems)}^3 triples")
 
 
 # ---------------------------------------------------------------------------

@@ -124,24 +124,24 @@ class O1Witness:
 
 @dataclass(frozen=True)
 class O2Witness:
-    """Interval data: x_k lies in [lower(j), upper(j)] once k >= k_of(j).
-
-    offset is set when k_of is the affine map j -> j + offset; the exact
-    symbolic containment arguments require it.
-    """
+    """Interval data: x_k lies in [lower(j), upper(j)] once k >= k_of(j),
+    with the eventual index k_of(j) = j + offset for an int offset >= 0;
+    the symbolic containment arguments read the offset."""
 
     lower: SequenceFamily
     upper: SequenceFamily
-    k_of: Callable[[int], int]
-    offset: Optional[int] = None
+    offset: int
 
     def __post_init__(self):
-        if self.offset is not None and self.offset < 0:
-            raise ValueError("eventual-index offset must be nonnegative")
+        if type(self.offset) is not int or self.offset < 0:
+            raise ValueError(f"eventual-index offset must be an integer >= 0, got {self.offset!r}")
 
     @staticmethod
     def affine(lower: SequenceFamily, upper: SequenceFamily, offset: int) -> "O2Witness":
-        return O2Witness(lower, upper, lambda j: j + offset, offset)
+        return O2Witness(lower, upper, offset)
+
+    def k_of(self, j: int) -> int:
+        return j + self.offset
 
 
 def o2_from_o1(w: O1Witness) -> "O2Witness":
@@ -242,18 +242,21 @@ class BoundClaim:
     """Outcome of a sup/inf query over an enumerated tail {term(k): k >= k0}.
 
     value is the bound, NO_BOUND when provably absent from the carrier, or
-    None when undecided; exact is True only for a symbolic or exhausted
-    argument, False when the value is a fold of observed terms.
+    None when undecided; a decided value rests on a symbolic argument, so
+    it is exact.
     """
 
     value: object
-    exact: bool
     detail: str = ""
 
+    @property
+    def exact(self) -> bool:
+        return self.value is not None
 
-def chain_bound(seq: SequenceFamily, kind: str, k0: int = 1,
-                horizon: int = 64) -> BoundClaim:
-    """Best available sup/inf of the tail of a sequence, graded by method.
+
+def chain_bound(seq: SequenceFamily, kind: str, k0: int = 1) -> BoundClaim:
+    """Sup/inf of the tail of a sequence where its descriptor decides it,
+    else undecided.
 
     A window's bounds are the union and the intersection of the tail's
     windows, exact because atoms are the integers >= 1; a complement swaps
@@ -266,28 +269,28 @@ def chain_bound(seq: SequenceFamily, kind: str, k0: int = 1,
         raise ValueError("k0 starts at 1")
     L = seq.carrier
     d = seq.descriptor
-    fold = L._join if kind == "sup" else L._meet
 
     if isinstance(d, EventuallyConstant):
+        fold = L._join if kind == "sup" else L._meet
         values = [seq.value(k) for k in range(k0, max(d.from_index, k0))]
         values.append(L.check_element(d.value))
-        return BoundClaim(functools.reduce(fold, values), True, "eventually constant tail")
+        return BoundClaim(functools.reduce(fold, values), "eventually constant tail")
     if isinstance(d, TailClosedForm):
         series = d.series
         limit = series.limit()
         if series.nondecreasing_from(k0)[0]:
             if kind == "inf":
-                return BoundClaim(L.normalize(series.eval(k0)), True, "nondecreasing from k0")
+                return BoundClaim(L.normalize(series.eval(k0)), "nondecreasing from k0")
             if isinstance(limit, Fraction):
-                return BoundClaim(L.normalize(limit), True, "monotone limit")
-            return BoundClaim(NO_BOUND, True, "increases without bound")
+                return BoundClaim(L.normalize(limit), "monotone limit")
+            return BoundClaim(NO_BOUND, "increases without bound")
         if series.nonincreasing_from(k0)[0]:
             if kind == "sup":
-                return BoundClaim(L.normalize(series.eval(k0)), True, "nonincreasing from k0")
+                return BoundClaim(L.normalize(series.eval(k0)), "nonincreasing from k0")
             if isinstance(limit, Fraction):
-                return BoundClaim(L.normalize(limit), True, "monotone limit")
-            return BoundClaim(NO_BOUND, True, "decreases without bound")
-        return BoundClaim(None, False, "tail is not monotone")
+                return BoundClaim(L.normalize(limit), "monotone limit")
+            return BoundClaim(NO_BOUND, "decreases without bound")
+        return BoundClaim(None, "tail is not monotone")
     if isinstance(d, Window):
         union = FinCofSet.cofinite_complement(range(1, k0) if d.sliding else ())
         meet = FinCofSet.finite(() if d.sliding else range(1, k0 + 1))
@@ -297,12 +300,8 @@ def chain_bound(seq: SequenceFamily, kind: str, k0: int = 1,
         bound, how = (union, "union") if kind == "sup" else (meet, "intersection")
         if isinstance(L, C00Space):
             bound = NO_BOUND if bound.cofinite else C00Vec.indicator(bound.atoms)
-        return BoundClaim(bound, True, f"{how} of the tail's windows")
-    if L.is_finite:
-        stop = max(k0, horizon)
-        values = [seq.value(k) for k in range(k0, stop + 1)]
-        return BoundClaim(functools.reduce(fold, values), False, f"fold of terms {k0}..{stop}")
-    return BoundClaim(None, False, "no descriptor and carrier not finite")
+        return BoundClaim(bound, f"{how} of the tail's windows")
+    return BoundClaim(None, "no descriptor")
 
 
 def _series_of(seq: SequenceFamily) -> Optional[RatAltSeq]:
@@ -332,7 +331,7 @@ def _line_containment(seq: SequenceFamily, w: O2Witness) -> Optional[Verdict]:
     m_j <= m_{k-c}.  Dually for the upper chain.
     """
     xs, ms, ns = _series_of(seq), _series_of(w.lower), _series_of(w.upper)
-    if xs is None or ms is None or ns is None or w.offset is None:
+    if xs is None or ms is None or ns is None:
         return None
     c = w.offset
     ok_m, bad_m = ms.nondecreasing_from(1)
@@ -362,7 +361,7 @@ def _window_containment(seq: SequenceFamily, w: O2Witness) -> Optional[Verdict]:
             and isinstance(upper, Window) and not upper.sliding
             and upper.within is not None and upper.within.cofinite
             and settled(w.lower) == (1, FinCofSet.empty())
-            and w.offset is not None and w.offset >= max(upper.within.atoms, default=1)):
+            and w.offset >= max(upper.within.atoms, default=1)):
         return None
     return Verdict.exact(detail="the window avoids the dropped prefix once k > j")
 
@@ -376,7 +375,7 @@ def _settled_containment(seq: SequenceFamily, w: O2Witness) -> Optional[Verdict]
     L = seq.carrier
     term = functools.cache(seq.value)
     for j in range(1, max(lower_knee, upper_knee) + 2):
-        start = max(w.k_of(j), 1)
+        start = w.k_of(j)
         mj, nj = w.lower.value(j), w.upper.value(j)
         for k in range(start, max(k_stop, start) + 1):
             if not (L._leq(mj, term(k)) and L._leq(term(k), nj)):

@@ -13,9 +13,10 @@
   eventual part is nonzero and is summed piece by piece in closed form.
 
 ``QLine`` and ``QVec`` elements are ``Fraction``s; the vector operations
-work on each coordinate's reduced integers.  ``EvLinSeq`` builds a
-``Fraction`` only where one leaves it: ``c``, ``d``, ``prefix``, ``value``,
-``repr`` and one per norm.
+work on each coordinate's reduced integers, and ``sample`` draws seeded
+elements of these two carriers only.  ``EvLinSeq`` builds a ``Fraction``
+only where one leaves it: ``value`` and one per norm; its repr is the
+stored form.
 
 ``NO_BOUND`` marks a sup or inf that provably does not exist in a carrier.
 
@@ -37,19 +38,18 @@ from .exact import EXT_INF, ExtValue, _below, _fraction, check_index, rat
 
 
 @cache
-def _fraction_table(num_span: int, den_span: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The reduced n/d, indexed [n + num_span][d - 1], for n in
-    [-num_span, num_span] and d in [1, den_span]."""
-    return tuple(tuple(_fraction(n, d) for d in range(1, den_span + 1))
-                 for n in range(-num_span, num_span + 1))
+def _fraction_table() -> tuple[tuple[Fraction, ...], ...]:
+    """The reduced n/d, indexed [n + 20][d - 1], for n in [-20, 20] and d
+    in [1, 10]."""
+    return tuple(tuple(_fraction(n, d) for d in range(1, 11)) for n in range(-20, 21))
 
 
-def _rand_fraction(rng, num_span: int = 20, den_span: int = 10) -> Fraction:
-    """n/d for n uniform in [-num_span, num_span] and d in [1, den_span]:
-    the draws of ``randint`` over those ranges, n first, read off the
-    table of their values, so a draw builds no Fraction."""
-    table = _fraction_table(num_span, den_span)
-    return table[_below(rng, len(table))][_below(rng, den_span)]
+def _rand_fraction(rng) -> Fraction:
+    """n/d for n uniform in [-20, 20] and d in [1, 10]: the draws of
+    ``randint`` over those ranges, n first, read off the table of their
+    values, so a draw builds no Fraction."""
+    table = _fraction_table()
+    return table[_below(rng, 41)][_below(rng, 10)]
 
 
 # Exact arithmetic on the reduced integers of Fractions (see ``_fraction``);
@@ -181,8 +181,9 @@ class QVec(GroupCarrier):
 class C00Vec:
     """Finitely supported rational sequence; support indices start at 1.
 
-    Stored as sorted (index, value) pairs with zero values dropped, so
-    structural equality coincides with pointwise equality.
+    Stored as (index, value) pairs with strictly increasing int indices and
+    nonzero Fraction values, so structural equality coincides with
+    pointwise equality; ``C00Space.contains`` accepts only that form.
     """
 
     entries: tuple[tuple[int, Fraction], ...]
@@ -191,8 +192,8 @@ class C00Vec:
     def from_pairs(pairs: Iterable[tuple[int, object]]) -> "C00Vec":
         acc: dict[int, Fraction] = {}
         for i, v in pairs:
-            if not isinstance(i, int) or i < 1:
-                raise ValueError("support indices are integers >= 1")
+            if type(i) is not int or i < 1:
+                raise ValueError(f"support indices are integers >= 1, got {i!r}")
             q = rat(v)
             if q != 0:
                 acc[i] = acc.get(i, Fraction(0)) + q
@@ -236,7 +237,14 @@ class C00Space(GroupCarrier):
         self.zero = C00Vec.zero()
 
     def contains(self, x) -> bool:
-        return isinstance(x, C00Vec)
+        if not isinstance(x, C00Vec):
+            return False
+        last = 0
+        for i, v in x.entries:
+            if type(i) is not int or i <= last or not isinstance(v, Fraction) or v == 0:
+                return False
+            last = i
+        return True
 
     def _meet(self, x, y):
         return x.pointwise(y, min)
@@ -252,11 +260,6 @@ class C00Space(GroupCarrier):
 
     def _norm(self, x):
         return sum((abs(v) for _, v in x.entries), Fraction(0))
-
-    def sample(self, rng):
-        n = _below(rng, 5)
-        return C00Vec.from_pairs(
-            (1 + _below(rng, 8), _rand_fraction(rng)) for _ in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +330,6 @@ class FinCofAlgebra(Carrier):
 
     def _join(self, x, y):
         return x.union(y)
-
-    def sample(self, rng):
-        atoms = frozenset(1 + _below(rng, 8) for _ in range(_below(rng, 4)))
-        return FinCofSet(atoms, bool(_below(rng, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +426,8 @@ class EvLinSeq:
     pieces are canonical (see ``_canonical``), den is positive and has no
     factor in common with every coefficient, which makes equality
     structural; every operation costs O(pieces) integer operations whatever
-    the size of the coefficients.  ``c``, ``d``, ``prefix`` and ``value``
-    build their Fractions when called.  ``prefix`` lists the values before
-    the eventual law takes over.
+    the size of the coefficients.  ``value`` builds its Fraction when
+    called; ``make`` takes the values before the eventual law c + d*i.
     """
 
     pieces: tuple[tuple[int, int, int], ...]
@@ -449,30 +447,11 @@ class EvLinSeq:
     def affine(c: object, d: object) -> "EvLinSeq":
         return EvLinSeq.make((), c, d)
 
-    @property
-    def c(self) -> Fraction:
-        return _fraction(self.pieces[-1][1], self.den)
-
-    @property
-    def d(self) -> Fraction:
-        return _fraction(self.pieces[-1][2], self.den)
-
-    @property
-    def prefix(self) -> tuple[Fraction, ...]:
-        return tuple(_fraction(c + d * i, self.den)
-                     for (s, c, d), (end, _, _) in zip(self.pieces, self.pieces[1:])
-                     for i in range(s, end))
-
     def value(self, i: int) -> Fraction:
         check_index(i, "a coordinate")
         for s, c, d in reversed(self.pieces):
             if s <= i:
                 return _fraction(c + d * i, self.den)
-
-    def __repr__(self) -> str:
-        laws = "; ".join(f"{s}: {_fraction(c, self.den)}+{_fraction(d, self.den)}*i"
-                         for s, c, d in self.pieces)
-        return f"EvLinSeq({laws})"
 
 
 def _runs(x: EvLinSeq, y: EvLinSeq):
@@ -565,11 +544,6 @@ class EvLinSpace(GroupCarrier):
             return EXT_INF
         return ExtValue(_fraction(sum(_abs_series(c, d, s, end - 1) for (s, c, d), (end, _, _)
                                       in zip(x.pieces, x.pieces[1:])), x.den))
-
-    def sample(self, rng):
-        n = _below(rng, 4)
-        pre = [_rand_fraction(rng, 8, 4) for _ in range(n)]
-        return EvLinSeq.make(pre, _rand_fraction(rng, 4, 3), _rand_fraction(rng, 3, 3))
 
 
 NO_BOUND = "no-bound-in-algebra"

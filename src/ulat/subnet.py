@@ -78,7 +78,8 @@ def build_subnet(seq: SequenceFamily, F, witnesses: dict, steps: int) -> SubnetE
     """Enumerate a cofinal chain of the witness-indexed directed set.
 
     At step i every chain is at position i and the sequence index is
-    gamma_i = max(gamma_{i-1} + 1, K_f(i) over all clamps f), so each
+    gamma_i = max(gamma_{i-1} + 1, i + c) with c the largest witness
+    offset, past every clamp's eventual index K_f(i) = i + c_f, so each
     clamped term is inside its step-i interval; the containment is checked
     exactly and a violation raises SubnetContainmentError with (j, k).
     """
@@ -92,10 +93,11 @@ def build_subnet(seq: SequenceFamily, F, witnesses: dict, steps: int) -> SubnetE
     for _, w, _, _ in ends:
         if w.lower.carrier is not L or w.upper.carrier is not L:
             raise CarrierMismatch("witness chains must live on the sequence's carrier")
+    offset = max(w.offset for _, w, _, _ in ends)
     chain = []
     gamma = 0
     for i in range(1, steps + 1):
-        gamma = max(gamma + 1, max(w.k_of(i) for _, w, _, _ in ends))
+        gamma = max(gamma + 1, i + offset)
         x = seq.value(gamma)
         bounds = []
         for p, w, low, high in ends:

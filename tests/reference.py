@@ -1,13 +1,18 @@
-"""Reference checks and inputs that only the tests use: the lattice and
-lattice-ordered group axioms over given elements, distributivity by a loop
-over all triples, closure under meet and join, an eventually constant
-sequence with an arbitrary prefix, and the terms of a moving window atom by
-atom.  The axiom and distributivity checks go through the carrier's public,
-checking operations and nothing faster; an axiom check's witness is the
-failing elements followed by the name of the law."""
+"""Reference checks and inputs that only the tests use: the lattice, the
+lattice-ordered group and the lattice-semimetric axioms over given
+elements, distributivity by a loop over all triples, closure under meet and
+join, an eventually constant sequence with an arbitrary prefix, the terms
+of a moving window atom by atom, and seeded draws of the elements of each
+symbolic carrier.  The axiom and distributivity checks go through the
+carrier's public, checking operations and nothing faster; an axiom check's
+witness is the failing elements followed by the name of the law."""
+
+from fractions import Fraction
 
 from ulat.carriers import CheckResult, _is_sublattice
 from ulat.sequences import EventuallyConstant, SequenceFamily
+from ulat.spaces import (C00Space, C00Vec, EvLinSeq, EvLinSpace, FinCofAlgebra, FinCofSet, QLine,
+                         QVec)
 
 
 def distributivity(L) -> CheckResult:
@@ -85,6 +90,24 @@ def check_group_axioms(G, xs) -> CheckResult:
     return CheckResult(True)
 
 
+def check_semimetric_axioms(d, triples) -> CheckResult:
+    """The lattice-semimetric axioms over the given triples, through the
+    checking call d(x, y) and the carrier's public operations."""
+    L = d.carrier
+    for x, y, z in triples:
+        if d(x, x) != 0:
+            return CheckResult(False, (x, "zero-diagonal"))
+        if d(x, y) != d(y, x):
+            return CheckResult(False, (x, y, "symmetry"))
+        if d(x, z) > d(x, y) + d(y, z):
+            return CheckResult(False, (x, y, z, "triangle"))
+        if d(L.join(x, z), L.join(y, z)) > d(x, y):
+            return CheckResult(False, (x, y, z, "join-contraction"))
+        if d(L.meet(x, z), L.meet(y, z)) > d(x, y):
+            return CheckResult(False, (x, y, z, "meet-contraction"))
+    return CheckResult(True)
+
+
 def is_sublattice(L, S) -> bool:
     """Is S, each of its members checked once, closed under meet and join?"""
     return _is_sublattice(L, [L.check_element(s) for s in S])
@@ -113,3 +136,24 @@ def window_term(sliding: bool, dropped, k: int, atoms: range) -> frozenset:
 def restrict(x, atoms: range) -> frozenset:
     """The members among atoms of a finite/cofinite set."""
     return frozenset(i for i in atoms if (i in x.atoms) != x.cofinite)
+
+
+def randint_fraction(rng, num_span=20, den_span=10) -> Fraction:
+    return Fraction(rng.randint(-num_span, num_span), rng.randint(1, den_span))
+
+
+# A carrier per name, and a seeded draw of its elements written with the
+# randint calls it makes; ``sample`` on the line and the vectors draws the
+# same elements with the same calls.
+RANDINT_SAMPLERS = {
+    "qline": (QLine(), randint_fraction),
+    "qvec3": (QVec(3), lambda rng: tuple(randint_fraction(rng) for _ in range(3))),
+    "c00": (C00Space(), lambda rng: C00Vec.from_pairs(
+        [(rng.randint(1, 8), randint_fraction(rng)) for _ in range(rng.randint(0, 4))])),
+    "fincof": (FinCofAlgebra(), lambda rng: FinCofSet(
+        frozenset(rng.randint(1, 8) for _ in range(rng.randint(0, 3))),
+        bool(rng.randint(0, 1)))),
+    "evlin": (EvLinSpace(), lambda rng: EvLinSeq.make(
+        [randint_fraction(rng, 8, 4) for _ in range(rng.randint(0, 3))],
+        randint_fraction(rng, 4, 3), randint_fraction(rng, 3, 3))),
+}

@@ -164,3 +164,41 @@ def test_the_harness_swap_keeps_one_package():
     assert report["carriers"] == report["all_carriers"]
     assert "FiniteLattice" in report["carriers"] and "QLine" in report["carriers"]
     assert report["restored"] and report["one_pair"] and report["one_oracle"]
+
+
+def test_one_round_of_each_document_workload_is_correct(tmp_path):
+    """The name check cannot see the result attributes the workloads read
+    (``BoundClaim.exact``, ``EventuallyConstant.from_index``,
+    ``Verdict.witness``), so run the set-up, one round, its check and the
+    run's finish of both document workloads at seed 0, in a fresh process
+    since the set-up imports the library afresh.  The lattice documents go
+    to a temporary directory."""
+    code = textwrap.dedent("""
+        import json, sys
+        from pathlib import Path
+        sys.path.insert(0, sys.argv[1])
+        import harness, lattice_docs
+        from closed_forms import ClosedFormsWorkload
+
+        lattice_docs.WORK_DIR = Path(sys.argv[2]) / "work" / "lattice-docs"
+        report = {}
+        for workload in (ClosedFormsWorkload(), lattice_docs.LatticeDocsWorkload()):
+            U, inputs = harness.setup(workload, 0)
+            rnd = harness.Round()
+            outputs = workload.run_round(U, inputs, rnd.record)
+            more, _ = workload.finish(U, inputs, [outputs])
+            report[workload.name] = {"attempted": rnd.attempted, "failed": rnd.failed,
+                                     "problems": workload.check(U, inputs, outputs) + more}
+        print(json.dumps(report))
+    """)
+    src = str(Path(ulat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code, str(BENCH), str(tmp_path)],
+                          capture_output=True, text=True, env=env, check=True)
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert sorted(report) == ["closed-forms", "lattice-docs"]
+    for name, result in report.items():
+        assert result["attempted"] > 0, name
+        assert result["failed"] == 0 and result["problems"] == [], (name, result)
+    assert not (tmp_path / "work").exists()

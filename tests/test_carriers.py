@@ -152,6 +152,18 @@ class TestConstruction:
         with pytest.raises(NotALattice):
             load_finite_lattice(["not", "an", "object"])
 
+    @pytest.mark.parametrize("doc, error", [
+        ({"elements": ["a", None], "covers": []}, "'elements' must be strings"),
+        ({"elements": ["a"], "covers": "a"}, "'covers' must be a list of [lo, hi] pairs"),
+        ({"elements": ["a", "b", "a"], "covers": []}, "duplicate element name 'a'"),
+        ({"elements": ["a", "b"], "covers": [["a", "b"], ["b", "b"]]},
+         "cover ['b', 'b'] is reflexive"),
+    ], ids=["non-string-element", "covers-not-a-list", "duplicate-element", "reflexive-cover"])
+    def test_load_finite_lattice_names_a_malformed_document(self, doc, error):
+        with pytest.raises(NotALattice) as info:
+            load_finite_lattice(doc)
+        assert str(info.value) == error
+
     @pytest.mark.parametrize("covers, pair", [
         ([["a", "b"], ["b", "a"]], ("b", "a")),
         ([["a", "b"], ["b", "c"], ["c", "a"]], ("c", "a")),
@@ -303,6 +315,11 @@ def test_wide_lattices_keep_the_generic_witness():
     assert L.meet("1:a", "1:b") == "0:259" and L.join("0:3", "1:c") == "1:c"
 
 
+def test_a_carrier_shows_its_kind_and_name():
+    assert repr(chain_lattice(2)) == "<FiniteLattice 'chain2'>"
+    assert repr(QVec(3)) == "<QVec 'qvec3'>"
+
+
 def test_chain64_and_divisor5040_tables():
     for n in (1, 2, 64):
         L = chain_lattice(n)
@@ -310,16 +327,6 @@ def test_chain64_and_divisor5040_tables():
     L = divisor_lattice(5040)
     assert len(L.elements()) == 60 and L.distributive
     assert L.meet(48, 180) == 12 and L.join(48, 180) == 720
-
-
-def test_a_finite_sample_is_the_draw_of_randrange():
-    for L in (chain_lattice(1), chain_lattice(4), powerset_lattice(3), divisor_lattice(60)):
-        elems = L.elements()
-        for seed in range(200):
-            mine, ref = random.Random(seed), random.Random(seed)
-            for _ in range(5):
-                assert L.sample(mine) == elems[ref.randrange(len(elems))]
-            assert mine.getstate() == ref.getstate()
 
 
 def test_a_finite_lattice_refuses_foreign_values():

@@ -6,7 +6,7 @@ import pytest
 
 from reference import eventually_constant_sequence
 import ulat.convergence as convergence
-from ulat.carriers import CarrierMismatch, chain_lattice
+from ulat.carriers import CarrierMismatch
 from ulat.convergence import (
     _grade_bound,
     decide_O1_eventual_constancy,
@@ -32,6 +32,7 @@ from ulat.sequences import (
     TailClosedForm,
     Window,
     constant_sequence,
+    containment,
     o2_from_o1,
     parse_sequence_term,
     series_sequence,
@@ -89,6 +90,30 @@ def test_o1_catches_a_broken_sandwich():
     assert v.witness == ("sandwich", 1)
 
 
+@pytest.mark.parametrize("seq, lower, upper, witness", [
+    # the lower chain steps from 0 down to -1
+    ("0", ["*", -1, ["*", ["+", 1, "alt"], "1/k"]], "1/k", ("lower-monotone", 2)),
+    # the upper chain steps from 0 up to 1
+    ("0", ["-", "1/k"], ["*", ["+", 1, "alt"], "1/k"], ("upper-monotone", 2)),
+    # the lower chain 1 - 1/k passes the limit 0 at k = 2
+    ("1", ["-", 1, "1/k"], "2", ("lower-exceeds-limit", 2)),
+    # the upper chain 1/k - 1 falls below the limit 0 at k = 2
+    ("-1", "-2", ["-", "1/k", 1], ("upper-undercuts-limit", 2)),
+], ids=["lower-monotone", "upper-monotone", "lower-exceeds-limit", "upper-undercuts-limit"])
+def test_o1_names_the_first_broken_sandwich_fact(seq, lower, upper, witness):
+    x, lo, hi = (parse_sequence_term(t, Q, name)
+                 for t, name in ((seq, "x"), (lower, "lo"), (upper, "hi")))
+    v = verify_O1(x, F(0), O1Witness(lo, hi), horizon=50)
+    assert (v.status, v.witness) == ("falsified", witness)
+
+
+def test_o1_refuses_witnesses_on_another_carrier():
+    lo, hi = harmonic_pair()
+    foreign = series_sequence(QLine(), RatAltSeq.inv_index(), "hi")
+    with pytest.raises(CarrierMismatch, match="witness sequences"):
+        verify_O1(altharm(), F(0), O1Witness(lo, foreign))
+
+
 def test_o1_eventually_constant_data_is_exact():
     seq = eventually_constant_sequence(Q, (F(3),), F(1), "settle")
     lo = eventually_constant_sequence(Q, (F(0),), F(1), "lo")
@@ -137,11 +162,30 @@ def test_o2_line_containment_names_the_shifted_term(scale, detail):
     assert v.detail == detail
 
 
-def test_o2_line_without_an_affine_offset_is_scanned():
-    lo, hi = harmonic_pair()
-    v = verify_O2(altharm(), F(0), O2Witness(lo, hi, lambda j: j), horizon=200)
-    assert v.status == "verified-at-horizon"
+def test_o2_on_a_vec_term_is_scanned():
+    # a vec term has no descriptor, so even a constant vector is scanned
+    plane = QVec(2)
+    x = parse_sequence_term(["vec", 0, 1], plane, "x")
+    point = constant_sequence(plane, (F(0), F(1)), "point")
+    v = verify_O2(x, (F(0), F(1)), O2Witness.affine(point, point, 0), horizon=200)
+    assert (v.status, v.horizon) == ("verified-at-horizon", 200)
     assert v.detail == "containment checked on a budgeted prefix"
+    # (-1)^k / k is below the lower chain 0 at k = 1, the first index scanned
+    line = QVec(1)
+    y = parse_sequence_term(["vec", ["*", "alt", "1/k"]], line, "y")
+    zero = constant_sequence(line, (F(0),), "zero")
+    hi = parse_sequence_term(["vec", "1/k"], line, "hi")
+    v = verify_O2(y, (F(0),), O2Witness.affine(zero, hi, 0), horizon=200)
+    assert (v.status, v.witness) == ("falsified", ("containment", 1, 1))
+    assert v.detail == "interval containment violated"
+
+
+def test_o2_refuses_chains_on_another_carrier():
+    lo, hi = harmonic_pair()
+    foreign = series_sequence(QLine(), RatAltSeq.inv_index(), "hi")
+    for w in (O2Witness.affine(lo, foreign, 0), O2Witness.affine(foreign, hi, 0)):
+        with pytest.raises(CarrierMismatch, match="witness chains"):
+            verify_O2(altharm(), F(0), w)
 
 
 def test_o2_replay_of_a_late_sandwich_stays_exact():
@@ -202,12 +246,40 @@ def test_constancy_witness_names_two_different_terms():
     assert seq.value(1) != seq.value(2)
 
 
+def test_constancy_witness_skips_equal_terms():
+    # the sliding window within ~{1, 2} drops the atoms 1 and 2, which that
+    # set lacks already, so the first two terms are equal and the third is not
+    within = FinCofSet.cofinite_complement({1, 2})
+    seq = window_sequence(A, Window(sliding=True, within=within), "x")
+    v = decide_O1_eventual_constancy(seq, FinCofSet.empty())
+    assert (v.status, v.witness) == ("falsified", (1, 3))
+    assert seq.value(1) == seq.value(2) != seq.value(3)
+
+
 def test_constancy_scan_without_descriptor():
     seq = SequenceFamily("late", A, lambda k: FinCofSet.finite({1} if k < 4 else {2}))
     v = decide_O1_eventual_constancy(seq, FinCofSet.finite({2}), horizon=64)
     assert v.status == "verified-at-horizon"
     still = SequenceFamily("drift", A, lambda k: FinCofSet.finite({k}))
     assert decide_O1_eventual_constancy(still, FinCofSet.empty(), horizon=64).status == "falsified"
+
+
+def test_constancy_of_a_clamped_window_is_scanned_to_the_horizon():
+    # the clamp of a window on the algebra has no descriptor: the singletons
+    # clamped into [{}, {1, 2}] are {1}, {2}, then {} from index 3 on
+    atoms = parse_sequence_term(["singleton-atoms"], A, "A_k")
+    capped = truncate_sequence(atoms, TruncationPair.of(A, FinCofSet.empty(),
+                                                        FinCofSet.finite({1, 2})))
+    assert capped.descriptor is None
+    v = decide_O1_eventual_constancy(capped, FinCofSet.empty(), horizon=50)
+    assert (v.status, v.horizon) == ("verified-at-horizon", 50)
+    assert v.detail == "constant from index 3 to horizon"
+    v = decide_O1_eventual_constancy(capped, FinCofSet.finite({1}), horizon=50)
+    assert v.status == "inconclusive"
+    # inside [{}, everything] the clamp changes nothing, up to the horizon
+    whole = truncate_sequence(atoms, TruncationPair.of(A, FinCofSet.empty(), FinCofSet.universe()))
+    v = decide_O1_eventual_constancy(whole, FinCofSet.empty(), horizon=50)
+    assert (v.status, v.witness, v.horizon) == ("falsified", (49, 50), 50)
 
 
 def test_constancy_reduction_rejects_the_line():
@@ -298,6 +370,8 @@ def test_uo_without_witness_degrades_honestly():
 def test_uo_argument_validation():
     with pytest.raises(ValueError):
         verify_uO(altharm(), F(0))
+    with pytest.raises(CarrierMismatch, match="positive caps need a group carrier"):
+        verify_uO(atoms_stream(), FinCofSet.empty(), positives=[FinCofSet.finite({1})])
     with pytest.raises(ValueError):
         pairs_from_positives(Q, F(0), [F(-1)])
     pairs = pairs_from_positives(Q, F(2), [F(1)])
@@ -415,12 +489,6 @@ def test_the_metric_oracles_refuse_a_family_on_another_carrier():
         metric_cauchy(climb, plane, CERT)
 
 
-def test_a_sandwich_past_the_bound_horizon_folds_its_first_terms():
-    top = SequenceFamily("top", chain_lattice(3), lambda k: 2)
-    v = verify_O1(top, 2, O1Witness(top, top, start_index=600))
-    assert v.status == "verified-at-horizon"
-
-
 def test_bounded_climb_is_cauchy_at_the_horizon():
     climb = series_sequence(Q, RatAltSeq.const(1) - RatAltSeq.inv_index(), "climb")
     v = metric_cauchy(climb, ABS, CERT, horizon=2000)
@@ -512,12 +580,19 @@ def test_probe_clamps_each_member_once(monkeypatch):
 
 
 def test_probe_scans_sequences_without_a_closed_form_for_monotonicity():
-    U = ustar_family(ABS, [TruncationPair.of(Q, F(-1), F(1))])
-    flip = SequenceFamily("flip", Q, lambda k: F(k % 2))
+    line = QVec(1)
+    U = ustar_family(SemimetricFamily.of("l1", norm_semimetric(line)),
+                     [TruncationPair.of(line, (F(-1),), (F(1),))])
+    flip = parse_sequence_term(["vec", "alt"], line, "flip")
     with pytest.raises(ValueError, match="monotone"):
         exhaustivity_probe(flip, U)
+    # 1 - 1/k rises inside the clamp window, and its terms past N are within 1/N
+    climb = parse_sequence_term(["vec", ["-", 1, "1/k"]], line, "climb")
+    v = exhaustivity_probe(climb, U, CERT, horizon=300)
+    assert (v.status, v.horizon) == ("verified-at-horizon", 300)
     steps = eventually_constant_sequence(Q, (F(0), F(1, 2)), F(1), "steps")
-    assert exhaustivity_probe(steps, U).status == "exact"
+    clamps = ustar_family(ABS, [TruncationPair.of(Q, F(-1), F(1))])
+    assert exhaustivity_probe(steps, clamps).status == "exact"
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +606,19 @@ def test_bound_grading_without_a_bound_falsifies():
     assert v.witness == ("sup", NO_BOUND)
 
 
-def test_bound_grading_of_a_fold_is_at_the_horizon():
-    L = chain_lattice(3)
-    seq = SequenceFamily("late", L, lambda k: 2 if k >= 3 else 0)
-    v = _grade_bound(seq, "sup", 2, 1, 100)
-    assert v.status == "verified-at-horizon" and v.horizon == 100
+def test_bound_grading_of_a_decided_bound_is_exact_or_falsified():
+    climb = parse_sequence_term(["-", 1, "1/k"], Q, "climb")
+    assert _grade_bound(climb, "sup", F(1), 1, 100).status == "exact"
+    v = _grade_bound(climb, "sup", F(0), 1, 100)
+    assert (v.status, v.witness) == ("falsified", ("sup", F(1)))
+    assert v.detail == "sup of climb is Fraction(1, 1), not the limit"
+
+
+def test_bound_grading_of_an_undecided_bound_is_inconclusive():
+    # the terms of (-1)^k / k are all at most 1/2, so no term falsifies 1/2
+    v = _grade_bound(parse_sequence_term(["*", "alt", "1/k"], Q, "x"), "sup", F(1, 2), 1, 100)
+    assert v.status == "inconclusive"
+    assert v.detail == "sup of x undecided (tail is not monotone)"
 
 
 def test_bound_grading_names_a_term_on_the_wrong_side():
@@ -545,6 +628,19 @@ def test_bound_grading_names_a_term_on_the_wrong_side():
     assert v.witness == ("sup", 3, F(1))
     v = _grade_bound(seq, "inf", F(1, 2), 1, 100)
     assert v.witness == ("inf", 1, F(0))
+
+
+def test_o2_on_set_terms_is_decided_by_their_settled_values():
+    x = parse_sequence_term(["set", [1, 2]], A, "x")
+    lo = parse_sequence_term(["set", [1]], A, "lo")
+    hi = parse_sequence_term(["coset", [3]], A, "hi")
+    v = containment(x, O2Witness.affine(lo, hi, 0))
+    assert (v.status, v.detail) == ("exact", "eventually constant containment")
+    v = verify_O2(x, FinCofSet.finite({1, 2}), O2Witness.affine(x, x, 1))
+    assert v.status == "exact"
+    v = verify_O2(x, FinCofSet.finite({1, 2}), O2Witness.affine(lo, parse_sequence_term(
+        ["coset", [2]], A, "hi"), 0))
+    assert (v.status, v.witness) == ("falsified", ("containment", 1, 1))
 
 
 def test_o2_on_settled_data_is_decided_exactly():

@@ -117,6 +117,11 @@ class TestRatAltSeq:
         assert RatAltSeq.index().eval(7) == 7
         assert RatAltSeq.const(F(2, 5)).eval(99) == F(2, 5)
 
+    def test_a_rational_minus_a_sequence(self):
+        x = 1 - RatAltSeq.inv_index()
+        assert x == RatAltSeq.const(1) - RatAltSeq.inv_index()
+        assert [x.eval(k) for k in (1, 2, 4)] == [0, F(1, 2), F(3, 4)]
+
     def test_eval_takes_an_integer_index(self):
         for bad in (True, 2.0, F(3, 2), 0):
             with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import RANDINT_SAMPLERS, check_semimetric_axioms
 from ulat.carriers import (CarrierMismatch, chain_lattice, diamond_lattice, divisor_lattice,
                            powerset_lattice)
 from ulat.exact import EXT_INF, ext
@@ -44,11 +45,11 @@ class TestValidation:
         assert v.status == "exact"
         assert "4^3" in v.detail
 
-    def test_symbolic_validation_needs_rng_and_samples(self):
-        Q = QLine()
-        v = validate_semimetric(norm_semimetric(Q, "abs"), budget=50,
-                                rng=random.Random(0))
-        assert v.status == "verified-at-horizon"
+    def test_symbolic_validation_is_refused(self):
+        for d in (norm_semimetric(QLine(), "abs"), norm_semimetric(C00Space()),
+                  symmetric_difference_semimetric(FinCofAlgebra())):
+            with pytest.raises(ValueError, match="needs a finite carrier"):
+                validate_semimetric(d)
 
     def test_triangle_violation_is_caught_with_witness(self):
         L = chain_lattice(3)
@@ -84,9 +85,11 @@ class TestValidation:
 
     def test_sequence_space_families_validate_on_samples(self):
         C, A = C00Space(), FinCofAlgebra()
-        for d in (norm_semimetric(C), symmetric_difference_semimetric(A)):
-            v = validate_semimetric(d, budget=60, rng=random.Random(3))
-            assert v.status == "verified-at-horizon" and v.horizon == 60
+        for d, name in ((norm_semimetric(C), "c00"),
+                        (symmetric_difference_semimetric(A), "fincof")):
+            draw, rng = RANDINT_SAMPLERS[name][1], random.Random(3)
+            triples = [(draw(rng), draw(rng), draw(rng)) for _ in range(60)]
+            assert check_semimetric_axioms(d, triples).holds
         symdiff = symmetric_difference_semimetric(A)
         assert symdiff(FinCofSet.finite([1, 2]), FinCofSet.finite([2, 5])) == 2
         assert symdiff(FinCofSet.finite([1]), FinCofSet.cofinite_complement([1])) == EXT_INF
@@ -375,6 +378,25 @@ class TestDistanceTables:
             load_distance_table({"carrier": "missing", "distances": []},
                                 carriers={"c": L})
 
+    @pytest.mark.parametrize("doc, error", [
+        ([["c"], [[0, 1, "1"]]], "distance table must be a JSON object"),
+        ({"carrier": "line", "distances": []}, "only supported over finite carriers"),
+        ({"carrier": "c", "distances": {"0": "1"}},
+         "distances must be a list of [i, j, value] rows"),
+        ({"carrier": "c", "distances": [[0, 1]]}, "bad distance row [0, 1]"),
+        ({"carrier": "c", "distances": [[0, 1, "1"], [1, 2, "1"], [0, 2, "1"], [1, 1, "1/2"]]},
+         "nonzero diagonal entry at index 1"),
+        ({"carrier": "c", "distances": [[0, 1, "1"], [1, 2, "1"], [0, 2, "1"], [2, 1, "2"]]},
+         "asymmetric entries for pair (1, 2): ExtValue('1') vs ExtValue('2')"),
+        ({"carrier": "c", "distances": [[0, 1, "1"], [1, 1, 0]]},
+         "distance table is incomplete: missing pairs [(0, 2), (1, 2)]"),
+    ], ids=["not-an-object", "symbolic-carrier", "rows-not-a-list", "short-row",
+            "nonzero-diagonal", "asymmetric", "incomplete"])
+    def test_malformed_tables_are_refused(self, doc, error):
+        with pytest.raises(ValueError) as info:
+            load_distance_table(doc, carriers={"c": chain_lattice(3), "line": QLine()})
+        assert error in str(info.value)
+
     @pytest.mark.parametrize("value, message", [
         (0.1, "is not an exact rational"),
         (True, "is not an exact rational"),
@@ -504,15 +526,16 @@ def _ref_c00(x, y):
 
 
 def _ref_evlin(x, y):
-    if (x.c, x.d) != (y.c, y.d):
+    # both sequences follow their eventual laws from n on, so the laws agree
+    # exactly when the values at n and n + 1 do
+    n = max(x.pieces[-1][0], y.pieces[-1][0])
+    if (x.value(n), x.value(n + 1)) != (y.value(n), y.value(n + 1)):
         return EXT_INF
+    return sum((abs(x.value(i) - y.value(i)) for i in range(1, n)), F(0))
 
-    def at(s, i):
-        return s.prefix[i - 1] if i <= len(s.prefix) else s.c + s.d * i
 
-    n = max(len(x.prefix), len(y.prefix))
-    return sum((abs(at(x, i) - at(y, i)) for i in range(1, n + 1)), F(0))
-
+# the sequence spaces draw no elements themselves
+SEQUENCE_SAMPLERS = {"c00": RANDINT_SAMPLERS["c00"][1], "evlinseq": RANDINT_SAMPLERS["evlin"][1]}
 
 NORM_FAMILIES = [("qline", "abs", _ref_line), ("qvec2", "l1", _ref_vec),
                  ("qvec3", "l1", _ref_vec), ("qvec5", "l1", _ref_vec),
@@ -532,11 +555,12 @@ class TestNormFamilies:
         d = _norm_member(entry, family)
         G = d.carrier
         rng = random.Random(17)
-        pairs = [(G.sample(rng), G.sample(rng)) for _ in range(60)]
+        draw = SEQUENCE_SAMPLERS[entry] if entry in SEQUENCE_SAMPLERS else G.sample
+        pairs = [(draw(rng), draw(rng)) for _ in range(60)]
         if entry == "evlinseq":
             # pairs sharing their eventual part have a finite distance
-            pairs += [(x, EvLinSeq.make([v + rng.randint(-3, 3) for v in x.prefix] + [F(1, 3)],
-                                        x.c, x.d)) for x, _ in pairs[:30]]
+            pairs += [(x, G.add(x, EvLinSeq.make([rng.randint(-3, 3) for _ in range(4)]
+                                                 + [F(1, 3)], 0, 0))) for x, _ in pairs[:30]]
         finite = 0
         for x, y in pairs:
             assert d(x, y) == ref(x, y)

@@ -175,20 +175,6 @@ def test_bounds_of_composed_harmonic_terms(term, sup, inf):
         assert (claim.value, claim.exact) == (want, True)
 
 
-def test_a_fold_folds_at_least_term_k0_and_checks_each_term_once(monkeypatch):
-    L = chain_lattice(3)
-    ramp = SequenceFamily("ramp", L, lambda k: min(k - 1, 2))
-    claim = chain_bound(ramp, "sup", k0=70)
-    assert (claim.value, claim.exact, claim.detail) == (2, False, "fold of terms 70..70")
-    assert chain_bound(ramp, "inf", k0=2, horizon=1).detail == "fold of terms 2..2"
-    checks = []
-    real = L.check_element
-    monkeypatch.setattr(L, "check_element", lambda x: checks.append(x) or real(x))
-    claim = chain_bound(ramp, "inf", horizon=100)
-    assert (claim.value, claim.detail) == (0, "fold of terms 1..100")
-    assert len(checks) == 100
-
-
 def test_a_foreign_descriptor_value_is_refused_by_the_bound():
     bad = SequenceFamily("bad", chain_lattice(3), lambda k: 0, EventuallyConstant(7, 2))
     with pytest.raises(CarrierMismatch):
@@ -398,18 +384,20 @@ def test_a_sequence_index_must_be_an_integer(index):
             seq.value(index)
 
 
-def test_descriptorless_fold_on_finite_carrier_is_inexact():
-    L = chain_lattice(4)
-    seq = SequenceFamily("capped", L, lambda k: min(k, 2))
-    claim = chain_bound(seq, "sup", horizon=8)
-    assert claim.value == 2 and not claim.exact
-    assert "fold" in claim.detail
-
-
 def test_descriptorless_infinite_carrier_is_undecided():
     seq = SequenceFamily("opaque", Q, lambda k: F(1, k))
     claim = chain_bound(seq, "sup")
     assert claim.value is None and not claim.exact
+    assert claim.detail == "no descriptor"
+
+
+def test_a_bound_is_exact_exactly_when_it_is_decided():
+    claims = [chain_bound(parse_sequence_term(t, Q), kind)
+              for t in ("k", "1/k", ["*", "alt", "1/k"]) for kind in ("sup", "inf")]
+    capped = SequenceFamily("capped", chain_lattice(4), lambda k: min(k, 2))
+    claims.append(chain_bound(capped, "sup"))
+    assert [c.value for c in claims] == [NO_BOUND, F(1), F(1), F(0), None, None, None]
+    assert all(c.exact == (c.value is not None) for c in claims)
 
 
 def test_chain_bound_rejects_unknown_kind():
@@ -443,10 +431,23 @@ def test_containment_leaves_undecided_witnesses_to_the_caller():
     lo = series_sequence(Q, -RatAltSeq.inv_index(), "lo")
     hi = series_sequence(Q, RatAltSeq.inv_index(), "hi")
     x = series_sequence(Q, RatAltSeq.const(0), "zero")
-    assert containment(x, O2Witness(lo, hi, lambda j: j)) is None
     assert containment(x, O2Witness.affine(lo, hi, 0)).status == "exact"
+    plane = QVec(2)
+    point = constant_sequence(plane, (F(0), F(0)))
+    vec = parse_sequence_term(["vec", 0, 0], plane)
+    assert containment(vec, O2Witness.affine(point, point, 0)) is None
     empty = constant_sequence(A, FinCofSet.empty(), "empty")
     assert containment(atoms_stream(), O2Witness.affine(empty, shrinking_chain(), 0)) is None
+
+
+def test_o2_replay_shifts_settled_chains_and_keeps_no_descriptor_for_others():
+    lower = eventually_constant_sequence(Q, (F(-3), F(-2), F(-1)), F(0), "lo")
+    upper = SequenceFamily("hi", Q, lambda j: F(1, j))
+    replay = o2_from_o1(O1Witness(lower, upper, start_index=3))
+    assert replay.lower.descriptor == EventuallyConstant(F(0), 2)
+    assert replay.upper.descriptor is None
+    assert [replay.lower.value(j) for j in (1, 2, 3)] == [F(-1), F(0), F(0)]
+    assert replay.upper.value(1) == F(1, 3)
 
 
 def test_o2_replay_from_the_start_keeps_terms():
@@ -459,10 +460,11 @@ def test_o2_replay_from_the_start_keeps_terms():
 
 def test_affine_witness_rejects_negative_offset():
     lower = constant_sequence(Q, 0)
-    with pytest.raises(ValueError):
-        O2Witness.affine(lower, lower, -1)
-    with pytest.raises(ValueError, match="offset must be nonnegative"):
-        O2Witness(lower, lower, lambda j: j - 1, -1)
+    for offset in (-1, True, 1.0, F(1), None):
+        with pytest.raises(ValueError, match="offset must be an integer >= 0"):
+            O2Witness.affine(lower, lower, offset)
+    w = O2Witness(lower, lower, 3)
+    assert w == O2Witness.affine(lower, lower, 3) and w.k_of(2) == 5
 
 
 def test_metric_certificate_clamps_to_one():

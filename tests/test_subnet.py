@@ -66,21 +66,20 @@ def test_fincof_subnet_enumeration():
 
 def test_lying_eventual_index_is_caught():
     seq, pair, _ = line_fixture()
-    sq = RatAltSeq.inv_index() * RatAltSeq.inv_index()
-    lo2 = series_sequence(Q, -sq, "lo2")
-    hi2 = series_sequence(Q, sq, "hi2")
-    # honest containment in [-1/j^2, 1/j^2] needs k >= j^2; claiming k >= j
-    # puts the step-2 term 1/2 above the upper bound 1/4
+    lo3 = series_sequence(Q, -RatAltSeq.inv_index().shift(3), "lo3")
+    hi3 = series_sequence(Q, RatAltSeq.inv_index().shift(3), "hi3")
+    # honest containment in [-1/(j + 3), 1/(j + 3)] needs k >= j + 3; claiming
+    # k >= j + 2 puts the step-1 term -1/3 below the lower bound -1/4
     with pytest.raises(SubnetContainmentError) as info:
-        build_subnet(seq, [pair], {pair: O2Witness(lo2, hi2, lambda j: j)}, 10)
+        build_subnet(seq, [pair], {pair: O2Witness.affine(lo3, hi3, 2)}, 10)
     err = info.value
-    assert (err.j, err.k) == (2, 2)
+    assert (err.j, err.k) == (1, 3)
     assert err.pair == pair
-    assert "j=2" in str(err) and "k=2" in str(err)
+    assert "j=1" in str(err) and "k=3" in str(err)
 
-    honest = O2Witness(lo2, hi2, lambda j: j * j)
+    honest = O2Witness.affine(lo3, hi3, 3)
     net = build_subnet(seq, [pair], {pair: honest}, 12)
-    assert net.phi[:5] == (1, 4, 9, 16, 25)
+    assert net.phi[:5] == (4, 5, 6, 7, 8)
     assert net.strictly_increasing_phi()
     assert net.sandwich_holds()
 

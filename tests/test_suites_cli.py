@@ -22,6 +22,8 @@ from ulat.suites import (
     run_suites,
     suite_names,
 )
+from ulat.exact import EXT_INF
+from ulat.spaces import FinCofSet
 from ulat.verdicts import Verdict
 
 FAST = SuiteConfig(horizon=100)
@@ -227,6 +229,11 @@ def test_markdown_report_shows_timings():
     assert lines[3].endswith("| 1.500 |")
 
 
+def test_witnesses_render_as_plain_json():
+    witness = (F(1, 2), EXT_INF, {1: F(2)}, frozenset({"b", "a"}), None, FinCofSet.finite({2, 1}))
+    assert suites._witness_json(witness) == ["1/2", "inf", {"1": "2"}, ["a", "b"], None, "{1,2}"]
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -286,6 +293,15 @@ def test_cli_config_validation(tmp_path, capsys):
 
     code, _, err = run_cli(capsys, "suite", "run", "prop-p1", "--eps-grid", "1,-1/2")
     assert code == 2 and "positive" in err
+
+
+def test_cli_eps_grid_sets_the_cases(tmp_path, capsys):
+    config = tmp_path / "eps.conf"
+    config.write_text("eps_grid = 1,1/2\n")
+    for argv, cases in (([], 20), (["--eps-grid", "1,1/2"], 11), (["--config", str(config)], 11)):
+        code, out, _ = run_cli(capsys, "suite", "run", "exhaustive-t2", *argv)
+        assert code == 0
+        assert json.loads(out)["suites"][0]["counts"]["cases"] == cases
 
 
 def test_cli_refuses_an_eps_grid_exponent_at_once(tmp_path, capsys):
@@ -424,6 +440,22 @@ def test_cli_lattice_check_output_is_pinned(tmp_path, capsys, monkeypatch):
 def test_cli_lattice_check_names_a_malformed_cover(tmp_path, capsys, cover, error):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"elements": ["0", "1"], "covers": [cover]}))
+    code, out, _ = run_cli(capsys, "lattice", "check", str(path))
+    assert code == 1
+    assert json.loads(out) == {"ok": False, "error": error}
+
+
+@pytest.mark.parametrize("doc, error", [
+    (["0", "1"], "document must be a JSON object"),
+    ({"elements": ["0", 1], "covers": []}, "'elements' must be strings"),
+    ({"elements": ["0", "1"], "covers": {"0": "1"}}, "'covers' must be a list of [lo, hi] pairs"),
+    ({"elements": ["0", "1", "0"], "covers": []}, "duplicate element name '0'"),
+    ({"elements": ["0", "1"], "covers": [["0", "0"]]}, "cover ['0', '0'] is reflexive"),
+], ids=["not-an-object", "non-string-element", "covers-not-a-list", "duplicate-element",
+        "reflexive-cover"])
+def test_cli_lattice_check_names_a_malformed_document(tmp_path, capsys, doc, error):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
     code, out, _ = run_cli(capsys, "lattice", "check", str(path))
     assert code == 1
     assert json.loads(out) == {"ok": False, "error": error}
