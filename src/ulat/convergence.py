@@ -35,12 +35,11 @@ DEFAULT_EPS_GRID = tuple(Fraction(1, 2 ** i) for i in range(11))
 # Bound-claim grading shared by the order-convergence oracles
 
 
-def _grade_bound(seq: SequenceFamily, kind: str, target, k0: int,
-                 horizon: int) -> Verdict:
-    """Grade the claim sup/inf {seq(k) : k >= k0} = target: exact or
+def _grade_bound(seq: SequenceFamily, kind: str, target, horizon: int) -> Verdict:
+    """Grade the claim sup/inf {seq(k) : k >= 1} = target: exact or
     falsified where ``chain_bound`` decides the bound, else by a term scan."""
     L = seq.carrier
-    claim: BoundClaim = chain_bound(seq, kind, k0)
+    claim: BoundClaim = chain_bound(seq, kind)
     label = f"{kind} of {seq.name}"
     if claim.value is NO_BOUND:
         return Verdict.falsified(witness=(kind, NO_BOUND), detail=f"{label} does not exist")
@@ -51,7 +50,7 @@ def _grade_bound(seq: SequenceFamily, kind: str, target, k0: int,
                                  detail=f"{label} is {claim.value!r}, not the limit")
     # Undecided: a term on the wrong side of the target still falsifies,
     # because the bound would have to dominate it.
-    for k in range(k0, min(horizon, 256) + 1):
+    for k in range(1, min(horizon, 256) + 1):
         v = seq.value(k)
         if kind == "sup" and not L._leq(v, target):
             return Verdict.falsified(witness=(kind, k, v),
@@ -80,18 +79,17 @@ def verify_O1(seq: SequenceFamily, x, w: O1Witness,
     if w.lower.carrier is not L or w.upper.carrier is not L:
         raise CarrierMismatch("witness sequences must live on the sequence's carrier")
     x = L.check_element(x)
-    k0 = w.start_index
 
     tails = [_constant_tail(s) for s in (seq, w.lower, w.upper)]
     if None not in tails:
-        stop = max(max(t[0] for t in tails), k0) + 1
+        stop = max(t[0] for t in tails) + 1
         grade_on_success = Verdict.exact(detail="eventually constant sandwich")
     else:
         stop = horizon
         grade_on_success = Verdict.at_horizon(horizon, detail="sandwich checked to horizon")
 
     prev_lo = prev_hi = None
-    for k in range(k0, stop + 1):
+    for k in range(1, stop + 1):
         lo, hi, xv = w.lower.value(k), w.upper.value(k), seq.value(k)
         if prev_lo is not None and not L._leq(prev_lo, lo):
             return Verdict.falsified(witness=("lower-monotone", k), detail="lower witness decreased")
@@ -108,8 +106,8 @@ def verify_O1(seq: SequenceFamily, x, w: O1Witness,
         prev_lo, prev_hi = lo, hi
 
     parts = [grade_on_success,
-             _grade_bound(w.lower, "sup", x, k0, horizon),
-             _grade_bound(w.upper, "inf", x, k0, horizon)]
+             _grade_bound(w.lower, "sup", x, horizon),
+             _grade_bound(w.upper, "inf", x, horizon)]
     return Verdict.weakest(parts)
 
 
@@ -147,8 +145,8 @@ def verify_O2(seq: SequenceFamily, x, w: O2Witness,
         return contained
 
     parts = [contained,
-             _grade_bound(w.lower, "sup", x, 1, horizon),
-             _grade_bound(w.upper, "inf", x, 1, horizon)]
+             _grade_bound(w.lower, "sup", x, horizon),
+             _grade_bound(w.upper, "inf", x, horizon)]
     return Verdict.weakest(parts)
 
 

@@ -137,7 +137,7 @@ def compose_triple_violation(n: int, x, y, z) -> bool:
             and not real_entourage_contains(n, x, z))
 
 
-def real_entourage_compose_check(n: int, samples: int = 200, rng=None) -> Verdict:
+def real_entourage_compose_check(n: int, samples: int, rng) -> Verdict:
     """Verify U_{2n} o U_{2n} <= U_n exactly, then corroborate on samples.
 
     The nine-case clause analysis is the proof; every case's facts are exact
@@ -152,29 +152,28 @@ def real_entourage_compose_check(n: int, samples: int = 200, rng=None) -> Verdic
             return Verdict.falsified(witness=(case.left, case.right, tuple(failing)),
                                      detail="case analysis fact failed")
 
-    if rng is not None and samples > 0:
-        per_case = max(1, samples // 9)
-        for left, right in itertools.product(CLAUSES, repeat=2):
-            for _ in range(per_case):
-                triple = _conditioned_triple(rng, 2 * n, left, right)
-                if triple is None:
-                    break
-                x, y, z = triple
-                if not (real_entourage_contains(2 * n, x, y)
-                        and real_entourage_contains(2 * n, y, z)):
-                    raise AssertionError("conditioned triple fell outside its clauses")
-                if not real_entourage_contains(n, x, z):
-                    return Verdict.falsified(witness=(x, y, z),
-                                             detail="sampled triple escaped U_n")
-        for _ in range(samples):
-            left = CLAUSES[_below(rng, 3)]
-            head = _conditioned_triple(rng, 2 * n, left, left)
-            x, y, _ = head
-            z = _fraction(_below(rng, 80 * n + 1) - 40 * n, 1 + _below(rng, 11))
-            if not real_entourage_contains(n, max(x, z), max(y, z)):
-                return Verdict.falsified(witness=("join", x, y, z),
-                                         detail="join with common element escaped U_n")
-            if not real_entourage_contains(n, min(x, z), min(y, z)):
-                return Verdict.falsified(witness=("meet", x, y, z),
-                                         detail="meet with common element escaped U_n")
+    per_case = max(1, samples // 9)
+    for left, right in itertools.product(CLAUSES, repeat=2):
+        for _ in range(per_case):
+            triple = _conditioned_triple(rng, 2 * n, left, right)
+            if triple is None:
+                break
+            x, y, z = triple
+            if not (real_entourage_contains(2 * n, x, y)
+                    and real_entourage_contains(2 * n, y, z)):
+                raise AssertionError("conditioned triple fell outside its clauses")
+            if not real_entourage_contains(n, x, z):
+                return Verdict.falsified(witness=(x, y, z),
+                                         detail="sampled triple escaped U_n")
+    for _ in range(samples):
+        left = CLAUSES[_below(rng, 3)]
+        head = _conditioned_triple(rng, 2 * n, left, left)
+        x, y, _ = head
+        z = _fraction(_below(rng, 80 * n + 1) - 40 * n, 1 + _below(rng, 11))
+        if not real_entourage_contains(n, max(x, z), max(y, z)):
+            return Verdict.falsified(witness=("join", x, y, z),
+                                     detail="join with common element escaped U_n")
+        if not real_entourage_contains(n, min(x, z), min(y, z)):
+            return Verdict.falsified(witness=("meet", x, y, z),
+                                     detail="meet with common element escaped U_n")
     return Verdict.exact(detail=f"nine-case analysis at n={n}")

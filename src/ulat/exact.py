@@ -422,11 +422,11 @@ class RatAltSeq:
 
     # -- exact decisions
 
-    def nonneg_from(self, k0: int, strict: bool = False) -> tuple[bool, Optional[int]]:
-        """Decide value(k) >= 0 (or > 0) for every integer k >= max(k0, 1)."""
+    def nonneg_from(self, k0: int) -> tuple[bool, Optional[int]]:
+        """Decide value(k) >= 0 for every integer k >= max(k0, 1)."""
         bad = []
         for p, t0, r in _parities(self, k0):
-            ok, t = p.nonneg_from(t0, strict)
+            ok, t = p.nonneg_from(t0)
             if not ok:
                 bad.append(2 * t + r)
         return (False, min(bad)) if bad else (True, None)
@@ -451,12 +451,12 @@ class RatAltSeq:
             return None
         return over_den(self.num)
 
-    def eventually_geq(self, c: RatLike, k0: int = 1) -> Optional[int]:
-        """Smallest N >= max(k0, 1) with value(k) >= c for all k >= N, or None."""
-        return _eventual_nonneg_index(self - RatAltSeq.const(rat(c)), k0)
+    def eventually_geq(self, c: RatLike) -> Optional[int]:
+        """Smallest N >= 1 with value(k) >= c for all k >= N, or None."""
+        return _eventual_nonneg_index(self - RatAltSeq.const(rat(c)))
 
-    def eventually_leq(self, c: RatLike, k0: int = 1) -> Optional[int]:
-        return _eventual_nonneg_index(RatAltSeq.const(rat(c)) - self, k0)
+    def eventually_leq(self, c: RatLike) -> Optional[int]:
+        return _eventual_nonneg_index(RatAltSeq.const(rat(c)) - self)
 
 
 def _horner(coeffs: tuple[int, ...], k: int) -> int:
@@ -476,11 +476,11 @@ def _parities(g: RatAltSeq, k0: int):
             ((g.num - g.anum).compose_affine(2, 1), k0 // 2, 1))
 
 
-def _eventual_nonneg_index(g: RatAltSeq, k0: int) -> Optional[int]:
-    """One past the last index k >= max(k0, 1) with g(k) < 0, or None when
-    the negative terms never stop."""
-    n = max(k0, 1)
-    for p, t0, r in _parities(g, k0):
+def _eventual_nonneg_index(g: RatAltSeq) -> Optional[int]:
+    """One past the last index k >= 1 with g(k) < 0 (1 when there is none),
+    or None when the negative terms never stop."""
+    n = 1
+    for p, t0, r in _parities(g, 1):
         if p.lead < 0:
             return None
         t = p.last_negative(t0)

@@ -10,12 +10,15 @@ symbolic argument possible.  This is the only module that reads
 descriptors; what one proves is decided here: where the tail settles
 (``settled``), its clamped image (``clamped_descriptor``), its sup and inf
 (``chain_bound``), whether it is monotone (``monotone``) and whether it
-stays in the intervals of an O2 witness (``containment``).
+stays in the intervals of an O2 witness (``containment``).  The JSON term
+grammar (``parse_sequence_term``) is scalar only: a term document is a
+closed form on the rational line, and code builds every other sequence.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +26,7 @@ from typing import Callable, Optional
 
 from .carriers import Carrier
 from .exact import RatAltSeq, check_index, rat
-from .spaces import NO_BOUND, C00Space, C00Vec, FinCofAlgebra, FinCofSet, QLine, QVec
+from .spaces import NO_BOUND, C00Space, C00Vec, FinCofAlgebra, FinCofSet, QLine
 from .truncation import TruncationPair, truncate_f
 from .verdicts import Verdict
 
@@ -119,7 +122,6 @@ class O1Witness:
 
     lower: SequenceFamily
     upper: SequenceFamily
-    start_index: int = 1
 
 
 @dataclass(frozen=True)
@@ -147,38 +149,25 @@ class O2Witness:
 def o2_from_o1(w: O1Witness) -> "O2Witness":
     """Replay an O1 sandwich as interval data: the witness chains themselves
     bound the tail, with containment from index j onward."""
-    shift = max(w.start_index - 1, 0)
-    if shift == 0:
-        return O2Witness.affine(w.lower, w.upper, 0)
-    lower = SequenceFamily(w.lower.name, w.lower.carrier,
-                           lambda j: w.lower.term(j + shift), _shift_descriptor(w.lower, shift))
-    upper = SequenceFamily(w.upper.name, w.upper.carrier,
-                           lambda j: w.upper.term(j + shift), _shift_descriptor(w.upper, shift))
-    return O2Witness.affine(lower, upper, shift)
-
-
-def _shift_descriptor(seq: SequenceFamily, shift: int):
-    d = seq.descriptor
-    if isinstance(d, EventuallyConstant):
-        return EventuallyConstant(d.value, max(d.from_index - shift, 1))
-    if isinstance(d, TailClosedForm):
-        return TailClosedForm(d.series.shift(shift))
-    return None
+    return O2Witness.affine(w.lower, w.upper, 0)
 
 
 @dataclass(frozen=True)
 class MetricCertificate:
-    """modulus(eps, semimetric name) = index N with d(x_k, x) <= eps beyond N."""
+    """modulus(eps, semimetric name) = index N with d(x_k, x) <= eps beyond N;
+    an int or a Fraction, read by its exact ceiling."""
 
-    modulus: Callable[[Fraction, str], int]
+    modulus: Callable[[Fraction, str], int | Fraction]
 
     @staticmethod
-    def uniform(fn: Callable[[Fraction], int]) -> "MetricCertificate":
+    def uniform(fn: Callable[[Fraction], int | Fraction]) -> "MetricCertificate":
         return MetricCertificate(lambda eps, _name: fn(eps))
 
     def at(self, eps, name: str = "") -> int:
         n = self.modulus(rat(eps), name)
-        return max(int(n), 1)
+        if type(n) is bool or not isinstance(n, (int, Fraction)):
+            raise ValueError(f"a modulus must be an int or a Fraction, got {n!r}")
+        return max(math.ceil(n), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -402,23 +391,13 @@ def containment(seq: SequenceFamily, w: O2Witness) -> Optional[Verdict]:
 # ---------------------------------------------------------------------------
 # JSON witness term grammar
 #
-# Scalar terms, on the rational line:
+# The grammar is scalar only: every term is a sequence on the rational line.
 #   "k"            the index            "1/k"        its reciprocal
 #   "alt"          (-1)^k               "p/q"        a rational constant
 #   number         an integer constant
 #   ["+", t, u]    ["-", t, u]   ["-", t]   ["*", t, u]   compose terms
-# Builtins on the finite/cofinite algebra:
-#   ["singleton-atoms"]        A_k = {k}, the sliding window
-#   ["atom-prefix"]            {1..k}, the growing window
-#   ["drop-atom-prefix"]       complement of {1..k}
-#   ["set", [atoms...]]        a constant finite set
-#   ["coset", [atoms...]]      a constant cofinite set
-# On finitely supported sequences:
-#   ["unit-vectors"]           e_k, the indicator of the sliding window
-# On rational n-vectors:
-#   ["vec", t1, ..., tn]       a vector of n scalar terms
-# A term on any other carrier is refused; atoms are integers >= 1.  Messages
-# show terms through reprlib, which stays short and never recurses deeply.
+# A term on any other carrier is refused.  Messages show terms through
+# reprlib, which stays short and never recurses deeply.
 
 MAX_TERM_DEPTH = 100
 
@@ -462,54 +441,13 @@ def _parse_scalar(doc, depth: int) -> RatAltSeq:
     raise ValueError(f"unrecognized scalar term {reprlib.repr(doc)}")
 
 
-def _atoms(op: str, atoms) -> list:
-    if not (isinstance(atoms, list) and all(type(a) is int and a >= 1 for a in atoms)):
-        raise ValueError(f"{op} term needs a list of integer atoms >= 1, got {reprlib.repr(atoms)}")
-    return atoms
-
-
-# builtin -> (arguments, carrier class it needs, that carrier in words, its
-# window or the set that its one argument lists the atoms of)
-_FINCOF = (FinCofAlgebra, "the finite/cofinite algebra")
-_BUILTINS = {"singleton-atoms": (0, *_FINCOF, Window(sliding=True)),
-             "atom-prefix": (0, *_FINCOF, Window(sliding=False)),
-             "drop-atom-prefix": (0, *_FINCOF, Window(sliding=False, within=FinCofSet.universe())),
-             "set": (1, *_FINCOF, FinCofSet.finite),
-             "coset": (1, *_FINCOF, FinCofSet.cofinite_complement),
-             "unit-vectors": (0, C00Space, "finitely supported sequences", Window(sliding=True))}
-
-
-def _require(fits: bool, doc, carrier: Carrier, needs: str) -> None:
-    if not fits:
-        raise ValueError(f"term {reprlib.repr(doc)} needs {needs}, not the carrier {carrier.name!r}")
-
-
 def parse_sequence_term(doc, carrier: Carrier, name: str = "term") -> SequenceFamily:
-    """Parse a term document into a sequence on the given carrier.
+    """Parse a scalar term document into a sequence on the rational line.
 
-    A term on a carrier it does not fit, or a builtin with the wrong number
-    of arguments, is refused with ValueError."""
-    if isinstance(doc, list) and doc:
-        op, *args = doc
-        if op in _BUILTINS:
-            arity, kind, needs, built = _BUILTINS[op]
-            _require(isinstance(carrier, kind), doc, carrier, needs)
-            if len(args) != arity:
-                takes = "1 argument" if arity else "no arguments"
-                raise ValueError(f"builtin {op!r} takes {takes}, got {len(args)}: "
-                                 f"{reprlib.repr(doc)}")
-            if isinstance(built, Window):
-                return window_sequence(carrier, built, name)
-            return constant_sequence(carrier, built(_atoms(op, args[0])), name)
-        if op == "vec":
-            parts = [parse_scalar_series(a) for a in args]
-            _require(isinstance(carrier, QVec) and carrier.dim == len(parts), doc, carrier,
-                     f"rational vectors of dimension {len(parts)}")
-
-            def term(k, _parts=tuple(parts)):
-                return tuple(p.eval(k) for p in _parts)
-
-            return SequenceFamily(name, carrier, term, None)
+    A malformed term, or any carrier but the rational line, is refused with
+    ValueError."""
     series = parse_scalar_series(doc)
-    _require(isinstance(carrier, QLine), doc, carrier, "the rational line")
+    if not isinstance(carrier, QLine):
+        raise ValueError(f"term {reprlib.repr(doc)} needs the rational line, "
+                         f"not the carrier {carrier.name!r}")
     return series_sequence(carrier, series, name)

@@ -227,7 +227,10 @@ class C00Vec:
             (i, op(self.coordinate(i), other.coordinate(i))) for i in support)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{i}:{v}" for i, v in self.entries)
+        try:
+            inner = ", ".join(f"{i}:{v}" for i, v in self.entries)
+        except (TypeError, ValueError):  # not (index, value) pairs
+            return f"C00Vec({self.entries!r})"
         return f"C00Vec({{{inner}}})"
 
 
@@ -237,10 +240,13 @@ class C00Space(GroupCarrier):
         self.zero = C00Vec.zero()
 
     def contains(self, x) -> bool:
-        if not isinstance(x, C00Vec):
+        if not (isinstance(x, C00Vec) and type(x.entries) is tuple):
             return False
         last = 0
-        for i, v in x.entries:
+        for entry in x.entries:
+            if type(entry) is not tuple or len(entry) != 2:
+                return False
+            i, v = entry
             if type(i) is not int or i <= last or not isinstance(v, Fraction) or v == 0:
                 return False
             last = i

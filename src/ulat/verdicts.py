@@ -35,6 +35,9 @@ class Verdict:
             raise ValueError(f"unknown verdict status: {self.status!r}")
         if self.status == FALSIFIED and self.witness is None:
             raise ValueError("a falsified verdict needs a witness")
+        if (self.status == AT_HORIZON or self.horizon is not None) and not (
+                type(self.horizon) is int and self.horizon >= 1):
+            raise ValueError(f"a horizon must be an integer >= 1, got {self.horizon!r}")
 
     @property
     def ok(self) -> bool:
@@ -45,8 +48,8 @@ class Verdict:
         return Verdict(EXACT, witness=witness, detail=detail)
 
     @staticmethod
-    def at_horizon(horizon: int, detail: str = "", witness: object = None) -> "Verdict":
-        return Verdict(AT_HORIZON, witness=witness, detail=detail, horizon=horizon)
+    def at_horizon(horizon: int, detail: str = "") -> "Verdict":
+        return Verdict(AT_HORIZON, detail=detail, horizon=horizon)
 
     @staticmethod
     def falsified(witness: object, detail: str = "", horizon: Optional[int] = None) -> "Verdict":

@@ -33,7 +33,6 @@ from ulat.sequences import (
     Window,
     constant_sequence,
     containment,
-    o2_from_o1,
     parse_sequence_term,
     series_sequence,
     settled,
@@ -162,19 +161,19 @@ def test_o2_line_containment_names_the_shifted_term(scale, detail):
     assert v.detail == detail
 
 
-def test_o2_on_a_vec_term_is_scanned():
-    # a vec term has no descriptor, so even a constant vector is scanned
+def test_o2_without_a_descriptor_is_scanned():
+    # a sequence without a descriptor is scanned, even a constant vector
     plane = QVec(2)
-    x = parse_sequence_term(["vec", 0, 1], plane, "x")
+    x = SequenceFamily("x", plane, lambda k: (F(0), F(1)))
     point = constant_sequence(plane, (F(0), F(1)), "point")
     v = verify_O2(x, (F(0), F(1)), O2Witness.affine(point, point, 0), horizon=200)
     assert (v.status, v.horizon) == ("verified-at-horizon", 200)
     assert v.detail == "containment checked on a budgeted prefix"
     # (-1)^k / k is below the lower chain 0 at k = 1, the first index scanned
     line = QVec(1)
-    y = parse_sequence_term(["vec", ["*", "alt", "1/k"]], line, "y")
+    y = SequenceFamily("y", line, lambda k: (F((-1) ** k, k),))
     zero = constant_sequence(line, (F(0),), "zero")
-    hi = parse_sequence_term(["vec", "1/k"], line, "hi")
+    hi = SequenceFamily("hi", line, lambda k: (F(1, k),))
     v = verify_O2(y, (F(0),), O2Witness.affine(zero, hi, 0), horizon=200)
     assert (v.status, v.witness) == ("falsified", ("containment", 1, 1))
     assert v.detail == "interval containment violated"
@@ -186,12 +185,6 @@ def test_o2_refuses_chains_on_another_carrier():
     for w in (O2Witness.affine(lo, foreign, 0), O2Witness.affine(foreign, hi, 0)):
         with pytest.raises(CarrierMismatch, match="witness chains"):
             verify_O2(altharm(), F(0), w)
-
-
-def test_o2_replay_of_a_late_sandwich_stays_exact():
-    lo, hi = harmonic_pair()
-    v = verify_O2(altharm(), F(0), o2_from_o1(O1Witness(lo, hi, start_index=4)))
-    assert v.status == "exact"
 
 
 def test_o2_singleton_stream_inside_cofinite_chain_is_exact():
@@ -224,9 +217,12 @@ def test_constancy_decision_on_the_atom_stream():
     assert v.witness == (1, 2)
 
 
-@pytest.mark.parametrize("term", [["atom-prefix"], ["drop-atom-prefix"]])
+@pytest.mark.parametrize("term", [Window(sliding=False),
+                                  Window(sliding=False, within=FinCofSet.universe())])
 def test_constancy_decision_on_the_set_chains_needs_no_horizon(term):
-    v = decide_O1_eventual_constancy(parse_sequence_term(term, A), FinCofSet.empty(), horizon=50)
+    # term: the window that lays down the growing or the shrinking chain
+    v = decide_O1_eventual_constancy(window_sequence(A, term, "x"), FinCofSet.empty(),
+                                     horizon=50)
     assert (v.status, v.witness, v.horizon) == ("falsified", (1, 2), None)
 
 
@@ -267,7 +263,7 @@ def test_constancy_scan_without_descriptor():
 def test_constancy_of_a_clamped_window_is_scanned_to_the_horizon():
     # the clamp of a window on the algebra has no descriptor: the singletons
     # clamped into [{}, {1, 2}] are {1}, {2}, then {} from index 3 on
-    atoms = parse_sequence_term(["singleton-atoms"], A, "A_k")
+    atoms = atoms_stream()
     capped = truncate_sequence(atoms, TruncationPair.of(A, FinCofSet.empty(),
                                                         FinCofSet.finite({1, 2})))
     assert capped.descriptor is None
@@ -420,6 +416,35 @@ def test_plain_cauchy_check_falsifies_the_walk():
     v = metric_cauchy(walk, ABS, CERT, eps_grid=(F(1, 2),), horizon=400)
     assert v.status == "falsified"
     assert v.witness == ("abs", "1/2", 3, 4)
+
+
+def test_a_rational_modulus_is_not_truncated():
+    # N(eps) = 1/eps is a valid certificate for 1/k; read as int(3/2) = 1 it
+    # would let the pair (1, 4) falsify the claim at eps = 2/3
+    harm = series_sequence(Q, RatAltSeq.inv_index(), "1/k")
+    cert = MetricCertificate(lambda eps, _: 1 / eps)
+    v = metric_cauchy(harm, ABS, cert, eps_grid=(F(2, 3),), horizon=50)
+    assert (v.status, v.horizon) == ("verified-at-horizon", 50)
+    v = metric_converges(harm, F(0), ABS, cert, eps_grid=(F(2, 3), F(2, 7)), horizon=50)
+    assert v.status == "verified-at-horizon"
+
+
+@pytest.mark.parametrize("horizon", [0, -5, True])
+def test_a_horizon_below_one_is_refused(horizon):
+    lo, hi = harmonic_pair()
+    with pytest.raises(ValueError, match="a horizon must be an integer >= 1"):
+        verify_O1(altharm(), F(0), O1Witness(lo, hi), horizon=horizon)
+    line = QVec(1)
+    point = constant_sequence(line, (F(0),), "point")
+    opaque = SequenceFamily("x", line, lambda k: (F(0),))
+    with pytest.raises(ValueError, match="a horizon must be an integer >= 1"):
+        verify_O2(opaque, (F(0),), O2Witness.affine(point, point, 0), horizon=horizon)
+    still = SequenceFamily("still", A, lambda k: FinCofSet.finite({2}))
+    with pytest.raises(ValueError, match="a horizon must be an integer >= 1"):
+        decide_O1_eventual_constancy(still, FinCofSet.finite({2}), horizon=horizon)
+    harm = series_sequence(Q, RatAltSeq.inv_index(), "1/k")
+    with pytest.raises(ValueError, match="a horizon must be an integer >= 1"):
+        metric_cauchy(harm, ABS, CERT, horizon=horizon)
 
 
 def test_exhaustivity_probe_requires_monotonicity():
@@ -583,11 +608,11 @@ def test_probe_scans_sequences_without_a_closed_form_for_monotonicity():
     line = QVec(1)
     U = ustar_family(SemimetricFamily.of("l1", norm_semimetric(line)),
                      [TruncationPair.of(line, (F(-1),), (F(1),))])
-    flip = parse_sequence_term(["vec", "alt"], line, "flip")
+    flip = SequenceFamily("flip", line, lambda k: (F((-1) ** k),))
     with pytest.raises(ValueError, match="monotone"):
         exhaustivity_probe(flip, U)
     # 1 - 1/k rises inside the clamp window, and its terms past N are within 1/N
-    climb = parse_sequence_term(["vec", ["-", 1, "1/k"]], line, "climb")
+    climb = SequenceFamily("climb", line, lambda k: (1 - F(1, k),))
     v = exhaustivity_probe(climb, U, CERT, horizon=300)
     assert (v.status, v.horizon) == ("verified-at-horizon", 300)
     steps = eventually_constant_sequence(Q, (F(0), F(1, 2)), F(1), "steps")
@@ -601,45 +626,45 @@ def test_probe_scans_sequences_without_a_closed_form_for_monotonicity():
 
 def test_bound_grading_without_a_bound_falsifies():
     walk = series_sequence(Q, RatAltSeq.index(), "walk")
-    v = _grade_bound(walk, "sup", F(0), 1, 100)
+    v = _grade_bound(walk, "sup", F(0), 100)
     assert v.status == "falsified"
     assert v.witness == ("sup", NO_BOUND)
 
 
 def test_bound_grading_of_a_decided_bound_is_exact_or_falsified():
     climb = parse_sequence_term(["-", 1, "1/k"], Q, "climb")
-    assert _grade_bound(climb, "sup", F(1), 1, 100).status == "exact"
-    v = _grade_bound(climb, "sup", F(0), 1, 100)
+    assert _grade_bound(climb, "sup", F(1), 100).status == "exact"
+    v = _grade_bound(climb, "sup", F(0), 100)
     assert (v.status, v.witness) == ("falsified", ("sup", F(1)))
     assert v.detail == "sup of climb is Fraction(1, 1), not the limit"
 
 
 def test_bound_grading_of_an_undecided_bound_is_inconclusive():
     # the terms of (-1)^k / k are all at most 1/2, so no term falsifies 1/2
-    v = _grade_bound(parse_sequence_term(["*", "alt", "1/k"], Q, "x"), "sup", F(1, 2), 1, 100)
+    v = _grade_bound(parse_sequence_term(["*", "alt", "1/k"], Q, "x"), "sup", F(1, 2), 100)
     assert v.status == "inconclusive"
     assert v.detail == "sup of x undecided (tail is not monotone)"
 
 
 def test_bound_grading_names_a_term_on_the_wrong_side():
     seq = SequenceFamily("blip", Q, lambda k: F(1) if k == 3 else F(0))
-    v = _grade_bound(seq, "sup", F(0), 1, 100)
+    v = _grade_bound(seq, "sup", F(0), 100)
     assert v.status == "falsified"
     assert v.witness == ("sup", 3, F(1))
-    v = _grade_bound(seq, "inf", F(1, 2), 1, 100)
+    v = _grade_bound(seq, "inf", F(1, 2), 100)
     assert v.witness == ("inf", 1, F(0))
 
 
 def test_o2_on_set_terms_is_decided_by_their_settled_values():
-    x = parse_sequence_term(["set", [1, 2]], A, "x")
-    lo = parse_sequence_term(["set", [1]], A, "lo")
-    hi = parse_sequence_term(["coset", [3]], A, "hi")
+    x = constant_sequence(A, FinCofSet.finite({1, 2}), "x")
+    lo = constant_sequence(A, FinCofSet.finite({1}), "lo")
+    hi = constant_sequence(A, FinCofSet.cofinite_complement({3}), "hi")
     v = containment(x, O2Witness.affine(lo, hi, 0))
     assert (v.status, v.detail) == ("exact", "eventually constant containment")
     v = verify_O2(x, FinCofSet.finite({1, 2}), O2Witness.affine(x, x, 1))
     assert v.status == "exact"
-    v = verify_O2(x, FinCofSet.finite({1, 2}), O2Witness.affine(lo, parse_sequence_term(
-        ["coset", [2]], A, "hi"), 0))
+    v = verify_O2(x, FinCofSet.finite({1, 2}), O2Witness.affine(lo, constant_sequence(
+        A, FinCofSet.cofinite_complement({2}), "hi"), 0))
     assert (v.status, v.witness) == ("falsified", ("containment", 1, 1))
 
 

@@ -179,11 +179,6 @@ def test_compose_check_is_exact():
         assert f"n={n}" in verdict.detail
 
 
-def test_compose_check_without_sampling():
-    verdict = real_entourage_compose_check(5, samples=0)
-    assert verdict.status == "exact"
-
-
 def test_unhalved_index_admits_a_violation():
     # (0, 1/2) and (1/2, 1) sit in U_2 but (0, 1) does not: composing U_2
     # with itself escapes U_2, so the index really must be halved.

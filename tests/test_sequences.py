@@ -37,6 +37,7 @@ from ulat.spaces import (
     NO_BOUND,
     C00Space,
     C00Vec,
+    EvLinSpace,
     FinCofAlgebra,
     FinCofSet,
     QLine,
@@ -129,7 +130,7 @@ def test_settled_singleton_atoms_never_constant():
 
 
 def test_settled_set_chains_never_constant():
-    assert settled(parse_sequence_term(["atom-prefix"], A)) == (1, NEVER_CONSTANT)
+    assert settled(window_sequence(A, GROWING, "1..k")) == (1, NEVER_CONSTANT)
     assert settled(shrinking_chain()) == (1, NEVER_CONSTANT)
     assert settled(shrinking_chain(FinCofSet.cofinite_complement({1, 2}))) == \
         (1, NEVER_CONSTANT)
@@ -225,7 +226,7 @@ class TestSetChainBounds:
         assert chain_bound(atoms, "sup", k0=4).value == \
             FinCofSet.cofinite_complement({1, 2, 3})
         assert chain_bound(atoms, "inf").value == FinCofSet.empty()
-        prefix = parse_sequence_term(["atom-prefix"], A)
+        prefix = window_sequence(A, GROWING, "1..k")
         assert prefix.descriptor == GROWING
         assert chain_bound(prefix, "sup").value == FinCofSet.universe()
         assert chain_bound(prefix, "inf", k0=3).value == FinCofSet.finite({1, 2, 3})
@@ -378,8 +379,7 @@ def test_the_algebra_refuses_atoms_that_are_not_positive_integers(x):
 
 @pytest.mark.parametrize("index", [1.5, 2.0, True, F(2)])
 def test_a_sequence_index_must_be_an_integer(index):
-    for seq in (atoms_stream(), parse_sequence_term(["drop-atom-prefix"], A),
-                constant_sequence(Q, 0)):
+    for seq in (atoms_stream(), shrinking_chain(), constant_sequence(Q, 0)):
         with pytest.raises(ValueError, match="a sequence index must be an integer >= 1"):
             seq.value(index)
 
@@ -409,18 +409,6 @@ def test_chain_bound_rejects_unknown_kind():
 # witnesses and certificates
 
 
-def test_o2_replay_shifts_the_sandwich_start():
-    lower = series_sequence(Q, -RatAltSeq.inv_index(), "lo")
-    upper = series_sequence(Q, RatAltSeq.inv_index(), "hi")
-    replay = o2_from_o1(O1Witness(lower, upper, start_index=3))
-    assert replay.offset == 2
-    assert replay.k_of(1) == 3
-    assert replay.lower.value(1) == lower.value(3)
-    assert replay.upper.value(4) == upper.value(6)
-    assert isinstance(replay.upper.descriptor, TailClosedForm)
-    assert replay.upper.descriptor.series.eval(1) == F(1, 3)
-
-
 def test_monotone_is_decided_by_closed_forms_only():
     assert monotone(series_sequence(Q, RatAltSeq.inv_index(), "1/k")) is True
     assert monotone(series_sequence(Q, RatAltSeq.alt(), "alt")) is False
@@ -434,27 +422,17 @@ def test_containment_leaves_undecided_witnesses_to_the_caller():
     assert containment(x, O2Witness.affine(lo, hi, 0)).status == "exact"
     plane = QVec(2)
     point = constant_sequence(plane, (F(0), F(0)))
-    vec = parse_sequence_term(["vec", 0, 0], plane)
-    assert containment(vec, O2Witness.affine(point, point, 0)) is None
+    opaque = SequenceFamily("opaque", plane, lambda k: (F(0), F(0)))
+    assert containment(opaque, O2Witness.affine(point, point, 0)) is None
     empty = constant_sequence(A, FinCofSet.empty(), "empty")
     assert containment(atoms_stream(), O2Witness.affine(empty, shrinking_chain(), 0)) is None
-
-
-def test_o2_replay_shifts_settled_chains_and_keeps_no_descriptor_for_others():
-    lower = eventually_constant_sequence(Q, (F(-3), F(-2), F(-1)), F(0), "lo")
-    upper = SequenceFamily("hi", Q, lambda j: F(1, j))
-    replay = o2_from_o1(O1Witness(lower, upper, start_index=3))
-    assert replay.lower.descriptor == EventuallyConstant(F(0), 2)
-    assert replay.upper.descriptor is None
-    assert [replay.lower.value(j) for j in (1, 2, 3)] == [F(-1), F(0), F(0)]
-    assert replay.upper.value(1) == F(1, 3)
 
 
 def test_o2_replay_from_the_start_keeps_terms():
     lower = constant_sequence(Q, -1)
     upper = constant_sequence(Q, 1)
     replay = o2_from_o1(O1Witness(lower, upper))
-    assert replay.offset == 0
+    assert replay == O2Witness(lower, upper, 0)
     assert replay.lower is lower and replay.upper is upper
 
 
@@ -474,6 +452,18 @@ def test_metric_certificate_clamps_to_one():
     assert cert.at("1/100") == 95
     named = MetricCertificate(lambda eps, name: 7 if name == "abs" else 1)
     assert named.at(F(1), "abs") == 7
+
+
+def test_a_rational_modulus_is_read_by_its_ceiling():
+    cert = MetricCertificate.uniform(lambda eps: 1 / eps)
+    assert [cert.at(e) for e in (F(2, 3), F(1, 2), F(3, 7), F(2))] == [2, 2, 3, 1]
+    assert MetricCertificate.uniform(lambda eps: F(-5, 2)).at(1) == 1
+
+
+@pytest.mark.parametrize("modulus", [True, 2.0, 1.5, "3", None])
+def test_a_modulus_that_is_not_an_int_or_a_fraction_is_refused(modulus):
+    with pytest.raises(ValueError, match="a modulus must be an int or a Fraction"):
+        MetricCertificate.uniform(lambda eps: modulus).at(F(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -528,58 +518,39 @@ def test_a_deeply_nested_scalar_term_is_refused():
         parse_scalar_series(["/", term])
 
 
-@pytest.mark.parametrize("term", [["set", 5], ["set", ["x", 1.5]], ["coset", [True]],
-                                  ["coset", {"1": 2}], ["set", [0]], ["coset", [2, -1]]])
-def test_set_terms_need_integer_atoms(term):
-    with pytest.raises(ValueError, match=f"{term[0]} term needs a list of integer atoms"):
-        parse_sequence_term(term, A)
+REMOVED_FORMS = [["vec", "k"], ["set", [1]], ["coset", [1]], ["singleton-atoms"],
+                 ["atom-prefix"], ["drop-atom-prefix"], ["unit-vectors"]]
 
 
-def test_sequence_terms_build_carrier_streams():
-    atoms = parse_sequence_term(["singleton-atoms"], A)
-    assert atoms.value(2) == FinCofSet.finite({2})
-    prefix = parse_sequence_term(["atom-prefix"], A)
-    assert prefix.value(3) == FinCofSet.finite({1, 2, 3})
-    drop = parse_sequence_term(["drop-atom-prefix"], A)
-    assert drop.value(2) == FinCofSet.cofinite_complement({1, 2})
-    const = parse_sequence_term(["set", [2, 4]], A)
-    assert const.value(9) == FinCofSet.finite({2, 4})
-    coset = parse_sequence_term(["coset", [1]], A)
-    assert coset.value(1) == FinCofSet.cofinite_complement({1})
-    assert parse_sequence_term(["unit-vectors"], V).value(2) == C00Vec.indicator([2])
+@pytest.mark.parametrize("term", REMOVED_FORMS, ids=[t[0] for t in REMOVED_FORMS])
+def test_removed_term_forms_are_refused_on_every_carrier(term):
+    # the grammar is scalar only: a former builtin is no scalar term
+    for carrier in (Q, A, V, QVec(1), QVec(2), EvLinSpace(), chain_lattice(3)):
+        with pytest.raises(ValueError, match="unrecognized scalar term"):
+            parse_sequence_term(term, carrier)
 
 
-@pytest.mark.parametrize("term, carrier, needs", [
-    (["singleton-atoms"], Q, "the finite/cofinite algebra"),
-    ("k", A, "the rational line"),
-    (["vec", "k"], QVec(2), "rational vectors of dimension 1"),
-], ids=["set-term-on-line", "scalar-on-fincof", "short-vec"])
-def test_terms_are_refused_on_a_carrier_they_do_not_fit(term, carrier, needs):
-    with pytest.raises(ValueError, match=f"needs {needs}, not the carrier '{carrier.name}'"):
+@pytest.mark.parametrize("term, carrier, message", [
+    (["singleton-atoms"], Q, r"unrecognized scalar term \['singleton-atoms'\]"),
+    ("k", A, "needs the rational line, not the carrier 'fincof'"),
+    (["vec", "k"], QVec(2), r"unrecognized scalar term \['vec', 'k'\]"),
+    ("1/k", V, "needs the rational line, not the carrier 'c00'"),
+    (["*", "alt", "1/k"], QVec(1), "needs the rational line, not the carrier 'qvec1'"),
+    (3, EvLinSpace(), "needs the rational line, not the carrier 'evlinseq'"),
+    ("k", chain_lattice(3), "needs the rational line, not the carrier 'chain3'"),
+], ids=["set-term-on-line", "scalar-on-fincof", "short-vec", "scalar-on-c00", "scalar-on-vectors",
+        "scalar-on-evlin", "scalar-on-a-finite-lattice"])
+def test_terms_are_refused_on_a_carrier_they_do_not_fit(term, carrier, message):
+    with pytest.raises(ValueError, match=message):
         parse_sequence_term(term, carrier)
 
 
 def test_vector_terms_and_scalar_fallback():
-    plane = QVec(2)
-    vec = parse_sequence_term(["vec", "1/k", ["-", "1/k"]], plane)
-    assert vec.value(2) == (F(1, 2), F(-1, 2))
+    # a vector term is refused on the plane; a scalar term parses on the line
+    with pytest.raises(ValueError, match="unrecognized scalar term"):
+        parse_sequence_term(["vec", "1/k", ["-", "1/k"]], QVec(2))
     scalar = parse_sequence_term("1/k", Q, "harmonic")
     assert scalar.value(5) == F(1, 5)
     assert scalar.name == "harmonic"
     with pytest.raises(ValueError):
         parse_sequence_term(["spiral"], Q)
-
-
-@pytest.mark.parametrize("term, carrier, takes", [
-    (["set"], A, "1 argument"),
-    (["coset"], A, "1 argument"),
-    (["set", [1], [2]], A, "1 argument"),
-    (["singleton-atoms", 5], A, "no arguments"),
-    (["atom-prefix", 1], A, "no arguments"),
-    (["drop-atom-prefix", "x"], A, "no arguments"),
-    (["unit-vectors", 3], V, "no arguments"),
-], ids=["set-bare", "coset-bare", "set-two-lists", "singleton-atoms-extra", "atom-prefix-extra",
-        "drop-atom-prefix-extra", "unit-vectors-extra"])
-def test_builtins_refuse_a_wrong_argument_count(term, carrier, takes):
-    with pytest.raises(ValueError, match=f"builtin '{term[0]}' takes {takes}, got {len(term) - 1}"):
-        parse_sequence_term(term, carrier)

@@ -149,9 +149,9 @@ class TestC00:
 
     @pytest.mark.parametrize("entries", [
         ((0, F(1)),), ((-3, F(1)),), ((True, F(1)),), ((1, F(0)),), ((2, F(1)), (1, F(1))),
-        ((1, F(1)), (1, F(2))), ((1, 1),), ((1, 0.5),), ((1.0, F(1)),)],
+        ((1, F(1)), (1, F(2))), ((1, 1),), ((1, 0.5),), ((1.0, F(1)),), ((1,),), (1, 2), None],
         ids=["index-0", "index-minus-3", "index-true", "stored-zero", "unsorted", "repeated",
-             "int-value", "float-value", "float-index"])
+             "int-value", "float-value", "float-index", "short-entry", "bare-ints", "none"])
     def test_only_the_stored_form_is_an_element(self, entries):
         C = C00Space()
         assert not C.contains(C00Vec(entries))

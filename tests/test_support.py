@@ -29,6 +29,16 @@ def test_verdict_ok_covers_both_positive_grades():
     assert Verdict.at_horizon(100).horizon == 100
 
 
+@pytest.mark.parametrize("horizon", [0, -5, True, 2.0, None])
+def test_a_verdict_horizon_is_an_integer_of_at_least_one(horizon):
+    with pytest.raises(ValueError, match="a horizon must be an integer >= 1"):
+        Verdict.at_horizon(horizon)
+    if horizon is not None:
+        with pytest.raises(ValueError, match="a horizon must be an integer >= 1"):
+            Verdict.falsified(witness=1, horizon=horizon)
+    assert Verdict.falsified(witness=1, horizon=1).horizon == 1
+
+
 def test_weakest_keeps_the_losing_witness():
     picked = Verdict.weakest([
         Verdict.exact(detail="fine"),

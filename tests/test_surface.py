@@ -1,6 +1,7 @@
 """The library's surface: every definition in ``src/ulat`` has a caller in the
-library or the benchmark, the oracles leave descriptors to ``sequences``, and
-the tail layers compare checked terms on the trusted order."""
+library or the benchmark, every dataclass field has a reader there, the
+oracles leave descriptors to ``sequences``, and the tail layers compare
+checked terms on the trusted order."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,14 @@ SRC = ROOT / "src" / "ulat"
 # side of the headline theorem (ROADMAP item 7) and the modular-law record
 # (ROADMAP item 8).  The list must shrink when they do.
 TEST_ONLY = {"metric_converges", "truncate_g"}
+
+# Dataclass fields that nothing in the library or the benchmark reads: the
+# parts of a result that only the tests inspect.  The set can only shrink.
+UNREAD_FIELDS = {"SeparationEntry.bound", "ComposeCase.conclusion", "QuotientLattice.kernel",
+                 "QuotientLattice.induced", "RecoveryResult.family_hausdorff",
+                 "RecoveryResult.recovery_ok", "RecoveryResult.kernel_hausdorff",
+                 "RecoveryResult.failing_element", "AbsMeetDecomposition.lhs",
+                 "AbsMeetDecomposition.term_low", "AbsMeetDecomposition.term_high"}
 
 DESCRIPTOR_CLASSES = {"EventuallyConstant", "TailClosedForm", "Window"}
 
@@ -76,6 +85,38 @@ def test_every_definition_has_a_caller_outside_the_tests():
 
 def test_every_test_only_name_is_defined_and_still_uncalled():
     assert {name for _, _, name in _uncalled()} >= TEST_ONLY
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    named = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in named)
+
+
+def _unread_fields():
+    """The dataclass fields in ``src/ulat``, as "Class.field", that no
+    attribute read or string constant in the library or the benchmark
+    names (a string counts, as for definitions, because of getattr)."""
+    library = [_parse(p) for p in sorted(SRC.glob("*.py"))]
+    readers = library + [_parse(p) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    reads = {node.attr if isinstance(node, ast.Attribute) else node.value
+             for tree in readers for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+             or isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return sorted(f"{cls.name}.{item.target.id}"
+                  for tree in library for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+                  for item in cls.body
+                  if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                  and item.target.id not in reads)
+
+
+def test_every_dataclass_field_has_a_reader_outside_the_tests():
+    unread = [field for field in _unread_fields() if field not in UNREAD_FIELDS]
+    assert not unread, f"only tests read: {unread}"
+
+
+def test_every_unread_field_is_defined_and_still_unread():
+    assert set(_unread_fields()) >= UNREAD_FIELDS
 
 
 def test_the_tail_layers_compare_on_the_trusted_order():
