@@ -271,6 +271,21 @@ def verify_uO(seq: SequenceFamily, x, truncations: Optional[Seq[TruncationPair]]
 # Metric convergence and Cauchy checks
 
 
+def _positive_grid(eps_grid) -> list[Fraction]:
+    """The grid as exact rationals, each > 0; any other entry is refused
+    with a ValueError that names it."""
+    grid = []
+    for eps in eps_grid:
+        try:
+            q = rat(eps)
+        except (TypeError, ValueError, ZeroDivisionError):
+            q = None
+        if q is None or q <= 0:
+            raise ValueError(f"eps grid entry {eps!r} is not a positive rational")
+        grid.append(q)
+    return grid
+
+
 def _points(seq: SequenceFamily, tail, start: int, indices):
     """(points, exact): (index, element) points from start on.  A constant
     tail (i, c) gives the terms before max(i, start), then c, and exact;
@@ -285,13 +300,13 @@ def metric_converges(seq: SequenceFamily, x, D: SemimetricFamily,
                      cert: MetricCertificate, eps_grid=DEFAULT_EPS_GRID,
                      horizon: int = DEFAULT_HORIZON) -> Verdict:
     """d(x_k, x) <= eps for k beyond the certificate, per member and eps."""
+    eps_grid = _positive_grid(eps_grid)
     D.check_carrier(seq.carrier)
     x = seq.carrier.check_element(x)
     tail = _constant_tail(seq)
     parts = []
     for d in D.members:
         for eps in eps_grid:
-            eps = rat(eps)
             start = cert.at(eps, d.name)
             points, exact = _points(seq, tail, start, range(start, horizon + 1))
             hit = next((k for k, v in points if d._dist(v, x) > eps), None)
@@ -328,6 +343,7 @@ def metric_cauchy(seq: SequenceFamily, D: SemimetricFamily,
     certificate a clamp member starts at its clamped tail's constancy index
     and every other member at 1.
     """
+    eps_grid = _positive_grid(eps_grid)
     D.check_carrier(seq.carrier)
     parts = []
     for d in D.members:
@@ -337,7 +353,6 @@ def metric_cauchy(seq: SequenceFamily, D: SemimetricFamily,
         tail = _constant_tail(walk)
         knee = max(tail[0], 1) if d.clamp is not None and tail is not None else 1
         for eps in eps_grid:
-            eps = rat(eps)
             start = cert.at(eps, d.name) if cert is not None else knee
             points, exact = _points(walk, tail, start, _probe_indices(start, horizon, 16))
             hit = next(((a, b) for (a, u), (b, v) in itertools.combinations(points, 2)

@@ -5,11 +5,17 @@ Three pieces live here and everything else in the package builds on them:
 * ``ExtValue`` -- a nonnegative rational or ``+inf``, the value domain of
   every semimetric and extended norm in the package.
 * ``Poly`` -- integer-indexed polynomials with rational coefficients and an
-  exact decision procedure for "p(t) >= 0 for every integer t >= t0".
+  exact decision procedure for "p(t) >= 0 for every integer t >= t0".  The
+  decision isolates the real roots in unit cells by Sturm's theorem on
+  integer coefficients and evaluates p only next to them, so its cost
+  grows with the degree and the bits of the coefficients, not with the
+  size of the roots.
 * ``RatAltSeq`` -- closed forms ``(num(k) + (-1)^k * anum(k)) / den(k)`` for
   sequences indexed by k = 1, 2, ...  This class is the tail-reasoning
   engine: sign decisions, monotonicity, limits and clamp indices are all
-  decided exactly, never by sampling.
+  decided exactly, never by sampling.  Sums and products divide out the
+  common factor of the three polynomials, so a term's degree follows its
+  value, not the number of ring operations that built it.
 
 Floats never appear in this module.
 """
@@ -202,7 +208,11 @@ def ext(value: "ExtValue | RatLike | None") -> ExtValue:
 
 @dataclass(frozen=True)
 class Poly:
-    """Polynomial with rational coefficients, ascending order, trimmed."""
+    """Polynomial with rational coefficients, ascending order, trimmed.
+
+    ``nonneg_from`` and ``last_negative`` run on the primitive integer
+    coefficients of a positive multiple of p (``_integer_part``) and read
+    their candidates off the root cells of ``_root_cells``."""
 
     coeffs: tuple[Fraction, ...]
 
@@ -274,44 +284,162 @@ class Poly:
             acc = acc * inner + Poly.const(c)
         return acc
 
-    def root_bound(self) -> Fraction:
-        """Cauchy bound: all real roots have magnitude strictly below this."""
-        if self.degree <= 0:
-            return Fraction(1)
-        lead = abs(self.lead)
-        top = max(abs(c) for c in self.coeffs[:-1])
-        return 1 + top / lead
-
     def nonneg_from(self, t0: int, strict: bool = False) -> tuple[bool, Optional[int]]:
         """Decide p(t) >= 0 (or > 0 when strict) for every integer t >= t0.
 
-        Returns (True, None) or (False, witness_t).  Exact: beyond the Cauchy
-        root bound the sign equals the sign of the leading coefficient, so a
-        finite scan plus the leading sign decides the statement.
+        Returns (True, None) or (False, t), t the first failing integer.  The
+        first failure is t0 itself or lies just past a real root: in the
+        root's unit cell (a, a + 1] when p is negative (or zero) there, or at
+        a + 2 when p touches zero at the integer a + 1 and is negative after
+        it.  So p is evaluated at t0 and at a + 1 and a + 2 for each cell
+        that ``_root_cells`` isolates.
         """
         if self.is_zero:
             return ((True, None) if not strict else (False, t0))
-        hi = max(t0, frac_floor(self.root_bound()) + 1)
-        for t in range(t0, hi + 1):
-            v = self.eval(t)
+        p = _integer_part(self)[2]
+        candidates = {t0}
+        for a in _root_cells(p, t0):
+            candidates.update((a + 1, a + 2))
+        for t in sorted(candidates):
+            v = _horner(p, t)
             if v < 0 or (strict and v == 0):
                 return (False, t)
-        # the scan crossed the root bound, so the tail sign is the lead sign
-        if self.lead < 0:  # pragma: no cover - the scan above must catch this
-            return (False, hi)
         return (True, None)
 
     def last_negative(self, t0: int) -> Optional[int]:
         """The largest integer t >= t0 with p(t) < 0, or None when there is
-        none.  Needs lead >= 0: from the Cauchy root bound on p keeps the
-        sign of its leading coefficient, so the scan runs down from there.
+        none.  Needs lead >= 0: then p(t + 1) >= 0 at the last negative t, so
+        a real root lies in (t, t + 1], and the left ends of the isolated
+        root cells are the only candidates.
         """
         if self.lead < 0:
             raise ValueError("p(t) < 0 for every large t")
-        for t in range(frac_floor(self.root_bound()), t0 - 1, -1):
-            if self.eval(t) < 0:
-                return t
-        return None
+        if self.is_zero:
+            return None
+        p = _integer_part(self)[2]
+        return next((a for a in reversed(_root_cells(p, t0))
+                     if a >= t0 and _horner(p, a) < 0), None)
+
+
+# ---------------------------------------------------------------------------
+# Integer polynomials: lists of int coefficients, highest degree first
+
+
+def _horner(coeffs: tuple[int, ...], k: int) -> int:
+    """The integer polynomial with coefficients ``coeffs``, highest degree
+    first, at k."""
+    acc = 0
+    for c in coeffs:
+        acc = acc * k + c
+    return acc
+
+
+def _integer_part(p: Poly) -> tuple[int, int, list[int]]:
+    """(n, d, cs) with p = (n/d) * cs, n/d > 0 and cs the primitive integer
+    coefficients of p, highest degree first; p is not zero."""
+    d = lcm(*(c.denominator for c in p.coeffs))
+    cs = [c.numerator * (d // c.denominator) for c in reversed(p.coeffs)]
+    n = gcd(*cs)
+    return n, d, [c // n for c in cs]
+
+
+def _primitive(cs: list[int]) -> list[int]:
+    """A nonzero integer polynomial divided by its content."""
+    n = gcd(*cs)
+    return cs if n == 1 else [c // n for c in cs]
+
+
+def _derivative(cs: list[int]) -> list[int]:
+    top = len(cs) - 1
+    return [c * (top - i) for i, c in enumerate(cs[:-1])]
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of a positive multiple of a by b (b not zero): each
+    elimination step scales by |lc(b)|, so the sign of the remainder at
+    every point is that of the true remainder over the rationals."""
+    lb = abs(b[0])
+    sb = 1 if b[0] > 0 else -1
+    r = list(a)
+    while len(r) >= len(b):
+        c = r[0] * sb
+        r = [lb * x for x in r]
+        for i, y in enumerate(b):
+            r[i] -= c * y
+        while r and r[0] == 0:
+            del r[0]
+    return r
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd of two integer polynomials, leading coefficient
+    positive: Euclid on primitive pseudo-remainders."""
+    while b:
+        a, b = b, _prem(a, b)
+        if b:
+            b = _primitive(b)
+    a = _primitive(a)
+    return a if a[0] > 0 else [-c for c in a]
+
+
+def _exquo(a: list[int], b: list[int]) -> list[int]:
+    """a / b for primitive integer polynomials where b divides a: the
+    quotient has integer coefficients (Gauss's lemma), so every step divides
+    exactly."""
+    r = list(a)
+    q = []
+    for i in range(len(a) - len(b) + 1):
+        c = r[i] // b[0]
+        q.append(c)
+        for j, y in enumerate(b):
+            r[i + j] -= c * y
+    return q
+
+
+def _variations(chain: list[list[int]], t: int) -> int:
+    """Sign changes along the Sturm chain at t, zeros skipped."""
+    n, last = 0, 0
+    for s in chain:
+        v = _horner(s, t)
+        if v:
+            if last and (v > 0) != (last > 0):
+                n += 1
+            last = v
+    return n
+
+
+def _root_cells(p: list[int], t0: int) -> list[int]:
+    """The integers a >= t0 - 1, ascending, whose unit cell (a, a + 1]
+    holds a real root of the integer polynomial p.
+
+    Sturm's theorem on the square-free part q = p / gcd(p, p'): the chain
+    q, q', -rem(q, q'), ... changes sign V(a) - V(b) fewer times at b than
+    at a, for a < b, where (a, b] holds that many distinct roots.  Every
+    root lies in (-B, B) for B past Cauchy's bound, so bisecting (t0 - 1, B]
+    down to unit cells isolates them (Collins and Akritas 1976; Yap 2000,
+    ch. 7)."""
+    dp = _derivative(p)
+    q = _exquo(p, _gcd(p, dp)) if dp else [1]
+    chain = [q]
+    if len(q) > 1:
+        chain.append(_primitive(_derivative(q)))
+        while len(chain[-1]) > 1:
+            chain.append(_primitive([-c for c in _prem(chain[-2], chain[-1])]))
+    bound = 2 + max((abs(c) for c in q[1:]), default=0) // abs(q[0])
+    lo = max(t0 - 1, -bound)
+    cells = []
+    stack = [(lo, _variations(chain, lo), bound, _variations(chain, bound))] if lo < bound else []
+    while stack:
+        a, va, b, vb = stack.pop()
+        if va == vb:
+            continue
+        if b - a == 1:
+            cells.append(a)
+            continue
+        m = (a + b) // 2
+        vm = _variations(chain, m)
+        stack += ((m, vm, b, vb), (a, va, m, vm))
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +453,9 @@ class RatAltSeq:
     den is positive for every k >= 1.  The class is a commutative ring under
     pointwise +, -, * and is closed under index shifts, which is what makes
     monotonicity and tail-sign questions decidable: an even/odd split turns
-    each question into polynomial sign decisions on the numerator.
+    each question into polynomial sign decisions on the numerator.  ``+``
+    and ``*`` (and so ``-``) divide num, anum and den by their gcd
+    (``_reduced``); the constructor takes the three polynomials as given.
 
     ``eval`` runs on ``_ints``, so a term costs integer Horner steps and
     one Fraction.
@@ -382,8 +512,8 @@ class RatAltSeq:
 
     def __add__(self, other: "RatAltSeq | RatLike") -> "RatAltSeq":
         o = RatAltSeq.lift(other)
-        return RatAltSeq(self.num * o.den + o.num * self.den,
-                         self.anum * o.den + o.anum * self.den, self.den * o.den)
+        return _reduced(self.num * o.den + o.num * self.den,
+                        self.anum * o.den + o.anum * self.den, self.den * o.den)
 
     __radd__ = __add__
 
@@ -399,8 +529,8 @@ class RatAltSeq:
     def __mul__(self, other: "RatAltSeq | RatLike") -> "RatAltSeq":
         o = RatAltSeq.lift(other)
         # ((-1)^k)^2 = 1 folds the product of the alternating parts into num
-        return RatAltSeq(self.num * o.num + self.anum * o.anum,
-                         self.num * o.anum + self.anum * o.num, self.den * o.den)
+        return _reduced(self.num * o.num + self.anum * o.anum,
+                        self.num * o.anum + self.anum * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -459,13 +589,28 @@ class RatAltSeq:
         return _eventual_nonneg_index(RatAltSeq.const(rat(c)) - self)
 
 
-def _horner(coeffs: tuple[int, ...], k: int) -> int:
-    """The integer polynomial with coefficients ``coeffs``, highest degree
-    first, at k."""
-    acc = 0
-    for c in coeffs:
-        acc = acc * k + c
-    return acc
+def _reduced(num: Poly, anum: Poly, den: Poly) -> RatAltSeq:
+    """The closed form (num, anum, den) with the gcd g of the three divided
+    out.  g and den have positive leading coefficients, so the reduced den
+    has one too, and no sign flip can help when g changes sign at some
+    k >= 1: then the reduced den is not positive there and the unreduced
+    form is kept.  den = (2k - 3)^2 over num = (2k - 3) k would reduce to k
+    over 2k - 3, which is -1 at k = 1."""
+    parts = [_integer_part(p) if p.coeffs else None for p in (den, num, anum)]
+    g = parts[0][2]
+    for part in parts[1:]:
+        if part and len(g) > 1:
+            g = _gcd(g, part[2])
+    if len(g) == 1:
+        return RatAltSeq(num, anum, den)
+    rd, rn, ra = (Poly(()) if part is None else
+                  Poly(tuple(_fraction(part[0] * c, part[1])
+                             for c in reversed(_exquo(part[2], g))))
+                  for part in parts)
+    try:
+        return RatAltSeq(rn, ra, rd)
+    except ValueError:
+        return RatAltSeq(num, anum, den)
 
 
 def _parities(g: RatAltSeq, k0: int):

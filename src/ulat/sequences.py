@@ -254,8 +254,7 @@ def chain_bound(seq: SequenceFamily, kind: str, k0: int = 1) -> BoundClaim:
     """
     if kind not in ("sup", "inf"):
         raise ValueError("kind must be 'sup' or 'inf'")
-    if k0 < 1:
-        raise ValueError("k0 starts at 1")
+    check_index(k0, "k0")
     L = seq.carrier
     d = seq.descriptor
 

@@ -2,14 +2,16 @@
 lattice-ordered group and the lattice-semimetric axioms over given
 elements, distributivity by a loop over all triples, closure under meet and
 join, an eventually constant sequence with an arbitrary prefix, the terms
-of a moving window atom by atom, and seeded draws of the elements of each
-symbolic carrier.  The axiom and distributivity checks go through the
+of a moving window atom by atom, seeded draws of the elements of each
+symbolic carrier, the polynomial sign decisions by a scan up to Cauchy's
+root bound, and the closed-form ring operations without reduction.  The axiom and distributivity checks go through the
 carrier's public, checking operations and nothing faster; an axiom check's
 witness is the failing elements followed by the name of the law."""
 
 from fractions import Fraction
 
 from ulat.carriers import CheckResult, _is_sublattice
+from ulat.exact import Poly, RatAltSeq
 from ulat.sequences import EventuallyConstant, SequenceFamily
 from ulat.spaces import (C00Space, C00Vec, EvLinSeq, EvLinSpace, FinCofAlgebra, FinCofSet, QLine,
                          QVec)
@@ -157,3 +159,42 @@ RANDINT_SAMPLERS = {
         [randint_fraction(rng, 8, 4) for _ in range(rng.randint(0, 3))],
         randint_fraction(rng, 4, 3), randint_fraction(rng, 3, 3))),
 }
+
+
+def cauchy_floor(p: Poly) -> int:
+    """The floor of Cauchy's bound 1 + max |c_i| / |lead|, past which p
+    keeps the sign of its leading coefficient (1 for a constant)."""
+    if p.degree <= 0:
+        return 1
+    bound = 1 + max(abs(c) for c in p.coeffs[:-1]) / abs(p.lead)
+    return bound.numerator // bound.denominator
+
+
+def scan_nonneg_from(p: Poly, t0: int, strict: bool = False):
+    """``Poly.nonneg_from`` by evaluating every integer from t0 past the
+    root bound: (True, None) or (False, the first failing integer)."""
+    if p.is_zero:
+        return (True, None) if not strict else (False, t0)
+    for t in range(t0, max(t0, cauchy_floor(p) + 1) + 1):
+        v = p.eval(t)
+        if v < 0 or (strict and v == 0):
+            return (False, t)
+    return (True, None)
+
+
+def scan_last_negative(p: Poly, t0: int):
+    """``Poly.last_negative`` by a downward scan from the root bound."""
+    if p.lead < 0:
+        raise ValueError("p(t) < 0 for every large t")
+    return next((t for t in range(cauchy_floor(p), t0 - 1, -1) if p.eval(t) < 0), None)
+
+
+def raw_add(x: RatAltSeq, y: RatAltSeq) -> RatAltSeq:
+    """x + y over the product of the denominators, nothing cancelled."""
+    return RatAltSeq(x.num * y.den + y.num * x.den, x.anum * y.den + y.anum * x.den,
+                     x.den * y.den)
+
+
+def raw_mul(x: RatAltSeq, y: RatAltSeq) -> RatAltSeq:
+    return RatAltSeq(x.num * y.num + x.anum * y.anum, x.num * y.anum + x.anum * y.num,
+                     x.den * y.den)

@@ -1,5 +1,6 @@
 """Convergence oracles: order sandwiches, interval data, metric checks."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -445,6 +446,17 @@ def test_a_horizon_below_one_is_refused(horizon):
     harm = series_sequence(Q, RatAltSeq.inv_index(), "1/k")
     with pytest.raises(ValueError, match="a horizon must be an integer >= 1"):
         metric_cauchy(harm, ABS, CERT, horizon=horizon)
+
+
+@pytest.mark.parametrize("eps", [0, -1, 0.5])
+def test_an_eps_that_is_not_a_positive_rational_is_refused(eps):
+    x = series_sequence(Q, RatAltSeq.const(2) + 3 * RatAltSeq.inv_index(), "x")
+    for check in (lambda: metric_cauchy(x, ABS, eps_grid=(F(1, 2), eps)),
+                  lambda: metric_cauchy(x, ABS, CERT, eps_grid=(eps,)),
+                  lambda: metric_converges(x, F(2), ABS, CERT, eps_grid=(eps,)),
+                  lambda: exhaustivity_probe(x, ABS, eps_grid=(eps,))):
+        with pytest.raises(ValueError, match=re.escape(f"eps grid entry {eps!r} is not")):
+            check()
 
 
 def test_exhaustivity_probe_requires_monotonicity():

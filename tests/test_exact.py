@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import raw_add, raw_mul, scan_last_negative, scan_nonneg_from
 from ulat.exact import EXT_INF, ExtValue, Poly, RatAltSeq, _below, ext, rat
 
 rationals = st.fractions(max_denominator=50)
@@ -182,21 +183,69 @@ class TestRatAltSeq:
             assert shifted.eval(k) == x.eval(k + h)
 
     def test_the_eventual_index_of_a_long_walk(self):
-        # the index past the last failing term comes from one downward scan
-        assert RatAltSeq.index().eventually_geq(10**5) == 10**5
+        assert RatAltSeq.index().eventually_geq(10**12) == 10**12
+
+    def test_a_sum_cancels_its_common_factors(self):
+        x = RatAltSeq.inv_index()
+        s = x + x * x + x * x * x
+        assert s == RatAltSeq(Poly.of(1, 1, 1), Poly(()), Poly.of(0, 0, 0, 1))
+        assert (RatAltSeq.const(1) + x) - x == RatAltSeq.const(1)
+
+    def test_a_reduction_that_breaks_the_denominator_is_not_made(self):
+        # (2k - 3) k / (2k - 3)^2 would reduce to k / (2k - 3), -1 at k = 1
+        y = RatAltSeq(Poly.of(0, -3, 2), Poly(()), Poly.of(9, -12, 4))
+        assert y + 0 == y * 1 == y
+        assert [(y + 0).eval(k) for k in (1, 2, 3)] == [-1, 2, 1]
 
 
-# closed forms built by the ring operations from the four basic sequences
-closed_forms = st.recursive(
+def _timed(decide):
+    start = time.perf_counter()
+    answer = decide()
+    return answer, time.perf_counter() - start
+
+
+class TestGrowth:
+    """The sign decisions cost the number of roots and the bits of the
+    coefficients, not the size of the root bound."""
+
+    def test_a_wide_root_bound_is_decided_at_once(self):
+        p = Poly.of(10**6, 0, 1)
+        for decide, want in ((lambda: p.nonneg_from(0), (True, None)),
+                             (lambda: p.last_negative(0), None)):
+            answer, seconds = _timed(decide)
+            assert answer == want and seconds < 0.05
+
+    def test_roots_at_plus_and_minus_a_million(self):
+        p = Poly.of(-10**12, 0, 1)
+        assert p.nonneg_from(0) == (False, 0)
+        assert p.nonneg_from(10**6) == (True, None)
+        assert p.nonneg_from(-10**6) == (False, -999999)
+        assert p.nonneg_from(-10**6, strict=True) == (False, -10**6)
+        assert p.nonneg_from(10**6, strict=True) == (False, 10**6)
+        assert p.nonneg_from(10**6 + 1, strict=True) == (True, None)
+        assert p.last_negative(0) == 999999
+        assert p.last_negative(10**6) is None
+
+
+def _both(reduced, raw):
+    """A ring operation on (reduced, unreduced) pairs of one closed form."""
+    return lambda xy: (reduced(xy[0][0], xy[1][0]), raw(xy[0][1], xy[1][1]))
+
+
+# closed forms built by the ring operations from the four basic sequences,
+# each with the same form built by the unreduced operations
+closed_form_pairs = st.recursive(
     st.one_of(st.integers(min_value=-3, max_value=3).map(RatAltSeq.const),
-              st.sampled_from([RatAltSeq.index(), RatAltSeq.inv_index(), RatAltSeq.alt()])),
+              st.sampled_from([RatAltSeq.index(), RatAltSeq.inv_index(), RatAltSeq.alt()])
+              ).map(lambda x: (x, x)),
     lambda inner: st.one_of(
-        st.tuples(inner, inner).map(lambda xy: xy[0] + xy[1]),
-        st.tuples(inner, inner).map(lambda xy: xy[0] - xy[1]),
-        st.tuples(inner, inner).map(lambda xy: xy[0] * xy[1]),
+        st.tuples(inner, inner).map(_both(lambda x, y: x + y, raw_add)),
+        st.tuples(inner, inner).map(_both(lambda x, y: x - y, lambda x, y: raw_add(x, -y))),
+        st.tuples(inner, inner).map(_both(lambda x, y: x * y, raw_mul)),
         st.tuples(inner, st.integers(min_value=0, max_value=3)).map(
-            lambda xh: xh[0].shift(xh[1]))),
+            lambda xh: (xh[0][0].shift(xh[1]), xh[0][1].shift(xh[1])))),
     max_leaves=5)
+closed_forms = closed_form_pairs.map(lambda pair: pair[0])
 TAIL = 200
 
 
@@ -230,6 +279,56 @@ class TestClosedFormDecisions:
             if n > 1:
                 assert not right_side(x.eval(n - 1))
             assert all(right_side(x.eval(k)) for k in range(n, n + TAIL))
+
+
+class TestAgainstTheScans:
+    """The root isolation against the scans up to the root bound, and the
+    reduced ring operations against the unreduced ones."""
+
+    polys = st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=6),
+                     max_size=7).map(lambda cs: Poly.of(*cs))
+    starts = st.integers(min_value=-12, max_value=12)
+    # (t0, p): p a product of up to five linear factors with integer roots
+    # near t0, so roots repeat and fall on t0 - 1, t0 and t0 + 1; roots of
+    # magnitude up to 6 keep the oracles' scans under 10**4 steps
+    products = st.tuples(
+        st.integers(min_value=-3, max_value=3), st.lists(st.integers(min_value=-3, max_value=3), max_size=5),
+        st.sampled_from([1, -1, 2, F(-1, 3)])).map(
+        lambda t: (t[0], Poly.of(t[2]) * _product(Poly.of(-t[0] - o, 1) for o in t[1])))
+
+    @given(polys, starts)
+    def test_random_polynomials(self, p, t0):
+        self._agree(p, t0)
+
+    @given(products)
+    def test_products_of_linear_factors(self, t0_p):
+        self._agree(t0_p[1], t0_p[0])
+
+    @staticmethod
+    def _agree(p, t0):
+        for strict in (False, True):
+            assert p.nonneg_from(t0, strict) == scan_nonneg_from(p, t0, strict)
+        up = -p if p.lead < 0 else p
+        assert up.last_negative(t0) == scan_last_negative(up, t0)
+
+    @given(closed_form_pairs, st.integers(min_value=0, max_value=6),
+           st.integers(min_value=1, max_value=20))
+    def test_reduced_and_unreduced_closed_forms_decide_alike(self, pair, k0, m):
+        x, raw = pair
+        assert x.den.degree <= raw.den.degree
+        assert all(x.eval(k) == raw.eval(k) for k in range(1, TAIL + 1))
+        assert x.nonneg_from(k0) == raw.nonneg_from(k0)
+        c = x.eval(m)
+        assert x.eventually_geq(c) == raw.eventually_geq(c)
+        assert x.eventually_leq(c) == raw.eventually_leq(c)
+        assert x.limit() == raw.limit()
+
+
+def _product(factors):
+    acc = Poly.of(1)
+    for f in factors:
+        acc = acc * f
+    return acc
 
 
 def test_rat_parses_strings_and_ints():

@@ -176,6 +176,40 @@ def test_bounds_of_composed_harmonic_terms(term, sup, inf):
         assert (claim.value, claim.exact) == (want, True)
 
 
+@pytest.mark.parametrize("k0", [True, F(3, 2), 2.5, 0, -3])
+def test_a_bound_from_an_index_that_is_not_an_int_from_one_is_refused(k0):
+    sequences = (series_sequence(Q, RatAltSeq.const(2) + 3 * RatAltSeq.inv_index(), "x"),
+                 eventually_constant_sequence(Q, (F(9),), F(2), "settle"),
+                 shrinking_chain(), SequenceFamily("opaque", Q, lambda k: F(k)))
+    for seq in sequences:
+        for kind in ("sup", "inf"):
+            with pytest.raises(ValueError, match="k0 must be an integer >= 1"):
+                chain_bound(seq, kind, k0)
+
+
+def test_a_long_sum_parses_small_and_bounds_at_once():
+    doc = "1/k"
+    for _ in range(39):
+        doc = ["+", "1/k", doc]
+    x = parse_sequence_term(doc, Q, "x")
+    series = x.descriptor.series
+    assert (series.num.degree, series.den.degree) == (0, 1)
+    start = time.perf_counter()
+    claim = chain_bound(x, "sup")
+    assert time.perf_counter() - start < 0.05
+    assert (claim.value, claim.exact) == (F(40), True)
+
+
+def test_the_inf_of_a_high_power_is_decided_at_once():
+    power = RatAltSeq.const(1)
+    for _ in range(31):
+        power = power * RatAltSeq.index()
+    start = time.perf_counter()
+    claim = chain_bound(series_sequence(Q, power, "k^31"), "inf")
+    assert time.perf_counter() - start < 0.5
+    assert (claim.value, claim.detail) == (F(1), "nondecreasing from k0")
+
+
 def test_a_foreign_descriptor_value_is_refused_by_the_bound():
     bad = SequenceFamily("bad", chain_lattice(3), lambda k: 0, EventuallyConstant(7, 2))
     with pytest.raises(CarrierMismatch):
