@@ -4,9 +4,10 @@ elements, distributivity by a loop over all triples, closure under meet and
 join, an eventually constant sequence with an arbitrary prefix, the terms
 of a moving window atom by atom, seeded draws of the elements of each
 symbolic carrier, the polynomial sign decisions by a scan up to Cauchy's
-root bound, and the closed-form ring operations without reduction.  The axiom and distributivity checks go through the
-carrier's public, checking operations and nothing faster; an axiom check's
-witness is the failing elements followed by the name of the law."""
+root bound, and the closed-form ring operations without reduction.  The
+axiom and distributivity checks go through the carrier's public, checking
+operations and nothing faster; an axiom check's witness is the failing
+elements followed by the name of the law."""
 
 from fractions import Fraction
 
