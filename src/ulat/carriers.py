@@ -424,7 +424,7 @@ def diamond_lattice() -> FiniteLattice:
 # Check results and sublattices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     holds: bool
     witness: object = None

@@ -33,7 +33,7 @@ from .semimetrics import (
 from .spaces import C00Space, EvLinSpace, FinCofAlgebra, QLine, QVec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CatalogEntry:
     name: str
     carrier: Carrier

@@ -307,9 +307,10 @@ def metric_converges(seq: SequenceFamily, x, D: SemimetricFamily,
     parts = []
     for d in D.members:
         for eps in eps_grid:
+            bound = ExtValue(eps)
             start = cert.at(eps, d.name)
             points, exact = _points(seq, tail, start, range(start, horizon + 1))
-            hit = next((k for k, v in points if d._dist(v, x) > eps), None)
+            hit = next((k for k, v in points if d._dist(v, x) > bound), None)
             if hit is not None:
                 parts.append(Verdict.falsified(witness=(d.name, str(eps), hit),
                                                detail="distance exceeded eps beyond the certificate"))
@@ -353,10 +354,11 @@ def metric_cauchy(seq: SequenceFamily, D: SemimetricFamily,
         tail = _constant_tail(walk)
         knee = max(tail[0], 1) if d.clamp is not None and tail is not None else 1
         for eps in eps_grid:
+            bound = ExtValue(eps)
             start = cert.at(eps, d.name) if cert is not None else knee
             points, exact = _points(walk, tail, start, _probe_indices(start, horizon, 16))
             hit = next(((a, b) for (a, u), (b, v) in itertools.combinations(points, 2)
-                        if dist(u, v) > eps), None)
+                        if dist(u, v) > bound), None)
             if hit is not None:
                 parts.append(Verdict.falsified(witness=(d.name, str(eps)) + hit,
                                                detail="pair distance exceeded eps beyond the certificate"))
@@ -416,7 +418,7 @@ def ustar_nonconvergence_on_line(r) -> Verdict:
                          witness=("n", n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeparationEntry:
     k: int
     n: int
@@ -425,7 +427,7 @@ class SeparationEntry:
     unclamped: ExtValue
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeparationReport:
     """Outcome of the two-norm separation on eventually linear sequences."""
 

@@ -42,7 +42,7 @@ def real_entourage_contains(n: int, x, y) -> bool:
     return entourage_clause(n, x, y) is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComposeCase:
     """One clause combination of the composition U_{2n} o U_{2n} <= U_n.
 

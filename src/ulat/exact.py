@@ -122,7 +122,7 @@ class ExtValue:
             self._v: Fraction | None = None
         else:
             v = rat(value)
-            if v < 0:
+            if v._numerator < 0:
                 raise ValueError(f"ExtValue must be nonnegative, got {v}")
             self._v = v
 
@@ -154,6 +154,8 @@ class ExtValue:
     # -- total order
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, str):  # a string is text, even when it reads "1/2"
+            return NotImplemented
         try:
             o = ext(other)  # type: ignore[arg-type]
         except (TypeError, ValueError):
@@ -179,7 +181,9 @@ class ExtValue:
         return not self < ext(other)
 
     def __hash__(self) -> int:
-        return hash(("ExtValue", self._v))
+        # the stored value's hash, so that equal values hash alike: an
+        # ExtValue equals the int or Fraction it holds, and +inf equals None
+        return hash(self._v)
 
     def __repr__(self) -> str:
         return f"ExtValue({self.to_json()!r})"
@@ -206,7 +210,7 @@ def ext(value: "ExtValue | RatLike | None") -> ExtValue:
 # Polynomials with exact integer-domain sign decisions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Poly:
     """Polynomial with rational coefficients, ascending order, trimmed.
 

@@ -18,7 +18,7 @@ MEET = "meet"
 JOIN = "join"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpTree:
     op: Optional[str]
     var: Optional[int] = None

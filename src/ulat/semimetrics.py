@@ -25,7 +25,7 @@ from .truncation import TruncationPair, _clamp
 from .verdicts import Verdict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatticeSemimetric:
     """A named distance function on one carrier, valued in [0, +inf].
 
@@ -51,7 +51,7 @@ class LatticeSemimetric:
         return ext(self.func(x, y))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SemimetricFamily:
     """A nonempty finite family of semimetrics over a single carrier."""
 
@@ -233,7 +233,7 @@ def ustar_family(D: SemimetricFamily, J: Sequence[TruncationPair]) -> Semimetric
 # Kernel, congruence, quotient
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KernelRelation:
     """Zero-distance classes of a semimetric family on a finite carrier."""
 
@@ -284,7 +284,7 @@ def kernel_partition(L: Carrier, D: SemimetricFamily) -> KernelRelation:
     return kernel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuotientLattice:
     """Finite quotient by a kernel, with the induced semimetric family."""
 
@@ -388,7 +388,7 @@ def interval_agreement(Du: SemimetricFamily, Dv: SemimetricFamily, p: Truncation
 # Hausdorff criterion for clamped uniformities indexed by a sublattice
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecoveryResult:
     """Details behind the Hausdorff criterion for a clamp family over S."""
 

@@ -34,7 +34,7 @@ from .verdicts import Verdict
 # Descriptors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventuallyConstant:
     """term(k) = value for every k >= from_index."""
 
@@ -42,14 +42,14 @@ class EventuallyConstant:
     from_index: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TailClosedForm:
     """term(k) = series.eval(k) for every k >= 1 (rational-line carriers)."""
 
     series: RatAltSeq
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Window:
     """Terms built from the window W(k) = {i >= 1 : lo(k) <= i <= k}, where
     lo(k) = k when sliding and 1 when growing.
@@ -69,7 +69,7 @@ class Window:
         return self.within.intersect(FinCofSet.cofinite_complement(window))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SequenceFamily:
     """A named 1-indexed sequence in a carrier, with optional closed form."""
 
@@ -116,7 +116,7 @@ def window_sequence(L: Carrier, window: Window, name: str) -> SequenceFamily:
 # Witnesses and certificates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class O1Witness:
     """Sandwich data: lower nondecreasing to the limit, upper nonincreasing."""
 
@@ -124,7 +124,7 @@ class O1Witness:
     upper: SequenceFamily
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class O2Witness:
     """Interval data: x_k lies in [lower(j), upper(j)] once k >= k_of(j),
     with the eventual index k_of(j) = j + offset for an int offset >= 0;
@@ -152,7 +152,7 @@ def o2_from_o1(w: O1Witness) -> "O2Witness":
     return O2Witness.affine(w.lower, w.upper, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricCertificate:
     """modulus(eps, semimetric name) = index N with d(x_k, x) <= eps beyond N;
     an int or a Fraction, read by its exact ceiling."""
@@ -226,7 +226,7 @@ def clamped_descriptor(seq: SequenceFamily, p: TruncationPair):
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundClaim:
     """Outcome of a sup/inf query over an enumerated tail {term(k): k >= k0}.
 

@@ -12,11 +12,11 @@
   operations, with an extended l1 norm that is +inf exactly when the
   eventual part is nonzero and is summed piece by piece in closed form.
 
-``QLine`` and ``QVec`` elements are ``Fraction``s; the vector operations
-work on each coordinate's reduced integers, and ``sample`` draws seeded
-elements of these two carriers only.  ``EvLinSeq`` builds a ``Fraction``
-only where one leaves it: ``value`` and one per norm; its repr is the
-stored form.
+``QLine`` and ``QVec`` elements are ``Fraction``s; the operations of both
+run one scalar kernel on each ``Fraction``'s reduced integers, and
+``sample`` draws seeded elements of these two carriers only.  ``EvLinSeq``
+builds a ``Fraction`` only where one leaves it: ``value`` and one per norm;
+its repr is the stored form.
 
 ``NO_BOUND`` marks a sup or inf that provably does not exist in a carrier.
 
@@ -53,7 +53,27 @@ def _rand_fraction(rng) -> Fraction:
 
 
 # Exact arithmetic on the reduced integers of Fractions (see ``_fraction``);
-# on lemma-l5's 5-vectors Fraction's operator overhead was most of the time.
+# on lemma-l5's 5-vectors and the line's Cauchy scans, Fraction's operator
+# overhead was most of the time.  With positive denominators, a < b exactly
+# when a.n * b.d < b.n * a.d, so min and max pick what ``min`` and ``max``
+# pick, the first argument on a tie, and every result is the Fraction the
+# operators give.
+
+
+def _frac_min(a: Fraction, b: Fraction) -> Fraction:
+    return b if b._numerator * a._denominator < a._numerator * b._denominator else a
+
+
+def _frac_max(a: Fraction, b: Fraction) -> Fraction:
+    return b if b._numerator * a._denominator > a._numerator * b._denominator else a
+
+
+def _frac_neg(a: Fraction) -> Fraction:
+    return _fraction(-a._numerator, a._denominator)
+
+
+def _frac_abs(a: Fraction) -> Fraction:
+    return a if a._numerator >= 0 else _fraction(-a._numerator, a._denominator)
 
 
 def _frac_add(a: Fraction, b: Fraction) -> Fraction:
@@ -90,25 +110,12 @@ class QLine(GroupCarrier):
     def _leq(self, x, y) -> bool:
         return x._numerator * y._denominator <= y._numerator * x._denominator
 
-    def _meet(self, x, y):
-        return min(x, y)
-
-    def _join(self, x, y):
-        return max(x, y)
-
-    def _add(self, x, y):
-        return x + y
-
-    def _negate(self, x):
-        return -x
-
-    def _sub(self, x, y):
-        return x - y
-
-    def _abs(self, x):
-        return abs(x)
-
-    _norm = _abs
+    _meet = staticmethod(_frac_min)
+    _join = staticmethod(_frac_max)
+    _add = staticmethod(_frac_add)
+    _negate = staticmethod(_frac_neg)
+    _sub = staticmethod(_frac_sub)
+    _abs = _norm = staticmethod(_frac_abs)
 
     def sample(self, rng):
         return _rand_fraction(rng)
@@ -136,18 +143,11 @@ class QVec(GroupCarrier):
         return (isinstance(x, tuple) and len(x) == self.dim
                 and all(map(isinstance, x, repeat(Fraction))))
 
-    # The trusted operations work on each coordinate's reduced integers (see
-    # ``_fraction``).  With positive denominators, a < b exactly when
-    # a.n * b.d < b.n * a.d, so meet and join pick the coordinates min and
-    # max pick, and every result is the Fraction the operators give.
-
     def _meet(self, x, y):
-        return tuple(b if b._numerator * a._denominator < a._numerator * b._denominator else a
-                     for a, b in zip(x, y))
+        return tuple(map(_frac_min, x, y))
 
     def _join(self, x, y):
-        return tuple(b if b._numerator * a._denominator > a._numerator * b._denominator else a
-                     for a, b in zip(x, y))
+        return tuple(map(_frac_max, x, y))
 
     def _leq(self, x, y) -> bool:
         return all(a._numerator * b._denominator <= b._numerator * a._denominator
@@ -157,14 +157,13 @@ class QVec(GroupCarrier):
         return tuple(map(_frac_add, x, y))
 
     def _negate(self, x):
-        return tuple(_fraction(-c._numerator, c._denominator) for c in x)
+        return tuple(map(_frac_neg, x))
 
     def _sub(self, x, y):
         return tuple(map(_frac_sub, x, y))
 
     def _abs(self, x):
-        return tuple(c if c._numerator >= 0 else _fraction(-c._numerator, c._denominator)
-                     for c in x)
+        return tuple(map(_frac_abs, x))
 
     def _norm(self, x):
         return reduce(_frac_add, self._abs(x))
@@ -177,7 +176,7 @@ class QVec(GroupCarrier):
 # Finitely supported sequences
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class C00Vec:
     """Finitely supported rational sequence; support indices start at 1.
 
@@ -272,7 +271,7 @@ class C00Space(GroupCarrier):
 # Finite / cofinite algebra
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FinCofSet:
     """A finite or cofinite subset of an infinite atom universe.
 
@@ -420,7 +419,7 @@ def _abs_series(c: int, d: int, a: int, b: int) -> int:
     return abs(_series(c, d, a, z)) + abs(_series(c, d, z + 1, b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvLinSeq:
     """Rational sequence over coordinates i = 1, 2, ... that is eventually
     affine, stored as affine pieces with integer coefficients over one

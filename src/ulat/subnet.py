@@ -29,7 +29,7 @@ class SubnetContainmentError(ValueError):
         self.pair = pair
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubnetStep:
     """One enumeration step: the chosen sequence index and, per truncation,
     the sandwich (lower bound, clamped term, upper bound)."""
@@ -39,7 +39,7 @@ class SubnetStep:
     bounds: tuple[tuple, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubnetEnumeration:
     seq: SequenceFamily
     pairs: tuple[TruncationPair, ...]

@@ -63,7 +63,7 @@ EXPECT_EXACT = "exact"          # nothing short of exact
 EXPECT_FALSIFIED = "falsified"  # negative control: must fail with a witness
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuiteConfig:
     seed: int = 0
     horizon: int = DEFAULT_HORIZON
@@ -74,7 +74,7 @@ class SuiteConfig:
         return random.Random(self.seed * 1_000_003 + zlib.crc32(suite.encode()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckRecord:
     name: str
     verdict: Verdict
@@ -93,7 +93,7 @@ class CheckRecord:
         raise ValueError(f"unknown expectation {self.expect!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class SuiteResult:
     suite: str
     anchor: str

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .carriers import Carrier, CheckResult, GroupCarrier
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TruncationPair:
     """An ordered pair of carrier elements with a canonicity flag.
 
@@ -98,7 +98,7 @@ def is_truncation_hom(L: Carrier, p: TruncationPair) -> CheckResult:
 # The ell-group decomposition behind unbounded convergence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbsMeetDecomposition:
     """|x - y| /\\ a split into the two clamp differences around y."""
 

@@ -23,7 +23,7 @@ INCONCLUSIVE = "inconclusive"
 _RANK = {FALSIFIED: 0, INCONCLUSIVE: 1, AT_HORIZON: 2, EXACT: 3}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     status: str
     witness: object = None

@@ -4,18 +4,24 @@ elements, distributivity by a loop over all triples, closure under meet and
 join, an eventually constant sequence with an arbitrary prefix, the terms
 of a moving window atom by atom, seeded draws of the elements of each
 symbolic carrier, the polynomial sign decisions by a scan up to Cauchy's
-root bound, and the closed-form ring operations without reduction.  The
+root bound, the closed-form ring operations without reduction, and the
+metric convergence and Cauchy scans comparing each distance with eps
+itself, as they did before eps became one ExtValue per scan.  The
 axiom and distributivity checks go through the carrier's public, checking
 operations and nothing faster; an axiom check's witness is the failing
 elements followed by the name of the law."""
 
+import itertools
 from fractions import Fraction
 
 from ulat.carriers import CheckResult, _is_sublattice
+from ulat.convergence import (DEFAULT_EPS_GRID, DEFAULT_HORIZON, _points, _positive_grid,
+                              _probe_indices, truncate_sequence)
 from ulat.exact import Poly, RatAltSeq
-from ulat.sequences import EventuallyConstant, SequenceFamily
+from ulat.sequences import EventuallyConstant, SequenceFamily, _constant_tail
 from ulat.spaces import (C00Space, C00Vec, EvLinSeq, EvLinSpace, FinCofAlgebra, FinCofSet, QLine,
                          QVec)
+from ulat.verdicts import Verdict
 
 
 def distributivity(L) -> CheckResult:
@@ -199,3 +205,53 @@ def raw_add(x: RatAltSeq, y: RatAltSeq) -> RatAltSeq:
 def raw_mul(x: RatAltSeq, y: RatAltSeq) -> RatAltSeq:
     return RatAltSeq(x.num * y.num + x.anum * y.anum, x.num * y.anum + x.anum * y.num,
                      x.den * y.den)
+
+
+def scan_metric_converges(seq, x, D, cert, eps_grid=DEFAULT_EPS_GRID,
+                          horizon: int = DEFAULT_HORIZON) -> Verdict:
+    """``metric_converges``, comparing each distance with the Fraction eps."""
+    eps_grid = _positive_grid(eps_grid)
+    D.check_carrier(seq.carrier)
+    x = seq.carrier.check_element(x)
+    tail = _constant_tail(seq)
+    parts = []
+    for d in D.members:
+        for eps in eps_grid:
+            start = cert.at(eps, d.name)
+            points, exact = _points(seq, tail, start, range(start, horizon + 1))
+            hit = next((k for k, v in points if d._dist(v, x) > eps), None)
+            if hit is not None:
+                parts.append(Verdict.falsified(witness=(d.name, str(eps), hit),
+                                               detail="distance exceeded eps beyond the certificate"))
+            elif exact:
+                parts.append(Verdict.exact(detail=f"{d.name}, eps={eps}: eventually constant tail"))
+            else:
+                parts.append(Verdict.at_horizon(horizon, detail=f"{d.name}, eps={eps}"))
+    return Verdict.weakest(parts)
+
+
+def scan_metric_cauchy(seq, D, cert=None, eps_grid=DEFAULT_EPS_GRID,
+                       horizon: int = DEFAULT_HORIZON) -> Verdict:
+    """``metric_cauchy``, comparing each pair distance with the Fraction eps."""
+    eps_grid = _positive_grid(eps_grid)
+    D.check_carrier(seq.carrier)
+    parts = []
+    for d in D.members:
+        walk, dist, what = seq, d._dist, "tail"
+        if d.clamp is not None:
+            walk, dist, what = truncate_sequence(seq, d.clamp), d.base._dist, "clamped tail"
+        tail = _constant_tail(walk)
+        knee = max(tail[0], 1) if d.clamp is not None and tail is not None else 1
+        for eps in eps_grid:
+            start = cert.at(eps, d.name) if cert is not None else knee
+            points, exact = _points(walk, tail, start, _probe_indices(start, horizon, 16))
+            hit = next(((a, b) for (a, u), (b, v) in itertools.combinations(points, 2)
+                        if dist(u, v) > eps), None)
+            if hit is not None:
+                parts.append(Verdict.falsified(witness=(d.name, str(eps)) + hit,
+                                               detail="pair distance exceeded eps beyond the certificate"))
+            elif exact:
+                parts.append(Verdict.exact(detail=f"{d.name}, eps={eps}: {what} is eventually constant"))
+            else:
+                parts.append(Verdict.at_horizon(horizon, detail=f"{d.name}, eps={eps}"))
+    return Verdict.weakest(parts)

@@ -4,8 +4,10 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from reference import eventually_constant_sequence
+from reference import eventually_constant_sequence, scan_metric_cauchy, scan_metric_converges
 import ulat.convergence as convergence
 from ulat.carriers import CarrierMismatch
 from ulat.convergence import (
@@ -530,6 +532,64 @@ def test_bounded_climb_is_cauchy_at_the_horizon():
     climb = series_sequence(Q, RatAltSeq.const(1) - RatAltSeq.inv_index(), "climb")
     v = metric_cauchy(climb, ABS, CERT, horizon=2000)
     assert v.status == "verified-at-horizon"
+
+
+# closed forms on the line from the ring operations on the four basic
+# sequences; a constant among them gives the exact branch
+line_forms = st.recursive(
+    st.one_of(st.integers(min_value=-3, max_value=3).map(RatAltSeq.const),
+              st.sampled_from([RatAltSeq.index(), RatAltSeq.inv_index(), RatAltSeq.alt()])),
+    lambda inner: st.one_of(st.tuples(inner, inner).map(lambda xy: xy[0] + xy[1]),
+                            st.tuples(inner, inner).map(lambda xy: xy[0] * xy[1])),
+    max_leaves=4)
+small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# (sequence, its limit or 0): a closed form, or a prefix then a constant
+line_sequences = st.one_of(
+    line_forms.map(lambda form: (series_sequence(Q, form, "x"),
+                                 form.limit() if isinstance(form.limit(), F) else F(0))),
+    st.tuples(st.lists(small, max_size=3), small).map(
+        lambda pv: (eventually_constant_sequence(Q, pv[0], pv[1], "x"), pv[1])))
+eps_grids = st.lists(st.fractions(min_value=F(1, 64), max_value=3, max_denominator=64),
+                     min_size=1, max_size=3)
+certificates = st.one_of(st.none(), st.fractions(min_value=0, max_value=6, max_denominator=4).map(
+    lambda c: MetricCertificate.uniform(lambda eps: c / eps)))
+
+
+def _abs_and_clamps(windows):
+    """abs, then the clamp member of abs for each window."""
+    pairs = [TruncationPair.of(Q, min(a, b), max(a, b)) for a, b in windows]
+    clamps = ustar_family(ABS, pairs).members if pairs else ()
+    return SemimetricFamily.of("abs+", ABS.members[0], *clamps)
+
+
+def _scans(family, eps):
+    """The whole family over the whole grid, then each member over each
+    eps alone, so that the parts the weakest verdict hides are compared."""
+    yield family, eps
+    for d in family.members:
+        for e in eps:
+            yield SemimetricFamily.of(d.name, d), (e,)
+
+
+@given(line_sequences, eps_grids, certificates, st.lists(st.tuples(small, small), max_size=2),
+       st.integers(min_value=1, max_value=120))
+def test_cauchy_scan_with_one_bound_per_eps_matches_the_fraction_scan(seq_limit, eps, cert,
+                                                                      windows, horizon):
+    seq, _ = seq_limit
+    for family, grid in _scans(_abs_and_clamps(windows), eps):
+        assert (metric_cauchy(seq, family, cert, eps_grid=grid, horizon=horizon)
+                == scan_metric_cauchy(seq, family, cert, eps_grid=grid, horizon=horizon))
+
+
+@given(line_sequences, eps_grids, certificates, st.lists(st.tuples(small, small), max_size=2),
+       st.one_of(st.none(), small), st.integers(min_value=1, max_value=120))
+def test_convergence_scan_with_one_bound_per_eps_matches_the_fraction_scan(seq_limit, eps, cert,
+                                                                           windows, x, horizon):
+    seq, limit = seq_limit
+    x, cert = limit if x is None else x, cert or CERT
+    for family, grid in _scans(_abs_and_clamps(windows), eps):
+        assert (metric_converges(seq, x, family, cert, eps_grid=grid, horizon=horizon)
+                == scan_metric_converges(seq, x, family, cert, eps_grid=grid, horizon=horizon))
 
 
 # ---------------------------------------------------------------------------

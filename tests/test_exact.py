@@ -51,6 +51,31 @@ class TestExtValue:
         assert not EXT_INF.is_zero and not EXT_INF == 0
         assert ExtValue(0).is_zero and ExtValue(F(0, 7)).is_zero and ExtValue("0/3").is_zero
 
+    def test_hash_agrees_with_equality(self):
+        assert len({ExtValue(1), 1, F(1)}) == 1
+        assert 1 in {ExtValue(1)} and ExtValue(F(1, 2)) in {F(1, 2)}
+        assert len({EXT_INF, ExtValue(None)}) == 1 and EXT_INF == None  # noqa: E711
+        assert hash(EXT_INF) == hash(None)
+
+    @given(rationals.map(abs))
+    def test_equal_values_hash_alike(self, a):
+        assert ExtValue(a) == a and hash(ExtValue(a)) == hash(a)
+        if a.denominator == 1:
+            assert ExtValue(a) == a.numerator and hash(ExtValue(a)) == hash(a.numerator)
+
+    def test_a_string_is_not_a_value(self):
+        assert ExtValue(F(1, 2)) != "1/2" and not ExtValue(F(1, 2)) == "1/2"
+        assert ExtValue(1) != "1" and EXT_INF != "inf"
+        assert ExtValue(F(1, 2)) == ext("1/2")
+
+    @given(rationals)
+    def test_construction_refuses_exactly_the_negatives(self, a):
+        if a < 0:
+            with pytest.raises(ValueError):
+                ExtValue(a)
+        else:
+            assert ExtValue(a).to_json() == (str(a.numerator) if a.denominator == 1 else str(a))
+
 
 class TestBelow:
     # n = 1 and the powers of two and their neighbours sit at the edges of

@@ -68,6 +68,30 @@ class TestQLineAndQVec:
         assert V.norm(x) == sum(abs(a) for a in x)
         assert all(type(c) is F for c in V.add(x, y) + V.abs_(x) + V.negate(x) + (V.norm(x),))
 
+    # zero, small values and numerators and denominators past 2**64
+    line_values = st.builds(
+        F, st.one_of(st.just(0), st.integers(min_value=-12, max_value=12),
+                     st.integers(min_value=-2**80, max_value=2**80)),
+        st.one_of(st.integers(min_value=1, max_value=12),
+                  st.integers(min_value=1, max_value=2**70)))
+
+    @given(line_values, line_values, st.booleans())
+    def test_line_operations_agree_with_fraction_operators(self, x, y, tie):
+        Q = QLine()
+        if tie:  # an equal value held by another object
+            y = F(x.numerator * 3, x.denominator * 3)
+        assert Q._meet(x, y) == min(x, y) and Q._meet(x, y) is min(x, y)
+        assert Q._join(x, y) == max(x, y) and Q._join(x, y) is max(x, y)
+        assert Q._add(x, y) == x + y and Q._sub(x, y) == x - y
+        assert Q._negate(x) == -x and Q._abs(x) == abs(x) and Q._norm(x) == abs(x)
+        assert Q.meet(x, y) == min(x, y) and Q.abs_(x) == abs(x)
+        results = (Q._meet(x, y), Q._join(x, y), Q._add(x, y), Q._sub(x, y), Q._negate(x),
+                   Q._abs(x), Q._norm(x))
+        assert all(type(r) is F and r.denominator > 0
+                   and math.gcd(r.numerator, r.denominator) == 1 for r in results)
+        if tie:
+            assert Q._meet(x, y) is x and Q._join(x, y) is x and Q._meet(y, x) is y
+
     def test_samples_are_the_draws_of_randint(self):
         for seed in range(200):
             mine, plain = random.Random(seed), random.Random(seed)

@@ -4,6 +4,8 @@ oracles leave descriptors to ``sequences``, and the tail layers compare
 checked terms on the trusted order."""
 
 import ast
+import dataclasses
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -23,6 +25,11 @@ UNREAD_FIELDS = {"SeparationEntry.bound", "ComposeCase.conclusion", "QuotientLat
                  "AbsMeetDecomposition.term_low", "AbsMeetDecomposition.term_high"}
 
 DESCRIPTOR_CLASSES = {"EventuallyConstant", "TailClosedForm", "Window"}
+
+# Dataclasses whose instances keep a ``__dict__``, with the reason.  Every
+# other dataclass declares slots, so a verdict, claim or descriptor costs no
+# per-instance dict; the set can only shrink.
+INSTANCE_DICT = {"RatAltSeq": "its _ints is a cached_property, which stores into the instance dict"}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -139,3 +146,23 @@ def test_the_oracles_read_no_descriptor():
     assert not imported & DESCRIPTOR_CLASSES
     names = {name for name, _ in _references(tree)}
     assert not names & (DESCRIPTOR_CLASSES | {"descriptor"})
+
+
+def _library_dataclasses():
+    """Every dataclass that a module of ``src/ulat`` defines, by name."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"ulat.{path.stem}")
+        for value in vars(module).values():
+            if (isinstance(value, type) and value.__module__ == module.__name__
+                    and dataclasses.is_dataclass(value)):
+                found[value.__name__] = value
+    return found
+
+
+def test_no_dataclass_instance_carries_a_dict():
+    classes = _library_dataclasses()
+    assert len(classes) >= 30 and set(INSTANCE_DICT) <= set(classes)
+    with_dict = {name for name, cls in classes.items()
+                 if any("__dict__" in vars(k) for k in cls.__mro__)}
+    assert with_dict == set(INSTANCE_DICT), f"dataclasses with an instance __dict__: {with_dict}"
