@@ -534,8 +534,7 @@ def test_bounded_climb_is_cauchy_at_the_horizon():
     assert v.status == "verified-at-horizon"
 
 
-# closed forms on the line from the ring operations on the four basic
-# sequences; a constant among them gives the exact branch
+# closed forms on the line from the ring operations on the four basic sequences
 line_forms = st.recursive(
     st.one_of(st.integers(min_value=-3, max_value=3).map(RatAltSeq.const),
               st.sampled_from([RatAltSeq.index(), RatAltSeq.inv_index(), RatAltSeq.alt()])),
@@ -543,7 +542,8 @@ line_forms = st.recursive(
                             st.tuples(inner, inner).map(lambda xy: xy[0] * xy[1])),
     max_leaves=4)
 small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-# (sequence, its limit or 0): a closed form, or a prefix then a constant
+# (sequence, its limit or 0): a closed form, or a prefix then a constant, whose
+# constant tail takes the exact branch
 line_sequences = st.one_of(
     line_forms.map(lambda form: (series_sequence(Q, form, "x"),
                                  form.limit() if isinstance(form.limit(), F) else F(0))),
