@@ -185,9 +185,9 @@ def _suite_lemma_l5(cfg: SuiteConfig) -> list[CheckRecord]:
     bound_bad = None
     for _ in range(cases):
         x, y = G.sample(rng), G.sample(rng)
-        a = G.abs_(G.sample(rng))
+        a = G._abs(G.sample(rng))
         s = G.sample(rng)
-        if split_bad is None and not decompose_abs_meet(G, x, y, a).holds:
+        if split_bad is None and not decompose_abs_meet(G, x, y, a):
             split_bad = (x, y, a)
         if bound_bad is None and not clamp_difference_bound(G, s, x, y, a):
             bound_bad = (s, x, y, a)

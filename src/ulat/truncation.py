@@ -8,11 +8,21 @@ For a pair p = (a, b) the two clamps are
 A pair is canonical when a <= b; canonical pairs are the index set for
 derived semimetrics.  Non-canonical pairs are deliberately allowed as
 values because pair composition can produce them.
+
+The two ell-group laws behind unbounded convergence, the split of
+|x - y| /\\ a into two clamp differences (``decompose_abs_meet``) and the
+base-point bound (``clamp_difference_bound``), are decided on the carriers
+with rational coordinates, ``QLine`` and ``QVec``, one coordinate at a time
+on integers: every operation in them commutes with multiplication by a
+positive integer, so scaling a coordinate's values by the lcm of their
+denominators preserves both = and <=.  Any other carrier is refused with
+``ValueError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .carriers import Carrier, CheckResult, GroupCarrier
 
@@ -98,14 +108,15 @@ def is_truncation_hom(L: Carrier, p: TruncationPair) -> CheckResult:
 # The ell-group decomposition behind unbounded convergence
 
 
-@dataclass(frozen=True, slots=True)
-class AbsMeetDecomposition:
-    """|x - y| /\\ a split into the two clamp differences around y."""
-
-    lhs: object
-    term_low: object
-    term_high: object
-    holds: bool
+def _coordinate_map(G: Carrier):
+    """The carrier's map from a point to its tuple of ``Fraction``
+    coordinates; a carrier without one (anything but ``QLine`` and ``QVec``)
+    is refused."""
+    coordinates = getattr(G, "_coordinates", None)
+    if coordinates is None:
+        raise ValueError(f"carrier {G.name!r} has no rational coordinates; "
+                         "the ell-group laws are decided on QLine and QVec")
+    return coordinates
 
 
 def _check_cap(G: GroupCarrier, a) -> None:
@@ -114,44 +125,61 @@ def _check_cap(G: GroupCarrier, a) -> None:
         raise ValueError("the cap must be a positive element")
 
 
-def decompose_abs_meet(G: GroupCarrier, x, y, a) -> AbsMeetDecomposition:
-    """Split |x - y| /\\ a into clamp differences: with p- = (y - a, y) and
-    p+ = (y, y + a),
+def decompose_abs_meet(G: GroupCarrier, x, y, a) -> bool:
+    """Whether |x - y| /\\ a splits into clamp differences: with
+    p- = (y - a, y) and p+ = (y, y + a),
 
         |x - y| /\\ a = |f_{p-}(x) - f_{p-}(y)| + |f_{p+}(x) - f_{p+}(y)|
 
-    holds exactly on every abelian ell-group for a >= 0.
+    which holds exactly on every abelian ell-group for a >= 0.
 
-    Every argument is validated once at entry (``CarrierMismatch`` for a
-    foreign element, ``ValueError`` for a cap that is not positive); the
-    split itself then runs on the carrier's trusted operations.
+    Decided on ``QLine`` and ``QVec``, one coordinate at a time on integers;
+    any other carrier is refused with ``ValueError``.  Every argument is
+    validated once at entry (``CarrierMismatch`` for a foreign element,
+    ``ValueError`` for a cap that is not positive).
     """
+    coordinates = _coordinate_map(G)
     x = G.check_element(x)
     y = G.check_element(y)
     a = G.check_element(a)
     _check_cap(G, a)
-    lhs = G._meet(G._abs(G._sub(x, y)), a)
-    low, high = G._sub(y, a), G._add(y, a)
-    term_low = G._abs(G._sub(_clamp(G, low, y, x), _clamp(G, low, y, y)))
-    term_high = G._abs(G._sub(_clamp(G, y, high, x), _clamp(G, y, high, y)))
-    holds = lhs == G._add(term_low, term_high)
-    return AbsMeetDecomposition(lhs, term_low, term_high, holds)
+    for xi, yi, ai in zip(coordinates(x), coordinates(y), coordinates(a)):
+        dx, dy, da = xi._denominator, yi._denominator, ai._denominator
+        d = lcm(dx, dy, da)
+        x_, y_ = xi._numerator * (d // dx), yi._numerator * (d // dy)
+        a_ = ai._numerator * (d // da)
+        lhs = min(abs(x_ - y_), a_)
+        low, high = y_ - a_, y_ + a_
+        term_low = abs(max(min(x_, y_), low) - max(min(y_, y_), low))
+        term_high = abs(max(min(x_, high), y_) - max(min(y_, high), y_))
+        if lhs != term_low + term_high:
+            return False
+    return True
 
 
 def clamp_difference_bound(G: GroupCarrier, s, x, y, a) -> bool:
-    """For any base point s and cap a >= 0, the clamp over (s, s + a)
-    contracts differences below |x - y| /\\ a.
+    """Whether the clamp over (s, s + a), for a base point s and a cap
+    a >= 0, contracts the difference of x and y below |x - y| /\\ a.
 
-    Every argument is validated once at entry (``CarrierMismatch`` for a
-    foreign element, ``ValueError`` for a cap that is not positive); the
-    bound itself then runs on the carrier's trusted operations.
+    Decided on ``QLine`` and ``QVec``, one coordinate at a time on integers;
+    any other carrier is refused with ``ValueError``.  Every argument is
+    validated once at entry (``CarrierMismatch`` for a foreign element,
+    ``ValueError`` for a cap that is not positive).
     """
+    coordinates = _coordinate_map(G)
     s = G.check_element(s)
     x = G.check_element(x)
     y = G.check_element(y)
     a = G.check_element(a)
     _check_cap(G, a)
-    high = G._add(s, a)
-    diff = G._abs(G._sub(_clamp(G, s, high, x), _clamp(G, s, high, y)))
-    cap = G._meet(G._abs(G._sub(x, y)), a)
-    return G._leq(diff, cap)
+    for si, xi, yi, ai in zip(coordinates(s), coordinates(x), coordinates(y), coordinates(a)):
+        ds, dx, dy, da = si._denominator, xi._denominator, yi._denominator, ai._denominator
+        d = lcm(ds, dx, dy, da)
+        s_, x_ = si._numerator * (d // ds), xi._numerator * (d // dx)
+        y_, a_ = yi._numerator * (d // dy), ai._numerator * (d // da)
+        high = s_ + a_
+        diff = abs(max(min(x_, high), s_) - max(min(y_, high), s_))
+        cap = min(abs(x_ - y_), a_)
+        if diff > cap:
+            return False
+    return True

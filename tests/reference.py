@@ -1,15 +1,16 @@
 """Reference checks and inputs that only the tests use: the lattice, the
 lattice-ordered group and the lattice-semimetric axioms over given
-elements, distributivity by a loop over all triples, closure under meet and
-join, an eventually constant sequence with an arbitrary prefix, the terms
-of a moving window atom by atom, seeded draws of the elements of each
-symbolic carrier, the polynomial sign decisions by a scan up to Cauchy's
-root bound, the closed-form ring operations without reduction, and the
-metric convergence and Cauchy scans comparing each distance with eps
-itself, as they did before eps became one ExtValue per scan.  The
-axiom and distributivity checks go through the carrier's public, checking
-operations and nothing faster; an axiom check's witness is the failing
-elements followed by the name of the law."""
+elements, the two ell-group laws of ``truncation`` on any group carrier's
+trusted operations, distributivity by a loop over all triples, closure
+under meet and join, an eventually constant sequence with an arbitrary
+prefix, the terms of a moving window atom by atom, seeded draws of the
+elements of each symbolic carrier, the polynomial sign decisions by a scan
+up to Cauchy's root bound, the closed-form ring operations without
+reduction, and the metric convergence and Cauchy scans comparing each
+distance with eps itself, as they did before eps became one ExtValue per
+scan. The axiom and distributivity checks go through the carrier's public,
+checking operations and nothing faster; an axiom check's witness is the
+failing elements followed by the name of the law."""
 
 import itertools
 from fractions import Fraction
@@ -21,6 +22,7 @@ from ulat.exact import Poly, RatAltSeq
 from ulat.sequences import EventuallyConstant, SequenceFamily, _constant_tail
 from ulat.spaces import (C00Space, C00Vec, EvLinSeq, EvLinSpace, FinCofAlgebra, FinCofSet, QLine,
                          QVec)
+from ulat.truncation import _clamp
 from ulat.verdicts import Verdict
 
 
@@ -115,6 +117,31 @@ def check_semimetric_axioms(d, triples) -> CheckResult:
         if d(L.meet(x, z), L.meet(y, z)) > d(x, y):
             return CheckResult(False, (x, y, z, "meet-contraction"))
     return CheckResult(True)
+
+
+def abs_meet_split(G, x, y, a):
+    """|x - y| /\\ a and its two clamp terms around y, with p- = (y - a, y)
+    and p+ = (y, y + a), on any group carrier's trusted operations: the
+    generic body of ``decompose_abs_meet``, which holds when the first
+    equals the sum of the other two."""
+    lhs = G._meet(G._abs(G._sub(x, y)), a)
+    low, high = G._sub(y, a), G._add(y, a)
+    term_low = G._abs(G._sub(_clamp(G, low, y, x), _clamp(G, low, y, y)))
+    term_high = G._abs(G._sub(_clamp(G, y, high, x), _clamp(G, y, high, y)))
+    return lhs, term_low, term_high
+
+
+def abs_meet_split_holds(G, x, y, a) -> bool:
+    lhs, term_low, term_high = abs_meet_split(G, x, y, a)
+    return lhs == G._add(term_low, term_high)
+
+
+def base_point_bound_holds(G, s, x, y, a) -> bool:
+    """The generic body of ``clamp_difference_bound``: the clamp over
+    (s, s + a) moves x and y no further apart than |x - y| /\\ a."""
+    high = G._add(s, a)
+    diff = G._abs(G._sub(_clamp(G, s, high, x), _clamp(G, s, high, y)))
+    return G._leq(diff, G._meet(G._abs(G._sub(x, y)), a))
 
 
 def is_sublattice(L, S) -> bool:

@@ -21,8 +21,7 @@ TEST_ONLY = {"metric_converges", "truncate_g"}
 UNREAD_FIELDS = {"SeparationEntry.bound", "ComposeCase.conclusion", "QuotientLattice.kernel",
                  "QuotientLattice.induced", "RecoveryResult.family_hausdorff",
                  "RecoveryResult.recovery_ok", "RecoveryResult.kernel_hausdorff",
-                 "RecoveryResult.failing_element", "AbsMeetDecomposition.lhs",
-                 "AbsMeetDecomposition.term_low", "AbsMeetDecomposition.term_high"}
+                 "RecoveryResult.failing_element"}
 
 DESCRIPTOR_CLASSES = {"EventuallyConstant", "TailClosedForm", "Window"}
 

@@ -1,11 +1,16 @@
 import random
+import re
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import neg_part, pos_part
+from reference import (abs_meet_split, abs_meet_split_holds, base_point_bound_holds, neg_part,
+                       pos_part)
+import ulat.exact as exact
+import ulat.spaces as spaces
 import ulat.truncation as truncation
 from ulat.carriers import (
     CarrierMismatch,
@@ -20,7 +25,7 @@ from ulat.convergence import truncate_sequence
 from ulat.optrees import MEET, OpTree, evaluate
 from ulat.semimetrics import derived_semimetric, discrete_semimetric
 from ulat.sequences import SequenceFamily, constant_sequence
-from ulat.spaces import QLine, QVec
+from ulat.spaces import C00Space, EvLinSpace, FinCofAlgebra, QLine, QVec
 from ulat.truncation import (
     TruncationPair,
     canonical_pairs,
@@ -118,11 +123,8 @@ class TestAbsMeetSplit:
     def test_frozen_plane_example(self):
         G = QVec(2)
         x, y, a = (F(3), F(-1)), (F(1), F(2)), (F(2), F(2))
-        dec = decompose_abs_meet(G, x, y, a)
-        assert dec.holds
-        assert dec.lhs == (F(2), F(2))
-        assert dec.term_low == (F(0), F(2))
-        assert dec.term_high == (F(2), F(0))
+        assert decompose_abs_meet(G, x, y, a)
+        assert abs_meet_split(G, x, y, a) == ((F(2), F(2)), (F(0), F(2)), (F(2), F(0)))
 
     def test_requires_positive_cap(self):
         G = QVec(2)
@@ -141,7 +143,7 @@ class TestAbsMeetSplit:
     def test_split_and_bound_on_the_line(self, xi, yi, ai, si):
         Q = QLine()
         x, y, a, s = F(xi), F(yi), F(ai), F(si)
-        assert decompose_abs_meet(Q, x, y, a).holds
+        assert decompose_abs_meet(Q, x, y, a)
         assert clamp_difference_bound(Q, s, x, y, a)
 
 
@@ -151,10 +153,10 @@ def test_split_holds_on_random_vectors():
     for _ in range(300):
         x, y = G.sample(rng), G.sample(rng)
         a = G.abs_(G.sample(rng))
-        dec = decompose_abs_meet(G, x, y, a)
-        assert dec.holds
+        assert decompose_abs_meet(G, x, y, a)
         # the two split terms reassemble the capped distance exactly
-        assert G.add(dec.term_low, dec.term_high) == dec.lhs
+        lhs, term_low, term_high = abs_meet_split(G, x, y, a)
+        assert G.add(term_low, term_high) == lhs
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +217,78 @@ def test_trusted_path_matches_public_operations(G):
     for _ in range(200):
         x, y, s = G.sample(rng), G.sample(rng), G.sample(rng)
         a = G.abs_(G.sample(rng))
-        dec = decompose_abs_meet(G, x, y, a)
-        assert (dec.lhs, dec.term_low, dec.term_high) == _public_split(G, x, y, a)
+        lhs, term_low, term_high = _public_split(G, x, y, a)
+        assert decompose_abs_meet(G, x, y, a) == (lhs == G.add(term_low, term_high))
         p = TruncationPair.of(G, s, G.add(s, a))
         diff = G.abs_(G.sub(truncate_f(G, p, x), truncate_f(G, p, y)))
         cap = G.meet(G.abs_(G.sub(x, y)), a)
         assert clamp_difference_bound(G, s, x, y, a) == G.leq(diff, cap)
+
+
+# Rationals with denominators up to 10 or up to 10^9, and caps of either
+# sign.  Past the cap check a negative cap coordinate breaks both laws and a
+# positive cap keeps them, so a boolean answer shows a scaling fault only
+# where it turns a negative cap coordinate into 0: a cap whose denominator
+# exceeds those of the points.
+RATIONALS = st.one_of(st.fractions(max_denominator=10), st.fractions(max_denominator=10**9))
+CAPS = st.one_of(st.just(F(0)), RATIONALS)
+LAW_CARRIERS = [LINE] + [QVec(n) for n in range(1, 6)]
+
+
+@st.composite
+def _law_cases(draw):
+    """(G, s, x, y, a) with each coordinate of x free, equal to y, or at an
+    end of one of the two clamps' windows."""
+    G = draw(st.sampled_from(LAW_CARRIERS))
+    columns = []
+    for _ in range(1 if G is LINE else G.dim):
+        s, y, a = draw(RATIONALS), draw(RATIONALS), draw(CAPS)
+        x = draw(st.one_of(RATIONALS, st.sampled_from([y, y - a, y + a, s, s + a])))
+        columns.append((s, x, y, a))
+    points = zip(*columns)
+    return (G, *(p[0] for p in points)) if G is LINE else (G, *points)
+
+
+@given(_law_cases())
+def test_laws_match_the_reference_bodies(case):
+    G, s, x, y, a = case
+    with mock.patch.object(truncation, "_check_cap", lambda G, a: None):
+        assert decompose_abs_meet(G, x, y, a) == abs_meet_split_holds(G, x, y, a)
+        assert clamp_difference_bound(G, s, x, y, a) == base_point_bound_holds(G, s, x, y, a)
+    if G._leq(G.zero, a):
+        assert decompose_abs_meet(G, x, y, a) and clamp_difference_bound(G, s, x, y, a)
+    else:
+        with pytest.raises(ValueError, match="positive"):
+            decompose_abs_meet(G, x, y, a)
+        with pytest.raises(ValueError, match="positive"):
+            clamp_difference_bound(G, s, x, y, a)
+
+
+@pytest.mark.parametrize("G", [C00Space(), EvLinSpace(), FinCofAlgebra(), P3],
+                         ids=["c00", "evlin", "fincof", "finite-lattice"])
+def test_laws_refuse_a_carrier_without_rational_coordinates(G):
+    e = G.zero if isinstance(G, GroupCarrier) else G.bottom
+    named = re.escape(f"carrier {G.name!r}")
+    with pytest.raises(ValueError, match=named):
+        decompose_abs_meet(G, e, e, e)
+    with pytest.raises(ValueError, match=named):
+        clamp_difference_bound(G, e, e, e, e)
+
+
+def test_laws_build_no_fraction(monkeypatch):
+    calls = []
+
+    def counted(n, d):
+        calls.append((n, d))
+        return fraction(n, d)
+
+    fraction = exact._fraction
+    monkeypatch.setattr(exact, "_fraction", counted)
+    monkeypatch.setattr(spaces, "_fraction", counted)
+    s, x, y = (F(1, 3), F(-7, 2), F(0), F(5), F(2, 9)), V5.zero, tuple(F(i, 7) for i in range(5))
+    a = (F(1, 2), F(3), F(0), F(7, 10), F(11, 6))
+    assert decompose_abs_meet(V5, x, y, a) and clamp_difference_bound(V5, s, x, y, a)
+    assert calls == []
 
 
 @pytest.mark.parametrize("G", [V5, LINE], ids=["qvec5", "qline"])
