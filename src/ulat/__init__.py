@@ -38,7 +38,6 @@ from .semimetrics import (
     KernelRelation,
     LatticeSemimetric,
     QuotientLattice,
-    RecoveryResult,
     SemimetricFamily,
     derived_semimetric,
     discrete_semimetric,
@@ -47,7 +46,7 @@ from .semimetrics import (
     load_distance_table,
     norm_semimetric,
     order_interval,
-    ph_criterion_detail,
+    ph_criterion,
     pullback_semimetric,
     quotient,
     table_semimetric,

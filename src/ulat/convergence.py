@@ -423,7 +423,6 @@ class SeparationEntry:
     k: int
     n: int
     truncated_gap: ExtValue
-    bound: Fraction
     unclamped: ExtValue
 
 
@@ -456,9 +455,8 @@ def unbounded_separation_example(k_values=range(1, 51),
         for n in n_values:
             xn = space.add(x, space.scale_rat(Fraction(1, n), e))
             gap = space.norm(space.sub(truncate_f(space, cap_pair, xn), clamped_x))
-            bound = Fraction(k, n)
             unclamped = space.norm(space.meet(space.abs_(space.sub(xn, x)), a))
-            if gap > bound:
+            if gap > Fraction(k, n):
                 return SeparationReport(cases, Verdict.falsified(
                     witness=(k, n, gap.to_json()), detail="clamp difference exceeded k/n"),
                     Verdict.inconclusive(), tuple(samples))
@@ -468,7 +466,7 @@ def unbounded_separation_example(k_values=range(1, 51),
                     detail="capped difference unexpectedly had finite norm"), tuple(samples))
             cases += 1
             if (k, n) in ((1, 1), (3, 200)):
-                samples.append(SeparationEntry(k, n, gap, bound, unclamped))
+                samples.append(SeparationEntry(k, n, gap, unclamped))
     truncated = Verdict.exact(detail=f"clamp difference <= k/n on {cases} grid points")
     unclamped = Verdict.falsified(
         witness=("norm", "inf"),

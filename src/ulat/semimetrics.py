@@ -286,11 +286,9 @@ def kernel_partition(L: Carrier, D: SemimetricFamily) -> KernelRelation:
 
 @dataclass(frozen=True, slots=True)
 class QuotientLattice:
-    """Finite quotient by a kernel, with the induced semimetric family."""
+    """Finite quotient by a kernel, and whether its elements are separated."""
 
     carrier: FiniteLattice
-    kernel: KernelRelation
-    induced: SemimetricFamily
     hausdorff: bool
 
 
@@ -300,8 +298,9 @@ def quotient(L: Carrier, kernel: KernelRelation, D: SemimetricFamily) -> Quotien
     The induced distances are well-defined by the triangle inequality:
     moving either argument inside its class costs zero.  Well-definedness is
     still verified element by element and a violation raises ValueError.
-    The induced family separates distinct classes by construction, so the
-    quotient kernel is discrete; this is checked and recorded.
+    The induced distances separate distinct classes by construction, so the
+    quotient kernel is discrete; this is checked on the representatives and
+    recorded in ``hausdorff``.
     """
     if kernel.carrier is not L or D.carrier is not L:
         raise CarrierMismatch("kernel, family, and carrier must agree")
@@ -323,9 +322,8 @@ def quotient(L: Carrier, kernel: KernelRelation, D: SemimetricFamily) -> Quotien
         return kernel.class_index(L._meet(rx, ry)) == kernel.class_index(rx)
 
     Q = FiniteLattice.from_leq(f"{L.name}/ker", reps, quotient_leq)
-    induced = SemimetricFamily(D.name, Q, tuple(LatticeSemimetric(d.name, Q, d.func)
-                                                for d in D.members))
-    return QuotientLattice(Q, kernel, induced, induced.separates(reps))
+    separated = not any(D._vanishes(x, y) for x, y in itertools.combinations(reps, 2))
+    return QuotientLattice(Q, separated)
 
 
 # ---------------------------------------------------------------------------
@@ -388,21 +386,7 @@ def interval_agreement(Du: SemimetricFamily, Dv: SemimetricFamily, p: Truncation
 # Hausdorff criterion for clamped uniformities indexed by a sublattice
 
 
-@dataclass(frozen=True, slots=True)
-class RecoveryResult:
-    """Details behind the Hausdorff criterion for a clamp family over S."""
-
-    hausdorff: bool
-    family_hausdorff: bool
-    recovery_ok: bool
-    kernel_hausdorff: bool
-    failing_element: object = None
-
-    def __bool__(self) -> bool:
-        return self.hausdorff
-
-
-def ph_criterion_detail(L: FiniteLattice, S: Sequence, D: SemimetricFamily) -> RecoveryResult:
+def ph_criterion(L: FiniteLattice, S: Sequence, D: SemimetricFamily) -> bool:
     """Decide whether the clamp family over index pairs from S is Hausdorff.
 
     Two independent computations are run and must agree:
@@ -414,8 +398,10 @@ def ph_criterion_detail(L: FiniteLattice, S: Sequence, D: SemimetricFamily) -> R
                 discrete.
 
     A disagreement raises RuntimeError (it would falsify the theory the
-    implementation rests on); the shared boolean is returned with details.
+    implementation rests on); the shared boolean is returned.  A family on
+    another carrier is refused with CarrierMismatch.
     """
+    D.check_carrier(L)
     elems = list(L.elements())
     items = [L.check_element(s) for s in S]
     if not items:
@@ -423,17 +409,10 @@ def ph_criterion_detail(L: FiniteLattice, S: Sequence, D: SemimetricFamily) -> R
     if not _is_sublattice(L, items):
         raise ValueError("S is not a sublattice: not closed under meet and join")
 
-    family_hausdorff = D.separates(elems)
-    recovery_ok = True
-    failing = None
-    for x in elems:
-        lower = reduce(L._join, [L._meet(s, x) for s in items])
-        upper = reduce(L._meet, [L._join(s, x) for s in items])
-        if lower != x or upper != x:
-            recovery_ok = False
-            failing = x
-            break
-    by_criterion = family_hausdorff and recovery_ok
+    by_criterion = D.separates(elems) and all(
+        reduce(L._join, [L._meet(s, x) for s in items]) == x
+        and reduce(L._meet, [L._join(s, x) for s in items]) == x
+        for x in elems)
 
     # discreteness of the joint clamp kernel, checked directly: on
     # nondistributive carriers the clamps are not homomorphisms, so the
@@ -447,8 +426,7 @@ def ph_criterion_detail(L: FiniteLattice, S: Sequence, D: SemimetricFamily) -> R
             f"criterion/kernel disagreement on {L.name!r} with S={items!r}: "
             f"criterion says {by_criterion}, kernel says {kernel_hausdorff}"
         )
-    return RecoveryResult(by_criterion, family_hausdorff, recovery_ok,
-                          kernel_hausdorff, failing)
+    return by_criterion
 
 
 # ---------------------------------------------------------------------------

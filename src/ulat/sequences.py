@@ -140,6 +140,7 @@ class O2Witness:
 
     @staticmethod
     def affine(lower: SequenceFamily, upper: SequenceFamily, offset: int) -> "O2Witness":
+        """Only the benchmark's closed-forms workload calls this alias."""
         return O2Witness(lower, upper, offset)
 
     def k_of(self, j: int) -> int:
@@ -149,7 +150,7 @@ class O2Witness:
 def o2_from_o1(w: O1Witness) -> "O2Witness":
     """Replay an O1 sandwich as interval data: the witness chains themselves
     bound the tail, with containment from index j onward."""
-    return O2Witness.affine(w.lower, w.upper, 0)
+    return O2Witness(w.lower, w.upper, 0)
 
 
 @dataclass(frozen=True, slots=True)

@@ -37,7 +37,7 @@ from .optrees import evaluate, random_tree
 from .semimetrics import (
     interval_agreement,
     kernel_partition,
-    ph_criterion_detail,
+    ph_criterion,
     quotient,
     ustar_family,
     validate_semimetric,
@@ -351,9 +351,8 @@ def _suite_prop_ph(cfg: SuiteConfig) -> list[CheckRecord]:
             n_subl = 0
             n_hausdorff = 0
             for S in sublattices(L):
-                det = ph_criterion_detail(L, S, D)
                 n_subl += 1
-                n_hausdorff += bool(det)
+                n_hausdorff += ph_criterion(L, S, D)
             detail = f"{n_hausdorff} of {n_subl} sublattice clamp families Hausdorff"
             records.append(CheckRecord(label, Verdict.exact(detail),
                                        expect=EXPECT_EXACT, cases=n_subl))
@@ -414,7 +413,8 @@ def _suite_o1o2(cfg: SuiteConfig) -> list[CheckRecord]:
     records.append(CheckRecord("line-sandwich",
                                verify_O1(alt, 0, w1, horizon=cfg.horizon),
                                cases=cfg.horizon))
-    w2 = O2Witness.affine(lower, upper, 0)
+    # eventual index K(j) = j + 1: |x_k| = 1/k < 1/j once k >= j + 1
+    w2 = O2Witness(lower, upper, 1)
     records.append(CheckRecord("line-intervals",
                                verify_O2(alt, 0, w2, horizon=cfg.horizon),
                                expect=EXPECT_EXACT))
@@ -426,7 +426,7 @@ def _suite_o1o2(cfg: SuiteConfig) -> list[CheckRecord]:
     atoms = window_sequence(A, Window(sliding=True), "A_k")
     lo = constant_sequence(A, FinCofSet.empty(), "empty")
     hi = window_sequence(A, Window(sliding=False, within=FinCofSet.universe()), "N_j")
-    wf = O2Witness.affine(lo, hi, 1)
+    wf = O2Witness(lo, hi, 1)
     records.append(CheckRecord("atoms-intervals",
                                verify_O2(atoms, FinCofSet.empty(), wf, horizon=cfg.horizon),
                                expect=EXPECT_EXACT))
@@ -458,7 +458,7 @@ def _suite_subnet_t3(cfg: SuiteConfig) -> list[CheckRecord]:
     Q = QLine()
     x = series_sequence(Q, RatAltSeq.alt() * RatAltSeq.inv_index(), "altharmonic")
     p = TruncationPair.of(Q, Fraction(-1), Fraction(1))
-    w = O2Witness.affine(
+    w = O2Witness(
         series_sequence(Q, RatAltSeq.inv_index() * -1, "rising"),
         series_sequence(Q, RatAltSeq.inv_index(), "falling"), 1)
     net = build_subnet(x, [p], {p: w}, steps=steps)
@@ -469,7 +469,7 @@ def _suite_subnet_t3(cfg: SuiteConfig) -> list[CheckRecord]:
     B = FinCofSet.cofinite_complement({1})
     atoms = window_sequence(A, Window(sliding=True), "A_k")
     pf = TruncationPair.of(A, FinCofSet.empty(), B)
-    wf = O2Witness.affine(
+    wf = O2Witness(
         constant_sequence(A, FinCofSet.empty(), "empty"),
         window_sequence(A, Window(sliding=False, within=B), "N_j"), 1)
     netf = build_subnet(atoms, [pf], {pf: wf}, steps=steps)

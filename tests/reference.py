@@ -10,15 +10,19 @@ reduction, and the metric convergence and Cauchy scans comparing each
 distance with eps itself, as they did before eps became one ExtValue per
 scan. The axiom and distributivity checks go through the carrier's public,
 checking operations and nothing faster; an axiom check's witness is the
-failing elements followed by the name of the law."""
+failing elements followed by the name of the law. The parts of the
+recovery criterion and the family a quotient induces are recomputed here
+for the tests that read them."""
 
 import itertools
 from fractions import Fraction
+from functools import reduce
 
 from ulat.carriers import CheckResult, _is_sublattice
 from ulat.convergence import (DEFAULT_EPS_GRID, DEFAULT_HORIZON, _points, _positive_grid,
                               _probe_indices, truncate_sequence)
 from ulat.exact import Poly, RatAltSeq
+from ulat.semimetrics import LatticeSemimetric, SemimetricFamily
 from ulat.sequences import EventuallyConstant, SequenceFamily, _constant_tail
 from ulat.spaces import (C00Space, C00Vec, EvLinSeq, EvLinSpace, FinCofAlgebra, FinCofSet, QLine,
                          QVec)
@@ -147,6 +151,33 @@ def base_point_bound_holds(G, s, x, y, a) -> bool:
 def is_sublattice(L, S) -> bool:
     """Is S, each of its members checked once, closed under meet and join?"""
     return _is_sublattice(L, [L.check_element(s) for s in S])
+
+
+def recovery_parts(L, S, D):
+    """The parts of the recovery criterion for the clamp family over S,
+    through the public checking operations: whether D separates L, whether
+    every x is the join of s /\\ x over s in S, whether every x is the meet
+    of s \\/ x over s in S, and the first x that fails either (None if no
+    x fails)."""
+    items = [L.check_element(s) for s in S]
+
+    def from_below(x):
+        return reduce(L.join, [L.meet(s, x) for s in items]) == x
+
+    def from_above(x):
+        return reduce(L.meet, [L.join(s, x) for s in items]) == x
+
+    elems = L.elements()
+    failing = next((x for x in elems if not (from_below(x) and from_above(x))), None)
+    return (D.separates(elems), all(map(from_below, elems)), all(map(from_above, elems)),
+            failing)
+
+
+def induced_family(Q, D) -> SemimetricFamily:
+    """D's members on the carrier of the quotient Q: the induced distances
+    between class representatives."""
+    return SemimetricFamily(D.name, Q.carrier, tuple(LatticeSemimetric(d.name, Q.carrier, d.func)
+                                                     for d in D.members))
 
 
 def eventually_constant_sequence(L, prefix, value, name: str) -> SequenceFamily:

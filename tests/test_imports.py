@@ -35,10 +35,10 @@ EXPORTS = {
     "entourages": ("compose_case_analysis", "compose_triple_violation", "entourage_clause",
                    "real_entourage_compose_check", "real_entourage_contains"),
     "exact": ("EXT_INF", "ExtValue", "Poly", "RatAltSeq", "ext", "rat"),
-    "semimetrics": ("KernelRelation", "LatticeSemimetric", "QuotientLattice", "RecoveryResult",
+    "semimetrics": ("KernelRelation", "LatticeSemimetric", "QuotientLattice",
                     "SemimetricFamily", "derived_semimetric", "discrete_semimetric",
                     "interval_agreement", "kernel_partition", "load_distance_table",
-                    "norm_semimetric", "order_interval", "ph_criterion_detail",
+                    "norm_semimetric", "order_interval", "ph_criterion",
                     "pullback_semimetric", "quotient", "table_semimetric", "ustar_family",
                     "validate_semimetric", "zero_semimetric"),
     "sequences": ("BoundClaim", "EventuallyConstant", "MetricCertificate", "O1Witness",
@@ -58,12 +58,12 @@ EXPORTS = {
 }
 
 # names the package no longer exports: the periodic descriptor is gone, the
-# axiom checks live in the tests' reference module, and one window descriptor
-# replaced the typed streams
+# axiom checks live in the tests' reference module, one window descriptor
+# replaced the typed streams, and the recovery criterion answers a bool
 REMOVED = ("Periodic", "periodic_sequence", "eventually_constant_sequence",
            "check_distributive", "check_group_axioms", "check_lattice_axioms",
            "UnitVectors", "unit_vector_sequence", "singleton_atom_sequence",
-           "cofinite_chain_sequence")
+           "cofinite_chain_sequence", "RecoveryResult", "ph_criterion_detail")
 
 
 def _env(**extra) -> dict:

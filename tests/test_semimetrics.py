@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import RANDINT_SAMPLERS, check_semimetric_axioms
+from reference import RANDINT_SAMPLERS, check_semimetric_axioms, induced_family, recovery_parts
 from ulat.carriers import (CarrierMismatch, chain_lattice, diamond_lattice, divisor_lattice,
-                           powerset_lattice)
+                           powerset_lattice, sublattices)
 from ulat.exact import EXT_INF, ext
 from ulat.catalog import finite_entries, standard_carriers
 from ulat.semimetrics import (
@@ -21,7 +21,7 @@ from ulat.semimetrics import (
     load_distance_table,
     norm_semimetric,
     order_interval,
-    ph_criterion_detail,
+    ph_criterion,
     pullback_semimetric,
     quotient,
     symmetric_difference_semimetric,
@@ -213,9 +213,10 @@ def test_kernel_quotient_and_agreement_check_only_their_entry_points(monkeypatch
     calls = _count_checks(monkeypatch, L)
     q = quotient(L, kernel_partition(L, D), D)
     assert calls == []
-    assert q.induced.members[0](1, 3) == 1
+    induced = induced_family(q, D).members[0]
+    assert induced(1, 3) == 1
     with pytest.raises(CarrierMismatch):
-        q.induced.members[0](2, 3)  # 2 is no representative of the quotient
+        induced(2, 3)  # 2 is no representative of the quotient
     assert interval_agreement(D, D, TruncationPair(0, 3, True)).status == "exact"
     assert calls == [0, 3]
 
@@ -242,8 +243,8 @@ class TestKernelAndQuotient:
         assert q.carrier.elements() == [0, 1, 3]
         assert q.hausdorff
         # 2 projects to its class's representative 1, an element of the quotient
-        assert q.kernel.blocks[q.kernel.class_index(2)][0] == 1
-        res = kernel_partition(q.carrier, q.induced)
+        assert ker.blocks[ker.class_index(2)][0] == 1
+        res = kernel_partition(q.carrier, induced_family(q, D))
         assert all(len(block) == 1 for block in res.blocks)
 
     def test_non_congruent_kernel_is_rejected_with_witness(self):
@@ -304,16 +305,16 @@ class TestRecoveryCriterion:
     def test_three_chain_needs_both_ends(self):
         L = chain_lattice(3)
         D = SemimetricFamily.of("discrete", discrete_semimetric(L))
-        assert ph_criterion_detail(L, [0, 2], D).hausdorff
-        assert ph_criterion_detail(L, [0, 1, 2], D).hausdorff
-        assert not ph_criterion_detail(L, [0], D).hausdorff
-        assert not ph_criterion_detail(L, [0, 1], D).hausdorff
+        assert ph_criterion(L, [0, 2], D)
+        assert ph_criterion(L, [0, 1, 2], D)
+        assert not ph_criterion(L, [0], D)
+        assert not ph_criterion(L, [0, 1], D)
 
     def test_the_subset_is_checked_once(self, monkeypatch):
         L = chain_lattice(3)
         D = SemimetricFamily.of("discrete", discrete_semimetric(L))
         calls = _count_checks(monkeypatch, L)
-        assert ph_criterion_detail(L, [0, 2], D).hausdorff
+        assert ph_criterion(L, [0, 2], D)
         # S once where it enters; the rest are the elements in the two
         # separation tests and the ends of the three clamp pairs
         assert calls == [0, 2] + [0, 1, 2] + [0, 0, 0, 2, 2, 2] + [0, 1, 2]
@@ -321,34 +322,49 @@ class TestRecoveryCriterion:
     def test_detail_reports_the_failing_element(self):
         L = chain_lattice(3)
         D = SemimetricFamily.of("discrete", discrete_semimetric(L))
-        det = ph_criterion_detail(L, [0, 1], D)
-        assert not det.hausdorff
-        assert det.family_hausdorff
-        assert not det.recovery_ok
-        assert det.failing_element == 2
-        assert not det.kernel_hausdorff
+        assert not ph_criterion(L, [0, 1], D)
+        # 2 is the meet of s \/ 2 but not the join of s /\ 2 over s in {0, 1}
+        assert recovery_parts(L, [0, 1], D) == (True, False, True, 2)
+        pairs = [TruncationPair(0, 0, True), TruncationPair(0, 1, True), TruncationPair(1, 1, True)]
+        assert not ustar_family(D, pairs).separates(L.elements())
 
     def test_non_hausdorff_family_fails_criterion(self):
         L = chain_lattice(3)
         D = SemimetricFamily.of("zero", zero_semimetric(L))
-        det = ph_criterion_detail(L, [0, 2], D)
-        assert not det.hausdorff and not det.family_hausdorff
+        assert not ph_criterion(L, [0, 2], D)
+        assert recovery_parts(L, [0, 2], D) == (False, True, True, None)
+
+    def test_a_family_on_another_carrier_is_refused(self):
+        D = SemimetricFamily.of("discrete", discrete_semimetric(chain_lattice(4)))
+        with pytest.raises(CarrierMismatch):
+            ph_criterion(chain_lattice(3), [0, 2], D)
 
     def test_rejects_non_sublattices(self):
         L = powerset_lattice(2)
         D = SemimetricFamily.of("discrete", discrete_semimetric(L))
         with pytest.raises(ValueError):
-            ph_criterion_detail(L, [s(1), s(2)], D)  # missing meet and join
+            ph_criterion(L, [s(1), s(2)], D)  # missing meet and join
         with pytest.raises(ValueError):
-            ph_criterion_detail(L, [], D)
+            ph_criterion(L, [], D)
 
     def test_agreement_holds_on_nondistributive_carriers(self):
         # the clamp kernel is not a congruence there, but discreteness is
         # still the right notion and must agree with the criterion
         N5 = diamond_lattice()
         D = SemimetricFamily.of("discrete", discrete_semimetric(N5))
-        assert ph_criterion_detail(N5, N5.elements(), D).hausdorff
-        assert not ph_criterion_detail(N5, ["0", "a"], D).hausdorff
+        assert ph_criterion(N5, N5.elements(), D)
+        assert not ph_criterion(N5, ["0", "a"], D)
+
+    def test_criterion_is_separation_and_recovery_on_the_small_catalog(self):
+        for entry in finite_entries(standard_carriers()):
+            L = entry.carrier
+            if len(L.elements()) > 8:
+                continue
+            for D in entry.families.values():
+                for S in sublattices(L):
+                    separates, from_below, from_above, _ = recovery_parts(L, S, D)
+                    assert ph_criterion(L, S, D) == (separates and from_below and from_above), \
+                        (entry.name, D.name, S)
 
 
 class TestDistanceTables:

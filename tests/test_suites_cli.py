@@ -1,6 +1,7 @@
 """Suite runner and command line behavior."""
 
 import hashlib
+import itertools
 import json
 import random
 import time
@@ -120,6 +121,15 @@ def test_o1o2_record_statuses():
     assert result.counts["xfail"] == 2
     # a passing suite surfaces its first negative-control witness
     assert result.witness == [1, 2]
+
+
+def test_o1o2_never_decides_one_witness_twice(monkeypatch):
+    decide, handed = suites.verify_O2, []
+    monkeypatch.setattr(suites, "verify_O2",
+                        lambda seq, x, w, **kw: handed.append(w) or decide(seq, x, w, **kw))
+    assert run_suite("o1o2", FAST).status == "pass"
+    assert len(handed) == 3
+    assert all(v != w for v, w in itertools.combinations(handed, 2))
 
 
 def test_prop_d_separates_distributive_carriers():

@@ -18,10 +18,7 @@ TEST_ONLY = {"metric_converges", "truncate_g"}
 
 # Dataclass fields that nothing in the library or the benchmark reads: the
 # parts of a result that only the tests inspect.  The set can only shrink.
-UNREAD_FIELDS = {"SeparationEntry.bound", "ComposeCase.conclusion", "QuotientLattice.kernel",
-                 "QuotientLattice.induced", "RecoveryResult.family_hausdorff",
-                 "RecoveryResult.recovery_ok", "RecoveryResult.kernel_hausdorff",
-                 "RecoveryResult.failing_element"}
+UNREAD_FIELDS = {"ComposeCase.conclusion"}
 
 DESCRIPTOR_CLASSES = {"EventuallyConstant", "TailClosedForm", "Window"}
 
