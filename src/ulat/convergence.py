@@ -18,7 +18,7 @@ from typing import Optional, Sequence as Seq
 
 from .carriers import CarrierMismatch, GroupCarrier
 from .entourages import real_entourage_contains
-from .exact import EXT_INF, ExtValue, frac_floor, rat
+from .exact import EXT_INF, ExtValue, check_index, frac_floor, rat
 from .semimetrics import SemimetricFamily
 from .sequences import (NEVER_CONSTANT, BoundClaim, MetricCertificate, O1Witness, O2Witness,
                         SequenceFamily, _constant_tail, chain_bound, clamped_descriptor,
@@ -441,21 +441,37 @@ def unbounded_separation_example(k_values=range(1, 51),
     """With x = (1,2,3,...), e = (1,1,...), x_n = x + (1/n)e and cap a = k e:
     the clamp difference has norm at most k/n (so the clamped distances
     vanish along n), while |x_n - x| /\\ a keeps norm +inf for every (k, n).
-    Both facts are checked exactly on the whole grid."""
+    Both facts are checked exactly on the whole grid, k-major, and the first
+    failing (k, n) is the witness.
+
+    Each grid is read once, so any iterable will do.  Every k and n must be
+    an int >= 1 and neither grid may be empty; anything else is refused with
+    ``ValueError`` before any work.  x_n and |x_n - x| depend on n alone and
+    are built once per n, the cap +-k e and the clamped x once per k; the
+    grid points then combine these values with the trusted operations."""
+    k_values, n_values = tuple(k_values), tuple(n_values)
+    for k in k_values:
+        check_index(k, "k")
+    for n in n_values:
+        check_index(n, "n")
+    if not k_values or not n_values:
+        raise ValueError("the separation grid needs at least one k and one n")
     space = EvLinSpace()
     x = EvLinSeq.affine(0, 1)
     e = EvLinSeq.affine(1, 0)
+    per_n = []
+    for n in n_values:
+        xn = space.add(x, space.scale_rat(Fraction(1, n), e))
+        per_n.append((n, xn, space.abs_(space.sub(xn, x))))
     samples = []
     cases = 0
     for k in k_values:
         a = space.scale_rat(k, e)
         neg_a = space.negate(a)
-        cap_pair = TruncationPair.of(space, neg_a, a)
-        clamped_x = truncate_f(space, cap_pair, x)
-        for n in n_values:
-            xn = space.add(x, space.scale_rat(Fraction(1, n), e))
-            gap = space.norm(space.sub(truncate_f(space, cap_pair, xn), clamped_x))
-            unclamped = space.norm(space.meet(space.abs_(space.sub(xn, x)), a))
+        clamped_x = _clamp(space, neg_a, a, x)
+        for n, xn, dist in per_n:
+            gap = space._norm(space._sub(_clamp(space, neg_a, a, xn), clamped_x))
+            unclamped = space._norm(space._meet(dist, a))
             if gap > Fraction(k, n):
                 return SeparationReport(cases, Verdict.falsified(
                     witness=(k, n, gap.to_json()), detail="clamp difference exceeded k/n"),

@@ -54,7 +54,7 @@ from .sequences import (
 )
 from .spaces import C00Space, C00Vec, FinCofAlgebra, FinCofSet, QLine, QVec
 from .subnet import build_subnet
-from .truncation import TruncationPair, _clamp, canonical_pairs, clamp_difference_bound, compose_truncations, decompose_abs_meet, is_truncation_hom, truncate_f
+from .truncation import TruncationPair, _clamp, canonical_pairs, clamp_difference_bound, compose_truncations, decompose_abs_meet, is_truncation_hom
 from .verdicts import AT_HORIZON, EXACT, FALSIFIED, Verdict
 
 # expectations a record can carry
@@ -278,21 +278,21 @@ def _suite_lemma_l2(cfg: SuiteConfig) -> list[CheckRecord]:
         tree = random_tree(rng, 3, 5)
         xs = [V.sample(rng) for _ in range(3)]
         ys = [V.sample(rng) for _ in range(3)]
-        lhs = d(evaluate(V, tree, xs), evaluate(V, tree, ys))
-        bound = sum((d(xs[i], ys[i]) for i in tree.leaves()), ExtValue(0))
+        lhs = d._dist(evaluate(V, tree, xs), evaluate(V, tree, ys))
+        bound = sum((d._dist(xs[i], ys[i]) for i in tree.leaves()), ExtValue(0))
         if not lhs <= bound:
             tree_bad = (tree, xs, ys)
             break
     window_bad = None
     for _ in range(cases):
         s1, s2 = V.sample(rng), V.sample(rng)
-        a, b = V.meet(s1, s2), V.join(s1, s2)
+        a, b = V._meet(s1, s2), V._join(s1, s2)
         s3, s4 = V.sample(rng), V.sample(rng)
-        c, e = V.meet(s3, s4), V.join(s3, s4)
-        p, q = TruncationPair.of(V, a, b), TruncationPair.of(V, c, e)
+        c, e = V._meet(s3, s4), V._join(s3, s4)
         x, y = V.sample(rng), V.sample(rng)
-        lhs = d(truncate_f(V, p, x), truncate_f(V, p, y))
-        rhs = d(truncate_f(V, q, x), truncate_f(V, q, y)) + d(a, c) * 2 + d(b, e) * 2
+        lhs = d._dist(_clamp(V, a, b, x), _clamp(V, a, b, y))
+        rhs = (d._dist(_clamp(V, c, e, x), _clamp(V, c, e, y))
+               + d._dist(a, c) * 2 + d._dist(b, e) * 2)
         if not lhs <= rhs:
             window_bad = (a, b, c, e, x, y)
             break

@@ -148,10 +148,21 @@ def decompose_abs_meet(G: GroupCarrier, x, y, a) -> bool:
         d = lcm(dx, dy, da)
         x_, y_ = xi._numerator * (d // dx), yi._numerator * (d // dy)
         a_ = ai._numerator * (d // da)
-        lhs = min(abs(x_ - y_), a_)
+        # |x - y| /\ a
+        lhs = x_ - y_ if x_ >= y_ else y_ - x_
+        lhs = lhs if lhs <= a_ else a_
         low, high = y_ - a_, y_ + a_
-        term_low = abs(max(min(x_, y_), low) - max(min(y_, y_), low))
-        term_high = abs(max(min(x_, high), y_) - max(min(y_, high), y_))
+        # |f_{p-}(x) - f_{p-}(y)|, with f_{p-}(y) = (y /\ y) \/ low = y \/ low
+        fx = x_ if x_ <= y_ else y_
+        fx = fx if fx >= low else low
+        fy = y_ if y_ >= low else low
+        term_low = fx - fy if fx >= fy else fy - fx
+        # |f_{p+}(x) - f_{p+}(y)|
+        fx = x_ if x_ <= high else high
+        fx = fx if fx >= y_ else y_
+        fy = y_ if y_ <= high else high
+        fy = fy if fy >= y_ else y_
+        term_high = fx - fy if fx >= fy else fy - fx
         if lhs != term_low + term_high:
             return False
     return True
@@ -178,8 +189,15 @@ def clamp_difference_bound(G: GroupCarrier, s, x, y, a) -> bool:
         s_, x_ = si._numerator * (d // ds), xi._numerator * (d // dx)
         y_, a_ = yi._numerator * (d // dy), ai._numerator * (d // da)
         high = s_ + a_
-        diff = abs(max(min(x_, high), s_) - max(min(y_, high), s_))
-        cap = min(abs(x_ - y_), a_)
+        # |f(x) - f(y)| for the clamp f over (s, s + a)
+        fx = x_ if x_ <= high else high
+        fx = fx if fx >= s_ else s_
+        fy = y_ if y_ <= high else high
+        fy = fy if fy >= s_ else s_
+        diff = fx - fy if fx >= fy else fy - fx
+        # |x - y| /\ a
+        cap = x_ - y_ if x_ >= y_ else y_ - x_
+        cap = cap if cap <= a_ else a_
         if diff > cap:
             return False
     return True

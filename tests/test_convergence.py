@@ -620,6 +620,47 @@ def test_two_norm_separation_report():
     assert late.truncated_gap <= F(3, 200)
 
 
+def test_separation_reads_each_grid_once():
+    ranged = unbounded_separation_example(k_values=range(1, 3), n_values=range(1, 4))
+    assert ranged.cases == 6
+    assert unbounded_separation_example(k_values=(k for k in range(1, 3)),
+                                        n_values=(n for n in range(1, 4))) == ranged
+    assert unbounded_separation_example(k_values=iter([1, 2]), n_values=iter([1, 2, 3])) == ranged
+
+
+@pytest.mark.parametrize("k_values, n_values, bad", [
+    ((1,), (0,), "n must be an integer >= 1, got 0"),
+    ((-1,), (1,), "k must be an integer >= 1, got -1"),
+    ((1,), (1, -2), "n must be an integer >= 1, got -2"),
+    ((0,), (1,), "k must be an integer >= 1, got 0"),
+    ((True,), (1,), "k must be an integer >= 1, got True"),
+    ((1,), (True,), "n must be an integer >= 1, got True"),
+    ((1,), (F(1),), "n must be an integer >= 1, got Fraction(1, 1)"),
+    ((), (1,), "at least one k and one n"),
+    ((1,), (), "at least one k and one n"),
+], ids=["n-zero", "k-negative", "n-negative", "k-zero", "k-bool", "n-bool", "n-fraction",
+        "no-k", "no-n"])
+def test_separation_refuses_an_out_of_domain_grid(monkeypatch, k_values, n_values, bad):
+    # refused before any work: no element of the space is built
+    monkeypatch.setattr(convergence, "EvLinSpace", None)
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        unbounded_separation_example(k_values=k_values, n_values=n_values)
+
+
+def test_separation_builds_the_n_terms_once_per_n(monkeypatch):
+    abs_calls = []
+    abs_ = convergence.EvLinSpace.abs_
+
+    def counted(self, x):
+        abs_calls.append(x)
+        return abs_(self, x)
+
+    monkeypatch.setattr(convergence.EvLinSpace, "abs_", counted)
+    rep = unbounded_separation_example()
+    assert rep.cases == 50 * 200
+    assert len(abs_calls) == 200
+
+
 # ---------------------------------------------------------------------------
 # clamp members carry their pair
 

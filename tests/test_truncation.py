@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction as F
@@ -262,6 +263,27 @@ def test_laws_match_the_reference_bodies(case):
             decompose_abs_meet(G, x, y, a)
         with pytest.raises(ValueError, match="positive"):
             clamp_difference_bound(G, s, x, y, a)
+
+
+TIE_GRID = sorted({F(n, d) for n in range(-2, 3) for d in (1, 2)})
+
+
+def test_laws_match_the_reference_bodies_on_every_tie():
+    """Every x, y, a, s in {-2, ..., 2}/{1, 2} on the line, caps of either
+    sign: the grid holds each equality the integer bodies branch on (x = y,
+    x = y +- a, a = 0, x = s, x = s + a), and with the cap check off a
+    negative cap makes both laws fail, so the answers are not all True."""
+    answers = set()
+    with mock.patch.object(truncation, "_check_cap", lambda G, a: None):
+        for x, y, a in itertools.product(TIE_GRID, repeat=3):
+            split = decompose_abs_meet(LINE, x, y, a)
+            assert split == abs_meet_split_holds(LINE, x, y, a), (x, y, a)
+            answers.add(split)
+            for s in TIE_GRID:
+                bound = clamp_difference_bound(LINE, s, x, y, a)
+                assert bound == base_point_bound_holds(LINE, s, x, y, a), (s, x, y, a)
+                answers.add(bound)
+    assert answers == {True, False}
 
 
 @pytest.mark.parametrize("G", [C00Space(), EvLinSpace(), FinCofAlgebra(), P3],
