@@ -7,6 +7,13 @@ descriptors attached to sequences are what make the exact grade reachable;
 without one, the oracles degrade honestly instead of overclaiming.
 What a descriptor proves is decided in ``sequences``; the oracles here ask
 it and never read a descriptor themselves.
+
+A sup or inf claim, eventual constancy and monotonicity are answered from
+descriptors alone: where none decides, the answer is inconclusive and its
+detail names what was undecided.  Three kinds of check walk terms up to
+the horizon: the O1 sandwich (unless all three sequences settle), O2
+containment that no symbolic argument decides, and the metric checks of a
+walk that does not settle.
 """
 
 from __future__ import annotations
@@ -35,30 +42,19 @@ DEFAULT_EPS_GRID = tuple(Fraction(1, 2 ** i) for i in range(11))
 # Bound-claim grading shared by the order-convergence oracles
 
 
-def _grade_bound(seq: SequenceFamily, kind: str, target, horizon: int) -> Verdict:
+def _grade_bound(seq: SequenceFamily, kind: str, target) -> Verdict:
     """Grade the claim sup/inf {seq(k) : k >= 1} = target: exact or
-    falsified where ``chain_bound`` decides the bound, else by a term scan."""
-    L = seq.carrier
+    falsified where ``chain_bound`` decides the bound, else inconclusive."""
     claim: BoundClaim = chain_bound(seq, kind)
     label = f"{kind} of {seq.name}"
     if claim.value is NO_BOUND:
         return Verdict.falsified(witness=(kind, NO_BOUND), detail=f"{label} does not exist")
-    if claim.value is not None:
-        if claim.value == target:
-            return Verdict.exact(detail=f"{label}: {claim.detail}")
-        return Verdict.falsified(witness=(kind, claim.value),
-                                 detail=f"{label} is {claim.value!r}, not the limit")
-    # Undecided: a term on the wrong side of the target still falsifies,
-    # because the bound would have to dominate it.
-    for k in range(1, min(horizon, 256) + 1):
-        v = seq.value(k)
-        if kind == "sup" and not L._leq(v, target):
-            return Verdict.falsified(witness=(kind, k, v),
-                                     detail=f"term {k} is not below the claimed supremum")
-        if kind == "inf" and not L._leq(target, v):
-            return Verdict.falsified(witness=(kind, k, v),
-                                     detail=f"term {k} is not above the claimed infimum")
-    return Verdict.inconclusive(detail=f"{label} undecided ({claim.detail})")
+    if claim.value is None:
+        return Verdict.inconclusive(detail=f"{label} undecided ({claim.detail})")
+    if claim.value == target:
+        return Verdict.exact(detail=f"{label}: {claim.detail}")
+    return Verdict.falsified(witness=(kind, claim.value),
+                             detail=f"{label} is {claim.value!r}, not the limit")
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +102,8 @@ def verify_O1(seq: SequenceFamily, x, w: O1Witness,
         prev_lo, prev_hi = lo, hi
 
     parts = [grade_on_success,
-             _grade_bound(w.lower, "sup", x, horizon),
-             _grade_bound(w.upper, "inf", x, horizon)]
+             _grade_bound(w.lower, "sup", x),
+             _grade_bound(w.upper, "inf", x)]
     return Verdict.weakest(parts)
 
 
@@ -145,8 +141,8 @@ def verify_O2(seq: SequenceFamily, x, w: O2Witness,
         return contained
 
     parts = [contained,
-             _grade_bound(w.lower, "sup", x, horizon),
-             _grade_bound(w.upper, "inf", x, horizon)]
+             _grade_bound(w.lower, "sup", x),
+             _grade_bound(w.upper, "inf", x)]
     return Verdict.weakest(parts)
 
 
@@ -154,47 +150,33 @@ def verify_O2(seq: SequenceFamily, x, w: O2Witness,
 # Eventual constancy as an O1 decision procedure
 
 
-def decide_O1_eventual_constancy(seq: SequenceFamily, x,
-                                 horizon: int = DEFAULT_HORIZON) -> Verdict:
+def decide_O1_eventual_constancy(seq: SequenceFamily, x) -> Verdict:
     """Decide O1-convergence on carriers where it reduces to eventual
     constancy: the finite/cofinite algebra (its order intervals are finite
     in the relevant direction) and finite lattices (monotone witness
     sequences there are eventually constant).
 
-    Exact when a descriptor settles constancy symbolically.
+    Exact or falsified when a descriptor settles constancy symbolically,
+    inconclusive when none does.
     """
     L = seq.carrier
     if not (isinstance(L, FinCofAlgebra) or L.is_finite):
         raise ValueError(f"eventual-constancy reduction does not apply to {L.name!r}")
     x = L.check_element(x)
     tail = settled(seq)
-    if tail is not None:
-        i, value = tail
-        if value is NEVER_CONSTANT:
-            # the tail never settles, so some later term differs from term i
-            first, j = seq.value(i), i + 1
-            while seq.value(j) == first:
-                j += 1
-            return Verdict.falsified(witness=(i, j), detail=f"never constant from index {i}")
-        if value == x:
-            return Verdict.exact(detail=f"constant from index {i}")
-        return Verdict.falsified(witness=(i, value),
-                                 detail="eventually constant at a different value")
-
-    prev = seq.value(1)
-    last_change = None
-    for k in range(2, horizon + 1):
-        cur = seq.value(k)
-        if cur != prev:
-            last_change = k
-            prev = cur
-    if last_change is not None and last_change > horizon - 2:
-        return Verdict.falsified(witness=(last_change - 1, last_change), horizon=horizon,
-                                 detail="still changing at the horizon")
-    stable_from = last_change if last_change is not None else 1
-    if prev == x:
-        return Verdict.at_horizon(horizon, detail=f"constant from index {stable_from} to horizon")
-    return Verdict.inconclusive(detail="stable at a different value within the horizon")
+    if tail is None:
+        return Verdict.inconclusive(detail=f"constancy of {seq.name} undecided (no descriptor)")
+    i, value = tail
+    if value is NEVER_CONSTANT:
+        # the tail never settles, so some later term differs from term i
+        first, j = seq.value(i), i + 1
+        while seq.value(j) == first:
+            j += 1
+        return Verdict.falsified(witness=(i, j), detail=f"never constant from index {i}")
+    if value == x:
+        return Verdict.exact(detail=f"constant from index {i}")
+    return Verdict.falsified(witness=(i, value),
+                             detail="eventually constant at a different value")
 
 
 # ---------------------------------------------------------------------------
@@ -374,18 +356,14 @@ def exhaustivity_probe(seq: SequenceFamily, D: SemimetricFamily,
                        eps_grid=DEFAULT_EPS_GRID,
                        horizon: int = DEFAULT_HORIZON) -> Verdict:
     """Cauchy probe of a monotone sequence: the operational form of
-    exhaustivity.  Rejects non-monotone input."""
-    L = seq.carrier
+    exhaustivity.  Rejects a sequence that its descriptor proves not
+    monotone; inconclusive when no descriptor decides monotonicity."""
     ok = monotone(seq)
     if ok is None:
-        up = down = True
-        prev = seq.value(1)
-        for k in range(2, min(horizon, 256) + 1):
-            cur = seq.value(k)
-            up = up and L._leq(prev, cur)
-            down = down and L._leq(cur, prev)
-            prev = cur
-        ok = up or down
+        # refuse what metric_cauchy would refuse before answering
+        _positive_grid(eps_grid)
+        D.check_carrier(seq.carrier)
+        return Verdict.inconclusive(detail=f"monotonicity of {seq.name} undecided (no closed form)")
     if not ok:
         raise ValueError("exhaustivity probe needs a monotone sequence")
     return metric_cauchy(seq, D, cert, eps_grid, horizon)

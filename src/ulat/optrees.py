@@ -50,8 +50,14 @@ def random_tree(rng, n_vars: int, max_depth: int) -> OpTree:
 
 
 def evaluate(L: Carrier, tree: OpTree, values) -> object:
+    """The tree at the given values, each checked once here however often
+    its leaf occurs; the recursion runs on the trusted operations."""
+    return _evaluate(L, tree, [L.check_element(v) for v in values])
+
+
+def _evaluate(L: Carrier, tree: OpTree, values: list) -> object:
     if tree.op is None:
-        return L.check_element(values[tree.var])
-    left = evaluate(L, tree.left, values)
-    right = evaluate(L, tree.right, values)
+        return values[tree.var]
+    left = _evaluate(L, tree.left, values)
+    right = _evaluate(L, tree.right, values)
     return L._meet(left, right) if tree.op == MEET else L._join(left, right)

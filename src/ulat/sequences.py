@@ -355,37 +355,17 @@ def _window_containment(seq: SequenceFamily, w: O2Witness) -> Optional[Verdict]:
     return Verdict.exact(detail="the window avoids the dropped prefix once k > j")
 
 
-def _settled_containment(seq: SequenceFamily, w: O2Witness) -> Optional[Verdict]:
-    """Exact containment when sequence and chains provably settle."""
-    tails = [_constant_tail(s) for s in (seq, w.lower, w.upper)]
-    if None in tails:
-        return None
-    k_stop, lower_knee, upper_knee = (t[0] for t in tails)
-    L = seq.carrier
-    term = functools.cache(seq.value)
-    for j in range(1, max(lower_knee, upper_knee) + 2):
-        start = w.k_of(j)
-        mj, nj = w.lower.value(j), w.upper.value(j)
-        for k in range(start, max(k_stop, start) + 1):
-            if not (L._leq(mj, term(k)) and L._leq(term(k), nj)):
-                return Verdict.falsified(witness=("containment", j, k),
-                                         detail="interval containment violated")
-    return Verdict.exact(detail="eventually constant containment")
-
-
 def containment(seq: SequenceFamily, w: O2Witness) -> Optional[Verdict]:
     """Decide x_k in [lower(j), upper(j)] for every j and every k >= K(j)
     from the descriptors: an exact or falsified verdict, or None when no
     symbolic argument applies.
 
     The arguments, in order: closed forms on the line with an affine K,
-    the sliding window inside a growing complement window, and data that
-    provably settles.  The chains must live on seq's carrier, as
-    ``verify_O2`` checks: terms are compared on the trusted order.
+    and the sliding window inside a growing complement window.  The chains
+    must live on seq's carrier, as ``verify_O2`` checks: terms are compared
+    on the trusted order.
     """
-    return (_line_containment(seq, w)
-            or _window_containment(seq, w)
-            or _settled_containment(seq, w))
+    return _line_containment(seq, w) or _window_containment(seq, w)
 
 
 # ---------------------------------------------------------------------------

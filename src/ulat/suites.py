@@ -377,7 +377,7 @@ def _suite_ex_r(cfg: SuiteConfig) -> list[CheckRecord]:
          if control else Verdict.exact("no violation at the canonical triple"))
     records.append(CheckRecord("unhalved-control", v, expect=EXPECT_FALSIFIED))
 
-    records += _walk_probes(cfg, "clamp-cauchy", "plain-cauchy-control")
+    records += _walk_probes(cfg, RatAltSeq.index(), "clamp-cauchy", "plain-cauchy-control")
 
     targets = [Fraction(0), Fraction(100), Fraction(-7, 2)]
     targets += [_fraction(_below(rng, 20_001) - 10_000, 1 + _below(rng, 99))
@@ -431,8 +431,7 @@ def _suite_o1o2(cfg: SuiteConfig) -> list[CheckRecord]:
                                verify_O2(atoms, FinCofSet.empty(), wf, horizon=cfg.horizon),
                                expect=EXPECT_EXACT))
     records.append(CheckRecord("atoms-no-constancy",
-                               decide_O1_eventual_constancy(atoms, FinCofSet.empty(),
-                                                            horizon=cfg.horizon),
+                               decide_O1_eventual_constancy(atoms, FinCofSet.empty()),
                                expect=EXPECT_FALSIFIED))
 
     C = C00Space()
@@ -492,10 +491,10 @@ def _subnet_verdict(net) -> Verdict:
 
 
 def _suite_exhaustive_t2(cfg: SuiteConfig) -> list[CheckRecord]:
-    """Monotone Cauchy probes: the clamp family exhausts the line while the
-    plain distance does not, and a bounded monotone climb verifies at the
-    horizon under an explicit modulus."""
-    records = _walk_probes(cfg, "clamp-family", "plain-distance-control")
+    """Monotone Cauchy probes: the clamp family exhausts the line on the
+    descending walk while the plain distance does not, and a bounded
+    monotone climb verifies at the horizon under an explicit modulus."""
+    records = _walk_probes(cfg, -RatAltSeq.index(), "clamp-family", "plain-distance-control")
     abs_family = standard_carriers()["qline"].family("abs")
     Q = abs_family.carrier
     climb = series_sequence(Q, RatAltSeq.const(1) - RatAltSeq.inv_index(), "climb")
@@ -506,12 +505,14 @@ def _suite_exhaustive_t2(cfg: SuiteConfig) -> list[CheckRecord]:
     return records
 
 
-def _walk_probes(cfg: SuiteConfig, clamp_name: str, plain_name: str) -> list[CheckRecord]:
-    """The walk x_k = k on the line is Cauchy for the clamp family over the
-    windows [-n, n], n <= 8, and not for the plain distance."""
+def _walk_probes(cfg: SuiteConfig, steps: RatAltSeq, clamp_name: str,
+                 plain_name: str) -> list[CheckRecord]:
+    """The walk x_k = steps(k) on the line, x_k = k or x_k = -k, is Cauchy
+    for the clamp family over the windows [-n, n], n <= 8, and not for the
+    plain distance."""
     abs_family = standard_carriers()["qline"].family("abs")
     Q = abs_family.carrier
-    walk = series_sequence(Q, RatAltSeq.index(), "walk")
+    walk = series_sequence(Q, steps, "walk")
     star = ustar_family(abs_family,
                         [TruncationPair.of(Q, -n, n) for n in range(1, 9)])
     return [

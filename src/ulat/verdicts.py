@@ -52,8 +52,8 @@ class Verdict:
         return Verdict(AT_HORIZON, detail=detail, horizon=horizon)
 
     @staticmethod
-    def falsified(witness: object, detail: str = "", horizon: Optional[int] = None) -> "Verdict":
-        return Verdict(FALSIFIED, witness=witness, detail=detail, horizon=horizon)
+    def falsified(witness: object, detail: str = "") -> "Verdict":
+        return Verdict(FALSIFIED, witness=witness, detail=detail)
 
     @staticmethod
     def inconclusive(detail: str = "") -> "Verdict":

@@ -6,9 +6,11 @@ under meet and join, an eventually constant sequence with an arbitrary
 prefix, the terms of a moving window atom by atom, seeded draws of the
 elements of each symbolic carrier, the polynomial sign decisions by a scan
 up to Cauchy's root bound, the closed-form ring operations without
-reduction, and the metric convergence and Cauchy scans comparing each
+reduction, the metric convergence and Cauchy scans comparing each
 distance with eps itself, as they did before eps became one ExtValue per
-scan. The axiom and distributivity checks go through the carrier's public,
+scan, and two term scans that the oracles answered with before they read
+descriptors only: eventual constancy up to a horizon, and interval
+containment of data that settles. The axiom and distributivity checks go through the carrier's public,
 checking operations and nothing faster; an axiom check's witness is the
 failing elements followed by the name of the law. The parts of the
 recovery criterion and the family a quotient induces are recomputed here
@@ -313,3 +315,38 @@ def scan_metric_cauchy(seq, D, cert=None, eps_grid=DEFAULT_EPS_GRID,
             else:
                 parts.append(Verdict.at_horizon(horizon, detail=f"{d.name}, eps={eps}"))
     return Verdict.weakest(parts)
+
+
+def scan_eventual_constancy(seq, x, horizon: int) -> Verdict:
+    """Eventual constancy at x by a scan of the terms up to the horizon:
+    falsified while the terms still change near the horizon, verified at
+    the horizon when they end at x, inconclusive when they end elsewhere."""
+    prev, last_change = seq.value(1), None
+    for k in range(2, horizon + 1):
+        cur = seq.value(k)
+        if cur != prev:
+            last_change, prev = k, cur
+    if last_change is not None and last_change > horizon - 2:
+        return Verdict.falsified(witness=(last_change - 1, last_change),
+                                 detail="still changing at the horizon")
+    if prev == x:
+        return Verdict.at_horizon(horizon, detail=f"constant from index {last_change or 1} to horizon")
+    return Verdict.inconclusive(detail="stable at a different value within the horizon")
+
+
+def settled_containment(seq, w) -> Verdict:
+    """x_k in [lower(j), upper(j)] for every j and every k >= K(j), decided
+    exactly when the sequence and both chains settle: past the later knee of
+    the chains every j repeats the last, and past the sequence's knee every
+    k repeats the last term."""
+    tails = [_constant_tail(s) for s in (seq, w.lower, w.upper)]
+    k_stop, lower_knee, upper_knee = (t[0] for t in tails)
+    L = seq.carrier
+    for j in range(1, max(lower_knee, upper_knee) + 2):
+        start = w.k_of(j)
+        mj, nj = w.lower.value(j), w.upper.value(j)
+        for k in range(start, max(k_stop, start) + 1):
+            if not (L._leq(mj, seq.value(k)) and L._leq(seq.value(k), nj)):
+                return Verdict.falsified(witness=("containment", j, k),
+                                         detail="interval containment violated")
+    return Verdict.exact(detail="eventually constant containment")

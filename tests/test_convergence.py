@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import eventually_constant_sequence, scan_metric_cauchy, scan_metric_converges
+from reference import (eventually_constant_sequence, scan_eventual_constancy, scan_metric_cauchy,
+                       scan_metric_converges, settled_containment)
 import ulat.convergence as convergence
 from ulat.carriers import CarrierMismatch
 from ulat.convergence import (
@@ -224,8 +225,7 @@ def test_constancy_decision_on_the_atom_stream():
                                   Window(sliding=False, within=FinCofSet.universe())])
 def test_constancy_decision_on_the_set_chains_needs_no_horizon(term):
     # term: the window that lays down the growing or the shrinking chain
-    v = decide_O1_eventual_constancy(window_sequence(A, term, "x"), FinCofSet.empty(),
-                                     horizon=50)
+    v = decide_O1_eventual_constancy(window_sequence(A, term, "x"), FinCofSet.empty())
     assert (v.status, v.witness, v.horizon) == ("falsified", (1, 2), None)
 
 
@@ -255,30 +255,51 @@ def test_constancy_witness_skips_equal_terms():
     assert seq.value(1) == seq.value(2) != seq.value(3)
 
 
-def test_constancy_scan_without_descriptor():
-    seq = SequenceFamily("late", A, lambda k: FinCofSet.finite({1} if k < 4 else {2}))
-    v = decide_O1_eventual_constancy(seq, FinCofSet.finite({2}), horizon=64)
-    assert v.status == "verified-at-horizon"
-    still = SequenceFamily("drift", A, lambda k: FinCofSet.finite({k}))
-    assert decide_O1_eventual_constancy(still, FinCofSet.empty(), horizon=64).status == "falsified"
+def test_constancy_without_a_descriptor_is_inconclusive():
+    # settling at {2} or drifting forever: without a descriptor neither is
+    # decided, and no term is read
+    read = []
+    late = SequenceFamily("late", A, lambda k: read.append(k) or FinCofSet.finite({1} if k < 4 else {2}))
+    v = decide_O1_eventual_constancy(late, FinCofSet.finite({2}))
+    assert (v.status, v.detail) == ("inconclusive", "constancy of late undecided (no descriptor)")
+    drift = SequenceFamily("drift", A, lambda k: read.append(k) or FinCofSet.finite({k}))
+    assert decide_O1_eventual_constancy(drift, FinCofSet.empty()).status == "inconclusive"
+    assert read == []
+    with pytest.raises(CarrierMismatch):
+        decide_O1_eventual_constancy(late, F(0))
 
 
-def test_constancy_of_a_clamped_window_is_scanned_to_the_horizon():
+def test_constancy_of_a_clamped_window_is_inconclusive():
     # the clamp of a window on the algebra has no descriptor: the singletons
-    # clamped into [{}, {1, 2}] are {1}, {2}, then {} from index 3 on
+    # clamped into [{}, {1, 2}] are {1}, {2}, then {} from index 3 on, and
+    # inside [{}, everything] the clamp changes nothing
     atoms = atoms_stream()
-    capped = truncate_sequence(atoms, TruncationPair.of(A, FinCofSet.empty(),
-                                                        FinCofSet.finite({1, 2})))
-    assert capped.descriptor is None
-    v = decide_O1_eventual_constancy(capped, FinCofSet.empty(), horizon=50)
-    assert (v.status, v.horizon) == ("verified-at-horizon", 50)
-    assert v.detail == "constant from index 3 to horizon"
-    v = decide_O1_eventual_constancy(capped, FinCofSet.finite({1}), horizon=50)
-    assert v.status == "inconclusive"
-    # inside [{}, everything] the clamp changes nothing, up to the horizon
-    whole = truncate_sequence(atoms, TruncationPair.of(A, FinCofSet.empty(), FinCofSet.universe()))
-    v = decide_O1_eventual_constancy(whole, FinCofSet.empty(), horizon=50)
-    assert (v.status, v.witness, v.horizon) == ("falsified", (49, 50), 50)
+    for high in (FinCofSet.finite({1, 2}), FinCofSet.universe()):
+        capped = truncate_sequence(atoms, TruncationPair.of(A, FinCofSet.empty(), high))
+        assert settled(capped) is None
+        for x in (FinCofSet.empty(), FinCofSet.finite({1})):
+            assert decide_O1_eventual_constancy(capped, x).status == "inconclusive"
+
+
+fincof_sets = st.builds(FinCofSet, st.frozensets(st.integers(1, 6), max_size=3), st.booleans())
+# sequences on the algebra with a descriptor: a window, or a prefix then a constant
+fincof_sequences = st.one_of(
+    st.builds(Window, st.booleans(), st.one_of(
+        st.none(), st.frozensets(st.integers(1, 6), max_size=3).map(FinCofSet.cofinite_complement))
+    ).map(lambda term: window_sequence(A, term, "x")),
+    st.tuples(st.lists(fincof_sets, max_size=3), fincof_sets).map(
+        lambda pv: eventually_constant_sequence(A, pv[0], pv[1], "x")))
+
+
+@given(fincof_sequences, fincof_sets)
+def test_constancy_decision_agrees_with_the_horizon_scan(seq, x):
+    # every knee and every atom a window skips lies below 8, so a scan to 40
+    # sees the descriptor's answer: exact where it ends at x, and falsified
+    # where the terms still change or settle elsewhere
+    v = decide_O1_eventual_constancy(seq, x)
+    scan = scan_eventual_constancy(seq, x, 40)
+    assert v.status in ("exact", "falsified")
+    assert (v.status == "exact") == (scan.status == "verified-at-horizon")
 
 
 def test_constancy_reduction_rejects_the_line():
@@ -442,8 +463,10 @@ def test_a_horizon_below_one_is_refused(horizon):
     opaque = SequenceFamily("x", line, lambda k: (F(0),))
     with pytest.raises(ValueError, match="a horizon must be an integer >= 1"):
         verify_O2(opaque, (F(0),), O2Witness.affine(point, point, 0), horizon=horizon)
+    # the constancy decision reads descriptors only, so it takes no horizon
     still = SequenceFamily("still", A, lambda k: FinCofSet.finite({2}))
-    with pytest.raises(ValueError, match="a horizon must be an integer >= 1"):
+    assert decide_O1_eventual_constancy(still, FinCofSet.finite({2})).status == "inconclusive"
+    with pytest.raises(TypeError):
         decide_O1_eventual_constancy(still, FinCofSet.finite({2}), horizon=horizon)
     harm = series_sequence(Q, RatAltSeq.inv_index(), "1/k")
     with pytest.raises(ValueError, match="a horizon must be an integer >= 1"):
@@ -717,77 +740,106 @@ def test_probe_clamps_each_member_once(monkeypatch):
     assert len(calls) == len(star.members) == 8
 
 
-def test_probe_scans_sequences_without_a_closed_form_for_monotonicity():
+def test_probe_without_a_closed_form_is_inconclusive():
+    # only a closed form decides monotonicity: a flip, a climb and settling
+    # steps without one are all undecided, and no term is read
     line = QVec(1)
     U = ustar_family(SemimetricFamily.of("l1", norm_semimetric(line)),
                      [TruncationPair.of(line, (F(-1),), (F(1),))])
-    flip = SequenceFamily("flip", line, lambda k: (F((-1) ** k),))
-    with pytest.raises(ValueError, match="monotone"):
-        exhaustivity_probe(flip, U)
-    # 1 - 1/k rises inside the clamp window, and its terms past N are within 1/N
-    climb = SequenceFamily("climb", line, lambda k: (1 - F(1, k),))
-    v = exhaustivity_probe(climb, U, CERT, horizon=300)
-    assert (v.status, v.horizon) == ("verified-at-horizon", 300)
+    read = []
+    flip = SequenceFamily("flip", line, lambda k: read.append(k) or (F((-1) ** k),))
+    climb = SequenceFamily("climb", line, lambda k: read.append(k) or (1 - F(1, k),))
+    for seq in (flip, climb):
+        v = exhaustivity_probe(seq, U, CERT, horizon=300)
+        assert (v.status, v.detail) == (
+            "inconclusive", f"monotonicity of {seq.name} undecided (no closed form)")
+    assert read == []
     steps = eventually_constant_sequence(Q, (F(0), F(1, 2)), F(1), "steps")
     clamps = ustar_family(ABS, [TruncationPair.of(Q, F(-1), F(1))])
-    assert exhaustivity_probe(steps, clamps).status == "exact"
+    assert exhaustivity_probe(steps, clamps).status == "inconclusive"
+    # an undecided probe still refuses what the Cauchy check refuses
+    with pytest.raises(ValueError, match="eps grid entry 0 is not"):
+        exhaustivity_probe(steps, clamps, eps_grid=(0,))
+    with pytest.raises(CarrierMismatch):
+        exhaustivity_probe(flip, clamps)
+    # a closed form that is not monotone is refused
+    with pytest.raises(ValueError, match="monotone"):
+        exhaustivity_probe(series_sequence(Q, RatAltSeq.alt(), "flip"), clamps)
 
 
 # ---------------------------------------------------------------------------
-# bound grading and settled containment
+# bound grading and containment of settled data
 
 
 def test_bound_grading_without_a_bound_falsifies():
     walk = series_sequence(Q, RatAltSeq.index(), "walk")
-    v = _grade_bound(walk, "sup", F(0), 100)
+    v = _grade_bound(walk, "sup", F(0))
     assert v.status == "falsified"
     assert v.witness == ("sup", NO_BOUND)
 
 
 def test_bound_grading_of_a_decided_bound_is_exact_or_falsified():
     climb = parse_sequence_term(["-", 1, "1/k"], Q, "climb")
-    assert _grade_bound(climb, "sup", F(1), 100).status == "exact"
-    v = _grade_bound(climb, "sup", F(0), 100)
+    assert _grade_bound(climb, "sup", F(1)).status == "exact"
+    v = _grade_bound(climb, "sup", F(0))
     assert (v.status, v.witness) == ("falsified", ("sup", F(1)))
     assert v.detail == "sup of climb is Fraction(1, 1), not the limit"
 
 
 def test_bound_grading_of_an_undecided_bound_is_inconclusive():
     # the terms of (-1)^k / k are all at most 1/2, so no term falsifies 1/2
-    v = _grade_bound(parse_sequence_term(["*", "alt", "1/k"], Q, "x"), "sup", F(1, 2), 100)
+    v = _grade_bound(parse_sequence_term(["*", "alt", "1/k"], Q, "x"), "sup", F(1, 2))
     assert v.status == "inconclusive"
     assert v.detail == "sup of x undecided (tail is not monotone)"
 
 
-def test_bound_grading_names_a_term_on_the_wrong_side():
-    seq = SequenceFamily("blip", Q, lambda k: F(1) if k == 3 else F(0))
-    v = _grade_bound(seq, "sup", F(0), 100)
-    assert v.status == "falsified"
-    assert v.witness == ("sup", 3, F(1))
-    v = _grade_bound(seq, "inf", F(1, 2), 100)
-    assert v.witness == ("inf", 1, F(0))
+def test_bound_grading_without_a_descriptor_reads_no_term():
+    # term 3 lies above the claimed supremum, but only a descriptor decides
+    read = []
+    seq = SequenceFamily("blip", Q, lambda k: read.append(k) or (F(1) if k == 3 else F(0)))
+    v = _grade_bound(seq, "sup", F(0))
+    assert (v.status, v.detail) == ("inconclusive", "sup of blip undecided (no descriptor)")
+    assert _grade_bound(seq, "inf", F(1, 2)).status == "inconclusive"
+    assert read == []
 
 
 def test_o2_on_set_terms_is_decided_by_their_settled_values():
+    # settled data has no symbolic containment argument: the budgeted scan
+    # compares the terms, and the settled chains decide the bounds exactly
     x = constant_sequence(A, FinCofSet.finite({1, 2}), "x")
     lo = constant_sequence(A, FinCofSet.finite({1}), "lo")
     hi = constant_sequence(A, FinCofSet.cofinite_complement({3}), "hi")
-    v = containment(x, O2Witness.affine(lo, hi, 0))
-    assert (v.status, v.detail) == ("exact", "eventually constant containment")
-    v = verify_O2(x, FinCofSet.finite({1, 2}), O2Witness.affine(x, x, 1))
-    assert v.status == "exact"
+    assert containment(x, O2Witness.affine(lo, hi, 0)) is None
+    v = verify_O2(x, FinCofSet.finite({1, 2}), O2Witness.affine(x, x, 1), horizon=50)
+    assert (v.status, v.horizon) == ("verified-at-horizon", 50)
     v = verify_O2(x, FinCofSet.finite({1, 2}), O2Witness.affine(lo, constant_sequence(
         A, FinCofSet.cofinite_complement({2}), "hi"), 0))
     assert (v.status, v.witness) == ("falsified", ("containment", 1, 1))
 
 
-def test_o2_on_settled_data_is_decided_exactly():
+@given(st.tuples(st.lists(small, max_size=3), small), st.tuples(st.lists(small, max_size=3), small),
+       st.tuples(st.lists(small, max_size=3), small), st.integers(0, 3))
+def test_o2_on_settled_data_agrees_with_the_exact_settled_scan(xs, lows, highs, offset):
+    # the budgeted prefix covers every knee, so it fails where the exact
+    # scan fails, at the same (j, k), and passes where it passes
+    seq, lo, hi = (eventually_constant_sequence(Q, prefix, value, name)
+                   for (prefix, value), name in ((xs, "x"), (lows, "lo"), (highs, "hi")))
+    w = O2Witness.affine(lo, hi, offset)
+    exact = settled_containment(seq, w)
+    v = verify_O2(seq, xs[1], w, horizon=60)
+    if exact.status == "falsified":
+        assert v == exact
+    else:
+        assert v.status != "falsified" or v.witness[0] in ("sup", "inf")
+
+
+def test_o2_on_settled_data_is_checked_on_a_budgeted_prefix():
     seq = eventually_constant_sequence(Q, (F(3),), F(1), "settle")
     lo = eventually_constant_sequence(Q, (F(0),), F(1), "lo")
     hi = eventually_constant_sequence(Q, (F(3),), F(1), "hi")
-    v = verify_O2(seq, F(1), O2Witness.affine(lo, hi, 0))
-    assert v.status == "exact"
-    assert "eventually constant containment" in v.detail
+    v = verify_O2(seq, F(1), O2Witness.affine(lo, hi, 0), horizon=50)
+    assert (v.status, v.horizon) == ("verified-at-horizon", 50)
+    assert v.detail == "containment checked on a budgeted prefix"
     tight = constant_sequence(Q, F(1), "tight")
     v = verify_O2(seq, F(1), O2Witness.affine(lo, tight, 0))
     assert v.status == "falsified"

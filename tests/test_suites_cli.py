@@ -132,6 +132,17 @@ def test_o1o2_never_decides_one_witness_twice(monkeypatch):
     assert all(v != w for v, w in itertools.combinations(handed, 2))
 
 
+def test_no_two_probes_share_a_sequence_and_family(monkeypatch):
+    probe, handed = suites.exhaustivity_probe, []
+    monkeypatch.setattr(suites, "exhaustivity_probe",
+                        lambda seq, D, **kw: handed.append(
+                            (seq.descriptor, D.name, [d.name for d in D.members]))
+                        or probe(seq, D, **kw))
+    assert all(run_suite(name, FAST).status == "pass" for name in ("ex-r", "exhaustive-t2"))
+    assert len(handed) == 5
+    assert all(p != q for p, q in itertools.combinations(handed, 2))
+
+
 def test_prop_d_separates_distributive_carriers():
     result = run_suite("prop-d", SuiteConfig())
     assert result.status == "pass"

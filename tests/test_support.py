@@ -35,8 +35,11 @@ def test_a_verdict_horizon_is_an_integer_of_at_least_one(horizon):
         Verdict.at_horizon(horizon)
     if horizon is not None:
         with pytest.raises(ValueError, match="a horizon must be an integer >= 1"):
-            Verdict.falsified(witness=1, horizon=horizon)
-    assert Verdict.falsified(witness=1, horizon=1).horizon == 1
+            Verdict("falsified", witness=1, horizon=horizon)
+    # only a verified-at-horizon verdict is built with a horizon
+    assert Verdict.falsified(witness=1).horizon is None
+    with pytest.raises(TypeError):
+        Verdict.falsified(witness=1, horizon=1)
 
 
 def test_weakest_keeps_the_losing_witness():
@@ -77,6 +80,18 @@ def test_tree_evaluation_matches_hand_computation():
     t = OpTree.node(JOIN, OpTree.leaf(0), OpTree.node(MEET, OpTree.leaf(1), OpTree.leaf(0)))
     # a join (b meet a) = a by absorption
     assert evaluate(L, t, (a, b)) == a
+
+
+def test_tree_evaluation_checks_each_value_once(monkeypatch):
+    L = powerset_lattice(2)
+    a, b = frozenset({1}), frozenset({2})
+    calls = []
+    check = type(L).check_element
+    monkeypatch.setattr(type(L), "check_element", lambda self, x: calls.append(x) or check(self, x))
+    # the leaf 0 occurs twice, and is checked once
+    t = OpTree.node(MEET, OpTree.leaf(0), OpTree.node(JOIN, OpTree.leaf(1), OpTree.leaf(0)))
+    assert evaluate(L, t, (a, b)) == a
+    assert calls == [a, b]
 
 
 def _randrange_tree(rng, n_vars, max_depth):

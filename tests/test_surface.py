@@ -1,12 +1,15 @@
 """The library's surface: every definition in ``src/ulat`` has a caller in the
 library or the benchmark, every dataclass field has a reader there, the
-oracles leave descriptors to ``sequences``, and the tail layers compare
-checked terms on the trusted order."""
+oracles leave descriptors to ``sequences``, the tail layers compare
+checked terms on the trusted order, and the oracle layers read every
+parameter they take."""
 
 import ast
 import dataclasses
 import importlib
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ulat"
@@ -133,6 +136,23 @@ def test_the_tail_layers_compare_on_the_trusted_order():
                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                  and node.func.attr in ops]
         assert not calls, f"{name} calls checking operations: {calls}"
+
+
+def _unread_parameters(path: Path):
+    """(line, function, parameter) for every parameter of a ``def`` in the
+    module that its body never reads."""
+    return [(node.lineno, node.name, arg.arg)
+            for node in ast.walk(_parse(path)) if isinstance(node, ast.FunctionDef)
+            for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs,
+                        *filter(None, (node.args.vararg, node.args.kwarg)))
+            if not any(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                       and n.id == arg.arg for stmt in node.body for n in ast.walk(stmt))]
+
+
+@pytest.mark.parametrize("name", ["convergence.py", "sequences.py", "verdicts.py"])
+def test_every_parameter_is_read(name):
+    unread = _unread_parameters(SRC / name)
+    assert not unread, f"{name} takes parameters it never reads: {unread}"
 
 
 def test_the_oracles_read_no_descriptor():
