@@ -270,10 +270,13 @@ class FiniteLattice(Carrier):
     # -- protocol
 
     def contains(self, x) -> bool:
+        """x is a stored element, of its type too: a value that only
+        compares equal to one (True for 1, 1.0 for 1) names no element."""
         try:
-            return x in self._index
-        except TypeError:  # an unhashable value names no element
+            e = self._elements[self._index[x]]
+        except (KeyError, TypeError):  # no element, or an unhashable value
             return False
+        return e is x or type(e) is type(x)
 
     def elements(self) -> Sequence:
         return list(self._elements)

@@ -19,9 +19,9 @@ from functools import reduce
 from typing import Callable, Optional, Sequence
 
 from .carriers import (Carrier, CarrierMismatch, FiniteLattice, GroupCarrier, index_table,
-                       _is_sublattice, load_finite_lattice)
+                       _is_sublattice, _lowest_bit, load_finite_lattice)
 from .exact import EXT_INF, ExtValue, ext, rat
-from .truncation import TruncationPair, _clamp
+from .truncation import TruncationPair, _clamp, _clamp_map
 from .verdicts import Verdict
 
 
@@ -81,9 +81,10 @@ class SemimetricFamily:
         return all(d._dist(x, y).is_zero for d in self.members)
 
     def separates(self, xs) -> bool:
-        """Hausdorff on xs: no two distinct points of xs at joint distance 0."""
+        """Hausdorff on xs: no two distinct points of xs at joint distance 0.
+        A point listed twice is not compared with itself."""
         xs = [self.carrier.check_element(x) for x in xs]
-        return not any(self._vanishes(x, y) for x, y in itertools.combinations(xs, 2))
+        return not any(x != y and self._vanishes(x, y) for x, y in itertools.combinations(xs, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +231,63 @@ def ustar_family(D: SemimetricFamily, J: Sequence[TruncationPair]) -> Semimetric
 
 
 # ---------------------------------------------------------------------------
+# Zero rows: kernels on a finite carrier as bitmasks
+
+
+def _zero_rows(L: FiniteLattice) -> Callable[[LatticeSemimetric], list]:
+    """The zero rows of semimetrics on L, for one call: ``rows(d)`` holds,
+    at element index i, the bitmask of the indices j where d vanishes at
+    (e_i, e_j).
+
+    A semimetric's rows take n^2 ``_dist`` calls, made once and kept
+    only by the returned function.  A
+    clamp-derived member d_p takes none: d_p vanishes at (x, y) exactly
+    when its base d vanishes at the clamped pair, so its row at i is the
+    union of the clamp's preimages of the indices in d's row at the
+    clamp's image of i.  Those rows are rebuilt from the base's on each
+    request, so a clamp family holds one member's rows at a time.
+    """
+    elems = L._elements
+    built: dict = {}  # id(d) -> (d, its rows)
+
+    def rows(d: LatticeSemimetric) -> list:
+        # d_p's clamp, then its base's, ... down to a plain semimetric; a
+        # loop, since a closure that calls itself is a reference cycle and
+        # would keep the rows until the cyclic collector runs
+        clamps = []
+        while d.clamp is not None:
+            clamps.append(d.clamp)
+            d = d.base
+        got = built.get(id(d))
+        if got is None:
+            dist = d._dist
+            got = built[id(d)] = (d, [sum(1 << j for j, y in enumerate(elems) if dist(x, y).is_zero)
+                                      for x in elems])
+        table = got[1]
+        for p in reversed(clamps):
+            clamp = _clamp_map(L, p.low, p.high)
+            preimage = dict.fromkeys(clamp, 0)  # image index -> bitmask of its preimage
+            for i, v in enumerate(clamp):
+                preimage[v] |= 1 << i
+            # the preimages are disjoint, so their sum is their union
+            pulled = {v: sum(mask for j, mask in preimage.items() if table[v] >> j & 1)
+                      for v in preimage}
+            table = [pulled[v] for v in clamp]
+        return table
+
+    return rows
+
+
+def _joint_rows(rows, D: SemimetricFamily) -> list:
+    """D's joint kernel as zero rows: bit j of entry i is set when every
+    member of D vanishes at (e_i, e_j)."""
+    joint = rows(D.members[0])
+    for d in D.members[1:]:
+        joint = [a & b for a, b in zip(joint, rows(d))]
+    return joint
+
+
+# ---------------------------------------------------------------------------
 # Kernel, congruence, quotient
 
 
@@ -241,7 +299,11 @@ class KernelRelation:
     blocks: tuple[tuple, ...]
 
     def class_index(self, x) -> int:
-        x = self.carrier.normalize(x)
+        """The index of x's class.  x must be an element of the finite
+        carrier, of its type too: a value that only compares equal to one
+        (True for 1) is refused with CarrierMismatch."""
+        if not self.carrier.contains(x):
+            raise CarrierMismatch(f"{x!r} is not an element of carrier {self.carrier.name!r}")
         for i, block in enumerate(self.blocks):
             if x in block:
                 return i
@@ -341,41 +403,57 @@ def order_interval(L: Carrier, p: TruncationPair) -> list:
     return [x for x in elems if L._leq(low, x) and L._leq(x, high)]
 
 
-def _dominates(Du: SemimetricFamily, Dv: SemimetricFamily, square) -> Optional[tuple]:
-    """Does the uniformity of Du contain that of Dv over a finite pair set?
+def _dominates(rows, kernel: list, Dv: SemimetricFamily, interval: list) -> tuple:
+    """Does the uniformity of a family with joint zero rows ``kernel``
+    contain that of Dv on the interval squared?
 
     On a finite set a finite family generates the filter of its joint kernel
     {max_Du = 0} (take delta below the least positive value), so Du dominates
     Dv iff every d_v vanishes wherever Du does; no triangle inequality is
-    used.  Returns None, or (d_v name, eps, x, y) with (x, y) the first pair
-    in Du's kernel where d_v > 0 and eps the least positive value of d_v on
-    the square: d_v >= eps is forced at max_Du = 0.
+    used.  Each member's rows are built once, checked against ``kernel``
+    masked to the interval, and folded into Dv's joint rows.  Returns
+    (witness, None) for the first member that fails, the witness (d_v
+    name, eps, x, y) with (x, y) the first pair of the square, row by row
+    in element order, in the kernel where d_v > 0, and eps the least
+    positive value of d_v on the square: d_v >= eps is forced at max_Du =
+    0.  Otherwise returns (None, Dv's joint rows).
     """
-    kernel = [(x, y) for x, y in square if Du._vanishes(x, y)]
+    L = Dv.carrier
+    inside = [L._index[x] for x in interval]
+    mask = sum(1 << i for i in inside)
+    joint = None
     for dv in Dv.members:
-        bad = next(((x, y) for x, y in kernel if not dv._dist(x, y).is_zero), None)
-        if bad is not None:
-            eps = min(v for v in (dv._dist(x, y) for x, y in square) if not v.is_zero)
-            return (dv.name, eps) + bad
-    return None
+        dv_rows = rows(dv)
+        for i in inside:
+            bad = kernel[i] & mask & ~dv_rows[i]
+            if bad:
+                eps = min(v for v in (dv._dist(x, y) for x in interval for y in interval)
+                          if not v.is_zero)
+                return (dv.name, eps, L._elements[i], L._elements[_lowest_bit(bad)]), None
+        joint = dv_rows if joint is None else [a & b for a, b in zip(joint, dv_rows)]
+    return None, joint
 
 
 def interval_agreement(Du: SemimetricFamily, Dv: SemimetricFamily, p: TruncationPair) -> Verdict:
     """Do Du and Dv induce the same uniformity on the interval [p.low, p.high]?
 
-    Both directions of domination are decided exactly from the joint kernels
-    on the interval squared.  Exact on success; falsified with a witness
-    pair on failure.  Finite carriers only.
+    Both directions of domination are decided exactly from the joint
+    kernels on the interval squared, read from zero rows (``_zero_rows``):
+    a clamp-derived member's kernel comes from its base's through the
+    clamp's index map, so no derived distance is evaluated per pair, and
+    each member's rows are built once for both directions.  Exact on
+    success; falsified with a witness pair on failure.  Finite carriers
+    only.
     """
     if Du.carrier is not Dv.carrier:
         raise CarrierMismatch("both families must live on the same carrier")
     interval = order_interval(Du.carrier, p)
-    square = [(x, y) for x in interval for y in interval]
-    witness = _dominates(Du, Dv, square)
+    rows = _zero_rows(Du.carrier)
+    witness, joint_v = _dominates(rows, _joint_rows(rows, Du), Dv, interval)
     if witness is not None:
         return Verdict.falsified(witness=witness,
                                  detail=f"{Du.name} does not dominate {Dv.name} on the interval")
-    witness = _dominates(Dv, Du, square)
+    witness, _ = _dominates(rows, joint_v, Du, interval)
     if witness is not None:
         return Verdict.falsified(witness=witness,
                                  detail=f"{Dv.name} does not dominate {Du.name} on the interval")

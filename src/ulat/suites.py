@@ -41,6 +41,8 @@ from .semimetrics import (
     quotient,
     ustar_family,
     validate_semimetric,
+    _joint_rows,
+    _zero_rows,
 )
 from .sequences import (
     MetricCertificate,
@@ -54,7 +56,7 @@ from .sequences import (
 )
 from .spaces import C00Space, C00Vec, FinCofAlgebra, FinCofSet, QLine, QVec
 from .subnet import build_subnet
-from .truncation import TruncationPair, _clamp, canonical_pairs, clamp_difference_bound, compose_truncations, decompose_abs_meet, is_truncation_hom
+from .truncation import TruncationPair, _clamp, _clamp_map, canonical_pairs, clamp_difference_bound, compose_truncations, decompose_abs_meet, is_truncation_hom
 from .verdicts import AT_HORIZON, EXACT, FALSIFIED, Verdict
 
 # expectations a record can carry
@@ -215,21 +217,31 @@ def _suite_prop_p1(cfg: SuiteConfig) -> list[CheckRecord]:
 
 def _composition_law(L) -> tuple[int, Optional[tuple]]:
     """(tuples tried, first (a, b, c, d, x) where clamping by the composed
-    pair differs from clamping twice, or None)."""
+    pair differs from clamping twice, or None).
+
+    Each pair's clamp is compiled once into its index map (``_clamp_map``,
+    bytes: L has at most 256 elements).  Clamping twice is the inner map
+    read through the outer one by ``bytes.translate``, and x is scanned,
+    in element order, only when that differs from the composed pair's map.
+    """
     elems = L.elements()
+    n = len(elems)
+    pairs = {(a, b): TruncationPair.of(L, a, b) for a in elems for b in elems}
+    maps = {key: _clamp_map(L, p.low, p.high) for key, p in pairs.items()}
+    pad = bytes(256 - n)
     total = 0
     for a in elems:
         for b in elems:
-            outer = TruncationPair.of(L, a, b)
+            outer, through = pairs[a, b], maps[a, b] + pad
             for c in elems:
                 for d in elems:
-                    inner = TruncationPair.of(L, c, d)
-                    comp = compose_truncations(L, outer, inner)
-                    for x in elems:
-                        total += 1
-                        two_step = _clamp(L, a, b, _clamp(L, c, d, x))
-                        if _clamp(L, comp.low, comp.high, x) != two_step:
-                            return total, (a, b, c, d, x)
+                    comp = compose_truncations(L, outer, pairs[c, d])
+                    two_step = maps[c, d].translate(through)
+                    one_step = maps[comp.low, comp.high]
+                    if one_step != two_step:
+                        x = next(x for x in range(n) if one_step[x] != two_step[x])
+                        return total + x + 1, (a, b, c, d, elems[x])
+                    total += n
     return total, None
 
 
@@ -548,13 +560,10 @@ def _suite_closure_t4(cfg: SuiteConfig) -> list[CheckRecord]:
                                                  expect=EXPECT_EXACT))
             if bad is not None or len(elems) > 8:
                 continue
-            for A in subsets:
-                closure_checks += 1
-                cl_d = {x for x in elems if any(D._vanishes(x, a) for a in A)}
-                cl_s = {x for x in elems if any(star._vanishes(x, a) for a in A)}
-                if cl_d != cl_s:
-                    bad = (entry.name, fam_name, A)
-                    break
+            tried, gap = _closure_gap(L, D, star, subsets)
+            closure_checks += tried
+            if gap is not None:
+                bad = (entry.name, fam_name, gap)
     collapse = CheckRecord(
         "interval-collapse",
         Verdict.exact(f"{interval_checks} family pairs agree on the full interval"),
@@ -563,6 +572,20 @@ def _suite_closure_t4(cfg: SuiteConfig) -> list[CheckRecord]:
         f"{closure_checks} subset closures agree")
     closure = CheckRecord("closure-sets", v, expect=EXPECT_EXACT, cases=closure_checks)
     return [collapse] + disagreements + [closure]
+
+
+def _closure_gap(L, Du, Dv, subsets) -> tuple[int, Optional[tuple]]:
+    """(subsets tried, the first subset A whose closure differs between Du
+    and Dv, or None).  The closure of A under a family is the set of x at
+    joint distance 0 from some point of A: x is in it when x's joint zero
+    row (``_joint_rows``) meets A."""
+    rows = _zero_rows(L)
+    kernel_u, kernel_v = _joint_rows(rows, Du), _joint_rows(rows, Dv)
+    for tried, A in enumerate(subsets, 1):
+        hit = sum(1 << L._index[a] for a in A)
+        if [bool(k & hit) for k in kernel_u] != [bool(k & hit) for k in kernel_v]:
+            return tried, A
+    return len(subsets), None
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .carriers import Carrier, CheckResult, GroupCarrier
+from .carriers import Carrier, CheckResult, FiniteLattice, GroupCarrier, index_table
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,6 +57,16 @@ def canonical_pairs(L: Carrier):
 def _clamp(L: Carrier, low, high, x):
     """(x /\\ high) \\/ low on trusted elements: the one clamp body."""
     return L._join(L._meet(x, high), low)
+
+
+def _clamp_map(L: FiniteLattice, low, high):
+    """The clamp of (low, high) on trusted elements of a finite lattice as
+    a map of element indices: entry i is the index of (e_i /\\ high) \\/ low,
+    read from the meet and join tables, packed by ``index_table`` (bytes
+    for up to 256 elements)."""
+    n, meet, join = L._n, L._meet_table, L._join_table
+    h, lo = L._index[high], L._index[low]
+    return index_table([join[meet[i * n + h] * n + lo] for i in range(n)], n)
 
 
 def truncate_f(L: Carrier, p: TruncationPair, x):

@@ -10,7 +10,10 @@ reduction, the metric convergence and Cauchy scans comparing each
 distance with eps itself, as they did before eps became one ExtValue per
 scan, and two term scans that the oracles answered with before they read
 descriptors only: eventual constancy up to a horizon, and interval
-containment of data that settles. The axiom and distributivity checks go through the carrier's public,
+containment of data that settles, and three clamp-family checks pair by
+pair as they ran before clamps became index maps: domination of one
+family's uniformity by another's on an order interval, the closure sets
+of two families, and the clamp composition law through ``_clamp``. The axiom and distributivity checks go through the carrier's public,
 checking operations and nothing faster; an axiom check's witness is the
 failing elements followed by the name of the law. The parts of the
 recovery criterion and the family a quotient induces are recomputed here
@@ -24,11 +27,11 @@ from ulat.carriers import CheckResult, _is_sublattice
 from ulat.convergence import (DEFAULT_EPS_GRID, DEFAULT_HORIZON, _points, _positive_grid,
                               _probe_indices, truncate_sequence)
 from ulat.exact import Poly, RatAltSeq
-from ulat.semimetrics import LatticeSemimetric, SemimetricFamily
+from ulat.semimetrics import LatticeSemimetric, SemimetricFamily, order_interval
 from ulat.sequences import EventuallyConstant, SequenceFamily, _constant_tail
 from ulat.spaces import (C00Space, C00Vec, EvLinSeq, EvLinSpace, FinCofAlgebra, FinCofSet, QLine,
                          QVec)
-from ulat.truncation import _clamp
+from ulat.truncation import TruncationPair, _clamp
 from ulat.verdicts import Verdict
 
 
@@ -350,3 +353,63 @@ def settled_containment(seq, w) -> Verdict:
                 return Verdict.falsified(witness=("containment", j, k),
                                          detail="interval containment violated")
     return Verdict.exact(detail="eventually constant containment")
+
+
+def dominates(Du, Dv, square):
+    """Does the uniformity of Du contain that of Dv over the pairs of
+    square?  Du's joint kernel is listed pair by pair, and each d_v is
+    evaluated on it: (d_v name, eps, x, y) for the first kernel pair where
+    d_v > 0, eps the least positive value of d_v on the square, or None."""
+    kernel = [(x, y) for x, y in square if Du._vanishes(x, y)]
+    for dv in Dv.members:
+        bad = next(((x, y) for x, y in kernel if not dv._dist(x, y).is_zero), None)
+        if bad is not None:
+            eps = min(v for v in (dv._dist(x, y) for x, y in square) if not v.is_zero)
+            return (dv.name, eps) + bad
+    return None
+
+
+def interval_agreement(Du, Dv, p) -> Verdict:
+    """``semimetrics.interval_agreement`` deciding each direction of
+    domination with ``dominates`` on the interval squared."""
+    interval = order_interval(Du.carrier, p)
+    square = [(x, y) for x in interval for y in interval]
+    for u, v in ((Du, Dv), (Dv, Du)):
+        witness = dominates(u, v, square)
+        if witness is not None:
+            return Verdict.falsified(witness=witness,
+                                     detail=f"{u.name} does not dominate {v.name} on the interval")
+    return Verdict.exact(detail=f"mutual domination over {len(interval)}^2 pairs")
+
+
+def closure_gap(L, Du, Dv, subsets):
+    """(subsets tried, the first subset A whose closure differs between Du
+    and Dv, or None), each closure a set built point by point."""
+    elems = L.elements()
+    for tried, A in enumerate(subsets, 1):
+        cl_u = {x for x in elems if any(Du._vanishes(x, a) for a in A)}
+        cl_v = {x for x in elems if any(Dv._vanishes(x, a) for a in A)}
+        if cl_u != cl_v:
+            return tried, A
+    return len(subsets), None
+
+
+def composition_law(L, compose):
+    """(tuples tried, first (a, b, c, d, x) where clamping by the pair
+    ``compose(L, outer, inner)`` differs from clamping twice, or None),
+    every clamp of every x through ``_clamp``."""
+    elems = L.elements()
+    total = 0
+    for a in elems:
+        for b in elems:
+            outer = TruncationPair.of(L, a, b)
+            for c in elems:
+                for d in elems:
+                    inner = TruncationPair.of(L, c, d)
+                    comp = compose(L, outer, inner)
+                    for x in elems:
+                        total += 1
+                        two_step = _clamp(L, a, b, _clamp(L, c, d, x))
+                        if _clamp(L, comp.low, comp.high, x) != two_step:
+                            return total, (a, b, c, d, x)
+    return total, None
