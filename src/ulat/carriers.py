@@ -15,7 +15,6 @@ Design rules shared by every carrier:
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
@@ -149,19 +148,22 @@ class GroupCarrier(Carrier):
 # Finite lattices
 
 
-class FiniteLattice(Carrier):
-    """Finite lattice stored as n elements plus integer index tables.
+MAX_ELEMENTS = 256  # every element index fits in one byte
 
-    Element ``i`` is ``elements()[i]``.  The meet table holds, at position
-    ``i * n + j``, the index of the meet of elements ``i`` and ``j``: its
-    rows laid end to end in one compact ``index_table``, so a table costs
-    n^2 bytes for up to 256 elements.  The join table likewise.
-    Element-level operations are a fixed number of look-ups, and
-    distributivity is decided over the tables once, when the lattice is
-    built, and kept with its witness in ``distributivity``.
+
+class FiniteLattice(Carrier):
+    """Finite lattice of at most ``MAX_ELEMENTS`` elements, stored as its
+    elements plus ``bytes`` tables of their indices.
+
+    Element ``i`` is ``elements()[i]``; the meet table holds the index of
+    the meet of elements ``i`` and ``j`` at ``i * n + j``, so each of its
+    rows is a map that ``bytes.translate`` composes, and the join table
+    likewise.  ``from_leq`` and ``from_covers`` refuse a larger lattice
+    with ValueError before building anything.  Distributivity is decided
+    once, over the tables, and kept with its witness in ``distributivity``.
     """
 
-    def __init__(self, name: str, elements: Sequence, meet_table: Sequence, join_table: Sequence):
+    def __init__(self, name: str, elements: Sequence, meet_table: bytes, join_table: bytes):
         self._elements = tuple(elements)
         self._n = n = len(self._elements)
         self._index = {e: i for i, e in enumerate(self._elements)}
@@ -188,7 +190,7 @@ class FiniteLattice(Carrier):
         bounds are then the ones that definition picks out, or the pair is
         reported as having none.
         """
-        elems = list(elements)
+        elems = _listed(elements)
         if len(set(elems)) != len(elems):
             raise NotALattice("duplicate elements")
         for x in elems:
@@ -210,8 +212,7 @@ class FiniteLattice(Carrier):
         # antisymmetry leaves no two elements with the same down-set (or up-set)
         by_down = {mask: i for i, mask in enumerate(down)}
         by_up = {mask: i for i, mask in enumerate(up)}
-        meet = [0] * (n * n)
-        join = [0] * (n * n)
+        meet, join = bytearray(n * n), bytearray(n * n)
         for i in range(n):
             meet[i * n + i] = join[i * n + i] = i
             for j in range(i + 1, n):
@@ -227,11 +228,11 @@ class FiniteLattice(Carrier):
                                       pair=pair, missing="join")
                 meet[i * n + j] = meet[j * n + i] = m
                 join[i * n + j] = join[j * n + i] = u
-        return FiniteLattice(name, elems, index_table(meet, n), index_table(join, n))
+        return FiniteLattice(name, elems, bytes(meet), bytes(join))
 
     @staticmethod
     def from_covers(name: str, elements: Sequence[str], covers: Iterable[Sequence]) -> "FiniteLattice":
-        elems = list(elements)
+        elems = _listed(elements)
         index = {}
         for e in elems:
             if e in index:
@@ -294,6 +295,13 @@ class FiniteLattice(Carrier):
         return self._meet_table[i * self._n + self._index[y]] == i
 
 
+def _listed(elements) -> list:
+    elems = list(elements)
+    if len(elems) > MAX_ELEMENTS:
+        raise ValueError(f"a finite lattice has at most {MAX_ELEMENTS} elements, got {len(elems)}")
+    return elems
+
+
 def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
@@ -314,41 +322,24 @@ def _bound_in(mask: int, cones: list, by_cone: dict) -> Optional[int]:
     return None
 
 
-def index_table(indices: list, size: int):
-    """Pack indices below size as bytes when they fit in one, else as an array."""
-    if size <= 256:
-        return bytes(indices)
-    return array("H" if size <= 1 << 16 else "L", indices)
-
-
-def _distributivity(elements: Sequence, meet_table: Sequence, join_table: Sequence) -> CheckResult:
-    """Decide x /\\ (y \\/ z) = (x /\\ y) \\/ (x /\\ z) over the index tables.
+def _distributivity(elements: Sequence, meet_table: bytes, join_table: bytes) -> CheckResult:
+    """Decide x /\\ (y \\/ z) = (x /\\ y) \\/ (x /\\ z) over the byte tables.
 
     For each x and y, the row over all z of either side is one table row
-    composed with another; with bytes rows ``translate`` composes them in a
-    single call.  x, y and z run in element order and the first triple
-    where the sides differ is the witness, the one a loop over all triples
-    in that order would name.
+    composed with another by a single ``bytes.translate``.  x, y and z run
+    in element order and the first triple where the sides differ is the
+    witness, the one a loop over all triples in that order would name.
     """
     n = len(elements)
+    pad = bytes(256 - n)
     meet_rows = [meet_table[i * n:(i + 1) * n] for i in range(n)]
     join_rows = [join_table[i * n:(i + 1) * n] for i in range(n)]
-    if isinstance(meet_table, bytes):
-        pad = bytes(256 - n)
-        meet_maps = [row + pad for row in meet_rows]
-        join_maps = [row + pad for row in join_rows]
-        compose = bytes.translate
-    else:
-        meet_maps, join_maps = meet_rows, join_rows
-
-        def compose(inner, outer):
-            return [outer[v] for v in inner]
-
+    join_maps = [row + pad for row in join_rows]
     for x in range(n):
-        mx = meet_rows[x]
+        mx, through = meet_rows[x], meet_rows[x] + pad
         for y in range(n):
-            lhs = compose(join_rows[y], meet_maps[x])
-            rhs = compose(mx, join_maps[mx[y]])
+            lhs = join_rows[y].translate(through)
+            rhs = mx.translate(join_maps[mx[y]])
             if lhs != rhs:
                 z = next(z for z in range(n) if lhs[z] != rhs[z])
                 return CheckResult(False, witness=(elements[x], elements[y], elements[z]))
@@ -362,7 +353,8 @@ def _distributivity(elements: Sequence, meet_table: Sequence, join_table: Sequen
 def load_finite_lattice(doc: dict, name: str = "lattice") -> FiniteLattice:
     """Build a finite lattice from {"elements": [...], "covers": [[lo, hi], ...]}.
 
-    Rejects non-lattices with a diagnostic pair (NotALattice).
+    Rejects non-lattices with a diagnostic pair (NotALattice), and more
+    than ``MAX_ELEMENTS`` elements with ValueError before any closure.
     """
     if not isinstance(doc, dict):
         raise NotALattice("document must be a JSON object")

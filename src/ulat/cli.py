@@ -12,7 +12,7 @@ validated by the same parser wherever it comes from.
 
 Exit status: 0 when every requested check passes, 1 when any suite fails or
 is inconclusive (or a checked lattice is rejected), 2 for usage errors such
-as unknown suite names, bad settings or unreadable input.
+as unknown suite names, bad settings, unreadable input or too large a lattice.
 """
 
 from __future__ import annotations
@@ -212,6 +212,8 @@ def _lattice_check_command(path: str) -> int:
             out["missing"] = exc.missing
         sys.stdout.write(json.dumps(out, separators=(",", ":")) + "\n")
         return 1
+    except ValueError as exc:  # a lattice too large to build
+        raise UsageError(f"{path!r}: {exc}") from None
     dist = L.distributivity
     out = {
         "ok": True,

@@ -14,11 +14,12 @@ comparison is always available.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Optional, Sequence
 
-from .carriers import (Carrier, CarrierMismatch, FiniteLattice, GroupCarrier, index_table,
+from .carriers import (Carrier, CarrierMismatch, FiniteLattice, GroupCarrier,
                        _is_sublattice, _lowest_bit, load_finite_lattice)
 from .exact import EXT_INF, ExtValue, ext, rat
 from .truncation import TruncationPair, _clamp, _clamp_map
@@ -127,9 +128,13 @@ def pullback_semimetric(name: str, L: Carrier, mapping: Callable, base: LatticeS
     The pullback of a lattice semimetric along a homomorphism is again a
     lattice semimetric; callers are responsible for mapping actually being a
     homomorphism (validate_semimetric will catch the failure otherwise).
-    The images come from the caller's mapping, so base checks them.
+    L must be finite (else ValueError): each image is checked on base's
+    carrier once, here, and the distance runs base's ``_dist`` on them.
     """
-    return LatticeSemimetric(name, L, lambda x, y: base(mapping(x), mapping(y)))
+    if not L.is_finite:
+        raise ValueError("a pullback needs a finite carrier")
+    image = {x: base.carrier.check_element(mapping(x)) for x in L.elements()}
+    return LatticeSemimetric(name, L, lambda x, y: base._dist(image[x], image[y]))
 
 
 def table_semimetric(name: str, L: FiniteLattice, table: dict) -> LatticeSemimetric:
@@ -138,7 +143,8 @@ def table_semimetric(name: str, L: FiniteLattice, table: dict) -> LatticeSemimet
     table maps index pairs (i, j) with i < j to distances (ExtValue or
     rationals); the diagonal is zero.  The table is compiled once into an
     n x n matrix over element indices: one ExtValue per distinct distance,
-    and a row-major ``index_table`` of codes into them.
+    and a row-major table of codes into them: bytes up to 256 distinct values,
+    else an ``array("H")`` (at most 256 elements give at most 32,641 codes).
     """
     n = len(L.elements())
     interned: dict = {ExtValue(0): 0}  # distance -> code
@@ -152,7 +158,7 @@ def table_semimetric(name: str, L: FiniteLattice, table: dict) -> LatticeSemimet
         return interned.setdefault(ext(table[key]), len(interned))
 
     flat = [code(i, j) for i in range(n) for j in range(n)]
-    matrix = index_table(flat, len(interned))
+    matrix = bytes(flat) if len(interned) <= 256 else array("H", flat)
     values, index = tuple(interned), L._index
 
     def dist(x, y):

@@ -219,10 +219,10 @@ def _composition_law(L) -> tuple[int, Optional[tuple]]:
     """(tuples tried, first (a, b, c, d, x) where clamping by the composed
     pair differs from clamping twice, or None).
 
-    Each pair's clamp is compiled once into its index map (``_clamp_map``,
-    bytes: L has at most 256 elements).  Clamping twice is the inner map
-    read through the outer one by ``bytes.translate``, and x is scanned,
-    in element order, only when that differs from the composed pair's map.
+    Each pair's clamp is compiled once into its byte map (``_clamp_map``).
+    Clamping twice is the inner map read through the outer one by
+    ``bytes.translate``, and x is scanned, in element order, only when
+    that differs from the composed pair's map.
     """
     elems = L.elements()
     n = len(elems)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .carriers import Carrier, CheckResult, FiniteLattice, GroupCarrier, index_table
+from .carriers import Carrier, CheckResult, FiniteLattice, GroupCarrier
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,14 +59,13 @@ def _clamp(L: Carrier, low, high, x):
     return L._join(L._meet(x, high), low)
 
 
-def _clamp_map(L: FiniteLattice, low, high):
-    """The clamp of (low, high) on trusted elements of a finite lattice as
-    a map of element indices: entry i is the index of (e_i /\\ high) \\/ low,
-    read from the meet and join tables, packed by ``index_table`` (bytes
-    for up to 256 elements)."""
-    n, meet, join = L._n, L._meet_table, L._join_table
-    h, lo = L._index[high], L._index[low]
-    return index_table([join[meet[i * n + h] * n + lo] for i in range(n)], n)
+def _clamp_map(L: FiniteLattice, low, high) -> bytes:
+    """The clamp of (low, high) on trusted elements of a finite lattice as a
+    byte map of element indices, entry i the index of (e_i /\\ high) \\/ low:
+    high's meet row read through low's join row by ``bytes.translate``."""
+    n, h, lo = L._n, L._index[high], L._index[low]
+    return L._meet_table[h * n:(h + 1) * n].translate(
+        L._join_table[lo * n:(lo + 1) * n] + bytes(256 - n))
 
 
 def truncate_f(L: Carrier, p: TruncationPair, x):
@@ -94,23 +93,24 @@ def compose_truncations(L: Carrier, outer: TruncationPair, inner: TruncationPair
     return TruncationPair(low, high, L._leq(low, high))
 
 
-def is_truncation_hom(L: Carrier, p: TruncationPair) -> CheckResult:
+def is_truncation_hom(L: FiniteLattice, p: TruncationPair) -> CheckResult:
     """Exhaustively decide whether the clamp of p preserves meets and joins.
 
-    Finite carriers only; the witness is (x, y, op) on failure.  The pair
-    is checked once and each element clamped once.
+    Finite lattices only; the witness is the first failing (x, y, op) in
+    element order, meet before join.  The pair is checked once and the
+    clamp read from its byte map (``_clamp_map``): no element is clamped.
     """
-    elems = L.elements()
-    if elems is None:
+    if not isinstance(L, FiniteLattice):
         raise ValueError("homomorphism check needs a finite carrier")
-    low, high = L.check_element(p.low), L.check_element(p.high)
-    f = {x: _clamp(L, low, high, x) for x in elems}
-    for x in elems:
-        for y in elems:
-            if f[L._meet(x, y)] != L._meet(f[x], f[y]):
-                return CheckResult(False, witness=(x, y, "meet"))
-            if f[L._join(x, y)] != L._join(f[x], f[y]):
-                return CheckResult(False, witness=(x, y, "join"))
+    f = _clamp_map(L, L.check_element(p.low), L.check_element(p.high))
+    n, meet, join, elems = L._n, L._meet_table, L._join_table, L._elements
+    for i in range(n):
+        row, fi = i * n, f[i] * n
+        for j in range(n):
+            if f[meet[row + j]] != meet[fi + f[j]]:
+                return CheckResult(False, witness=(elems[i], elems[j], "meet"))
+            if f[join[row + j]] != join[fi + f[j]]:
+                return CheckResult(False, witness=(elems[i], elems[j], "join"))
     return CheckResult(True)
 
 

@@ -1,23 +1,24 @@
 """Reference checks and inputs that only the tests use: the lattice, the
 lattice-ordered group and the lattice-semimetric axioms over given
 elements, the two ell-group laws of ``truncation`` on any group carrier's
-trusted operations, distributivity by a loop over all triples, closure
-under meet and join, an eventually constant sequence with an arbitrary
-prefix, the terms of a moving window atom by atom, seeded draws of the
-elements of each symbolic carrier, the polynomial sign decisions by a scan
-up to Cauchy's root bound, the closed-form ring operations without
-reduction, the metric convergence and Cauchy scans comparing each
-distance with eps itself, as they did before eps became one ExtValue per
-scan, and two term scans that the oracles answered with before they read
-descriptors only: eventual constancy up to a horizon, and interval
-containment of data that settles, and three clamp-family checks pair by
-pair as they ran before clamps became index maps: domination of one
-family's uniformity by another's on an order interval, the closure sets
-of two families, and the clamp composition law through ``_clamp``. The axiom and distributivity checks go through the carrier's public,
-checking operations and nothing faster; an axiom check's witness is the
-failing elements followed by the name of the law. The parts of the
-recovery criterion and the family a quotient induces are recomputed here
-for the tests that read them."""
+trusted operations, distributivity by a loop over all triples and by
+join-prime elements, closure under meet and join, an eventually constant
+sequence with an arbitrary prefix, the terms of a moving window atom by
+atom, seeded draws of the elements of each symbolic carrier, the
+polynomial sign decisions by a scan up to Cauchy's root bound, the
+closed-form ring operations without reduction, the metric convergence and
+Cauchy scans comparing each distance with eps itself, as they did before
+eps became one ExtValue per scan, and two term scans that the oracles
+answered with before they read descriptors only: eventual constancy up to
+a horizon, and interval containment of data that settles, and three
+clamp-family checks pair by pair as they ran before clamps became index
+maps: domination of one family's uniformity by another's on an order
+interval, the closure sets of two families, and the clamp composition law
+through ``_clamp``. The axiom and distributivity checks go through the
+carrier's public, checking operations and nothing faster; an axiom check's
+witness is the failing elements followed by the name of the law. The parts
+of the recovery criterion and the family a quotient induces are recomputed
+here for the tests that read them."""
 
 import itertools
 from fractions import Fraction
@@ -45,6 +46,23 @@ def distributivity(L) -> CheckResult:
                 if L.meet(x, L.join(y, z)) != L.join(L.meet(x, y), L.meet(x, z)):
                     return CheckResult(False, witness=(x, y, z))
     return CheckResult(True)
+
+
+def join_prime_distributivity(L) -> bool:
+    """Distributivity by join-primes: a finite lattice is distributive iff
+    every join-irreducible element j is join-prime (Davey and Priestley,
+    Introduction to Lattices and Order, ch. 5).  j is join-irreducible when
+    the elements strictly below it exist and join to less than j, and
+    join-prime when the join of the elements not above j is not above j."""
+    elems = L.elements()
+    for j in elems:
+        below = [x for x in elems if x != j and L.leq(x, j)]
+        if not below or reduce(L.join, below) == j:
+            continue
+        rest = [x for x in elems if not L.leq(j, x)]
+        if L.leq(j, reduce(L.join, rest)):
+            return False
+    return True
 
 
 def check_lattice_axioms(L, xs) -> CheckResult:

@@ -11,6 +11,7 @@ from reference import (
     check_lattice_axioms,
     distributivity,
     is_sublattice,
+    join_prime_distributivity,
     neg_part,
     pos_part,
 )
@@ -26,8 +27,9 @@ from ulat.carriers import (
     powerset_lattice,
     sublattices,
 )
+from ulat.semimetrics import load_distance_table
 from ulat.spaces import QVec
-from ulat.truncation import TruncationPair
+from ulat.truncation import TruncationPair, _clamp_map
 
 
 def brute_force_from_leq(elems, leq):
@@ -304,15 +306,76 @@ def test_table_distributivity_names_the_generic_witness(seed):
     assert L.distributive is False
 
 
-def test_wide_lattices_keep_the_generic_witness():
-    # more than 256 elements: the tables hold wider indices than one byte
-    elements, covers = ordinal_sum([(list(range(260)), [[i, i + 1] for i in range(259)]),
-                                    M3_DOC])
-    elements = elements[-4:] + elements[:-4]
-    L = FiniteLattice.from_covers("tall", elements, covers)
-    assert len(L.elements()) == 264 and L.bottom == "0:0" and L.top == "1:1"
-    assert L.distributivity == distributivity(L)
-    assert L.meet("1:a", "1:b") == "0:259" and L.join("0:3", "1:c") == "1:c"
+BLOCKS = (M3_DOC, N5_DOC, SQUARE_DOC, CHAIN_DOC)
+
+
+@st.composite
+def small_ordinal_sums(draw):
+    """(elements, covers) of an ordinal sum of n5, m3, square and chain
+    blocks with at most 9 elements, in shuffled element order."""
+    blocks = draw(st.lists(st.sampled_from(BLOCKS), min_size=1, max_size=3)
+                  .filter(lambda bs: sum(len(b[0]) - 1 for b in bs) < 9))
+    elements, covers = ordinal_sum(blocks)
+    return draw(st.permutations(elements)), covers
+
+
+@settings(max_examples=150)
+@given(small_ordinal_sums())
+def test_three_distributivity_oracles_agree(lattice):
+    L = FiniteLattice.from_covers("sum", *lattice)
+    want = distributivity(L)
+    assert L.distributivity == want  # the witness too
+    assert L.distributive == want.holds == join_prime_distributivity(L)
+
+
+class _Untouched(list):
+    """A list of covers that fails the test when it is read."""
+
+    def __iter__(self):
+        pytest.fail("covers read for a lattice above the size limit")
+
+
+def _chain_doc(n):
+    elements = [str(i) for i in range(n)]
+    return {"elements": elements,
+            "covers": _Untouched([a, b] for a, b in zip(elements, elements[1:]))}
+
+
+def test_from_leq_refuses_more_than_256_elements_before_any_leq_call():
+    def leq(x, y):
+        pytest.fail("leq called for a lattice above the size limit")
+
+    with pytest.raises(ValueError, match=r"^a finite lattice has at most 256 elements, got 257$"):
+        FiniteLattice.from_leq("wide", range(257), leq)
+
+
+@pytest.mark.parametrize("n", [257, 100_000])
+def test_covers_above_256_elements_are_refused_before_the_closure(n):
+    doc = _chain_doc(n)
+    for build in (lambda: FiniteLattice.from_covers("wide", doc["elements"], doc["covers"]),
+                  lambda: load_finite_lattice(doc)):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert type(info.value) is ValueError  # a size refusal, no NotALattice
+        assert str(info.value) == f"a finite lattice has at most 256 elements, got {n}"
+
+
+def test_a_distance_table_over_257_inline_elements_is_refused():
+    with pytest.raises(ValueError, match="at most 256 elements, got 257"):
+        load_distance_table({"carrier": _chain_doc(257), "distances": []})
+
+
+def test_the_largest_lattices_still_build_on_byte_tables():
+    chain = load_finite_lattice({"elements": [str(i) for i in range(256)],
+                                 "covers": [[str(i), str(i + 1)] for i in range(255)]})
+    cube = FiniteLattice.from_leq("2^8", range(256), lambda a, b: a & b == a)
+    for L in (chain, cube):
+        assert len(L.elements()) == 256 and L.distributive
+        assert type(L._meet_table) is type(L._join_table) is bytes
+    assert (chain.bottom, chain.top, chain.join("3", "200")) == ("0", "255", "200")
+    assert (cube.bottom, cube.top, cube.meet(3, 200), cube.join(3, 200)) == (0, 255, 0, 203)
+    clamp = _clamp_map(cube, 1, 7)
+    assert type(clamp) is bytes and [clamp[x] for x in (0, 6, 255)] == [1, 7, 7]
 
 
 def test_a_carrier_shows_its_kind_and_name():

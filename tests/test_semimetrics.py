@@ -221,6 +221,20 @@ def test_kernel_quotient_and_agreement_check_only_their_entry_points(monkeypatch
     assert calls == [0, 3]
 
 
+def test_a_pullback_checks_its_images_once_where_it_is_built(monkeypatch):
+    L, target = chain_lattice(4), chain_lattice(3)
+    fold = {0: 0, 1: 1, 2: 1, 3: 2}
+    calls = _count_checks(monkeypatch, target)
+    d = pullback_semimetric("collapse", L, lambda x: fold[x], discrete_semimetric(target))
+    assert calls == [0, 1, 1, 2]
+    assert validate_semimetric(d).status == "exact" and d(1, 2) == 0 and d(0, 3) == 1
+    assert calls == [0, 1, 1, 2]
+    with pytest.raises(CarrierMismatch):  # 3 is no element of the target
+        pullback_semimetric("identity", L, lambda x: x, discrete_semimetric(target))
+    with pytest.raises(ValueError, match="finite carrier"):
+        pullback_semimetric("line", QLine(), lambda x: x, discrete_semimetric(target))
+
+
 class TestKernelAndQuotient:
     def test_collapse_kernel_blocks_are_frozen(self):
         L = chain_lattice(4)

@@ -162,11 +162,10 @@ def test_closure_sets_are_built_without_checks(monkeypatch):
                         lambda self, x: calls.append(id(self) in catalog) or check(self, x))
     assert run_suite("closure-t4-finite", SuiteConfig()).status == "pass"
     # the closure sets add none to the checks of the interval agreement on
-    # the catalog carriers; the other 64 are the collapse pullback checking
-    # its images on its target, for the 4 x 4 zero rows of its base, built
-    # once by the interval agreement and once for the closure sets
+    # the catalog carriers, and the collapse pullback checks its images on
+    # its target once, when the catalog builds it, not per distance
     assert calls.count(True) == 1020
-    assert calls.count(False) == 64
+    assert calls.count(False) == 0
 
 
 def test_counts_cover_every_record():
@@ -486,6 +485,16 @@ def test_cli_lattice_check_output_is_pinned(tmp_path, capsys, monkeypatch):
     assert code == 0 and len(calls) == 1
     assert out == ('{"ok":true,"name":"glued","elements":7,"bottom":"x","top":"t",'
                    '"distributive":false,"distributivity-witness":["c","b","a"]}\n')
+
+
+def test_cli_lattice_check_refuses_a_chain_above_256_elements(tmp_path, capsys):
+    elements = [str(i) for i in range(257)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"elements": elements,
+                                "covers": [list(c) for c in zip(elements, elements[1:])]}))
+    code, out, err = run_cli(capsys, "lattice", "check", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"ulat: {str(path)!r}: a finite lattice has at most 256 elements, got 257\n"
 
 
 @pytest.mark.parametrize("cover, error", [
