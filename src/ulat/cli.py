@@ -33,13 +33,15 @@ class UsageError(Exception):
     pass
 
 
-def _parse_int(text: str, least: Optional[int] = None) -> int:
+def _parse_int(text: str, least: Optional[int] = None, most: Optional[int] = None) -> int:
     try:
         value = int(text)
     except ValueError:
         raise ValueError(f"needs an integer, got {text!r}") from None
     if least is not None and value < least:
         raise ValueError(f"must be at least {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"must be at most {most}, got {value}")
     return value
 
 
@@ -74,10 +76,12 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"needs a boolean, got {text!r}")
 
 
+MAX_HORIZON = 100_000  # suite run time grows linearly with the horizon (README)
+
 # one parser per setting, for flags, environment and config file alike
 _PARSERS = {
     "seed": _parse_int,
-    "horizon": lambda text: _parse_int(text, least=1),
+    "horizon": lambda text: _parse_int(text, least=1, most=MAX_HORIZON),
     "eps_grid": _parse_eps_grid,
     "format": _parse_format,
     "timings": _parse_bool,
@@ -156,7 +160,7 @@ def _build_parser(suite_help: bool) -> argparse.ArgumentParser:
     run.add_argument("--seed", default=None,
                      help="base seed for the deterministic generators")
     run.add_argument("--horizon", default=None,
-                     help="prefix length for horizon-bounded checks")
+                     help=f"prefix length for horizon-bounded checks, 1 to {MAX_HORIZON}")
     run.add_argument("--eps-grid", dest="eps_grid", default=None,
                      help="comma separated positive rationals, e.g. 1,1/2,1/4")
     run.add_argument("--format", default=None,

@@ -78,15 +78,6 @@ class SemimetricFamily:
         if self.carrier is not L:
             raise CarrierMismatch(f"family {self.name!r} lives on {self.carrier.name!r}, not {L.name!r}")
 
-    def _vanishes(self, x, y) -> bool:
-        return all(d._dist(x, y).is_zero for d in self.members)
-
-    def separates(self, xs) -> bool:
-        """Hausdorff on xs: no two distinct points of xs at joint distance 0.
-        A point listed twice is not compared with itself."""
-        xs = [self.carrier.check_element(x) for x in xs]
-        return not any(x != y and self._vanishes(x, y) for x, y in itertools.combinations(xs, 2))
-
 
 # ---------------------------------------------------------------------------
 # Builders
@@ -246,11 +237,10 @@ def _zero_rows(L: FiniteLattice) -> Callable[[LatticeSemimetric], list]:
     (e_i, e_j).
 
     A semimetric's rows take n^2 ``_dist`` calls, made once and kept
-    only by the returned function.  A
-    clamp-derived member d_p takes none: d_p vanishes at (x, y) exactly
-    when its base d vanishes at the clamped pair, so its row at i is the
-    union of the clamp's preimages of the indices in d's row at the
-    clamp's image of i.  Those rows are rebuilt from the base's on each
+    only by the returned function.  A clamp-derived member d_p takes none:
+    d_p vanishes at (x, y) exactly when its base d vanishes at the clamped
+    pair, so its rows are d's pulled back through the clamp's index map
+    (``_pull_back``).  Those rows are rebuilt from the base's on each
     request, so a clamp family holds one member's rows at a time.
     """
     elems = L._elements
@@ -271,26 +261,29 @@ def _zero_rows(L: FiniteLattice) -> Callable[[LatticeSemimetric], list]:
                                       for x in elems])
         table = got[1]
         for p in reversed(clamps):
-            clamp = _clamp_map(L, p.low, p.high)
-            preimage = dict.fromkeys(clamp, 0)  # image index -> bitmask of its preimage
-            for i, v in enumerate(clamp):
-                preimage[v] |= 1 << i
-            # the preimages are disjoint, so their sum is their union
-            pulled = {v: sum(mask for j, mask in preimage.items() if table[v] >> j & 1)
-                      for v in preimage}
-            table = [pulled[v] for v in clamp]
+            table = _pull_back(table, _clamp_map(L, p.low, p.high))
         return table
 
     return rows
 
 
-def _joint_rows(rows, D: SemimetricFamily) -> list:
-    """D's joint kernel as zero rows: bit j of entry i is set when every
-    member of D vanishes at (e_i, e_j)."""
-    joint = rows(D.members[0])
-    for d in D.members[1:]:
-        joint = [a & b for a, b in zip(joint, rows(d))]
-    return joint
+def _pull_back(table: list, clamp: bytes) -> list:
+    """Zero rows pulled back through an index map: entry i is the bitmask of
+    the j with clamp[j] in table's row at clamp[i]."""
+    preimage = dict.fromkeys(clamp, 0)  # image index -> bitmask of its preimage
+    for i, v in enumerate(clamp):
+        preimage[v] |= 1 << i
+    # the preimages are disjoint, so their sum is their union
+    pulled = {v: sum(mask for j, mask in preimage.items() if table[v] >> j & 1)
+              for v in preimage}
+    return [pulled[v] for v in clamp]
+
+
+def _joint_rows(tables) -> list:
+    """The joint kernel of one or more tables of zero rows, entry by entry:
+    for ``map(rows, D.members)``, bit j of entry i is set when every member
+    of D vanishes at (e_i, e_j)."""
+    return reduce(lambda joint, rows: [a & b for a, b in zip(joint, rows)], tables)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +312,9 @@ class KernelRelation:
 def kernel_partition(L: Carrier, D: SemimetricFamily) -> KernelRelation:
     """Partition a finite carrier into zero-distance classes of D.
 
+    Read from D's joint zero rows, e_i joins the first class whose
+    representative e_r has bit r in row i, else opens its own.
+
     Also verifies that the classes are congruence classes for both lattice
     operations: the class of x \\/ z and of x /\\ z may depend only on the
     classes of the arguments.  A violation means the input was not really a
@@ -329,27 +325,27 @@ def kernel_partition(L: Carrier, D: SemimetricFamily) -> KernelRelation:
     if elems is None:
         raise ValueError("kernel partition needs a finite carrier")
 
-    blocks: list[list] = []
-    for x in elems:
-        for block in blocks:
-            if D._vanishes(x, block[0]):
-                block.append(x)
-                break
-        else:
-            blocks.append([x])
-    kernel = KernelRelation(L, tuple(tuple(b) for b in blocks))
+    joint = _joint_rows(map(_zero_rows(L), D.members))
+    blocks: list[list[int]] = []  # element indices, representative first
+    class_of = []  # element index -> index of its class
+    for i, row in enumerate(joint):
+        c = next((c for c, block in enumerate(blocks) if row >> block[0] & 1), len(blocks))
+        if c == len(blocks):
+            blocks.append([])
+        blocks[c].append(i)
+        class_of.append(c)
 
-    for block in kernel.blocks:
-        x = block[0]
-        for y in block[1:]:
-            for z in elems:
-                for op, tag in ((L._join, "join"), (L._meet, "meet")):
-                    if kernel.class_index(op(x, z)) != kernel.class_index(op(y, z)):
+    n = len(elems)
+    for x, *others in blocks:
+        for y in others:
+            for z in range(n):
+                for table, tag in ((L._join_table, "join"), (L._meet_table, "meet")):
+                    if class_of[table[x * n + z]] != class_of[table[y * n + z]]:
                         raise ValueError(
                             f"kernel classes are not a {tag} congruence: "
-                            f"witness x={x!r}, y={y!r}, z={z!r}"
+                            f"witness x={elems[x]!r}, y={elems[y]!r}, z={elems[z]!r}"
                         )
-    return kernel
+    return KernelRelation(L, tuple(tuple(elems[i] for i in block) for block in blocks))
 
 
 @dataclass(frozen=True, slots=True)
@@ -367,8 +363,8 @@ def quotient(L: Carrier, kernel: KernelRelation, D: SemimetricFamily) -> Quotien
     moving either argument inside its class costs zero.  Well-definedness is
     still verified element by element and a violation raises ValueError.
     The induced distances separate distinct classes by construction, so the
-    quotient kernel is discrete; this is checked on the representatives and
-    recorded in ``hausdorff``.
+    quotient kernel is discrete; this is checked on the representatives'
+    joint zero rows, the earlier one first, and recorded in ``hausdorff``.
     """
     if kernel.carrier is not L or D.carrier is not L:
         raise CarrierMismatch("kernel, family, and carrier must agree")
@@ -386,11 +382,12 @@ def quotient(L: Carrier, kernel: KernelRelation, D: SemimetricFamily) -> Quotien
                                 f"{d.name} at x={x!r}, y={y!r} differs from class value"
                             )
 
-    def quotient_leq(rx, ry):
-        return kernel.class_index(L._meet(rx, ry)) == kernel.class_index(rx)
-
-    Q = FiniteLattice.from_leq(f"{L.name}/ker", reps, quotient_leq)
-    separated = not any(D._vanishes(x, y) for x, y in itertools.combinations(reps, 2))
+    class_of = {x: kernel.class_index(x) for x in L.elements()}
+    Q = FiniteLattice.from_leq(f"{L.name}/ker", reps,
+                               lambda rx, ry: class_of[L._meet(rx, ry)] == class_of[rx])
+    joint = _joint_rows(map(_zero_rows(L), D.members))
+    at = [L._index[r] for r in reps]
+    separated = not any(joint[i] >> j & 1 for i, j in itertools.combinations(at, 2))
     return QuotientLattice(Q, separated)
 
 
@@ -417,12 +414,11 @@ def _dominates(rows, kernel: list, Dv: SemimetricFamily, interval: list) -> tupl
     {max_Du = 0} (take delta below the least positive value), so Du dominates
     Dv iff every d_v vanishes wherever Du does; no triangle inequality is
     used.  Each member's rows are built once, checked against ``kernel``
-    masked to the interval, and folded into Dv's joint rows.  Returns
-    (witness, None) for the first member that fails, the witness (d_v
-    name, eps, x, y) with (x, y) the first pair of the square, row by row
-    in element order, in the kernel where d_v > 0, and eps the least
-    positive value of d_v on the square: d_v >= eps is forced at max_Du =
-    0.  Otherwise returns (None, Dv's joint rows).
+    on the interval, and folded into Dv's joint rows, returned as (None,
+    rows).  The first member that fails gives (witness, None): (d_v name,
+    eps, x, y), (x, y) the first kernel pair of the square, row by row in
+    element order, where d_v > 0, and eps the least positive value of d_v
+    on the square, so d_v >= eps is forced at max_Du = 0.
     """
     L = Dv.carrier
     inside = [L._index[x] for x in interval]
@@ -455,14 +451,12 @@ def interval_agreement(Du: SemimetricFamily, Dv: SemimetricFamily, p: Truncation
         raise CarrierMismatch("both families must live on the same carrier")
     interval = order_interval(Du.carrier, p)
     rows = _zero_rows(Du.carrier)
-    witness, joint_v = _dominates(rows, _joint_rows(rows, Du), Dv, interval)
-    if witness is not None:
-        return Verdict.falsified(witness=witness,
-                                 detail=f"{Du.name} does not dominate {Dv.name} on the interval")
-    witness, _ = _dominates(rows, joint_v, Du, interval)
-    if witness is not None:
-        return Verdict.falsified(witness=witness,
-                                 detail=f"{Dv.name} does not dominate {Du.name} on the interval")
+    kernel = _joint_rows(map(rows, Du.members))
+    for u, v in ((Du, Dv), (Dv, Du)):
+        witness, kernel = _dominates(rows, kernel, v, interval)
+        if witness is not None:
+            return Verdict.falsified(witness=witness,
+                                     detail=f"{u.name} does not dominate {v.name} on the interval")
     return Verdict.exact(detail=f"mutual domination over {len(interval)}^2 pairs")
 
 
@@ -481,29 +475,34 @@ def ph_criterion(L: FiniteLattice, S: Sequence, D: SemimetricFamily) -> bool:
     kernel:     the joint kernel of {d_p : d in D, p canonical from S} is
                 discrete.
 
-    A disagreement raises RuntimeError (it would falsify the theory the
+    Both are read from zero rows, the second's pulled back through the
+    clamp maps; a kernel is discrete when no row i has a bit j > i.  A
+    disagreement raises RuntimeError (it would falsify the theory the
     implementation rests on); the shared boolean is returned.  A family on
     another carrier is refused with CarrierMismatch.
     """
     D.check_carrier(L)
-    elems = list(L.elements())
     items = [L.check_element(s) for s in S]
     if not items:
         raise ValueError("S must be nonempty")
     if not _is_sublattice(L, items):
         raise ValueError("S is not a sublattice: not closed under meet and join")
 
-    by_criterion = D.separates(elems) and all(
+    def discrete(rows):
+        return not any(row >> (i + 1) for i, row in enumerate(rows))
+
+    joint = _joint_rows(map(_zero_rows(L), D.members))
+    by_criterion = discrete(joint) and all(
         reduce(L._join, [L._meet(s, x) for s in items]) == x
         and reduce(L._meet, [L._join(s, x) for s in items]) == x
-        for x in elems)
+        for x in L.elements())
 
     # discreteness of the joint clamp kernel, checked directly: on
     # nondistributive carriers the clamps are not homomorphisms, so the
     # kernel classes need not be congruence classes and kernel_partition
     # would reject them
-    pairs = [TruncationPair(a, b, True) for a in items for b in items if L._leq(a, b)]
-    kernel_hausdorff = ustar_family(D, pairs).separates(elems)
+    kernel_hausdorff = discrete(_joint_rows(_pull_back(joint, _clamp_map(L, a, b))
+                                            for a in items for b in items if L._leq(a, b)))
 
     if by_criterion != kernel_hausdorff:
         raise RuntimeError(

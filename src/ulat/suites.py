@@ -358,16 +358,12 @@ def _suite_prop_ph(cfg: SuiteConfig) -> list[CheckRecord]:
         L = entry.carrier
         if len(L.elements()) > 8:
             continue
+        subls = list(sublattices(L))
         for fam_name, D in sorted(entry.families.items()):
-            label = f"{entry.name}-{fam_name}"
-            n_subl = 0
-            n_hausdorff = 0
-            for S in sublattices(L):
-                n_subl += 1
-                n_hausdorff += ph_criterion(L, S, D)
-            detail = f"{n_hausdorff} of {n_subl} sublattice clamp families Hausdorff"
-            records.append(CheckRecord(label, Verdict.exact(detail),
-                                       expect=EXPECT_EXACT, cases=n_subl))
+            n_hausdorff = sum(ph_criterion(L, S, D) for S in subls)
+            detail = f"{n_hausdorff} of {len(subls)} sublattice clamp families Hausdorff"
+            records.append(CheckRecord(f"{entry.name}-{fam_name}", Verdict.exact(detail),
+                                       expect=EXPECT_EXACT, cases=len(subls)))
     return records
 
 
@@ -580,7 +576,7 @@ def _closure_gap(L, Du, Dv, subsets) -> tuple[int, Optional[tuple]]:
     joint distance 0 from some point of A: x is in it when x's joint zero
     row (``_joint_rows``) meets A."""
     rows = _zero_rows(L)
-    kernel_u, kernel_v = _joint_rows(rows, Du), _joint_rows(rows, Dv)
+    kernel_u, kernel_v = (_joint_rows(map(rows, D.members)) for D in (Du, Dv))
     for tried, A in enumerate(subsets, 1):
         hit = sum(1 << L._index[a] for a in A)
         if [bool(k & hit) for k in kernel_u] != [bool(k & hit) for k in kernel_v]:

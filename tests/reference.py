@@ -14,11 +14,16 @@ a horizon, and interval containment of data that settles, and three
 clamp-family checks pair by pair as they ran before clamps became index
 maps: domination of one family's uniformity by another's on an order
 interval, the closure sets of two families, and the clamp composition law
-through ``_clamp``. The axiom and distributivity checks go through the
-carrier's public, checking operations and nothing faster; an axiom check's
-witness is the failing elements followed by the name of the law. The parts
-of the recovery criterion and the family a quotient induces are recomputed
-here for the tests that read them."""
+through ``_clamp``, and the kernel questions as they ran pair by pair before
+every one read joint zero rows: whether a family vanishes at a pair or
+separates given points, the greedy kernel partition with its congruence
+check, whether a quotient's representatives are separated, and the
+recovery criterion against the separation of the clamp family. The axiom
+and distributivity checks go through the carrier's public, checking
+operations and nothing faster; an axiom check's witness is the failing
+elements followed by the name of the law. The parts of the recovery
+criterion and the family a quotient induces are recomputed here for the
+tests that read them."""
 
 import itertools
 from fractions import Fraction
@@ -28,7 +33,8 @@ from ulat.carriers import CheckResult, _is_sublattice
 from ulat.convergence import (DEFAULT_EPS_GRID, DEFAULT_HORIZON, _points, _positive_grid,
                               _probe_indices, truncate_sequence)
 from ulat.exact import Poly, RatAltSeq
-from ulat.semimetrics import LatticeSemimetric, SemimetricFamily, order_interval
+from ulat.semimetrics import (KernelRelation, LatticeSemimetric, SemimetricFamily, order_interval,
+                              ustar_family)
 from ulat.sequences import EventuallyConstant, SequenceFamily, _constant_tail
 from ulat.spaces import (C00Space, C00Vec, EvLinSeq, EvLinSpace, FinCofAlgebra, FinCofSet, QLine,
                          QVec)
@@ -192,8 +198,72 @@ def recovery_parts(L, S, D):
 
     elems = L.elements()
     failing = next((x for x in elems if not (from_below(x) and from_above(x))), None)
-    return (D.separates(elems), all(map(from_below, elems)), all(map(from_above, elems)),
+    return (separates(D, elems), all(map(from_below, elems)), all(map(from_above, elems)),
             failing)
+
+
+def vanishes(D, x, y) -> bool:
+    """Does every member of D vanish at (x, y)?"""
+    return all(d._dist(x, y).is_zero for d in D.members)
+
+
+def separates(D, xs) -> bool:
+    """Hausdorff on xs, each point checked: no two distinct points of xs,
+    the earlier one first, at joint distance 0.  A point listed twice is
+    not compared with itself."""
+    xs = [D.carrier.check_element(x) for x in xs]
+    return not any(x != y and vanishes(D, x, y) for x, y in itertools.combinations(xs, 2))
+
+
+def kernel_partition(L, D) -> KernelRelation:
+    """Each element, in element order, joins the first class whose
+    representative r has D vanishing at (x, r), else opens its own; then the
+    classes are checked for a join and a meet congruence through
+    ``class_index``, ValueError naming the first witness."""
+    blocks = []
+    for x in L.elements():
+        for block in blocks:
+            if vanishes(D, x, block[0]):
+                block.append(x)
+                break
+        else:
+            blocks.append([x])
+    kernel = KernelRelation(L, tuple(tuple(b) for b in blocks))
+    for block in kernel.blocks:
+        x = block[0]
+        for y in block[1:]:
+            for z in L.elements():
+                for op, tag in ((L.join, "join"), (L.meet, "meet")):
+                    if kernel.class_index(op(x, z)) != kernel.class_index(op(y, z)):
+                        raise ValueError(
+                            f"kernel classes are not a {tag} congruence: "
+                            f"witness x={x!r}, y={y!r}, z={z!r}"
+                        )
+    return kernel
+
+
+def quotient_hausdorff(kernel, D) -> bool:
+    """No two class representatives, the earlier one first, at joint
+    distance 0."""
+    reps = [block[0] for block in kernel.blocks]
+    return not any(vanishes(D, x, y) for x, y in itertools.combinations(reps, 2))
+
+
+def ph_criterion(L, S, D) -> bool:
+    """The recovery criterion (``recovery_parts``) against the separation of
+    the clamp family ``ustar_family(D, pairs)`` over the pairs a <= b of S,
+    RuntimeError when they disagree."""
+    items = [L.check_element(s) for s in S]
+    separated, from_below, from_above, _ = recovery_parts(L, items, D)
+    by_criterion = separated and from_below and from_above
+    pairs = [TruncationPair(a, b, True) for a in items for b in items if L.leq(a, b)]
+    kernel_hausdorff = separates(ustar_family(D, pairs), L.elements())
+    if by_criterion != kernel_hausdorff:
+        raise RuntimeError(
+            f"criterion/kernel disagreement on {L.name!r} with S={items!r}: "
+            f"criterion says {by_criterion}, kernel says {kernel_hausdorff}"
+        )
+    return by_criterion
 
 
 def induced_family(Q, D) -> SemimetricFamily:
@@ -378,7 +448,7 @@ def dominates(Du, Dv, square):
     square?  Du's joint kernel is listed pair by pair, and each d_v is
     evaluated on it: (d_v name, eps, x, y) for the first kernel pair where
     d_v > 0, eps the least positive value of d_v on the square, or None."""
-    kernel = [(x, y) for x, y in square if Du._vanishes(x, y)]
+    kernel = [(x, y) for x, y in square if vanishes(Du, x, y)]
     for dv in Dv.members:
         bad = next(((x, y) for x, y in kernel if not dv._dist(x, y).is_zero), None)
         if bad is not None:
@@ -405,8 +475,8 @@ def closure_gap(L, Du, Dv, subsets):
     and Dv, or None), each closure a set built point by point."""
     elems = L.elements()
     for tried, A in enumerate(subsets, 1):
-        cl_u = {x for x in elems if any(Du._vanishes(x, a) for a in A)}
-        cl_v = {x for x in elems if any(Dv._vanishes(x, a) for a in A)}
+        cl_u = {x for x in elems if any(vanishes(Du, x, a) for a in A)}
+        cl_v = {x for x in elems if any(vanishes(Dv, x, a) for a in A)}
         if cl_u != cl_v:
             return tried, A
     return len(subsets), None

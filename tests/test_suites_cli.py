@@ -12,7 +12,7 @@ import pytest
 import ulat.carriers as carriers
 import ulat.suites as suites
 from ulat.catalog import standard_carriers
-from ulat.cli import main
+from ulat.cli import _PARSERS, MAX_HORIZON, main
 from ulat.suites import (
     EXPECT_EXACT,
     EXPECT_FALSIFIED,
@@ -347,6 +347,23 @@ def test_cli_config_validation(tmp_path, capsys):
 
     code, _, err = run_cli(capsys, "suite", "run", "prop-p1", "--eps-grid", "1,-1/2")
     assert code == 2 and "positive" in err
+
+
+def test_cli_refuses_a_horizon_above_the_bound_from_every_source(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(suites, "run_suites", lambda *args: pytest.fail("a suite ran"))
+    over = str(MAX_HORIZON + 1)
+    config = tmp_path / "far.conf"
+    config.write_text(f"horizon = {over}\n")
+    for argv, env, origin in ((["--horizon", over], None, "--horizon"),
+                              ([], over, "ULAT_HORIZON"),
+                              (["--config", str(config)], None, f"{config}:1")):
+        monkeypatch.delenv("ULAT_HORIZON", raising=False)
+        if env is not None:
+            monkeypatch.setenv("ULAT_HORIZON", env)
+        code, out, err = run_cli(capsys, "suite", "run", "o1o2", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"ulat: {origin}: horizon must be at most {MAX_HORIZON}, got {over}\n"
+    assert _PARSERS["horizon"](str(MAX_HORIZON)) == MAX_HORIZON
 
 
 def test_cli_eps_grid_sets_the_cases(tmp_path, capsys):
