@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence as Seq
 
 from .carriers import CarrierMismatch, GroupCarrier
-from .entourages import real_entourage_contains
+from .entourages import _clause
 from .exact import EXT_INF, ExtValue, check_index, frac_floor, rat
 from .semimetrics import SemimetricFamily
 from .sequences import (NEVER_CONSTANT, BoundClaim, MetricCertificate, O1Witness, O2Witness,
@@ -388,8 +388,9 @@ def ustar_nonconvergence_on_line(r) -> Verdict:
     for desc, ok in facts:
         if not ok:
             return Verdict.falsified(witness=(str(r), n, desc), detail="separation fact failed")
+    a, b = r._numerator, r._denominator
     for k in range(n + 1, n + 51):
-        if real_entourage_contains(n, k, r):
+        if _clause(n, k, 1, a, b) is not None:
             return Verdict.falsified(witness=(str(r), n, k),
                                      detail="spot check contradicted the clause analysis")
     return Verdict.exact(detail=f"n={n} separates the tail of (k) from {r}",

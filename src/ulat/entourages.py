@@ -22,13 +22,10 @@ LOW = "low"
 CLAUSES = (DIAG, HIGH, LOW)
 
 
-def entourage_clause(n: int, x, y) -> str | None:
-    """Which clause (if any) puts (x, y) into U_n; all comparisons exact,
-    made on the reduced integers a/b = x and c/e = y (b, e > 0):
-    |x - y| <= 1/n is n*|a*e - c*b| <= b*e, and x >= n is a >= n*b."""
-    check_index(n, "an entourage index")
-    x, y = rat(x), rat(y)
-    a, b, c, e = x._numerator, x._denominator, y._numerator, y._denominator
+def _clause(n: int, a: int, b: int, c: int, e: int) -> str | None:
+    """Which clause (if any) puts (a/b, c/e) into U_n, for b, e > 0 and a
+    trusted index n; the fractions need not be reduced.  |x - y| <= 1/n is
+    n*|a*e - c*b| <= b*e, and x >= n is a >= n*b."""
     if n * abs(a * e - c * b) <= b * e:
         return DIAG
     if a >= n * b and c >= n * e:
@@ -36,6 +33,14 @@ def entourage_clause(n: int, x, y) -> str | None:
     if a <= -n * b and c <= -n * e:
         return LOW
     return None
+
+
+def entourage_clause(n: int, x, y) -> str | None:
+    """Which clause (if any) puts (x, y) into U_n; all comparisons exact,
+    made by ``_clause`` on the reduced integers of x and y."""
+    check_index(n, "an entourage index")
+    x, y = rat(x), rat(y)
+    return _clause(n, x._numerator, x._denominator, y._numerator, y._denominator)
 
 
 def real_entourage_contains(n: int, x, y) -> bool:
@@ -98,36 +103,85 @@ def compose_case_analysis(n: int) -> list[ComposeCase]:
             for (left, right), (conclusion, facts) in table.items()]
 
 
-def _small_step(rng, n: int) -> Fraction:
-    """An exact rational with |step| <= 1/n: s/(n*m) for s in {-1, 0, 1}
-    and m in 1..4, drawn in that order."""
-    s = _below(rng, 3) - 1
-    return _fraction(s, n * (1 + _below(rng, 4)))
+# The draw helpers below give each point as a pair (numerator, denominator)
+# with a positive denominator, reduced or not.  Each draw is the rejection
+# loop that ``exact._below`` runs, written out: ``_below(rng, span)`` draws
+# getrandbits(span.bit_length()) until the value is below span, so the
+# generator makes the same draws and ends in the same state.
 
 
-def _at_least(rng, bound: int) -> Fraction:
-    """bound + p/q for p in [0, 40*bound) and q in 1..9, drawn in that order."""
-    p = _below(rng, 40 * bound)
-    q = 1 + _below(rng, 9)
-    return _fraction(bound * q + p, q)
+def _small_step(rng, n: int) -> tuple[int, int]:
+    """The step s/(n*m) as the pair (s, n*m), so |step| <= 1/n: s in
+    {-1, 0, 1} and m in 1..4, drawn in that order."""
+    bits = rng.getrandbits
+    s = bits(2)
+    while s >= 3:
+        s = bits(2)
+    m = bits(3)
+    while m >= 4:
+        m = bits(3)
+    return s - 1, n * (1 + m)
+
+
+def _at_least(rng, bound: int) -> tuple[int, int]:
+    """bound + p/q as the pair (bound*q + p, q), for p in [0, 40*bound) and
+    q in 1..9, drawn in that order."""
+    bits = rng.getrandbits
+    span = 40 * bound
+    k = span.bit_length()
+    p = bits(k)
+    while p >= span:
+        p = bits(k)
+    q = bits(4)
+    while q >= 9:
+        q = bits(4)
+    return bound * (1 + q) + p, 1 + q
+
+
+def _grid_point(rng, half: int) -> tuple[int, int]:
+    """p/q as the pair (p, q), for p in [-half, half] and q in 1..11, drawn
+    in that order."""
+    bits = rng.getrandbits
+    span = 2 * half + 1
+    k = span.bit_length()
+    p = bits(k)
+    while p >= span:
+        p = bits(k)
+    q = bits(4)
+    while q >= 11:
+        q = bits(4)
+    return p - half, 1 + q
 
 
 def _conditioned_triple(rng, n: int, left: str, right: str):
     """(x, y, z) with (x, y) in clause left of U_n and (y, z) in clause right,
-    sharing the middle element; None when the combination is vacuous."""
-    if {left, right} == {HIGH, LOW}:
-        return None
-    if HIGH in (left, right):
+    sharing the middle element; None when the combination is vacuous.
+
+    Each point is a pair as the draw helpers give it.  y is drawn first: at
+    least n, at most -n, or a grid point within 6n, as the clauses need;
+    then x and then z, each y plus a small step on the diagonal, or a
+    fresh point at least n or at most -n."""
+    sides = left, right
+    if HIGH in sides:
+        if LOW in sides:
+            return None
         y = _at_least(rng, n)
-    elif LOW in (left, right):
-        y = -_at_least(rng, n)
+    elif LOW in sides:
+        a, b = _at_least(rng, n)
+        y = -a, b
     else:
-        y = _fraction(_below(rng, 12 * n + 1) - 6 * n, 1 + _below(rng, 11))
-    x = y + _small_step(rng, n) if left == DIAG else (
-        _at_least(rng, n) if left == HIGH else -_at_least(rng, n))
-    z = y + _small_step(rng, n) if right == DIAG else (
-        _at_least(rng, n) if right == HIGH else -_at_least(rng, n))
-    return x, y, z
+        y = _grid_point(rng, 6 * n)
+    return _end(rng, n, left, y), y, _end(rng, n, right, y)
+
+
+def _end(rng, n: int, side: str, y: tuple[int, int]) -> tuple[int, int]:
+    """A point related to y by clause side of U_n: y plus a small step on
+    the diagonal, else a fresh point at least n or at most -n."""
+    if side == DIAG:
+        s, m = _small_step(rng, n)
+        return y[0] * m + s * y[1], y[1] * m
+    a, b = _at_least(rng, n)
+    return (a, b) if side == HIGH else (-a, b)
 
 
 def compose_triple_violation(n: int, x, y, z) -> bool:
@@ -153,27 +207,36 @@ def real_entourage_compose_check(n: int, samples: int, rng) -> Verdict:
                                      detail="case analysis fact failed")
 
     per_case = max(1, samples // 9)
+    n2 = 2 * n
     for left, right in itertools.product(CLAUSES, repeat=2):
         for _ in range(per_case):
-            triple = _conditioned_triple(rng, 2 * n, left, right)
+            triple = _conditioned_triple(rng, n2, left, right)
             if triple is None:
                 break
-            x, y, z = triple
-            if not (real_entourage_contains(2 * n, x, y)
-                    and real_entourage_contains(2 * n, y, z)):
-                raise AssertionError("conditioned triple fell outside its clauses")
-            if not real_entourage_contains(n, x, z):
-                return Verdict.falsified(witness=(x, y, z),
+            (a, b), (c, e), (f, g) = triple
+            if _clause(n2, a, b, c, e) is None or _clause(n2, c, e, f, g) is None:
+                raise RuntimeError(
+                    f"conditioned triple {tuple(_fraction(*p) for p in triple)!r} fell "
+                    f"outside clauses ({left}, {right}) of U_{n2} at n={n}")
+            if _clause(n, a, b, f, g) is None:
+                return Verdict.falsified(witness=tuple(_fraction(*p) for p in triple),
                                          detail="sampled triple escaped U_n")
     for _ in range(samples):
         left = CLAUSES[_below(rng, 3)]
-        head = _conditioned_triple(rng, 2 * n, left, left)
-        x, y, _ = head
-        z = _fraction(_below(rng, 80 * n + 1) - 40 * n, 1 + _below(rng, 11))
-        if not real_entourage_contains(n, max(x, z), max(y, z)):
-            return Verdict.falsified(witness=("join", x, y, z),
-                                     detail="join with common element escaped U_n")
-        if not real_entourage_contains(n, min(x, z), min(y, z)):
-            return Verdict.falsified(witness=("meet", x, y, z),
-                                     detail="meet with common element escaped U_n")
+        (a, b), (c, e), _ = _conditioned_triple(rng, n2, left, left)
+        f, g = _grid_point(rng, 40 * n)
+        # the join and meet with z = f/g, a tie kept on the first argument
+        # as max and min keep it
+        xz = (a, b) if a * g >= f * b else (f, g)
+        yz = (c, e) if c * g >= f * e else (f, g)
+        if _clause(n, *xz, *yz) is None:
+            return Verdict.falsified(
+                witness=("join", _fraction(a, b), _fraction(c, e), _fraction(f, g)),
+                detail="join with common element escaped U_n")
+        xz = (a, b) if a * g <= f * b else (f, g)
+        yz = (c, e) if c * g <= f * e else (f, g)
+        if _clause(n, *xz, *yz) is None:
+            return Verdict.falsified(
+                witness=("meet", _fraction(a, b), _fraction(c, e), _fraction(f, g)),
+                detail="meet with common element escaped U_n")
     return Verdict.exact(detail=f"nine-case analysis at n={n}")

@@ -18,7 +18,9 @@ through ``_clamp``, and the kernel questions as they ran pair by pair before
 every one read joint zero rows: whether a family vanishes at a pair or
 separates given points, the greedy kernel partition with its congruence
 check, whether a quotient's representatives are separated, and the
-recovery criterion against the separation of the clamp family. The axiom
+recovery criterion against the separation of the clamp family, and the
+entourage composition check of the line as it ran on Fractions before it
+drew integer pairs, with the clauses of U_n on Fraction's operators. The axiom
 and distributivity checks go through the carrier's public, checking
 operations and nothing faster; an axiom check's witness is the failing
 elements followed by the name of the law. The parts of the recovery
@@ -32,7 +34,8 @@ from functools import reduce
 from ulat.carriers import CheckResult, _is_sublattice
 from ulat.convergence import (DEFAULT_EPS_GRID, DEFAULT_HORIZON, _points, _positive_grid,
                               _probe_indices, truncate_sequence)
-from ulat.exact import Poly, RatAltSeq
+from ulat.entourages import CLAUSES, DIAG, HIGH, LOW, compose_case_analysis
+from ulat.exact import Poly, RatAltSeq, _below, _fraction
 from ulat.semimetrics import (KernelRelation, LatticeSemimetric, SemimetricFamily, order_interval,
                               ustar_family)
 from ulat.sequences import EventuallyConstant, SequenceFamily, _constant_tail
@@ -501,3 +504,82 @@ def composition_law(L, compose):
                         if _clamp(L, comp.low, comp.high, x) != two_step:
                             return total, (a, b, c, d, x)
     return total, None
+
+
+def entourage_clause(n: int, x: Fraction, y: Fraction):
+    """The clause of U_n that puts (x, y) in, on Fraction's operators."""
+    if abs(x - y) <= Fraction(1, n):
+        return DIAG
+    if x >= n and y >= n:
+        return HIGH
+    if x <= -n and y <= -n:
+        return LOW
+    return None
+
+
+def entourage_contains(n: int, x: Fraction, y: Fraction) -> bool:
+    return entourage_clause(n, x, y) is not None
+
+
+def _small_step(rng, n: int) -> Fraction:
+    s = _below(rng, 3) - 1
+    return _fraction(s, n * (1 + _below(rng, 4)))
+
+
+def _at_least(rng, bound: int) -> Fraction:
+    p = _below(rng, 40 * bound)
+    q = 1 + _below(rng, 9)
+    return _fraction(bound * q + p, q)
+
+
+def conditioned_triple(rng, n: int, left: str, right: str):
+    """The conditioned triple of the compose check as Fractions, drawn in
+    the compose check's order; None for a vacuous combination."""
+    if {left, right} == {HIGH, LOW}:
+        return None
+    if HIGH in (left, right):
+        y = _at_least(rng, n)
+    elif LOW in (left, right):
+        y = -_at_least(rng, n)
+    else:
+        y = _fraction(_below(rng, 12 * n + 1) - 6 * n, 1 + _below(rng, 11))
+    x = y + _small_step(rng, n) if left == DIAG else (
+        _at_least(rng, n) if left == HIGH else -_at_least(rng, n))
+    z = y + _small_step(rng, n) if right == DIAG else (
+        _at_least(rng, n) if right == HIGH else -_at_least(rng, n))
+    return x, y, z
+
+
+def compose_check(n: int, samples: int, rng) -> Verdict:
+    """``real_entourage_compose_check`` on Fractions, with max and min for
+    the join and meet; every membership goes through ``entourage_contains``,
+    read from this module at each call."""
+    for case in compose_case_analysis(n):
+        if not case.holds:
+            failing = [desc for desc, ok in case.facts if not ok]
+            return Verdict.falsified(witness=(case.left, case.right, tuple(failing)),
+                                     detail="case analysis fact failed")
+
+    per_case = max(1, samples // 9)
+    for left, right in itertools.product(CLAUSES, repeat=2):
+        for _ in range(per_case):
+            triple = conditioned_triple(rng, 2 * n, left, right)
+            if triple is None:
+                break
+            x, y, z = triple
+            if not (entourage_contains(2 * n, x, y) and entourage_contains(2 * n, y, z)):
+                raise AssertionError("conditioned triple fell outside its clauses")
+            if not entourage_contains(n, x, z):
+                return Verdict.falsified(witness=(x, y, z),
+                                         detail="sampled triple escaped U_n")
+    for _ in range(samples):
+        left = CLAUSES[_below(rng, 3)]
+        x, y, _ = conditioned_triple(rng, 2 * n, left, left)
+        z = _fraction(_below(rng, 80 * n + 1) - 40 * n, 1 + _below(rng, 11))
+        if not entourage_contains(n, max(x, z), max(y, z)):
+            return Verdict.falsified(witness=("join", x, y, z),
+                                     detail="join with common element escaped U_n")
+        if not entourage_contains(n, min(x, z), min(y, z)):
+            return Verdict.falsified(witness=("meet", x, y, z),
+                                     detail="meet with common element escaped U_n")
+    return Verdict.exact(detail=f"nine-case analysis at n={n}")

@@ -5,16 +5,20 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 import ulat.entourages as entourages
+from ulat.convergence import ustar_nonconvergence_on_line
 from ulat.entourages import (
     CLAUSES,
     DIAG,
     HIGH,
     LOW,
     _at_least,
+    _clause,
+    _grid_point,
     _small_step,
     compose_case_analysis,
     compose_triple_violation,
@@ -50,33 +54,39 @@ def test_clause_takes_an_integer_index():
             entourage_clause(bad, 0, "1/3")
 
 
-def _clause_by_fractions(n, x, y):
-    """The three clauses of U_n on Fraction's operators."""
-    if abs(x - y) <= F(1, n):
-        return DIAG
-    if x >= n and y >= n:
-        return HIGH
-    if x <= -n and y <= -n:
-        return LOW
-    return None
-
-
 @given(x=rationals, y=rationals,
        step=st.fractions(min_value=F(-1), max_value=F(1), max_denominator=60))
 def test_clause_matches_the_fraction_formula(x, y, step):
     for n in range(1, 51):
-        assert entourage_clause(n, x, y) == _clause_by_fractions(n, x, y)
-        assert entourage_clause(n, x, x + step) == _clause_by_fractions(n, x, x + step)
+        assert entourage_clause(n, x, y) == reference.entourage_clause(n, x, y)
+        assert entourage_clause(n, x, x + step) == reference.entourage_clause(n, x, x + step)
+
+
+@given(x=rationals, y=rationals, scale=st.integers(min_value=1, max_value=7),
+       n=st.integers(min_value=1, max_value=50))
+def test_clause_reads_unreduced_pairs(x, y, scale, n):
+    a, b, c, e = x.numerator, x.denominator, y.numerator, y.denominator
+    assert _clause(n, a * scale, b * scale, c, e) == reference.entourage_clause(n, x, y)
+    assert _clause(n, a, b, c * scale, e * scale) == reference.entourage_clause(n, x, y)
+
+
+def _is_pair(pair):
+    return (type(pair) is tuple and len(pair) == 2 and all(type(v) is int for v in pair)
+            and pair[1] > 0)
 
 
 def test_draws_give_the_fraction_formulas_values():
     for seed in range(200):
         mine, ref = random.Random(seed), random.Random(seed)
         for n in (1, 2, 3, 7, 59):
-            step, high = _small_step(mine, n), _at_least(mine, n)
-            assert step == F(ref.randrange(-1, 2), 1) * F(1, n) / ref.randrange(1, 5)
-            assert high == n + F(ref.randrange(0, 40 * n), ref.randrange(1, 10))
-            assert type(step) is F and type(high) is F
+            step, high, point = _small_step(mine, n), _at_least(mine, n), _grid_point(mine, n)
+            assert all(map(_is_pair, (step, high, point)))
+            assert entourages._fraction(*step) == (
+                F(ref.randrange(-1, 2), 1) * F(1, n) / ref.randrange(1, 5))
+            assert entourages._fraction(*high) == n + F(ref.randrange(0, 40 * n),
+                                                         ref.randrange(1, 10))
+            assert entourages._fraction(*point) == F(ref.randrange(-n, n + 1),
+                                                     ref.randrange(1, 12))
         assert mine.getstate() == ref.getstate()
 
 
@@ -124,8 +134,13 @@ def _randrange_compose_memberships(rng, n, samples):
 
 def test_compose_check_samples_the_randrange_formulas(monkeypatch):
     tests = []
-    monkeypatch.setattr(entourages, "real_entourage_contains",
-                        lambda n, x, y: tests.append((n, x, y)) or True)
+
+    def accept(n, a, b, c, e):
+        assert _is_pair((a, b)) and _is_pair((c, e))
+        tests.append((n, F(a, b), F(c, e)))
+        return DIAG
+
+    monkeypatch.setattr(entourages, "_clause", accept)
     for seed in range(200):
         for n in (1, 7):
             mine, ref = random.Random(seed), random.Random(seed)
@@ -211,3 +226,74 @@ def test_lattice_ops_with_common_element_stay_inside(x, y, z, n):
     if real_entourage_contains(n, x, y):
         assert real_entourage_contains(n, max(x, z), max(y, z))
         assert real_entourage_contains(n, min(x, z), min(y, z))
+
+
+def test_a_conditioned_pair_outside_its_clause_is_an_invariant_breach(monkeypatch):
+    clause = entourages._clause
+    monkeypatch.setattr(entourages, "_clause",
+                        lambda n, *points: None if n == 6 else clause(n, *points))
+    with pytest.raises(RuntimeError) as breach:
+        real_entourage_compose_check(3, samples=9, rng=random.Random(0))
+    triple = reference.conditioned_triple(random.Random(0), 6, DIAG, DIAG)
+    assert all(type(v) is F for v in triple)
+    assert str(breach.value) == (
+        f"conditioned triple {triple!r} fell outside clauses (diag, diag) of U_6 at n=3")
+
+
+def _refuse_nth(contains, n, nth):
+    """contains, except that its nth test at index n (counted from 0) is
+    refused."""
+    calls = itertools.count()
+
+    def refusing(k, *points):
+        if k == n and next(calls) == nth:
+            return None
+        return contains(k, *points)
+    return refusing
+
+
+WITNESS_DETAILS = {
+    "sampled": "sampled triple escaped U_n",
+    "join": "join with common element escaped U_n",
+    "meet": "meet with common element escaped U_n",
+}
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(min_value=0, max_value=2**64),
+       n=st.integers(min_value=1, max_value=64),
+       samples=st.integers(min_value=1, max_value=200),
+       path=st.sampled_from((None, *WITNESS_DETAILS)),
+       at=st.integers(min_value=0, max_value=10**4))
+def test_compose_check_matches_the_fraction_reference(seed, n, samples, path, at):
+    """The verdict and the generator's end state agree with the Fraction
+    reference; refusing the same membership test at index n on both sides
+    forces each witness path, whose witness must agree too."""
+    triples = 7 * max(1, samples // 9)  # the conditioned loop's tests at index n
+    nth = None if path is None else {"sampled": at % triples,
+                                     "join": triples + 2 * (at % samples),
+                                     "meet": triples + 2 * (at % samples) + 1}[path]
+    mine, ref = random.Random(seed), random.Random(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        if nth is not None:
+            patch.setattr(entourages, "_clause", _refuse_nth(entourages._clause, n, nth))
+            patch.setattr(reference, "entourage_contains",
+                          _refuse_nth(reference.entourage_contains, n, nth))
+        got = real_entourage_compose_check(n, samples, mine)
+        want = reference.compose_check(n, samples, ref)
+    assert (got.status, repr(got.witness), got.detail) == (
+        want.status, repr(want.witness), want.detail)
+    assert mine.getstate() == ref.getstate()
+    assert got.detail == (f"nine-case analysis at n={n}" if path is None
+                          else WITNESS_DETAILS[path])
+
+
+def test_passing_compose_and_spot_checks_build_no_fraction(monkeypatch):
+    calls = []
+    fraction, rat = entourages._fraction, entourages.rat
+    monkeypatch.setattr(entourages, "_fraction", lambda *pair: calls.append(pair) or fraction(*pair))
+    monkeypatch.setattr(entourages, "rat", lambda x: calls.append(x) or rat(x))
+    for n in (1, 64):
+        assert real_entourage_compose_check(n, 157, random.Random(n)).status == "exact"
+    assert ustar_nonconvergence_on_line(F(-7, 2)).status == "exact"
+    assert calls == []
