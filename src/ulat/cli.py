@@ -53,7 +53,9 @@ def _parse_eps_grid(text: str) -> tuple:
     for part in items:
         try:
             q = rat(part)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError:
+            raise ValueError(f"value {part!r} divides by zero") from None
+        except ValueError as exc:
             raise ValueError(f"has a bad value {part!r}: {exc}") from None
         if q <= 0:
             raise ValueError(f"values must be positive, got {part!r}")

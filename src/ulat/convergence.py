@@ -25,7 +25,7 @@ from typing import Optional, Sequence as Seq
 
 from .carriers import CarrierMismatch, GroupCarrier
 from .entourages import _clause
-from .exact import EXT_INF, ExtValue, check_index, frac_floor, rat
+from .exact import ExtValue, check_index, frac_floor, rat
 from .semimetrics import SemimetricFamily
 from .sequences import (NEVER_CONSTANT, BoundClaim, MetricCertificate, O1Witness, O2Witness,
                         SequenceFamily, _constant_tail, chain_bound, clamped_descriptor,
@@ -427,7 +427,10 @@ def unbounded_separation_example(k_values=range(1, 51),
     an int >= 1 and neither grid may be empty; anything else is refused with
     ``ValueError`` before any work.  x_n and |x_n - x| depend on n alone and
     are built once per n, the cap +-k e and the clamped x once per k; the
-    grid points then combine these values with the trusted operations."""
+    grid points then combine these values with the trusted operations and
+    decide both facts on the integer norm ``EvLinSpace._scaled_norm``: the
+    gap G over its denominator m is at most k/n exactly when G*n <= k*m.
+    An ExtValue is built only for a sample or a falsified point's witness."""
     k_values, n_values = tuple(k_values), tuple(n_values)
     for k in k_values:
         check_index(k, "k")
@@ -449,19 +452,21 @@ def unbounded_separation_example(k_values=range(1, 51),
         neg_a = space.negate(a)
         clamped_x = _clamp(space, neg_a, a, x)
         for n, xn, dist in per_n:
-            gap = space._norm(space._sub(_clamp(space, neg_a, a, xn), clamped_x))
-            unclamped = space._norm(space._meet(dist, a))
-            if gap > Fraction(k, n):
+            diff = space._sub(_clamp(space, neg_a, a, xn), clamped_x)
+            total = space._scaled_norm(diff)
+            if total is None or total * n > k * diff.den:
                 return SeparationReport(cases, Verdict.falsified(
-                    witness=(k, n, gap.to_json()), detail="clamp difference exceeded k/n"),
+                    witness=(k, n, space._norm(diff).to_json()),
+                    detail="clamp difference exceeded k/n"),
                     Verdict.inconclusive(), tuple(samples))
-            if unclamped != EXT_INF:
+            capped = space._meet(dist, a)
+            if space._scaled_norm(capped) is not None:
                 return SeparationReport(cases, Verdict.inconclusive(), Verdict.falsified(
-                    witness=(k, n, unclamped.to_json()),
+                    witness=(k, n, space._norm(capped).to_json()),
                     detail="capped difference unexpectedly had finite norm"), tuple(samples))
             cases += 1
             if (k, n) in ((1, 1), (3, 200)):
-                samples.append(SeparationEntry(k, n, gap, unclamped))
+                samples.append(SeparationEntry(k, n, space._norm(diff), space._norm(capped)))
     truncated = Verdict.exact(detail=f"clamp difference <= k/n on {cases} grid points")
     unclamped = Verdict.falsified(
         witness=("norm", "inf"),

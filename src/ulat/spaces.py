@@ -17,8 +17,9 @@ run one scalar kernel on each ``Fraction``'s reduced integers,
 ``sample`` draws seeded elements of these two carriers only, and
 ``_coordinates`` hands ``truncation``'s ell-group laws a point's
 coordinates, which they decide on integers.  ``EvLinSeq``
-builds a ``Fraction`` only where one leaves it: ``value`` and one per norm;
-its repr is the stored form.
+builds a ``Fraction`` only where one leaves it: ``value`` and one per
+``_norm``, which reads the integer ``_scaled_norm``; its repr is the stored
+form.
 
 ``NO_BOUND`` marks a sup or inf that provably does not exist in a carrier.
 
@@ -564,13 +565,22 @@ class EvLinSpace(GroupCarrier):
         p = q.numerator
         return _seq([(s, p * c, p * d) for s, c, d in x.pieces], x.den * q.denominator)
 
-    def _norm(self, x) -> ExtValue:
-        """Extended l1 norm: +inf exactly when the eventual part is nonzero."""
+    def _scaled_norm(self, x: EvLinSeq) -> int | None:
+        """The extended l1 norm of x times ``x.den``, an int, or None for
+        +inf, which it is exactly when the eventual part is nonzero: the one
+        norm body, so a caller that only compares the norm stays on
+        integers."""
         _, c, d = x.pieces[-1]
         if c or d:
-            return EXT_INF
-        return ExtValue(_fraction(sum(_abs_series(c, d, s, end - 1) for (s, c, d), (end, _, _)
-                                      in zip(x.pieces, x.pieces[1:])), x.den))
+            return None
+        return sum(_abs_series(c, d, s, end - 1) for (s, c, d), (end, _, _)
+                   in zip(x.pieces, x.pieces[1:]))
+
+    def _norm(self, x) -> ExtValue:
+        """Extended l1 norm: ``_scaled_norm`` over ``x.den`` as an ExtValue,
+        +inf exactly when the eventual part is nonzero."""
+        total = self._scaled_norm(x)
+        return EXT_INF if total is None else ExtValue(_fraction(total, x.den))
 
 
 NO_BOUND = "no-bound-in-algebra"

@@ -20,7 +20,9 @@ separates given points, the greedy kernel partition with its congruence
 check, whether a quotient's representatives are separated, and the
 recovery criterion against the separation of the clamp family, and the
 entourage composition check of the line as it ran on Fractions before it
-drew integer pairs, with the clauses of U_n on Fraction's operators. The axiom
+drew integer pairs, with the clauses of U_n on Fraction's operators, and
+the contraction suite and the two-norm separation grid as they compared
+ExtValues before both compared integers. The axiom
 and distributivity checks go through the carrier's public, checking
 operations and nothing faster; an axiom check's witness is the failing
 elements followed by the name of the law. The parts of the recovery
@@ -32,16 +34,20 @@ from fractions import Fraction
 from functools import reduce
 
 from ulat.carriers import CheckResult, _is_sublattice
-from ulat.convergence import (DEFAULT_EPS_GRID, DEFAULT_HORIZON, _points, _positive_grid,
-                              _probe_indices, truncate_sequence)
+from ulat.catalog import standard_carriers
+from ulat.convergence import (DEFAULT_EPS_GRID, DEFAULT_HORIZON, SeparationEntry,
+                              SeparationReport, _points, _positive_grid, _probe_indices,
+                              truncate_sequence)
 from ulat.entourages import CLAUSES, DIAG, HIGH, LOW, compose_case_analysis
-from ulat.exact import Poly, RatAltSeq, _below, _fraction
+from ulat.exact import EXT_INF, ExtValue, Poly, RatAltSeq, _below, _fraction
+from ulat.optrees import evaluate, random_tree
 from ulat.semimetrics import (KernelRelation, LatticeSemimetric, SemimetricFamily, order_interval,
                               ustar_family)
 from ulat.sequences import EventuallyConstant, SequenceFamily, _constant_tail
 from ulat.spaces import (C00Space, C00Vec, EvLinSeq, EvLinSpace, FinCofAlgebra, FinCofSet, QLine,
                          QVec)
 from ulat.truncation import TruncationPair, _clamp
+from ulat.suites import CheckRecord
 from ulat.verdicts import Verdict
 
 
@@ -583,3 +589,85 @@ def compose_check(n: int, samples: int, rng) -> Verdict:
             return Verdict.falsified(witness=("meet", x, y, z),
                                      detail="meet with common element escaped U_n")
     return Verdict.exact(detail=f"nine-case analysis at n={n}")
+
+
+def lemma_l2(cfg) -> list:
+    """``_suite_lemma_l2`` on ExtValues: the tree bound sums one distance
+    per leaf occurrence, and both bounds are compared by ExtValue's ``<=``;
+    ``evaluate`` and ``_clamp`` are read from this module at each call."""
+    d = standard_carriers()["qvec3"].family("l1").members[0]
+    V = d.carrier
+    rng = cfg.rng_for("lemma-l2")
+    cases = max(1, cfg.horizon // 10)
+    tree_bad = None
+    for _ in range(cases):
+        tree = random_tree(rng, 3, 5)
+        xs = [V.sample(rng) for _ in range(3)]
+        ys = [V.sample(rng) for _ in range(3)]
+        lhs = d._dist(evaluate(V, tree, xs), evaluate(V, tree, ys))
+        bound = sum((d._dist(xs[i], ys[i]) for i in tree.leaves()), ExtValue(0))
+        if not lhs <= bound:
+            tree_bad = (tree, xs, ys)
+            break
+    window_bad = None
+    for _ in range(cases):
+        s1, s2 = V.sample(rng), V.sample(rng)
+        a, b = V._meet(s1, s2), V._join(s1, s2)
+        s3, s4 = V.sample(rng), V.sample(rng)
+        c, e = V._meet(s3, s4), V._join(s3, s4)
+        x, y = V.sample(rng), V.sample(rng)
+        lhs = d._dist(_clamp(V, a, b, x), _clamp(V, a, b, y))
+        rhs = (d._dist(_clamp(V, c, e, x), _clamp(V, c, e, y))
+               + d._dist(a, c) * 2 + d._dist(b, e) * 2)
+        if not lhs <= rhs:
+            window_bad = (a, b, c, e, x, y)
+            break
+    return [
+        CheckRecord("tree-contraction",
+                    Verdict.falsified(tree_bad) if tree_bad
+                    else Verdict.at_horizon(cases, "operator trees contract summed distances"),
+                    cases=cases),
+        CheckRecord("window-perturbation",
+                    Verdict.falsified(window_bad) if window_bad
+                    else Verdict.at_horizon(cases, "clamp window moves distances by at most twice its displacement"),
+                    cases=cases),
+    ]
+
+
+def separation_example(k_values, n_values) -> SeparationReport:
+    """``unbounded_separation_example`` on a grid it accepts, deciding each
+    point on ExtValues: the gap against ``Fraction(k, n)`` by ``>`` and the
+    capped norm against ``EXT_INF`` by ``!=``; ``_clamp`` is read from this
+    module at each call."""
+    space = EvLinSpace()
+    x = EvLinSeq.affine(0, 1)
+    e = EvLinSeq.affine(1, 0)
+    per_n = []
+    for n in n_values:
+        xn = space.add(x, space.scale_rat(Fraction(1, n), e))
+        per_n.append((n, xn, space.abs_(space.sub(xn, x))))
+    samples = []
+    cases = 0
+    for k in k_values:
+        a = space.scale_rat(k, e)
+        neg_a = space.negate(a)
+        clamped_x = _clamp(space, neg_a, a, x)
+        for n, xn, dist in per_n:
+            gap = space._norm(space._sub(_clamp(space, neg_a, a, xn), clamped_x))
+            unclamped = space._norm(space._meet(dist, a))
+            if gap > Fraction(k, n):
+                return SeparationReport(cases, Verdict.falsified(
+                    witness=(k, n, gap.to_json()), detail="clamp difference exceeded k/n"),
+                    Verdict.inconclusive(), tuple(samples))
+            if unclamped != EXT_INF:
+                return SeparationReport(cases, Verdict.inconclusive(), Verdict.falsified(
+                    witness=(k, n, unclamped.to_json()),
+                    detail="capped difference unexpectedly had finite norm"), tuple(samples))
+            cases += 1
+            if (k, n) in ((1, 1), (3, 200)):
+                samples.append(SeparationEntry(k, n, gap, unclamped))
+    truncated = Verdict.exact(detail=f"clamp difference <= k/n on {cases} grid points")
+    unclamped = Verdict.falsified(
+        witness=("norm", "inf"),
+        detail=f"capped difference norm is +inf on all {cases} grid points")
+    return SeparationReport(cases, truncated, unclamped, tuple(samples))

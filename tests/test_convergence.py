@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 from reference import (eventually_constant_sequence, scan_eventual_constancy, scan_metric_cauchy,
                        scan_metric_converges, settled_containment)
 import ulat.convergence as convergence
@@ -25,7 +26,7 @@ from ulat.convergence import (
     verify_O2,
     verify_uO,
 )
-from ulat.exact import Poly, RatAltSeq
+from ulat.exact import ExtValue, Poly, RatAltSeq
 from ulat.semimetrics import SemimetricFamily, norm_semimetric, ustar_family
 from ulat.sequences import (
     EventuallyConstant,
@@ -42,7 +43,8 @@ from ulat.sequences import (
     settled,
     window_sequence,
 )
-from ulat.spaces import NO_BOUND, C00Space, C00Vec, FinCofAlgebra, FinCofSet, QLine, QVec
+from ulat.spaces import (NO_BOUND, C00Space, C00Vec, EvLinSeq, EvLinSpace, FinCofAlgebra, FinCofSet,
+                         QLine, QVec)
 from ulat.truncation import TruncationPair
 
 Q = QLine()
@@ -682,6 +684,71 @@ def test_separation_builds_the_n_terms_once_per_n(monkeypatch):
     rep = unbounded_separation_example()
     assert rep.cases == 50 * 200
     assert len(abs_calls) == 200
+
+
+def _replaced_at(fn, nth, replace):
+    """fn, except that its call number nth (from 0) returns
+    ``replace(result)``."""
+    calls = []
+
+    def patched(*args):
+        calls.append(None)
+        out = fn(*args)
+        return replace(out) if len(calls) == nth + 1 else out
+
+    return patched
+
+
+# added to one clamp, each bump moves that clamp difference past every k/n
+# of the grid: to +inf, or to a finite norm of at least 10**6 - 1
+_BUMPS = {"gap-inf": EvLinSeq.affine(0, 1), "gap-finite": EvLinSeq.make((10**6,), 0, 0)}
+# |x_n - x| replaced by a finitely supported sequence: its cap has norm 1
+_FINITE_GAP = EvLinSeq.make((1,), 0, 0)
+
+
+@given(k_values=st.lists(st.integers(1, 60) | st.sampled_from([1, 3]), min_size=1, max_size=4),
+       n_values=st.lists(st.integers(1, 300) | st.sampled_from([1, 200]), min_size=1, max_size=5),
+       path=st.sampled_from([None, "gap-inf", "gap-finite", "capped"]),
+       at=st.integers(0, 30))
+def test_separation_matches_the_extvalue_reference(k_values, n_values, path, at):
+    """The whole report agrees with the ExtValue reference. A bump added to
+    call ``at`` of ``_clamp``, or a finite |x_n - x| from call ``at`` of
+    ``abs_``, on both sides, forces each falsified path."""
+    space = EvLinSpace()
+    reports = []
+    for module, run in ((convergence, unbounded_separation_example),
+                        (reference, reference.separation_example)):
+        with pytest.MonkeyPatch.context() as patch:
+            if path == "capped":
+                patch.setattr(EvLinSpace, "abs_", _replaced_at(
+                    EvLinSpace.abs_, at % len(n_values), lambda _: _FINITE_GAP))
+            elif path is not None:
+                patch.setattr(module, "_clamp", _replaced_at(
+                    module._clamp, at % (len(k_values) * (1 + len(n_values))),
+                    lambda out: space._add(out, _BUMPS[path])))
+            reports.append(run(k_values, n_values))
+    got, want = reports
+    assert repr(got) == repr(want)
+    assert got == want
+    if path is None:
+        assert got.cases == len(k_values) * len(n_values)
+    elif path == "capped":
+        assert got.unclamped.detail == "capped difference unexpectedly had finite norm"
+        assert got.unclamped.witness[2] == "1"
+    else:
+        assert got.truncated.detail == "clamp difference exceeded k/n"
+        assert (got.truncated.witness[2] == "inf") == (path == "gap-inf")
+
+
+def test_separation_builds_an_extvalue_for_each_sample_gap_only(monkeypatch):
+    built = []
+    init = ExtValue.__init__
+    monkeypatch.setattr(ExtValue, "__init__",
+                        lambda self, value: built.append(value) or init(self, value))
+    rep = unbounded_separation_example()
+    assert rep.truncated.status == "exact"
+    assert built == [F(0), F(1, 100)]
+    assert [s.truncated_gap.to_json() for s in rep.samples] == ["0", "1/100"]
 
 
 # ---------------------------------------------------------------------------

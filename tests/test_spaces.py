@@ -319,6 +319,31 @@ class TestEvLin:
             norm = sum((abs(f(i)) for i in coords), F(0)) if law == (0, 0) else EXT_INF
             assert E.norm(z) == norm
 
+    @given(wide_prefixes, wide_laws, wide_prefixes, wide_laws, wide_fracs,
+           st.lists(st.sampled_from(["meet", "join", "add", "sub", "abs", "negate", "scale"]),
+                    max_size=6))
+    def test_scaled_norm_is_the_norm_times_den(self, px, lx, py, ly, q, ops):
+        """On sequences built by chains of the space's operations, and on
+        each less its eventual law, ``_scaled_norm`` is None exactly when
+        ``_norm`` is +inf, and otherwise an int that ``den`` divides into
+        ``_norm`` and into the summed absolute values."""
+        E = EvLinSpace()
+        z, y = EvLinSeq.make(px, *lx), EvLinSeq.make(py, *ly)
+        steps = {"meet": lambda: E.meet(z, y), "join": lambda: E.join(z, y),
+                 "add": lambda: E.add(z, y), "sub": lambda: E.sub(z, y),
+                 "abs": lambda: E.abs_(z), "negate": lambda: E.negate(z),
+                 "scale": lambda: E.scale_rat(q, z)}
+        for op in ops:
+            z = steps[op]()
+        _, c, d = z.pieces[-1]
+        for w in (z, E.sub(z, EvLinSeq.affine(F(c, z.den), F(d, z.den)))):
+            total = E._scaled_norm(w)
+            if w.pieces[-1][1:] != (0, 0):
+                assert total is None and E._norm(w) == EXT_INF
+                continue
+            summed = sum((abs(w.value(i)) for i in range(1, w.pieces[-1][0])), F(0))
+            assert type(total) is int and F(total, w.den) == summed == E._norm(w)
+
     def test_a_large_coefficient_costs_no_more_pieces(self):
         E = EvLinSpace()
         start = time.perf_counter()

@@ -388,6 +388,17 @@ def test_cli_refuses_an_eps_grid_exponent_at_once(tmp_path, capsys):
         assert "has an exponent" in err
 
 
+def test_cli_names_a_zero_denominator_in_the_eps_grid(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(suites, "run_suites", lambda *args: pytest.fail("a suite ran"))
+    config = tmp_path / "eps.conf"
+    config.write_text("eps_grid = 1/2, 1/0\n")
+    for argv, origin in ((["--eps-grid", "1/0"], "--eps-grid"),
+                         (["--config", str(config)], f"{config}:1")):
+        code, out, err = run_cli(capsys, "suite", "run", "ex", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"ulat: {origin}: eps_grid value '1/0' divides by zero\n"
+
+
 def test_cli_timings_flag(capsys):
     code, out, _ = run_cli(capsys, "suite", "run", "subnet-t3", "--timings",
                            "--horizon", "100")
